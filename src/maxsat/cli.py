@@ -5,10 +5,12 @@
 
 Commands: potential-curve, coupled-run, thresholds, exit-curves, verify.
 Configs are single JSON files with a "system" object and a "command"
-object; command-line flags override config values. Data output is CSV
-(RFC 4180 rows, 17-significant-digit floats, metadata on '#' comment lines
-above the header) or JSON with flat snake_case keys. Outputs carry no
-timestamps, so identical configs give bit-identical files.
+object; command-line flags override config values, and a flag or key the
+command does not use is a config error. Data output is CSV (RFC 4180 rows,
+17-significant-digit floats, metadata on '#' comment lines above the
+header) or JSON with flat snake_case keys; only potential-curve offers
+both (--format). Outputs carry no timestamps, so identical configs give
+bit-identical files.
 
 Exit codes: 0 success, 1 failed verify suite, 2 config error, 3 numeric
 non-convergence, 4 undefined threshold requested.
@@ -260,8 +262,7 @@ def cmd_potential_curve(cfg: dict, args) -> int:
 
 
 def cmd_coupled_run(cfg: dict, args) -> int:
-    params = _merged_params(cfg, args, {"eps", "N", "w", "tol", "max_iters",
-                                        "out", "format"})
+    params = _merged_params(cfg, args, {"eps", "N", "w", "tol", "max_iters", "out"})
     kind, built = build_system(cfg["system"])
     eps = _require_eps(kind, params)
     sys_ = _slice(kind, built, eps)
@@ -293,7 +294,7 @@ def cmd_coupled_run(cfg: dict, args) -> int:
 
 
 def cmd_thresholds(cfg: dict, args) -> int:
-    params = _merged_params(cfg, args, {"tol", "which", "out", "format"})
+    params = _merged_params(cfg, args, {"tol", "which", "out"})
     kind, built = build_system(cfg["system"])
     if kind != "param":
         raise ConfigError("thresholds need a parameterized system")
@@ -337,7 +338,7 @@ def cmd_thresholds(cfg: dict, args) -> int:
 def cmd_exit_curves(cfg: dict, args) -> int:
     params = _merged_params(cfg, args, {"series", "eps_lo", "eps_hi", "eps_n",
                                         "x_n", "N", "w", "sc_eps_n", "max_iters",
-                                        "out", "format"})
+                                        "out"})
     kind, built = build_system(cfg["system"])
     if kind != "param":
         raise ConfigError("exit-curves need a parameterized system")
@@ -518,9 +519,8 @@ _SUITES = {
 
 
 def cmd_verify(cfg: dict, args) -> int:
-    params = dict(cfg.get("command", {})) if cfg else {}
-    _reject_unknown(params, {"inject_bug", "out", "format"}, "command")
-    inject = getattr(args, "inject_bug", None) or params.get("inject_bug")
+    params = _merged_params(cfg, args, {"inject_bug", "out"})
+    inject = args.inject_bug or params.get("inject_bug")
     if inject not in (None, "negated-gradient"):
         raise ConfigError(f"unknown injected bug {inject!r}")
     results = {}
@@ -532,8 +532,7 @@ def cmd_verify(cfg: dict, args) -> int:
             results[name] = "pass" if fn(rng) else "fail"
     obj = {"tool": "maxsat", "version": __version__}
     obj.update(results)
-    out = getattr(args, "out", None) or params.get("out")
-    _write_text(_json_text(obj), out)
+    _write_text(_json_text(obj), params.get("out"))
     return 0 if all(v == "pass" for v in results.values()) else 1
 
 
@@ -557,7 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--N", type=int, default=None)
         sp.add_argument("--w", type=int, default=None)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
+        if name == "potential-curve":
+            sp.add_argument("--format", choices=("csv", "json"), default=None)
         if name == "verify":
             sp.add_argument("--inject-bug", dest="inject_bug", default=None)
     return p

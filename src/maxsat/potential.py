@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .recursion import (
 )
 
 __all__ = [
-    "F_of",
-    "G_of",
     "U_s",
     "U_s_prime",
     "V_s",
@@ -53,16 +51,6 @@ __all__ = [
 
 #: two minimizers are tied when their potential values differ by less
 VALUE_TOL = 1e-10
-
-
-def F_of(sys: ScalarSystem, y):
-    """Antiderivative of f with F(0) = 0."""
-    return sys.F(y)
-
-
-def G_of(sys: ScalarSystem, x):
-    """Antiderivative of g with G(0) = 0."""
-    return sys.G(x)
 
 
 def U_s(sys: ScalarSystem, x):
@@ -92,10 +80,14 @@ def V_s(sys: ScalarSystem, y):
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Minimizer set of a potential, with the (x, is_tangential) fixed points
+    of the update found by the same scan."""
+
     x_lower: float
     x_upper: float
     value: float
     minimizers: tuple
+    fixed_points: tuple
 
 
 def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
@@ -129,8 +121,8 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     for i in local[:256]:
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
                                 float(xs[i + 1]), x_tol))
-    for x, _tang in fixed_points_of(h_vec, x_max, grid_n):
-        cands.append(x)
+    fixed_points = tuple(fixed_points_of(h_vec, x_max, grid_n))
+    cands.extend(x for x, _tang in fixed_points)
 
     cand_arr = np.asarray(sorted(set(cands)), dtype=float)
     vals = np.asarray(u_vec(cand_arr), dtype=float)
@@ -141,7 +133,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
             if mins and abs(x - mins[-1]) <= 1e-9:
                 continue
             mins.append(float(x))
-    return MinimizeResult(mins[0], mins[-1], vmin, tuple(mins))
+    return MinimizeResult(mins[0], mins[-1], vmin, tuple(mins), fixed_points)
 
 
 def minimize_Us(sys: ScalarSystem, grid_n: int = 10**4) -> MinimizeResult:
@@ -195,34 +187,41 @@ def K_fg_bound(sys: ScalarSystem) -> float:
     return gpp * sys.x_max + gp + fp * gp * gp
 
 
-def energy_gap_delta(sys: ScalarSystem, delta_offset: float = 0.0,
-                     grid_n: int = 10**4) -> float:
-    """Minimum of U_s(x) - U_s(x_upper*) over fixed points x > x_upper* +
-    delta_offset; +inf when that set is empty."""
+def _gap(sys: ScalarSystem, res: MinimizeResult, delta_offset: float) -> float:
     if delta_offset < 0:
         raise DomainError("delta_offset must be >= 0")
-    res = minimize_Us(sys, grid_n)
     xbar = res.x_upper
     base = float(U_s(sys, xbar))
     # refinement noise: a fixed point within 1e-9 of the minimizer is the
     # minimizer itself, not a point strictly above it
     cut = xbar + max(delta_offset, 1e-9)
-    gaps = [float(U_s(sys, x)) - base
-            for x, _tang in fixed_points_of(sys.h, sys.x_max, grid_n)
-            if x > cut]
+    gaps = [float(U_s(sys, x)) - base for x, _tang in res.fixed_points if x > cut]
     return min(gaps) if gaps else math.inf
+
+
+def energy_gap_delta(sys: ScalarSystem, delta_offset: float = 0.0,
+                     grid_n: int = 10**4) -> float:
+    """Minimum of U_s(x) - U_s(x_upper*) over fixed points x > x_upper* +
+    delta_offset; +inf when that set is empty."""
+    return _gap(sys, minimize_Us(sys, grid_n), delta_offset)
+
+
+def _w0(sys: ScalarSystem, delta: float, k_fg: Optional[float] = None) -> float:
+    # the Delta -> w0 rule; K is computed here only when a finite positive
+    # gap needs it and the caller has not computed it already
+    if math.isinf(delta):
+        return 0.0
+    if delta <= 0.0:
+        return math.inf
+    k = K_fg_bound(sys) if k_fg is None else k_fg
+    return k * sys.x_max**2 / (2.0 * delta)
 
 
 def w0_bound(sys: ScalarSystem, delta_offset: float = 0.0) -> float:
     """Coupling width beyond which the coupled fixed point collapses:
     K * x_max^2 / (2 Delta). Returns +inf when Delta = 0 and 0 when
     Delta = +inf (the bound is vacuous with no fixed point above)."""
-    delta = energy_gap_delta(sys, delta_offset)
-    if math.isinf(delta):
-        return 0.0
-    if delta <= 0.0:
-        return math.inf
-    return K_fg_bound(sys) * sys.x_max**2 / (2.0 * delta)
+    return _w0(sys, energy_gap_delta(sys, delta_offset))
 
 
 class FiniteWCondition(enum.Enum):
@@ -260,8 +259,7 @@ def check_finite_w_conditions(sys: ScalarSystem, gamma: float = 1e-3,
         if np.all(np.asarray(sys.h(xs), dtype=float) < xs):
             return FiniteWCondition.FINITE_BY_STRICT_DESCENT
 
-    above = [x for x, _tang in fixed_points_of(sys.h, sys.x_max, grid_n)
-             if x > xbar + 1e-9]
+    above = [x for x, _tang in res.fixed_points if x > xbar + 1e-9]
     if not above or min(above) > xbar + gamma:
         return FiniteWCondition.FINITE_BY_GAP
     return FiniteWCondition.UNKNOWN
@@ -282,13 +280,7 @@ def potential_report(sys: ScalarSystem, delta_offset: float = 0.0,
                      grid_n: int = 10**4) -> PotentialReport:
     """Bundle the minimizer set, energy gap, Hessian constant, and w0."""
     res = minimize_Us(sys, grid_n)
-    delta = energy_gap_delta(sys, delta_offset, grid_n)
+    delta = _gap(sys, res, delta_offset)
     k = K_fg_bound(sys)
-    if math.isinf(delta):
-        w0 = 0.0
-    elif delta <= 0.0:
-        w0 = math.inf
-    else:
-        w0 = k * sys.x_max**2 / (2.0 * delta)
     return PotentialReport(res.x_lower, res.x_upper, res.value, res.minimizers,
-                           delta, k, w0)
+                           delta, k, _w0(sys, delta, k))

@@ -106,6 +106,32 @@ def _zero_like(x, eps):
     return 0.0 * x + 0.0 * eps
 
 
+def _erasure_profiles(L: Union[DegreeDistribution, PolyLike],
+                      R: Union[DegreeDistribution, PolyLike]):
+    """Profiles shared by the erasure families, with bare polynomials read
+    as node perspectives: (lam, rho, lam', rho', rho'', L'(1), R'(1), L, R,
+    rho'(1))."""
+    L = L if isinstance(L, DegreeDistribution) else DegreeDistribution.from_node(L)
+    R = R if isinstance(R, DegreeDistribution) else DegreeDistribution.from_node(R)
+    lam, rho = L.edge, R.edge
+    rho_p = rho.derivative()
+    return (lam, rho, lam.derivative(), rho_p, rho_p.derivative(),
+            L.lp1, R.lp1, L.node, R.node, float(rho_p(1.0)))
+
+
+def _ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1) -> dict:
+    """ParamSystem fields of the parameter-free check side g = 1 - rho(1-x):
+    g, its partials and its antiderivative G."""
+    return dict(
+        g=lambda x, e: 1.0 - rho(1.0 - x) + _zero_like(x, e),
+        g_x=lambda x, e: rho_p(1.0 - x) + _zero_like(x, e),
+        g_xx=lambda x, e: -rho_pp(1.0 - x) + _zero_like(x, e),
+        g_eps=_zero_like,
+        G=lambda x, e: x - (1.0 - Rn(1.0 - x)) / Rp1 + _zero_like(x, e),
+        G_eps=_zero_like,
+    )
+
+
 def ldpc_system(L: Union[DegreeDistribution, PolyLike],
                 R: Union[DegreeDistribution, PolyLike]) -> ParamSystem:
     """Bit-erasure decoding family f(x;eps) = eps lam(x), g = 1 - rho(1-x).
@@ -115,15 +141,8 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
     eps(x) = x / lam(1 - rho(1-x)), the node-perspective EXIT functional
     L(1 - rho(1-x)), and the trial entropy -L'(1) Q(x).
     """
-    L = L if isinstance(L, DegreeDistribution) else DegreeDistribution.from_node(L)
-    R = R if isinstance(R, DegreeDistribution) else DegreeDistribution.from_node(R)
-    lam, rho = L.edge, R.edge
-    lam_p, rho_p = lam.derivative(), rho.derivative()
-    rho_pp = rho_p.derivative()
-    Lp1, Rp1 = L.lp1, R.lp1
-    Ln, Rn = L.node, R.node
+    lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
     lam2 = float(lam_p(0.0))
-    rp1 = float(rho_p(1.0))
 
     def eps_closed(x):
         return x / lam(1.0 - rho(1.0 - x))
@@ -135,16 +154,11 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
 
     psys = ParamSystem(
         f=lambda x, e: e * lam(x),
-        g=lambda x, e: 1.0 - rho(1.0 - x) + _zero_like(x, e),
         f_x=lambda x, e: e * lam_p(x),
-        g_x=lambda x, e: rho_p(1.0 - x) + _zero_like(x, e),
-        g_xx=lambda x, e: -rho_pp(1.0 - x) + _zero_like(x, e),
         f_eps=lambda x, e: lam(x) + 0.0 * e,
-        g_eps=_zero_like,
         F=lambda x, e: e * Ln(x) / Lp1,
-        G=lambda x, e: x - (1.0 - Rn(1.0 - x)) / Rp1 + _zero_like(x, e),
         F_eps=lambda x, e: Ln(x) / Lp1 + 0.0 * e,
-        G_eps=_zero_like,
+        **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
         proper=True,
         strict_stability=lam2 > 0.0,
         unconditionally_stable=lam2 == 0.0,
@@ -190,15 +204,8 @@ def ldgm_system(L: Union[DegreeDistribution, PolyLike],
     threshold is the meaningful quantity. eps(x) is closed-form through the
     inverse of lam.
     """
-    L = L if isinstance(L, DegreeDistribution) else DegreeDistribution.from_node(L)
-    R = R if isinstance(R, DegreeDistribution) else DegreeDistribution.from_node(R)
-    lam, rho = L.edge, R.edge
-    lam_p, rho_p = lam.derivative(), rho.derivative()
-    rho_pp = rho_p.derivative()
-    Lp1, Rp1 = L.lp1, R.lp1
-    Ln, Rn = L.node, R.node
+    lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
     lam_inv = _poly_inverse(lam)
-    rp1 = float(rho_p(1.0))
 
     def eps_closed(x):
         denom = rho(1.0 - x)
@@ -398,8 +405,7 @@ def isi_system(L: Union[DegreeDistribution, PolyLike],
     antiderivatives; a custom phi needs Phi (and Phi_eps) or they are left
     to quadrature-free failure.
     """
-    L = L if isinstance(L, DegreeDistribution) else DegreeDistribution.from_node(L)
-    R = R if isinstance(R, DegreeDistribution) else DegreeDistribution.from_node(R)
+    lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
     if phi is None:
         phi, phi_x, phi_eps = dec_phi, _dec_phi_x, _dec_phi_eps
         Phi, Phi_eps = _dec_Phi, _dec_Phi_eps
@@ -414,27 +420,16 @@ def isi_system(L: Union[DegreeDistribution, PolyLike],
     if np.min(np.diff(pv, axis=0)) < -1e-9 or np.min(np.diff(pv, axis=1)) < -1e-9:
         raise ConstructionError("phi decreasing in one of its arguments")
 
-    lam, rho = L.edge, R.edge
-    lam_p, rho_p = lam.derivative(), rho.derivative()
-    rho_pp = rho_p.derivative()
-    Lp1, Rp1 = L.lp1, R.lp1
-    Ln, Rn = L.node, R.node
     lam2 = float(lam_p(0.0))
-    rp1 = float(rho_p(1.0))
 
     psys = ParamSystem(
         f=lambda x, e: phi(Ln(x), e) * lam(x),
-        g=lambda x, e: 1.0 - rho(1.0 - x) + _zero_like(x, e),
         f_x=lambda x, e: (phi_x(Ln(x), e) * Lp1 * lam(x) ** 2
                           + phi(Ln(x), e) * lam_p(x)),
-        g_x=lambda x, e: rho_p(1.0 - x) + _zero_like(x, e),
-        g_xx=lambda x, e: -rho_pp(1.0 - x) + _zero_like(x, e),
         f_eps=lambda x, e: phi_eps(Ln(x), e) * lam(x),
-        g_eps=_zero_like,
         F=lambda x, e: Phi(Ln(x), e) / Lp1,
-        G=lambda x, e: x - (1.0 - Rn(1.0 - x)) / Rp1 + _zero_like(x, e),
         F_eps=lambda x, e: Phi_eps(Ln(x), e) / Lp1,
-        G_eps=_zero_like,
+        **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
         proper=True,
         strict_stability=lam2 > 0.0,
         unconditionally_stable=lam2 == 0.0,

@@ -434,6 +434,32 @@ def psi_exit(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
              + float(psys.F_eps(psys.g(xb, eps), eps)))
 
 
+def _refine_jumps(psys: ParamSystem, es, xbars, jump_tol: float, eps_tol: float,
+                  grid_n: int) -> list:
+    """Bisect every step above jump_tol between adjacent entries of xbars
+    (the largest minimizer at es) down to eps_tol; returns the midpoints.
+    The minimizer is carried at both bracket ends, so the final test for a
+    genuine discontinuity costs no further minimization."""
+    jumps = []
+    for i in range(len(es) - 1):
+        if abs(xbars[i + 1] - xbars[i]) > jump_tol:
+            a, b = float(es[i]), float(es[i + 1])
+            x0 = xa = xbars[i]
+            xb = xbars[i + 1]
+            while b - a > eps_tol:
+                m = 0.5 * (a + b)
+                xm = x_bar_star(psys, m, grid_n)
+                if abs(xm - x0) > jump_tol:
+                    b, xb = m, xm
+                else:
+                    a, xa = m, xm
+            # a steep but continuous stretch shrinks to nothing under
+            # bisection; only a genuine discontinuity survives
+            if abs(xb - xa) > jump_tol:
+                jumps.append(0.5 * (a + b))
+    return jumps
+
+
 def find_xbar_jumps(psys: ParamSystem, lo: float = 0.0, hi: Optional[float] = None,
                     coarse_step: float = 1e-3, jump_tol: float = 0.01,
                     eps_tol: float = 1e-6, grid_n: int = 3000):
@@ -446,22 +472,7 @@ def find_xbar_jumps(psys: ParamSystem, lo: float = 0.0, hi: Optional[float] = No
     n = max(int(math.ceil((hi - lo) / coarse_step)) + 1, 2)
     es = np.linspace(lo, hi, n)
     xbars = [x_bar_star(psys, float(e), grid_n) for e in es]
-    jumps = []
-    for i in range(len(es) - 1):
-        if abs(xbars[i + 1] - xbars[i]) > jump_tol:
-            a, b = float(es[i]), float(es[i + 1])
-            xa = xbars[i]
-            while b - a > eps_tol:
-                m = 0.5 * (a + b)
-                if abs(x_bar_star(psys, m, grid_n) - xa) > jump_tol:
-                    b = m
-                else:
-                    a = m
-            # a steep but continuous stretch shrinks to nothing under
-            # bisection; only a genuine discontinuity survives
-            if abs(x_bar_star(psys, b, grid_n) - x_bar_star(psys, a, grid_n)) > jump_tol:
-                jumps.append(0.5 * (a + b))
-    return jumps
+    return _refine_jumps(psys, es, xbars, jump_tol, eps_tol, grid_n)
 
 
 def psi_integral(psys: ParamSystem, eps: float, n: int = 1000,
@@ -526,19 +537,7 @@ def map_exit_curve(psys: ParamSystem, eps_grid, grid_n: int = 3000) -> MapExitCu
     xbars = np.array([x_bar_star(psys, float(e), grid_n) for e in es])
     ex = np.array([float(psys.exit_value(x, float(e)))
                    for x, e in zip(xbars, es)])
-    jumps = []
-    for i in range(len(es) - 1):
-        if abs(xbars[i + 1] - xbars[i]) > 0.01:
-            a, b = float(es[i]), float(es[i + 1])
-            xa = xbars[i]
-            while b - a > 1e-6:
-                m = 0.5 * (a + b)
-                if abs(x_bar_star(psys, m, grid_n) - xa) > 0.01:
-                    b = m
-                else:
-                    a = m
-            if abs(x_bar_star(psys, b, grid_n) - x_bar_star(psys, a, grid_n)) > 0.01:
-                jumps.append(0.5 * (a + b))
+    jumps = _refine_jumps(psys, es, xbars, 0.01, 1e-6, grid_n)
     return MapExitCurve(es, ex, xbars, tuple(jumps))
 
 

@@ -227,6 +227,40 @@ class TestVerify:
         assert obj["potential_descent"] == "pass"
 
 
+class TestRejectedFlags:
+    """Flags a command does not implement exit 2 instead of being ignored."""
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects unregistered flags
+            return exc.code
+
+    @pytest.mark.parametrize("command, cfg, flags", [
+        ("coupled-run", {"system": {"type": "example", "id": 1},
+                         "command": {"N": 9, "w": 1}}, ["--format", "json"]),
+        ("thresholds", {"system": {"type": "gldpc", "n": 31, "t": 4}},
+         ["--format", "csv"]),
+        ("verify", None, ["--N", "5"]),
+    ])
+    def test_unsupported_flag_exits_2(self, tmp_path, command, cfg, flags):
+        argv = [command] + flags
+        if cfg is not None:
+            argv += ["--config", write_cfg(tmp_path, "c.json", cfg)]
+        out = tmp_path / "out.txt"
+        assert self.exit_code(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_format_config_key_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"system": {"type": "example", "id": 1},
+                         "command": {"N": 9, "w": 1, "format": "json"}})
+        out = tmp_path / "run.csv"
+        assert main(["coupled-run", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestConfigErrors:
     def test_missing_config(self):
         assert main(["thresholds"]) == 2

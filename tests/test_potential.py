@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -294,3 +295,39 @@ class TestFiniteWConditions:
 
     def test_pathological_unknown(self, path):
         assert check_finite_w_conditions(path) is FiniteWCondition.UNKNOWN
+
+
+class TestSingleScan:
+    """Each analysis reads its fixed points from the one scan minimize_Us
+    runs, and the report agrees exactly with the standalone functions."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        import maxsat.potential as pot
+        calls = []
+        real = pot.fixed_points_of
+
+        def counting(*a, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(pot, "fixed_points_of", counting)
+        return calls
+
+    @pytest.mark.parametrize("fn", [
+        potential_report, energy_gap_delta, check_finite_w_conditions, w0_bound,
+        # gamma = 1 gets past strict descent to the fixed-point isolation test
+        functools.partial(check_finite_w_conditions, gamma=1.0),
+    ])
+    def test_one_scan_per_analysis(self, scans, ex2, fn):
+        fn(ex2)
+        assert len(scans) == 1
+
+    def test_minimize_keeps_fixed_points(self, ex2):
+        res = minimize_Us(ex2)
+        assert res.fixed_points == tuple(enumerate_fixed_points(ex2, with_flags=True))
+
+    def test_report_equals_parts(self, ex2):
+        rep = potential_report(ex2)
+        assert rep.w0 == w0_bound(ex2)
+        assert rep.delta_gap == energy_gap_delta(ex2)
