@@ -564,7 +564,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits with 2 on a bad flag, 0 on --help
+        return exc.code
     try:
         if args.command == "verify" and args.config is None:
             cfg = {"system": {}, "command": {}}

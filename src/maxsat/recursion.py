@@ -13,6 +13,7 @@ All callables attached to a system must accept scalars and numpy arrays.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,9 +23,10 @@ from .errors import (
     ConstructionError,
     DomainError,
     NonConvergenceError,
+    NumericError,
     ShapeError,
 )
-from .numerics import adaptive_simpson, bisect_root, golden_min
+from .numerics import bisect_root, golden_min
 
 __all__ = [
     "ScalarSystem",
@@ -50,15 +52,25 @@ __all__ = [
 # Absolute slack allowed before a clamp is treated as a real domain violation.
 _CLAMP_TOL = 1e-9
 
+# Tabulated antiderivatives: Chebyshev points per panel, absolute error
+# bound of the whole table, and the bisection depth and panel count at
+# which it gives up (where the integrand's own rounding exceeds the bound,
+# refinement spreads over many panels without reaching the depth cap).
+_CHEB_POINTS = 17
+_ANTI_TOL = 1e-11
+_ANTI_MAX_DEPTH = 60
+_ANTI_MAX_PANELS = 4096
+
 
 @dataclass(frozen=True)
 class ScalarSystem:
     """The pair (f, g) with derivatives, domain bounds, and antiderivatives.
 
     F and G are antiderivatives of f and g with F(0) = G(0) = 0, either in
-    closed form or quadrature-backed. The *_sup fields are optional exact
-    suprema of |f'|, |g'|, |g''| over their domains; when absent a grid
-    maximum (inflated by 1%) is used by consumers that need them.
+    closed form or tabulated once per system from f or g (make_system).
+    The *_sup fields are optional exact suprema of |f'|, |g'|, |g''| over
+    their domains; when absent a grid maximum (inflated by 1%) is used by
+    consumers that need them.
     """
 
     f: Callable
@@ -163,15 +175,94 @@ def _fd_derivative(fn, lo, hi, step=1e-7):
     return deriv
 
 
-def _quad_antiderivative(fn, tol=1e-11):
-    """Antiderivative with value 0 at 0, via adaptive Simpson per call."""
+def _chebyshev_table(fn, hi):
+    """Piecewise-Chebyshev antiderivative of fn on [0, hi].
+
+    Interpolates fn at _CHEB_POINTS Chebyshev points of the second kind on
+    each panel (the panel ends among them, so a feature at either end of
+    the domain shows on the first panel) and bisects the panel with the
+    largest error estimate until the estimates sum to at most _ANTI_TOL.
+    A panel's estimate bounds what its two trailing coefficients add to
+    any partial integral, |int_{-1}^t T_k| <= 2k/(k^2 - 1). Refining the
+    worst panel, rather than holding each panel to a width-proportional
+    share, lets the table stop at the rounding level of fn where fn is
+    steep. Returns the panel edges, each panel's offset and the panels'
+    integrated series (one column per panel).
+    """
+    # loaded on first use, as numerics.gauss_hermite does, so systems with
+    # closed-form antiderivatives never import numpy.polynomial
+    C = np.polynomial.chebyshev
+    deg = _CHEB_POINTS - 1
+    nodes = C.chebpts2(_CHEB_POINTS)
+    # interpolation is linear in the samples: fit each unit sample once
+    fit = C.chebfit(nodes, np.eye(_CHEB_POINTS), deg)
+    ks = np.arange(deg - 1, deg + 1)
+    tail_weight = 2.0 * ks / (ks * ks - 1.0)
+
+    def panel(a, b, depth):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = np.asarray(fn(np.clip(mid + half * nodes, a, b)), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise NumericError(f"antiderivative table: integrand not finite on [{a}, {b}]")
+        coef = fit @ vals
+        est = half * float(np.sum(np.abs(coef[-2:]) * tail_weight))
+        return (-est, a, b, depth, C.chebint(coef, lbnd=-1.0, scl=half))
+
+    heap = [panel(0.0, float(hi), 0)]
+    total = -heap[0][0]
+    while total > _ANTI_TOL:
+        neg_est, a, b, depth, _ = heapq.heappop(heap)
+        if depth >= _ANTI_MAX_DEPTH or len(heap) >= _ANTI_MAX_PANELS:
+            raise NumericError(f"antiderivative table: estimated error {total:.2e} above "
+                               f"{_ANTI_TOL:g} at depth {depth} with {len(heap) + 1} panels")
+        mid = 0.5 * (a + b)
+        halves = panel(a, mid, depth + 1), panel(mid, b, depth + 1)
+        total += neg_est - halves[0][0] - halves[1][0]
+        for p in halves:
+            heapq.heappush(heap, p)
+    heap.sort(key=lambda p: p[1])
+    edges = np.array([p[1] for p in heap] + [float(hi)])
+    # one row per coefficient, so a query gathers one value per row
+    series = np.array([p[4] for p in heap]).T.copy()
+    every = np.arange(len(heap))
+    # value of each series at its left end; subtracting it makes every
+    # panel start at the running total, and the first one at exactly 0
+    left = _clenshaw(series, every, np.full(len(heap), -1.0))
+    totals = _clenshaw(series, every, np.ones(len(heap))) - left
+    offset = np.concatenate(([0.0], np.cumsum(totals[:-1]))) - left
+    return edges, offset, series
+
+
+def _clenshaw(series, k, t):
+    """sum_j series[j, k_i] T_j(t_i) for each i, by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    for row in series[:0:-1]:
+        b1, b2 = row[k] + 2.0 * t * b1 - b2, b1
+    return series[0, k] + t * b1 - b2
+
+
+def _tabulated_antiderivative(fn, hi):
+    """Antiderivative of fn on [0, hi] with value 0 at 0.
+
+    fn is sampled once, on the first call, into a piecewise-Chebyshev
+    table (_chebyshev_table); every call is then a lookup and one Clenshaw
+    sum per point. Points more than _CLAMP_TOL outside [0, hi] raise
+    DomainError.
+    """
+    table = None
 
     def anti(y):
-        arr = np.asarray(y, dtype=float)
-        if arr.ndim == 0:
-            return adaptive_simpson(fn, 0.0, float(arr), tol).value
-        flat = [adaptive_simpson(fn, 0.0, float(v), tol).value for v in arr.ravel()]
-        return np.asarray(flat).reshape(arr.shape)
+        nonlocal table
+        if table is None:
+            table = _chebyshev_table(fn, hi)
+        edges, offset, series = table
+        arr = np.asarray(_clamp(y, 0.0, hi, "antiderivative argument"), dtype=float)
+        flat = arr.ravel()
+        k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, len(offset) - 1)
+        a, b = edges[k], edges[k + 1]
+        t = (2.0 * flat - (a + b)) / (b - a)
+        out = offset[k] + _clenshaw(series, k, t)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     return anti
 
@@ -181,7 +272,8 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
                 g_second_sup=None, strictly_increasing_f=False, name="",
                 validate=True) -> ScalarSystem:
     """Assemble a ScalarSystem, filling gaps with finite differences and
-    quadrature-backed antiderivatives, then grid-check the invariants."""
+    antiderivatives tabulated on [0, y_max] (F) and [0, x_max] (G) to an
+    absolute error of 1e-11, then grid-check the invariants."""
     y_max = float(g(x_max))
     sys = ScalarSystem(
         f=f,
@@ -191,8 +283,8 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
         f_prime=f_prime if f_prime is not None else _fd_derivative(f, 0.0, y_max),
         g_prime=g_prime if g_prime is not None else _fd_derivative(g, 0.0, x_max),
         g_second=g_second,
-        F=F if F is not None else _quad_antiderivative(f),
-        G=G if G is not None else _quad_antiderivative(g),
+        F=F if F is not None else _tabulated_antiderivative(f, y_max),
+        G=G if G is not None else _tabulated_antiderivative(g, x_max),
         f_prime_sup=f_prime_sup,
         g_prime_sup=g_prime_sup,
         g_second_sup=g_second_sup,

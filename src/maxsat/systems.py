@@ -546,9 +546,10 @@ def cs_system(params: CsParams, use_closed_form_F: bool = False) -> ScalarSystem
     f(y) = mmse(1/sigma2 - y), g(x) = 1/sigma2 - 1/(sigma2 + x/delta).
 
     The fixed point of f(g(x)) is the MSE of the estimator; x_max is
-    mmse(0). F comes from quadrature of f by default (exact up to tolerance
-    through the I-MMSE identity); for the Gaussian prior
-    use_closed_form_F swaps in the mutual-information expression.
+    mmse(0). By default F is tabulated once from f on [0, y_max] (see
+    make_system); by the I-MMSE identity it matches the mutual-information
+    expression up to the table's 1e-11 and the rounding of f. For the
+    Gaussian prior use_closed_form_F swaps in that expression.
     """
     prior, s2, delta = params.prior, params.sigma2, params.delta
     x_max = float(prior.mmse(0.0))

@@ -51,6 +51,16 @@ class TestPotentialCurve:
         assert main(["potential-curve", "--config", cfg, "--out", o2]) == 0
         assert open(o1, "rb").read() == open(o2, "rb").read()
 
+    def test_cs_two_point(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1,
+                         "system": {"type": "cs", "prior": "two_point", "mass": 1.0,
+                                    "rho_s": 0.1, "sigma2": 1e-4, "delta": 0.5}})
+        out = str(tmp_path / "cs.csv")
+        assert main(["potential-curve", "--config", cfg, "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        assert [r for r in rows if r[0] == "minimizer"]
+
     def test_param_system_needs_eps(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         {"schema": 1, "system": {"type": "gldpc", "n": 31, "t": 4}})
@@ -230,13 +240,6 @@ class TestVerify:
 class TestRejectedFlags:
     """Flags a command does not implement exit 2 instead of being ignored."""
 
-    @staticmethod
-    def exit_code(argv):
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse rejects unregistered flags
-            return exc.code
-
     @pytest.mark.parametrize("command, cfg, flags", [
         ("coupled-run", {"system": {"type": "example", "id": 1},
                          "command": {"N": 9, "w": 1}}, ["--format", "json"]),
@@ -249,8 +252,12 @@ class TestRejectedFlags:
         if cfg is not None:
             argv += ["--config", write_cfg(tmp_path, "c.json", cfg)]
         out = tmp_path / "out.txt"
-        assert self.exit_code(argv + ["--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_help_exits_0(self):
+        assert main(["--help"]) == 0
+        assert main(["thresholds", "--help"]) == 0
 
     def test_format_config_key_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from maxsat.errors import UnsupportedOperationError
+from maxsat.numerics import adaptive_simpson
 from maxsat.potential import (
     FiniteWCondition,
     K_fg_bound,
@@ -26,7 +27,14 @@ from maxsat.recursion import (
     enumerate_fixed_points,
     make_system,
 )
-from maxsat.systems import example1_system, example2_system, pathological_system
+from maxsat.systems import (
+    CsParams,
+    TwoPointPrior,
+    cs_system,
+    example1_system,
+    example2_system,
+    pathological_system,
+)
 
 EX1_FP_TOP = 0.9680165035778856
 # potential value at that fixed point (the energy gap), from the closed form
@@ -285,6 +293,21 @@ class TestConstants:
         assert rep.w0 == pytest.approx(588.582, abs=1e-3)
 
 
+def test_report_on_tabulated_two_point_system():
+    # F has no closed form here; the minimum is checked against U_s with F
+    # integrated directly by adaptive Simpson
+    s = cs_system(CsParams(TwoPointPrior(1.0, 0.1), 1e-4, 0.5))
+
+    def direct(x):
+        gx = float(s.g(x))
+        return x * gx - float(s.G(x)) - adaptive_simpson(s.f, 0.0, gx, 1e-12).value
+
+    rep = potential_report(s)
+    assert abs(rep.min_value - direct(rep.x_upper_star)) <= 1e-8
+    # at x_max the table is integrated over all of [0, y_max]
+    assert abs(float(U_s(s, s.x_max)) - direct(s.x_max)) <= 1e-8
+
+
 class TestFiniteWConditions:
     def test_example1_stability(self, ex1):
         assert check_finite_w_conditions(ex1) is FiniteWCondition.FINITE_BY_STABILITY
@@ -295,6 +318,16 @@ class TestFiniteWConditions:
 
     def test_pathological_unknown(self, path):
         assert check_finite_w_conditions(path) is FiniteWCondition.UNKNOWN
+
+    def test_minimizer_at_x_max_is_finite_by_gap(self):
+        # h(x) = sqrt(x): fixed points 0 and 1, U_s = x^2/2 - (2/3) x^(3/2)
+        # is minimal only at x_max = 1, so the descent window above the
+        # minimizer is empty and no fixed point lies above it
+        s = make_system(f=np.sqrt, g=lambda x: 1.0 * x, x_max=1.0,
+                        g_prime=lambda x: 1.0 + 0.0 * x,
+                        F=lambda y: (2.0 / 3.0) * y**1.5, G=lambda x: 0.5 * x * x)
+        assert minimize_Us(s).minimizers == (1.0,)
+        assert check_finite_w_conditions(s) is FiniteWCondition.FINITE_BY_GAP
 
 
 class TestSingleScan:

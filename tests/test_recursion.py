@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from maxsat.errors import ConstructionError, DomainError, NonConvergenceError, ShapeError
+from maxsat.errors import (
+    ConstructionError,
+    DomainError,
+    NonConvergenceError,
+    NumericError,
+    ShapeError,
+)
+from maxsat.numerics import adaptive_simpson
 from maxsat.recursion import (
     CoupledProfile,
     CouplingSpec,
@@ -20,7 +27,15 @@ from maxsat.recursion import (
     uncoupled_step,
 )
 from maxsat.potential import U_s
-from maxsat.systems import example1_system, example2_system, pathological_system
+from maxsat.systems import (
+    CsParams,
+    GaussianPrior,
+    TwoPointPrior,
+    cs_system,
+    example1_system,
+    example2_system,
+    pathological_system,
+)
 
 # largest fixed point of x = 0.97 (1-(1-x)^2)^2, frozen from a bisection on
 # x - h(x) over [0.9, 1] (the oracle is repeated below in test_enumerate)
@@ -301,3 +316,70 @@ def test_make_system_fd_and_quadrature_fallbacks():
     mid = xs[1:-1]
     assert np.max(np.abs(np.asarray(bare.f_prime(mid)) - np.asarray(ref.f_prime(mid)))) <= 1e-6
     assert np.max(np.abs(np.asarray(bare.g_prime(mid)) - np.asarray(ref.g_prime(mid)))) <= 1e-6
+
+
+class TestTabulatedAntiderivative:
+    """F of a cs system has no closed form unless asked for; make_system
+    tabulates it once per system."""
+
+    @pytest.fixture(scope="class")
+    def two_point(self):
+        return cs_system(CsParams(TwoPointPrior(1.0, 0.1), 1e-4, 0.44))
+
+    @pytest.mark.parametrize("sigma2", [1e-4, 1e-3])
+    def test_two_point_matches_tight_simpson(self, sigma2):
+        s = cs_system(CsParams(TwoPointPrior(1.0, 0.1), sigma2, 0.44))
+        # f is flat near 0 and changes within the last few percent of [0, y_max]
+        ys = s.y_max * np.array([0.0, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0])
+        pieces = [adaptive_simpson(s.f, a, b, 1e-13).value for a, b in zip(ys[:-1], ys[1:])]
+        ref = np.concatenate(([0.0], np.cumsum(pieces)))
+        assert np.max(np.abs(s.F(ys) - ref)) <= 1e-10
+
+    def test_gaussian_matches_closed_form(self):
+        params = CsParams(GaussianPrior(1.0), 0.25, 0.5)
+        table, closed = cs_system(params), cs_system(params, use_closed_form_F=True)
+        ys = np.linspace(0.0, table.y_max, 25)
+        assert np.max(np.abs(table.F(ys) - closed.F(ys))) <= 1e-12
+
+    def test_scalar_and_shape(self, two_point):
+        y = 0.5 * two_point.y_max
+        assert type(two_point.F(y)) is float
+        grid = np.linspace(0.0, two_point.y_max, 12).reshape(3, 4)
+        out = two_point.F(grid)
+        assert out.shape == (3, 4)
+        assert out[1, 2] == two_point.F(float(grid[1, 2]))
+
+    def test_zero_at_origin(self, two_point):
+        assert two_point.F(0.0) == 0.0
+
+    def test_outside_domain_raises(self, two_point):
+        with pytest.raises(DomainError):
+            two_point.F(two_point.y_max + 1e-6)
+        with pytest.raises(DomainError):
+            two_point.F(np.array([0.0, -1e-6]))
+        # rounding slack at the ends is clamped, not rejected
+        assert two_point.F(two_point.y_max + 1e-12) == two_point.F(two_point.y_max)
+
+    def test_second_query_evaluates_nothing(self, two_point):
+        seen = [0]
+
+        def f(y):
+            seen[0] += np.size(y)
+            return two_point.f(y)
+
+        s = make_system(f=f, g=two_point.g, x_max=two_point.x_max,
+                        g_prime=two_point.g_prime, G=two_point.G)
+        ys = np.linspace(0.0, s.y_max, 10**4)
+        s.F(ys)
+        built = seen[0]
+        s.F(ys)
+        assert seen[0] == built
+
+    @pytest.mark.parametrize("f", [lambda y: np.where(y > 0.5, np.nan, y),
+                                   lambda y: 1e-6 * np.sin(1e7 * y)],
+                             ids=["not-finite", "unresolved"])
+    def test_unusable_integrand_raises(self, f):
+        s = make_system(f=f, g=lambda x: 1.0 * x, x_max=1.0, G=lambda x: 0.5 * x * x,
+                        validate=False)
+        with pytest.raises(NumericError):
+            s.F(0.25)
