@@ -34,23 +34,9 @@ from .errors import (
     NumericError,
     ThresholdUndefinedError,
 )
-from .potential import (
-    FiniteWCondition,
-    K_fg_bound,
-    U_c,
-    U_s,
-    check_finite_w_conditions,
-    grad_Uc,
-    minimize_Us,
-)
-from .recursion import (
-    CoupledProfile,
-    CouplingSpec,
-    IterationConfig,
-    coupled_fixed_point,
-    coupled_step,
-    uncoupled_step,
-)
+from .invariants import verify_suites
+from .potential import U_s, grad_Uc, minimize_Us
+from .recursion import CouplingSpec, IterationConfig, coupled_fixed_point
 from .systems import (
     CsParams,
     DegreeDistribution,
@@ -67,13 +53,9 @@ from .systems import (
     pathological_system,
 )
 from .thresholds import (
-    ParamSystem,
-    Psi,
-    Q_integral_check,
     ebp_curve,
     inverse_Psi_threshold,
     map_exit_curve,
-    psi_integral,
     threshold_report,
     xf_intervals,
 )
@@ -379,143 +361,9 @@ def cmd_exit_curves(cfg: dict, args) -> int:
     return code
 
 
-def _suite_potential_descent(rng) -> bool:
-    for sys_ in (example1_system(), example2_system(), pathological_system()):
-        xs = rng.uniform(0.0, sys_.x_max, 200)
-        for x in xs:
-            x = float(x)
-            hx = float(uncoupled_step(sys_, x))
-            du = float(U_s(sys_, hx)) - float(U_s(sys_, x))
-            if du > 1e-12:
-                return False
-            if abs(hx - x) > 1e-9 and du >= 0.0:
-                return False
-    return True
-
-
-def _suite_symmetry_unimodality(rng) -> bool:
-    sys_ = example1_system()
-    spec = CouplingSpec(20, 4)
-    prof = CoupledProfile(np.full(spec.M, sys_.x_max), spec)
-    for _ in range(60):
-        prof = coupled_step(sys_, prof)
-        v = prof.values
-        if np.max(np.abs(v - v[::-1])) > 1e-12:
-            return False
-        i0 = (spec.M + 1) // 2 - 1
-        if np.min(np.diff(v[:i0 + 1])) < -1e-12:
-            return False
-    return True
-
-
-def _suite_uc_constant_vector(rng) -> bool:
-    sys_ = example1_system()
-    spec = CouplingSpec(12, 3)
-    for x in rng.uniform(0.0, 1.0, 50):
-        x = float(x)
-        lhs = U_c(sys_, spec, np.full(spec.M, x))
-        rhs = spec.M * float(U_s(sys_, x)) + (spec.w - 1) * float(sys_.F(sys_.g(x)))
-        if abs(lhs - rhs) > 1e-10:
-            return False
-    return True
-
-
-def _suite_uc_sum_bound(rng) -> bool:
-    sys_ = example2_system()
-    spec = CouplingSpec(12, 3)
-    for _ in range(50):
-        prof = rng.uniform(0.0, 1.0, spec.M)
-        if U_c(sys_, spec, prof) < float(np.sum(U_s(sys_, prof))) - 1e-10:
-            return False
-    return True
-
-
-def _suite_gradient_fd(rng, negate: bool = False) -> bool:
-    sys_ = example1_system()
-    spec = CouplingSpec(8, 3)
-    sign = -1.0 if negate else 1.0
-    for _ in range(10):
-        prof = rng.uniform(0.05, 0.95, spec.M)
-        grad = sign * grad_Uc(sys_, spec, prof)
-        step = 1e-6
-        for k in range(spec.M):
-            ek = np.zeros(spec.M)
-            ek[k] = step
-            fd = (U_c(sys_, spec, prof + ek) - U_c(sys_, spec, prof - ek)) / (2 * step)
-            if abs(fd - grad[k]) > 1e-6 * max(1.0, abs(fd)):
-                return False
-    return True
-
-
-def _suite_hessian_bound(rng) -> bool:
-    sys_ = example1_system()
-    spec = CouplingSpec(6, 3)
-    bound = K_fg_bound(sys_) * (1 + 1e-3)
-    for _ in range(10):
-        prof = rng.uniform(0.05, 0.95, spec.M)
-        step = 1e-5
-        H = np.zeros((spec.M, spec.M))
-        for k in range(spec.M):
-            ek = np.zeros(spec.M)
-            ek[k] = step
-            H[k] = (grad_Uc(sys_, spec, prof + ek) - grad_Uc(sys_, spec, prof - ek)) / (2 * step)
-        if float(np.max(np.abs(H).sum(axis=1))) > bound:
-            return False
-    return True
-
-
-def _demo_ldpc() -> ParamSystem:
-    return ldpc_system(DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
-                       DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
-
-
-def _suite_psi_integral(rng) -> bool:
-    psys = _demo_ldpc()
-    e = 0.66
-    return abs(Psi(psys, e) - psi_integral(psys, e)) <= 1e-4
-
-
-def _suite_q_ebp_integral(rng) -> bool:
-    for psys, (x1, x2) in ((_demo_ldpc(), (0.3, 0.6)),
-                           (gldpc_system(GldpcParams(31, 4)), (0.3, 0.8))):
-        direct, integral = Q_integral_check(psys, x1, x2)
-        if abs(direct - integral) > 1e-6:
-            return False
-    return True
-
-
-def _suite_gldpc_sign_pattern(rng) -> bool:
-    psys = gldpc_system(GldpcParams(31, 4))
-    n, t = 31, 4
-    knee = (t - 1) / (n - 2)
-    xs = np.linspace(1e-4, knee - 1e-4, 101)
-    if np.max(np.asarray(psys.trial_entropy_prime(xs))) >= 0.0:
-        return False
-    xs = np.linspace(knee, 1.0 - 1e-9, 101)
-    pp = np.asarray(psys.trial_entropy_prime(xs))
-    return bool(np.min(np.diff(pp)) >= -1e-12)
-
-
-def _suite_finite_w(rng) -> bool:
-    ok1 = check_finite_w_conditions(example1_system()) is FiniteWCondition.FINITE_BY_STABILITY
-    ok2 = check_finite_w_conditions(example2_system()) in (
-        FiniteWCondition.FINITE_BY_GAP, FiniteWCondition.FINITE_BY_STRICT_DESCENT)
-    ok3 = check_finite_w_conditions(pathological_system()) is FiniteWCondition.UNKNOWN
-    return ok1 and ok2 and ok3
-
-
-_SUITES = {
-    "potential_descent": _suite_potential_descent,
-    "coupled_symmetry_unimodality": _suite_symmetry_unimodality,
-    "uc_constant_vector": _suite_uc_constant_vector,
-    "uc_sum_bound": _suite_uc_sum_bound,
-    "gradient_fd": _suite_gradient_fd,
-    "hessian_bound": _suite_hessian_bound,
-    "psi_integral": _suite_psi_integral,
-    "q_ebp_integral": _suite_q_ebp_integral,
-    "gldpc_sign_pattern": _suite_gldpc_sign_pattern,
-    "finite_w_classification": _suite_finite_w,
-}
+def _negated_grad_Uc(sys_, spec, values):
+    """The planted defect of --inject-bug negated-gradient."""
+    return -grad_Uc(sys_, spec, values)
 
 
 def cmd_verify(cfg: dict, args) -> int:
@@ -523,13 +371,8 @@ def cmd_verify(cfg: dict, args) -> int:
     inject = args.inject_bug or params.get("inject_bug")
     if inject not in (None, "negated-gradient"):
         raise ConfigError(f"unknown injected bug {inject!r}")
-    results = {}
-    for name, fn in _SUITES.items():
-        rng = np.random.default_rng(20240 + len(name))
-        if name == "gradient_fd":
-            results[name] = "pass" if fn(rng, negate=(inject == "negated-gradient")) else "fail"
-        else:
-            results[name] = "pass" if fn(rng) else "fail"
+    grad = _negated_grad_Uc if inject == "negated-gradient" else grad_Uc
+    results = {name: "pass" if ok else "fail" for name, ok in verify_suites(grad).items()}
     obj = {"tool": "maxsat", "version": __version__}
     obj.update(results)
     _write_text(_json_text(obj), params.get("out"))

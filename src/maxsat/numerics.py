@@ -1,5 +1,5 @@
-"""Numeric kernels: polynomials, the regularized incomplete Beta function,
-adaptive Simpson quadrature, bracketing solvers, and Gauss-Hermite nodes.
+"""Numeric kernels: polynomials, adaptive Simpson quadrature, bracketing
+solvers, and Gauss-Hermite nodes.
 
 Everything here is stateless and deterministic: identical inputs give
 bit-identical outputs.
@@ -23,8 +23,6 @@ __all__ = [
     "parse_polynomial",
     "QuadratureResult",
     "adaptive_simpson",
-    "reg_inc_beta",
-    "reg_inc_beta_prime",
     "bisect_root",
     "bisect_sup",
     "golden_min",
@@ -174,95 +172,6 @@ def adaptive_simpson(fn: Callable[[float], float], lo: float, hi: float,
     whole = simp(fa, fm, fb, hi - lo)
     value, err = recurse(lo, hi, fa, fm, fb, whole, tol, max_depth)
     return QuadratureResult(value, err, nev[0])
-
-
-_LENTZ_TINY = 1e-300
-_LENTZ_EPS = 1e-15
-_LENTZ_MAX_ITERS = 200
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for I_x(a,b), modified Lentz iteration.
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _LENTZ_TINY:
-        d = _LENTZ_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _LENTZ_MAX_ITERS + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _LENTZ_TINY:
-            d = _LENTZ_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _LENTZ_TINY:
-            c = _LENTZ_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _LENTZ_EPS:
-            return h
-    raise NumericError(f"incomplete Beta continued fraction stalled for a={a}, b={b}, x={x}")
-
-
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete Beta function I_x(a, b).
-
-    Continued-fraction evaluation (modified Lentz) with the symmetry switch
-    at x > (a+1)/(a+b+2); the Beta prefactor goes through log-Gamma so large
-    integer parameters do not overflow.
-
-    :param float x: evaluation point in [0, 1]
-    :param float a: first shape parameter, > 0
-    :param float b: second shape parameter, > 0
-    :returns: I_x(a, b)
-    """
-    if not (a > 0 and b > 0):
-        raise DomainError(f"reg_inc_beta needs a, b > 0, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
-        raise DomainError(f"reg_inc_beta needs x in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_bt = a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    bt = math.exp(log_bt)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return bt * _betacf(a, b, x) / a
-    return 1.0 - bt * _betacf(b, a, 1.0 - x) / b
-
-
-def reg_inc_beta_prime(x: float, a: float, b: float):
-    """Derivative of I_x(a, b) in x: x^(a-1) (1-x)^(b-1) / B(a, b).
-
-    Accepts scalars or numpy arrays in x.
-    """
-    if not (a > 0 and b > 0):
-        raise DomainError(f"reg_inc_beta_prime needs a, b > 0, got a={a}, b={b}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError("reg_inc_beta_prime needs x in [0, 1]")
-    inv_beta = math.exp(-_log_beta(a, b))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = inv_beta * arr ** (a - 1.0) * (1.0 - arr) ** (b - 1.0)
-    if arr.ndim == 0:
-        return float(out)
-    return out
 
 
 def bisect_root(fn: Callable[[float], float], lo: float, hi: float,

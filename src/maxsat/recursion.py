@@ -297,44 +297,57 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
 
 
 def validate_system(sys: ScalarSystem, grid_n: int = 1000) -> None:
-    """Grid checks of the system invariants; raises ConstructionError."""
-    problems = []
+    """Grid checks of the system invariants; raises ConstructionError.
+
+    Every comparison is written so that a NaN fails it."""
+    label = f"system {sys.name or '<anonymous>'}: "
+    if not 0.0 < sys.x_max < np.inf:
+        raise ConstructionError(label + f"x_max must be positive and finite, got {sys.x_max}")
     xs = np.linspace(0.0, sys.x_max, grid_n)
     ys = np.linspace(0.0, sys.y_max, grid_n)
     gx = np.asarray(sys.g(xs), dtype=float)
     fy = np.asarray(sys.f(ys), dtype=float)
+    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(fy))):
+        # y_max = g(x_max) is among the samples, and F and G are not
+        # worth checking (a tabulated one cannot even be built)
+        raise ConstructionError(label + "f or g is not finite on its grid")
 
-    if abs(sys.y_max - float(sys.g(sys.x_max))) > 1e-12:
+    problems = []
+    if not abs(sys.y_max - float(sys.g(sys.x_max))) <= 1e-12:
         problems.append("y_max != g(x_max)")
-    if np.min(np.diff(fy)) < -1e-9:
+    if not np.min(np.diff(fy)) >= -1e-9:
         problems.append("f is decreasing somewhere on [0, y_max]")
-    if np.min(np.diff(gx)) < -1e-9:
+    if not np.min(np.diff(gx)) >= -1e-9:
         problems.append("g is decreasing somewhere on [0, x_max]")
     # strict increase via the analytic slope, whose zeros may only sit at
     # the domain endpoints
-    if np.min(np.asarray(sys.g_prime(xs[1:-1]), dtype=float)) <= 0.0:
+    if not np.min(np.asarray(sys.g_prime(xs[1:-1]), dtype=float)) > 0.0:
         problems.append("g' is not positive on the interior of [0, x_max]")
-    if np.min(fy) < -_CLAMP_TOL or np.max(fy) > sys.x_max + _CLAMP_TOL:
+    if not (np.min(fy) >= -_CLAMP_TOL and np.max(fy) <= sys.x_max + _CLAMP_TOL):
         problems.append("f does not map [0, y_max] into [0, x_max]")
-    if np.min(gx) < -_CLAMP_TOL or np.max(gx) > sys.y_max + _CLAMP_TOL:
+    if not (np.min(gx) >= -_CLAMP_TOL and np.max(gx) <= sys.y_max + _CLAMP_TOL):
         problems.append("g does not map [0, x_max] into [0, y_max]")
 
-    # F' = f and G' = g, relative tolerance 1e-6 with an absolute floor.
-    def check_anti(anti, fn, hi, label):
+    # F and G finite on the grids, F' = f and G' = g to a relative
+    # tolerance of 1e-6 with an absolute floor
+    def check_anti(anti, fn, grid, name):
+        if not np.all(np.isfinite(np.asarray(anti(grid), dtype=float))):
+            problems.append(f"{name} is not finite on its grid")
+        hi = grid[-1]
         pts = np.linspace(hi * 0.05, hi * 0.95, 19)
         step = hi * 1e-6
         fd = (np.asarray(anti(pts + step)) - np.asarray(anti(pts - step))) / (2 * step)
         ref = np.asarray(fn(pts), dtype=float)
         err = np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-3)
-        if np.max(err) > 1e-5:
-            problems.append(f"{label} mismatch: max rel err {np.max(err):.2e}")
+        if not np.max(err) <= 1e-5:
+            problems.append(f"{name}' vs {name.lower()} mismatch: max rel err {np.max(err):.2e}")
 
     if sys.y_max > 0:
-        check_anti(sys.F, sys.f, sys.y_max, "F' vs f")
-    check_anti(sys.G, sys.g, sys.x_max, "G' vs g")
+        check_anti(sys.F, sys.f, ys, "F")
+    check_anti(sys.G, sys.g, xs, "G")
 
     if problems:
-        raise ConstructionError(f"system {sys.name or '<anonymous>'}: " + "; ".join(problems))
+        raise ConstructionError(label + "; ".join(problems))
 
 
 def uncoupled_step(sys: ScalarSystem, x):

@@ -9,21 +9,9 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from maxsat.potential import (
-    U_c,
-    U_s,
-    grad_Uc,
-    K_fg_bound,
-    minimize_Us,
-    potential_report,
-)
-from maxsat.recursion import (
-    CouplingSpec,
-    IterationConfig,
-    coupled_fixed_point,
-    midpoint_index,
-    uncoupled_fixed_point,
-)
+from maxsat import invariants as inv
+from maxsat.potential import minimize_Us, potential_report
+from maxsat.recursion import CouplingSpec, coupled_fixed_point, uncoupled_fixed_point
 from maxsat.systems import (
     CsParams,
     DegreeDistribution,
@@ -39,15 +27,12 @@ from maxsat.systems import (
     pathological_system,
 )
 from maxsat.thresholds import (
-    Psi,
-    Q_integral_check,
     Q_of_x,
     eps_c,
     eps_of_x,
     eps_stab,
     map_exit_curve,
     maxwell_threshold,
-    psi_integral,
     x_bar_star,
     x_lower_star,
 )
@@ -202,81 +187,33 @@ def test_criterion_8_invariant_suites(ldpc8, ldgm9):
     t0 = perf_counter()
     gldpc = gldpc_system(GldpcParams(31, 4))
     isi = isi_system("x^3", "x^6")
-
-    # potential descent: 1e3 random starts per system
-    rng = np.random.default_rng(42)
-    scalar_systems = [example1_system(), example2_system(), pathological_system(),
-                      ldpc8.at_eps(0.64), ldgm9.at_eps(0.5), gldpc.at_eps(0.25),
-                      isi.at_eps(0.6),
-                      cs_system(CsParams(GaussianPrior(1.0), 0.25, 0.5),
-                                use_closed_form_F=True)]
-    for s in scalar_systems:
-        xs = rng.uniform(0.0, s.x_max, 1000)
-        hx = np.asarray(s.h(xs))
-        du = np.asarray(U_s(s, hx)) - np.asarray(U_s(s, xs))
-        assert np.max(du) <= 1e-12
-        moved = np.abs(hx - xs) > 1e-9
-        assert np.all(du[moved] < 0.0)
-
-    # symmetry and unimodality of every coupled iterate
-    for s, spec in ((example1_system(), CouplingSpec(20, 4)),
-                    (ldpc8.at_eps(0.64), CouplingSpec(24, 5))):
-        run = coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True,
-                                                           max_iters=10**5))
-        i0 = midpoint_index(spec.M)
-        for v in run.trajectory:
-            assert np.max(np.abs(v - v[::-1])) <= 1e-12
-            assert np.min(np.diff(v[:i0 + 1])) >= -1e-12
-
-    # coupled-potential identities
     s1 = example1_system()
-    spec = CouplingSpec(9, 3)
-    for x in rng.uniform(0, 1, 100):
-        lhs = U_c(s1, spec, np.full(spec.M, x))
-        rhs = spec.M * float(U_s(s1, x)) + (spec.w - 1) * float(s1.F(s1.g(x)))
-        assert abs(lhs - rhs) <= 1e-10
-    for _ in range(100):
-        prof = rng.uniform(0, 1, spec.M)
-        assert U_c(s1, spec, prof) >= float(np.sum(U_s(s1, prof))) - 1e-10
-
-    # gradient and Hessian against finite differences
-    spec = CouplingSpec(6, 3)
-    bound = K_fg_bound(s1) * (1 + 1e-3)
-    for _ in range(10):
-        prof = rng.uniform(0.05, 0.95, spec.M)
-        grad = grad_Uc(s1, spec, prof)
-        step = 1e-6
-        H = np.zeros((spec.M, spec.M))
-        for k in range(spec.M):
-            e = np.zeros(spec.M)
-            e[k] = step
-            fd = (U_c(s1, spec, prof + e) - U_c(s1, spec, prof - e)) / (2 * step)
-            assert abs(fd - grad[k]) <= 1e-6 * max(1.0, abs(fd))
-            H[k] = (grad_Uc(s1, spec, prof + 10 * e) - grad_Uc(s1, spec, prof - 10 * e)) / (20 * step)
-        assert float(np.max(np.abs(H).sum(axis=1))) <= bound
-
-    # envelope equals the integral of its slope along the minimizer path
-    for e in (0.63, 0.65, 0.68):
-        assert abs(Psi(ldpc8, e) - psi_integral(ldpc8, e)) <= 1e-4
-
-    # fixed-point potential increments match the parametric integral
-    for psys, intervals in ((ldpc8, [(0.25, 0.55), (0.6, 0.9)]),
-                            (gldpc, [(0.3, 0.8), (0.5, 0.95)]),
-                            (ldgm9, [(0.3, 0.6), (0.65, 0.9)]),
-                            (isi, [(0.3, 0.6), (0.65, 0.9)])):
-        for x1, x2 in intervals:
-            direct, integral = Q_integral_check(psys, x1, x2)
-            assert abs(direct - integral) <= 1e-6
-
-    # trial-entropy slope signs for the component-code family
-    knee = (4 - 1) / (31 - 2)
-    xs = np.linspace(1e-4, knee - 1e-4, 200)
-    assert np.max(np.asarray(gldpc.trial_entropy_prime(xs))) < 0.0
-    xs = np.linspace(knee, 1 - 1e-9, 200)
-    assert np.min(np.diff(np.asarray(gldpc.trial_entropy_prime(xs)))) >= -1e-12
-
+    rng = np.random.default_rng(42)
+    passed = {
+        # 1e3 random starts per system
+        "potential_descent": inv.potential_descent(
+            [s1, example2_system(), pathological_system(), ldpc8.at_eps(0.64),
+             ldgm9.at_eps(0.5), gldpc.at_eps(0.25), isi.at_eps(0.6),
+             cs_system(CsParams(GaussianPrior(1.0), 0.25, 0.5), use_closed_form_F=True)],
+            rng, 1000),
+        "coupled_symmetry_unimodality": inv.coupled_symmetric_unimodal(
+            [(s1, CouplingSpec(20, 4)), (ldpc8.at_eps(0.64), CouplingSpec(24, 5))]),
+        "uc_constant_vector": inv.uc_on_constant_profiles(s1, CouplingSpec(9, 3), rng, 100),
+        "uc_sum_bound": inv.uc_bounds_sum_of_us(s1, CouplingSpec(9, 3), rng, 100),
+        "gradient_fd": inv.gradient_matches_fd(s1, CouplingSpec(6, 3), rng, 10),
+        "hessian_bound": inv.hessian_within_K(s1, CouplingSpec(6, 3), rng, 10),
+        "psi_integral": inv.psi_matches_integral(ldpc8, (0.63, 0.65, 0.68)),
+        "q_ebp_integral": inv.q_matches_ebp_integral(
+            [(ldpc8, [(0.25, 0.55), (0.6, 0.9)]), (gldpc, [(0.3, 0.8), (0.5, 0.95)]),
+             (ldgm9, [(0.3, 0.6), (0.65, 0.9)]), (isi, [(0.3, 0.6), (0.65, 0.9)])]),
+        "gldpc_sign_pattern": inv.gldpc_trial_entropy_signs(GldpcParams(31, 4), 200),
+        "finite_w_classification": inv.finite_w_classification(),
+    }
+    failed = [name for name, ok in passed.items() if not ok]
     dt = perf_counter() - t0
-    print(f"ACCEPTANCE 8: all invariant suites passed ({dt:.2f}s)")
+    print(f"ACCEPTANCE 8: {len(passed) - len(failed)}/{len(passed)} invariant suites "
+          f"passed, failed={failed} ({dt:.2f}s)")
+    assert not failed
 
 
 def test_criterion_9_state_evolution():

@@ -43,12 +43,23 @@ class TestPotentialCurve:
         assert len(mins) == 1 and float(mins[0][1]) == 0.0
         assert meta["version"]
 
-    def test_bit_identical_outputs(self, tmp_path):
-        cfg = write_cfg(tmp_path, "c.json",
-                        {"schema": 1, "system": {"type": "example", "id": 2}})
-        o1, o2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-        assert main(["potential-curve", "--config", cfg, "--out", o1]) == 0
-        assert main(["potential-curve", "--config", cfg, "--out", o2]) == 0
+    @pytest.mark.parametrize("command,system,params", [
+        ("potential-curve", {"type": "example", "id": 2}, {}),
+        ("coupled-run", {"type": "example", "id": 1}, {"N": 40, "w": 4}),
+        ("thresholds", {"type": "ldpc", "lambda": "x^2", "rho": "x^5"}, {}),
+        ("exit-curves", {"type": "ldpc", "lambda": "x^2", "rho": "x^5"},
+         {"eps_n": 11, "x_n": 64}),
+        ("verify", None, {}),
+    ], ids=["potential-curve", "coupled-run", "thresholds", "exit-curves", "verify"])
+    def test_bit_identical_outputs(self, tmp_path, command, system, params):
+        # every command's output is a function of its config alone
+        argv = [command]
+        if system is not None:
+            argv += ["--config", write_cfg(tmp_path, "c.json", {"schema": 1, "system": system,
+                                                                "command": params})]
+        o1, o2 = str(tmp_path / "a.out"), str(tmp_path / "b.out")
+        assert main(argv + ["--out", o1]) == 0
+        assert main(argv + ["--out", o2]) == 0
         assert open(o1, "rb").read() == open(o2, "rb").read()
 
     def test_cs_two_point(self, tmp_path):

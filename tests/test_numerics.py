@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import betainc as scipy_betainc
 
 from maxsat.errors import DomainError, NumericError
 from maxsat.numerics import (
@@ -13,8 +12,6 @@ from maxsat.numerics import (
     gauss_hermite,
     golden_min,
     parse_polynomial,
-    reg_inc_beta,
-    reg_inc_beta_prime,
 )
 
 
@@ -94,58 +91,6 @@ class TestAdaptiveSimpson:
         r = adaptive_simpson(np.exp, 0.0, 3.0, 1e-10)
         assert r.est_error <= 1e-10
         assert abs(r.value - (math.e**3 - 1)) <= 1e-9
-
-
-class TestRegIncBeta:
-    def test_endpoints(self):
-        assert reg_inc_beta(0.0, 3, 5) == 0.0
-        assert reg_inc_beta(1.0, 3, 5) == 1.0
-
-    def test_uniform_case(self):
-        for x in (0.0, 0.3, 0.77, 1.0):
-            assert reg_inc_beta(x, 1, 1) == pytest.approx(x, abs=1e-14)
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            a = float(rng.integers(1, 80))
-            b = float(rng.integers(1, 80))
-            x = float(rng.uniform(0, 1))
-            ours = reg_inc_beta(x, a, b)
-            ref = float(scipy_betainc(a, b, x))
-            assert abs(ours - ref) <= 1e-13 * max(1.0, abs(ref))
-
-    def test_reflection_identity(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a = float(rng.uniform(0.5, 20))
-            b = float(rng.uniform(0.5, 20))
-            x = float(rng.uniform(0, 1))
-            assert reg_inc_beta(x, a, b) == pytest.approx(
-                1.0 - reg_inc_beta(1.0 - x, b, a), abs=1e-13)
-
-    def test_large_integer_parameters(self):
-        # log-domain Beta keeps n ~ 1e3 from overflowing
-        v = reg_inc_beta(0.01, 10, 990)
-        assert 0.0 < v < 1.0
-        assert v == pytest.approx(float(scipy_betainc(10, 990, 0.01)), rel=1e-12)
-
-    def test_derivative_matches_fd(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            a = float(rng.integers(2, 30))
-            b = float(rng.integers(2, 30))
-            x = float(rng.uniform(0.05, 0.95))
-            h = 1e-6
-            fd = (reg_inc_beta(x + h, a, b) - reg_inc_beta(x - h, a, b)) / (2 * h)
-            d = reg_inc_beta_prime(x, a, b)
-            assert abs(fd - d) <= 1e-7 * max(1.0, abs(d))
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            reg_inc_beta(1.5, 2, 2)
-        with pytest.raises(DomainError):
-            reg_inc_beta(0.5, -1, 2)
 
 
 class TestSolvers:

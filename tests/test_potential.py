@@ -5,6 +5,13 @@ import numpy as np
 import pytest
 
 from maxsat.errors import UnsupportedOperationError
+from maxsat.invariants import (
+    gradient_matches_fd,
+    hessian_within_K,
+    potential_descent,
+    uc_bounds_sum_of_us,
+    uc_on_constant_profiles,
+)
 from maxsat.numerics import adaptive_simpson
 from maxsat.potential import (
     FiniteWCondition,
@@ -105,14 +112,7 @@ class TestSingleSystemPotential:
                 assert abs(fd - d) <= 1e-6 * max(1.0, abs(d))
 
     def test_descent_along_recursion(self, ex1, ex2, path):
-        rng = np.random.default_rng(4)
-        for s in (ex1, ex2, path):
-            xs = rng.uniform(0.0, s.x_max, 1000)
-            hx = np.asarray(s.h(xs))
-            du = np.asarray(U_s(s, hx)) - np.asarray(U_s(s, xs))
-            assert np.max(du) <= 1e-12
-            moved = np.abs(hx - xs) > 1e-9
-            assert np.all(du[moved] < 0.0)
+        assert potential_descent((ex1, ex2, path), np.random.default_rng(4), 1000)
 
 
 class TestHalfIteration:
@@ -171,20 +171,12 @@ class TestMinimize:
 
 class TestCoupledPotential:
     def test_constant_vector_identity(self, ex1):
-        spec = CouplingSpec(9, 3)
-        rng = np.random.default_rng(6)
-        for x in rng.uniform(0, 1, 30):
-            lhs = U_c(ex1, spec, np.full(spec.M, x))
-            rhs = spec.M * float(U_s(ex1, x)) + (spec.w - 1) * float(ex1.F(ex1.g(x)))
-            assert abs(lhs - rhs) <= 1e-10
+        assert uc_on_constant_profiles(ex1, CouplingSpec(9, 3), np.random.default_rng(6), 30)
 
     def test_sum_lower_bound(self, ex1, ex2):
-        spec = CouplingSpec(9, 3)
         rng = np.random.default_rng(8)
         for s in (ex1, ex2):
-            for _ in range(100):
-                prof = rng.uniform(0, 1, spec.M)
-                assert U_c(s, spec, prof) >= float(np.sum(U_s(s, prof))) - 1e-10
+            assert uc_bounds_sum_of_us(s, CouplingSpec(9, 3), rng, 100)
 
     def test_gradient_vanishes_at_coupled_fixed_point(self, ex1):
         spec = CouplingSpec(12, 2)
@@ -193,32 +185,12 @@ class TestCoupledPotential:
         assert np.max(np.abs(g)) <= 1e-10
 
     def test_gradient_matches_fd(self, ex1):
-        spec = CouplingSpec(8, 3)
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            prof = rng.uniform(0.05, 0.95, spec.M)
-            grad = grad_Uc(ex1, spec, prof)
-            step = 1e-6
-            for k in range(spec.M):
-                e = np.zeros(spec.M)
-                e[k] = step
-                fd = (U_c(ex1, spec, prof + e) - U_c(ex1, spec, prof - e)) / (2 * step)
-                assert abs(fd - grad[k]) <= 1e-6 * max(1.0, abs(fd))
+        assert gradient_matches_fd(ex1, CouplingSpec(8, 3), np.random.default_rng(10), 20)
 
     def test_fd_hessian_respects_bound(self, ex1, ex2):
-        spec = CouplingSpec(6, 3)
         rng = np.random.default_rng(12)
         for s in (ex1, ex2):
-            bound = K_fg_bound(s) * (1 + 1e-3)
-            for _ in range(50):
-                prof = rng.uniform(0.05, 0.95, spec.M)
-                step = 1e-5
-                H = np.zeros((spec.M, spec.M))
-                for k in range(spec.M):
-                    e = np.zeros(spec.M)
-                    e[k] = step
-                    H[k] = (grad_Uc(s, spec, prof + e) - grad_Uc(s, spec, prof - e)) / (2 * step)
-                assert float(np.max(np.abs(H).sum(axis=1))) <= bound
+            assert hessian_within_K(s, CouplingSpec(6, 3), rng, 50)
 
     def test_descent_along_coupled_recursion(self, ex1):
         spec = CouplingSpec(16, 4)

@@ -8,6 +8,7 @@ from maxsat.errors import (
     NumericError,
     ShapeError,
 )
+from maxsat.invariants import coupled_symmetric_unimodal
 from maxsat.numerics import adaptive_simpson
 from maxsat.recursion import (
     CoupledProfile,
@@ -20,7 +21,6 @@ from maxsat.recursion import (
     coupled_step,
     enumerate_fixed_points,
     make_system,
-    midpoint_index,
     modified_coupled_fixed_point,
     translate_system,
     uncoupled_fixed_point,
@@ -186,11 +186,9 @@ class TestCoupledFixedPoint:
                                   IterationConfig(record_trajectory=True))
         traj = run.trajectory
         assert len(traj) == run.iters + 1
-        i0 = midpoint_index(run.profile.spec.M)
         for prev, cur in zip(traj, traj[1:]):
             assert np.all(cur <= prev + 1e-15)
-            assert np.max(np.abs(cur - cur[::-1])) <= 1e-12
-            assert np.min(np.diff(cur[:i0 + 1])) >= -1e-12
+        assert coupled_symmetric_unimodal([(s, CouplingSpec(16, 3))])
 
     def test_nonconvergence_carries_profile(self):
         s = example1_system()
@@ -305,6 +303,16 @@ class TestEnumerate:
 def test_make_system_rejects_decreasing_g():
     with pytest.raises(ConstructionError):
         make_system(f=lambda y: y, g=lambda x: -x + 1.0, x_max=1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(f=lambda y: y, g=lambda x: 1.0 * x, x_max=0.0),
+    dict(f=lambda y: np.where(y > 0.5, np.nan, y), g=lambda x: 1.0 * x, x_max=1.0,
+         F=lambda y: 0.5 * y * y, G=lambda x: 0.5 * x * x),
+], ids=["zero-width", "nan-f"])
+def test_make_system_fails_closed(kwargs):
+    with pytest.raises(ConstructionError):
+        make_system(**kwargs)
 
 
 def test_make_system_fd_and_quadrature_fallbacks():

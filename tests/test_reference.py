@@ -1,0 +1,93 @@
+"""High-precision references: values computed at 40 digits with mpmath
+from the closed forms of the systems, using none of the library's solvers,
+against what the library computes. Each comparison uses the tolerance the
+library routine states for itself.
+"""
+
+import mpmath as mp
+import pytest
+
+from maxsat.potential import potential_report
+from maxsat.systems import DegreeDistribution, example2_system, ldpc_system
+from maxsat.thresholds import eps_c, eps_stab, maxwell_threshold
+
+mp.mp.dps = 40
+D = mp.mpf
+
+# polynomials as (coefficient, power) pairs
+LAMBDA8 = [(D("0.2"), 1), (D("0.25"), 2), (D("0.1"), 6), (D("0.45"), 20)]
+RHO8 = [(D("0.6"), 4), (D("0.4"), 12)]
+R_EX2 = [(D(2) / 15, 1), (D(1) / 15, 2), (D(7) / 15, 3), (D(1) / 3, 4)]
+
+
+def poly(p, x):
+    return sum(c * x**k for c, k in p)
+
+
+def integral(p, x):
+    return sum(c * x ** (k + 1) / (k + 1) for c, k in p)
+
+
+def roots_on_unit_interval(fn, n=1000):
+    """Roots of fn on (0, 1] bracketed by sign changes on the grid i/n."""
+    xs = [D(i) / n for i in range(1, n + 1)]
+    vals = [fn(x) for x in xs]
+    return [mp.findroot(fn, (a, b), solver="anderson")
+            for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]) if fa * fb < 0]
+
+
+@pytest.fixture(scope="module")
+def ldpc8():
+    return ldpc_system(DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
+                       DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
+
+
+def ldpc8_maxwell_reference():
+    # along the fixed-point curve eps(x) = x / lambda(g(x)) the potential is
+    # Q(x) = x g(x) - G(x) - eps(x) Lambda(g(x)), with g(x) = 1 - rho(1-x)
+    def g(x):
+        return 1 - poly(RHO8, 1 - x)
+
+    def eps(x):
+        return x / poly(LAMBDA8, g(x))
+
+    def Q(x):
+        G = x - integral(RHO8, 1) + integral(RHO8, 1 - x)
+        return x * g(x) - G - eps(x) * integral(LAMBDA8, g(x))
+
+    (root,) = roots_on_unit_interval(Q)
+    return eps(root)
+
+
+def test_ldpc8_thresholds(ldpc8):
+    maxwell = ldpc8_maxwell_reference()
+    # 1 / (lambda'(0) rho'(1)), lambda'(0) being the coefficient of x
+    stab = 1 / (LAMBDA8[0][0] * sum(c * k for c, k in RHO8))
+    assert mp.nstr(maxwell, 17) == "0.62192946106120967"
+    assert mp.almosteq(stab, D(25) / 36, rel_eps=D(10) ** -35)
+    assert abs(maxwell_threshold(ldpc8) - maxwell) <= 1e-12
+    assert abs(eps_c(ldpc8) - maxwell) <= 1e-9
+    assert abs(eps_stab(ldpc8) - stab) <= 1e-9
+
+
+def test_example2_gap_and_minimizer():
+    # f(y) = y^5 and g(x) = 1 - rho(1-x)/2 with rho = R'/R'(1), R'(1) = 3
+    def g(x):
+        return 1 - sum(c * k * (1 - x) ** (k - 1) for c, k in R_EX2) / 6
+
+    def U(x):
+        G = x - (1 - poly(R_EX2, 1 - x)) / 6
+        return x * g(x) - G - g(x) ** 6 / 6
+
+    fixed = roots_on_unit_interval(lambda x: x - g(x) ** 5)
+    assert len(fixed) == 3
+    # no minimizer at the ends: both lie above the lowest fixed point
+    x_upper = min(fixed, key=U)
+    assert U(x_upper) < min(U(D(0)), U(D(1)))
+    delta = min(U(x) - U(x_upper) for x in fixed if x > x_upper)
+    assert mp.nstr(delta, 15) == "0.00201100077694863"
+
+    rep = potential_report(example2_system())
+    assert abs(rep.delta_gap - delta) <= 1e-12
+    # minimizers closer than 1e-9 are merged, which bounds their resolution
+    assert abs(rep.x_upper_star - x_upper) <= 1e-9

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.special import betainc as scipy_betainc
+from scipy.stats import beta as scipy_beta
 
 from maxsat.errors import ConstructionError, DomainError
-from maxsat.numerics import reg_inc_beta
+from maxsat.invariants import gldpc_trial_entropy_signs
 from maxsat.potential import U_s, minimize_Us
 from maxsat.recursion import uncoupled_fixed_point
 from maxsat.systems import (
@@ -148,10 +149,20 @@ class TestGldpc:
     def test_transfer_matches_incomplete_beta(self, gldpc31):
         xs = np.linspace(0, 1, 101)
         ours = np.asarray(gldpc31.g(xs, 0.0))
-        ref_cf = np.array([reg_inc_beta(float(x), 4, 27) for x in xs])
         ref_scipy = scipy_betainc(4, 27, xs)
-        assert np.max(np.abs(ours - ref_cf)) <= 1e-13
         assert np.max(np.abs(ours - ref_scipy)) <= 1e-13
+
+    @pytest.mark.parametrize("n,t", [(31, 4), (63, 5)])
+    def test_derivatives_match_beta_density(self, n, t):
+        # g = I_x(t, n-t), so g' is the Beta(t, n-t) density
+        psys = gldpc_system(GldpcParams(n, t))
+        xs = np.linspace(0.0, 1.0, 101)
+        ref = scipy_beta.pdf(xs, t, n - t)
+        assert np.max(np.abs(np.asarray(psys.g_x(xs, 0.0)) - ref)) <= 1e-12 * np.max(ref)
+        xs, h = xs[1:-1], 1e-6
+        fd = (np.asarray(psys.g_x(xs + h, 0.0)) - np.asarray(psys.g_x(xs - h, 0.0))) / (2 * h)
+        gxx = np.asarray(psys.g_xx(xs, 0.0))
+        assert np.max(np.abs(fd - gxx)) <= 1e-8 * np.max(np.abs(gxx))
 
     def test_G_matches_quadrature(self, gldpc31):
         xs = np.linspace(0, 1, 100001)
@@ -159,14 +170,8 @@ class TestGldpc:
         trap = np.concatenate(([0.0], np.cumsum(0.5 * (gx[1:] + gx[:-1]) * np.diff(xs))))
         assert np.max(np.abs(np.asarray(gldpc31.G(xs, 0.0)) - trap)) <= 1e-9
 
-    def test_trial_entropy_sign_pattern(self, gldpc31):
-        n, t = 31, 4
-        knee = (t - 1) / (n - 2)
-        xs = np.linspace(1e-4, knee - 1e-4, 200)
-        assert np.max(np.asarray(gldpc31.trial_entropy_prime(xs))) < 0.0
-        xs = np.linspace(knee, 1 - 1e-9, 200)
-        pp = np.asarray(gldpc31.trial_entropy_prime(xs))
-        assert np.min(np.diff(pp)) >= -1e-12  # P' non-decreasing, so P'' >= 0
+    def test_trial_entropy_sign_pattern(self):
+        assert gldpc_trial_entropy_signs(GldpcParams(31, 4), 200)
 
     def test_unique_trial_entropy_root(self, gldpc31):
         xs = np.linspace(1e-6, 1.0, 20001)

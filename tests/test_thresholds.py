@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from maxsat.errors import DomainError, ThresholdUndefinedError
+from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
 from maxsat.recursion import CouplingSpec, IterationConfig, coupled_fixed_point
 from maxsat.systems import (
     DegreeDistribution,
@@ -30,7 +31,6 @@ from maxsat.thresholds import (
     maxwell_threshold,
     minimize_us_at,
     psi_exit,
-    psi_integral,
     threshold_report,
     x_bar_star,
     x_lower_star,
@@ -274,10 +274,7 @@ class TestFixedPointCurve:
         ("isi36", [(0.3, 0.6), (0.65, 0.9)]),
     ])
     def test_q_integral_matches_direct(self, which, intervals, request):
-        psys = request.getfixturevalue(which)
-        for x1, x2 in intervals:
-            direct, integral = Q_integral_check(psys, x1, x2)
-            assert abs(direct - integral) <= 1e-6
+        assert q_matches_ebp_integral([(request.getfixturevalue(which), intervals)])
 
     def test_ebp_curve_samples_satisfy_fixed_point(self, ldpc8):
         crv = ebp_curve(ldpc8, np.linspace(0.01, 1.0, 64))
@@ -308,8 +305,7 @@ class TestMaxwell:
 
 class TestEnvelopeIntegral:
     def test_matches_envelope_on_grid(self, ldpc8):
-        for e in (0.63, 0.65, 0.68):
-            assert abs(Psi(ldpc8, e) - psi_integral(ldpc8, e)) <= 1e-4
+        assert psi_matches_integral(ldpc8, (0.63, 0.65, 0.68))
 
     def test_psi_exit_ldpc_formula(self, ldpc8):
         # for this family the envelope slope is -L(1-rho(1-x*))/L'(1)
