@@ -8,7 +8,11 @@ averages over a width-w window with an implicit zero boundary:
 
     x_i <- sum_j A_ji f( sum_k A_jk g(x_k) ),   A_jk = 1/w for 0 <= k-j < w.
 
-All callables attached to a system must accept scalars and numpy arrays.
+Every callable attached to a system is elementwise: f, g, F and G return
+the shape of their argument (a scalar or a numpy array), while f_prime,
+g_prime and g_second may return any value that broadcasts to it, so a
+constant derivative is written as a float. validate_system checks the
+shapes of f and g.
 """
 
 from __future__ import annotations
@@ -307,6 +311,10 @@ def validate_system(sys: ScalarSystem, grid_n: int = 1000) -> None:
     ys = np.linspace(0.0, sys.y_max, grid_n)
     gx = np.asarray(sys.g(xs), dtype=float)
     fy = np.asarray(sys.f(ys), dtype=float)
+    for name, vals in (("f", fy), ("g", gx)):
+        if vals.shape != xs.shape:
+            raise ConstructionError(label + f"{name} returns shape {vals.shape} "
+                                    f"on a grid of shape {xs.shape}")
     if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(fy))):
         # y_max = g(x_max) is among the samples, and F and G are not
         # worth checking (a tabulated one cannot even be built)

@@ -102,10 +102,6 @@ class DegreeDistribution:
         return Polynomial(tuple(c / self.lp1 for c in d.coeffs))
 
 
-def _zero_like(x, eps):
-    return 0.0 * x + 0.0 * eps
-
-
 def _erasure_profiles(L: Union[DegreeDistribution, PolyLike],
                       R: Union[DegreeDistribution, PolyLike]):
     """Profiles shared by the erasure families, with bare polynomials read
@@ -123,12 +119,12 @@ def _ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1) -> dict:
     """ParamSystem fields of the parameter-free check side g = 1 - rho(1-x):
     g, its partials and its antiderivative G."""
     return dict(
-        g=lambda x, e: 1.0 - rho(1.0 - x) + _zero_like(x, e),
-        g_x=lambda x, e: rho_p(1.0 - x) + _zero_like(x, e),
-        g_xx=lambda x, e: -rho_pp(1.0 - x) + _zero_like(x, e),
-        g_eps=_zero_like,
-        G=lambda x, e: x - (1.0 - Rn(1.0 - x)) / Rp1 + _zero_like(x, e),
-        G_eps=_zero_like,
+        g=lambda x, e: 1.0 - rho(1.0 - x),
+        g_x=lambda x, e: rho_p(1.0 - x),
+        g_xx=lambda x, e: -rho_pp(1.0 - x),
+        g_eps=lambda x, e: 0.0,
+        G=lambda x, e: x - (1.0 - Rn(1.0 - x)) / Rp1,
+        G_eps=lambda x, e: 0.0,
     )
 
 
@@ -155,15 +151,15 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
     psys = ParamSystem(
         f=lambda x, e: e * lam(x),
         f_x=lambda x, e: e * lam_p(x),
-        f_eps=lambda x, e: lam(x) + 0.0 * e,
+        f_eps=lambda x, e: lam(x),
         F=lambda x, e: e * Ln(x) / Lp1,
-        F_eps=lambda x, e: Ln(x) / Lp1 + 0.0 * e,
+        F_eps=lambda x, e: Ln(x) / Lp1,
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
         proper=True,
         strict_stability=lam2 > 0.0,
         unconditionally_stable=lam2 == 0.0,
         zero_is_fixed_point=float(lam(0.0)) == 0.0,
-        exit_fn=lambda x, e: Ln(1.0 - rho(1.0 - x)) + _zero_like(x, e),
+        exit_fn=lambda x, e: Ln(1.0 - rho(1.0 - x)),
         eps_of_x_closed=eps_closed,
         h_prime0=lambda e: e * lam2 * rp1,
         trial_entropy=trial_entropy,
@@ -212,22 +208,22 @@ def ldgm_system(L: Union[DegreeDistribution, PolyLike],
         return 1.0 - (1.0 - lam_inv(x)) / denom
 
     psys = ParamSystem(
-        f=lambda x, e: lam(x) + 0.0 * e,
+        f=lambda x, e: lam(x),
         g=lambda x, e: 1.0 - (1.0 - e) * rho(1.0 - x),
-        f_x=lambda x, e: lam_p(x) + 0.0 * e,
+        f_x=lambda x, e: lam_p(x),
         g_x=lambda x, e: (1.0 - e) * rho_p(1.0 - x),
         g_xx=lambda x, e: -(1.0 - e) * rho_pp(1.0 - x),
-        f_eps=_zero_like,
-        g_eps=lambda x, e: rho(1.0 - x) + _zero_like(x, e),
-        F=lambda x, e: Ln(x) / Lp1 + 0.0 * e,
+        f_eps=lambda x, e: 0.0,
+        g_eps=lambda x, e: rho(1.0 - x),
+        F=lambda x, e: Ln(x) / Lp1,
         G=lambda x, e: x - (1.0 - e) * (1.0 - Rn(1.0 - x)) / Rp1,
-        F_eps=_zero_like,
-        G_eps=lambda x, e: (1.0 - Rn(1.0 - x)) / Rp1 + _zero_like(x, e),
+        F_eps=lambda x, e: 0.0,
+        G_eps=lambda x, e: (1.0 - Rn(1.0 - x)) / Rp1,
         proper=True,
         strict_stability=False,
         unconditionally_stable=False,
         zero_is_fixed_point=False,
-        exit_fn=lambda x, e: 1.0 - Rn(1.0 - x) + _zero_like(x, e),
+        exit_fn=lambda x, e: 1.0 - Rn(1.0 - x),
         eps_of_x_closed=eps_closed if float(rho(0.0)) > 0.0 else None,
         h_prime0=lambda e: float(lam_p(e)) * (1.0 - e) * rp1,
         sup_f_x=lambda e: float(lam_p(1.0 - (1.0 - e) * float(rho(0.0)))),
@@ -333,21 +329,21 @@ def gldpc_system(params: GldpcParams) -> ParamSystem:
 
     psys = ParamSystem(
         f=lambda x, e: e * x,
-        g=lambda x, e: g(x) + _zero_like(x, e),
-        f_x=lambda x, e: e + 0.0 * x,
-        g_x=lambda x, e: g_prime(x) + _zero_like(x, e),
-        g_xx=lambda x, e: g_second(x) + _zero_like(x, e),
-        f_eps=lambda x, e: x + 0.0 * e,
-        g_eps=_zero_like,
+        g=lambda x, e: g(x),
+        f_x=lambda x, e: e,
+        g_x=lambda x, e: g_prime(x),
+        g_xx=lambda x, e: g_second(x),
+        f_eps=lambda x, e: x,
+        g_eps=lambda x, e: 0.0,
         F=lambda x, e: 0.5 * e * x * x,
-        G=lambda x, e: G(x) + _zero_like(x, e),
-        F_eps=lambda x, e: 0.5 * x * x + 0.0 * e,
-        G_eps=_zero_like,
+        G=lambda x, e: G(x),
+        F_eps=lambda x, e: 0.5 * x * x,
+        G_eps=lambda x, e: 0.0,
         proper=True,
         strict_stability=False,
         unconditionally_stable=True,
         zero_is_fixed_point=True,
-        exit_fn=lambda x, e: g(x) ** 2 + _zero_like(x, e),
+        exit_fn=lambda x, e: g(x) ** 2,
         eps_of_x_closed=lambda x: x / g(x),
         h_prime0=lambda e: 0.0,
         trial_entropy=lambda x: 2.0 * G(x) - x * g(x),
@@ -611,7 +607,7 @@ def example1_system() -> ScalarSystem:
         x_max=1.0,
         f_prime=lambda y: 1.94 * y,
         g_prime=lambda x: 2.0 * (1.0 - x),
-        g_second=lambda x: -2.0 + 0.0 * x,
+        g_second=lambda x: -2.0,
         F=lambda y: (97.0 / 300.0) * y**3,
         G=lambda x: x + ((1.0 - x) ** 3 - 1.0) / 3.0,
         f_prime_sup=1.94,
@@ -686,8 +682,8 @@ def pathological_system() -> ScalarSystem:
         g=lambda x: 1.0 * x,
         x_max=1.0,
         f_prime=f_prime,
-        g_prime=lambda x: 1.0 + 0.0 * x,
-        g_second=lambda x: 0.0 * x,
+        g_prime=lambda x: 1.0,
+        g_second=lambda x: 0.0,
         F=F,
         G=lambda x: 0.5 * x**2,
         g_prime_sup=1.0,

@@ -4,8 +4,16 @@ curve (eps(x), Q(x)), and EXIT-style curves.
 
 A parameterized family supplies f(x; eps), g(x; eps), their x- and
 eps-partials, and antiderivatives F, G (in x, with F(0) = G(0) = 0) plus
-eps-partials of those. All callables must broadcast elementwise over numpy
-arrays in both arguments.
+eps-partials of those.
+
+Every callable is elementwise. For x of shape S (a scalar has shape ())
+and eps broadcastable to S, the maps f, g, F, G and exit_fn return shape
+S; a partial (f_x, g_x, g_xx, f_eps, g_eps, F_eps, G_eps, and a slice's
+f_prime, g_prime, g_second) may return any value that broadcasts to S,
+so an identically constant partial is written as a float, e.g.
+``g_eps=lambda x, e: 0.0``. Only the validators broadcast or check shapes;
+x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values
+at once.
 """
 
 from __future__ import annotations
@@ -59,6 +67,12 @@ class ParamSystem:
     grid-check): ``proper`` means the update h = f(g(.)) is strictly
     increasing in eps on the open x-domain, ``zero_is_fixed_point`` means
     h(0; eps) = 0 for every eps.
+
+    The callables follow the elementwise contract of this module: for x
+    of shape S and eps broadcastable to S, f, g, F, G and exit_fn return
+    shape S, and each partial returns a value that broadcasts to S (a
+    constant partial may be a float). h and u return shape S, and so does
+    exit_value when exit_fn is given; h_x, h_eps and u_eps are partials.
     """
 
     f: Callable
@@ -161,6 +175,10 @@ def validate_param_system(psys: ParamSystem, nx: int = 201, ne: int = 9) -> None
 
     gx = np.asarray(psys.g(X, E), dtype=float)
     fx = np.asarray(psys.f(X, E), dtype=float)
+    for name, vals in (("f", fx), ("g", gx)):
+        if vals.shape != X.shape:
+            raise ConstructionError(f"family {psys.name or '<anonymous>'}: {name} returns "
+                                    f"shape {vals.shape} on a grid of shape {X.shape}")
     if np.min(np.diff(gx, axis=0)) < -1e-9:
         problems.append("g decreasing in x")
     # strict increase via the analytic slope at interior points; the slope
@@ -177,8 +195,9 @@ def validate_param_system(psys: ParamSystem, nx: int = 201, ne: int = 9) -> None
         if np.min(np.diff(fx, axis=1)) < -1e-9:
             problems.append("f decreasing in eps")
 
-    fe = np.asarray(psys.F_eps(X, E), dtype=float)
-    ge = np.asarray(psys.G_eps(X, E), dtype=float)
+    # a constant partial may come back as a float
+    fe = np.broadcast_to(np.asarray(psys.F_eps(X, E), dtype=float), X.shape)
+    ge = np.broadcast_to(np.asarray(psys.G_eps(X, E), dtype=float), X.shape)
     if np.min(fe) < -1e-9 or np.min(ge) < -1e-9:
         problems.append("F_eps or G_eps negative")
     if np.min(np.diff(fe, axis=0)) < -1e-9 or np.min(np.diff(ge, axis=0)) < -1e-9:
