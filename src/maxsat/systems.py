@@ -364,11 +364,13 @@ def dec_phi(x, eps):
     Shipped as the default channel for isi_system with provenance flagged
     as external; satisfies phi(x;0) = 0 and phi(1;1) = 1.
     """
-    return 4.0 * eps**2 / (2.0 - (1.0 - eps) * x) ** 2
+    # eps * eps, not eps**2: a float's pow and numpy's array square round
+    # differently for some eps, so a scalar eps would not match its lane
+    return 4.0 * eps * eps / (2.0 - (1.0 - eps) * x) ** 2
 
 
 def _dec_phi_x(x, eps):
-    return 8.0 * eps**2 * (1.0 - eps) / (2.0 - (1.0 - eps) * x) ** 3
+    return 8.0 * eps * eps * (1.0 - eps) / (2.0 - (1.0 - eps) * x) ** 3
 
 
 def _dec_phi_eps(x, eps):
@@ -377,7 +379,7 @@ def _dec_phi_eps(x, eps):
 
 def _dec_Phi(z, eps):
     # antiderivative of dec_phi in its first argument, 0 at 0
-    return 2.0 * eps**2 * z / (2.0 - (1.0 - eps) * z)
+    return 2.0 * eps * eps * z / (2.0 - (1.0 - eps) * z)
 
 
 def _dec_Phi_eps(z, eps):

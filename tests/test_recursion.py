@@ -305,13 +305,18 @@ def test_make_system_rejects_decreasing_g():
         make_system(f=lambda y: y, g=lambda x: -x + 1.0, x_max=1.0)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(f=lambda y: y, g=lambda x: 1.0 * x, x_max=0.0),
-    dict(f=lambda y: np.where(y > 0.5, np.nan, y), g=lambda x: 1.0 * x, x_max=1.0,
-         F=lambda y: 0.5 * y * y, G=lambda x: 0.5 * x * x),
-], ids=["zero-width", "nan-f"])
-def test_make_system_fails_closed(kwargs):
-    with pytest.raises(ConstructionError):
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(f=lambda y: y, g=lambda x: 1.0 * x, x_max=0.0), None),
+    (dict(f=lambda y: np.where(y > 0.5, np.nan, y), g=lambda x: 1.0 * x, x_max=1.0,
+          F=lambda y: 0.5 * y * y, G=lambda x: 0.5 * x * x), None),
+    # a map must return its argument's shape; only partials may be floats
+    (dict(f=lambda y: 0.5, g=lambda x: 1.0 * x, x_max=1.0,
+          F=lambda y: 0.5 * y, G=lambda x: 0.5 * x * x), "f returns shape"),
+    (dict(f=lambda y: y, g=lambda x: 1.0, x_max=1.0,
+          F=lambda y: 0.5 * y * y, G=lambda x: 1.0 * x), "g returns shape"),
+], ids=["zero-width", "nan-f", "constant-f", "constant-g"])
+def test_make_system_fails_closed(kwargs, match):
+    with pytest.raises(ConstructionError, match=match):
         make_system(**kwargs)
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from maxsat.errors import DomainError, ThresholdUndefinedError
+from maxsat.errors import ConstructionError, DomainError, ThresholdUndefinedError
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
 from maxsat.recursion import CouplingSpec, IterationConfig, coupled_fixed_point
 from maxsat.systems import (
@@ -32,6 +32,7 @@ from maxsat.thresholds import (
     minimize_us_at,
     psi_exit,
     threshold_report,
+    validate_param_system,
     x_bar_star,
     x_lower_star,
     xf_intervals,
@@ -112,6 +113,14 @@ class TestEnvelope:
     def test_x_bar_positive_above_threshold(self, ldpc8):
         assert x_bar_star(ldpc8, 0.64) > 0.1
         assert x_lower_star(ldpc8, 0.61) == 0.0
+
+
+@pytest.mark.parametrize("name", ["f", "g"])
+def test_validate_rejects_constant_map(gldpc31, name):
+    # a map must return the grid's shape; only partials may be floats
+    bad = dataclasses.replace(gldpc31, **{name: lambda x, e: 0.5})
+    with pytest.raises(ConstructionError, match=f"{name} returns shape"):
+        validate_param_system(bad)
 
 
 class TestSingleAndStability:
