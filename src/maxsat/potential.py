@@ -99,7 +99,8 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     candidate set with all fixed points of h (every local minimum of the
     potential is one, so narrow basins between grid nodes are still found)
     plus both endpoints. Minimizers are all candidates whose value is within
-    value_tol of the best.
+    value_tol of the best; of two within 1e-9 of each other the fixed point
+    is kept.
     """
     xs = np.linspace(0.0, x_max, int(grid_n))
     us = np.asarray(u_vec(xs), dtype=float)
@@ -127,10 +128,15 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     cand_arr = np.asarray(sorted(set(cands)), dtype=float)
     vals = np.asarray(u_vec(cand_arr), dtype=float)
     vmin = float(np.min(vals))
+    bisected = {x for x, _tang in fixed_points}
     mins: list[float] = []
     for x, v in zip(cand_arr, vals):
         if v <= vmin + value_tol:
             if mins and abs(x - mins[-1]) <= 1e-9:
+                # a golden candidate is limited by the flat minimum; the
+                # fixed point it merges with is resolved to 1e-12
+                if x in bisected and mins[-1] not in bisected:
+                    mins[-1] = float(x)
                 continue
             mins.append(float(x))
     return MinimizeResult(mins[0], mins[-1], vmin, tuple(mins), fixed_points)
