@@ -68,10 +68,9 @@ class ParamSystem:
     increasing in eps on the open x-domain, ``zero_is_fixed_point`` means
     h(0; eps) = 0 for every eps.
 
-    The callables follow the elementwise contract of this module: for x
-    of shape S and eps broadcastable to S, f, g, F, G and exit_fn return
-    shape S, and each partial returns a value that broadcasts to S (a
-    constant partial may be a float). h and u return shape S, and so does
+    The callables are elementwise (module docstring): f, g, F, G and
+    exit_fn return the shape of x, and each partial any value that
+    broadcasts to it. Of the methods, h and u are maps, and so is
     exit_value when exit_fn is given; h_x, h_eps and u_eps are partials.
     """
 
