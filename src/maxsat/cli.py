@@ -317,6 +317,16 @@ def cmd_thresholds(cfg: dict, args) -> int:
     return 0
 
 
+def _sample_count(params: dict, key: str, default: int) -> int:
+    try:
+        n = int(params.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be an integer, got {params[key]!r}") from exc
+    if n < 1:
+        raise ConfigError(f"{key} must be >= 1, got {n}")
+    return n
+
+
 def cmd_exit_curves(cfg: dict, args) -> int:
     params = _merged_params(cfg, args, {"series", "eps_lo", "eps_hi", "eps_n",
                                         "x_n", "N", "w", "sc_eps_n", "max_iters",
@@ -329,13 +339,14 @@ def cmd_exit_curves(cfg: dict, args) -> int:
         raise ConfigError('series must be a list drawn from ["ebp", "map", "sc"]')
     eps_lo = float(params.get("eps_lo", 0.0))
     eps_hi = float(params.get("eps_hi", built.eps_max))
-    eps_n = int(params.get("eps_n", 101))
     if not 0.0 <= eps_lo < eps_hi <= built.eps_max:
         raise ConfigError(f"need 0 <= eps_lo < eps_hi <= {built.eps_max}")
+    eps_n, x_n, sc_eps_n = (_sample_count(params, key, default) for key, default in
+                            (("eps_n", 101), ("x_n", 512), ("sc_eps_n", 21)))
     rows = []
     code = 0
     if "ebp" in series:
-        crv = ebp_curve(built, np.linspace(0.0, built.x_max, int(params.get("x_n", 512))))
+        crv = ebp_curve(built, np.linspace(0.0, built.x_max, x_n))
         rows += [("ebp", float(e), float(v)) for e, v in zip(crv.eps, crv.exit_values)]
     if "map" in series:
         mp = map_exit_curve(built, np.linspace(eps_lo, eps_hi, eps_n))
@@ -346,7 +357,7 @@ def cmd_exit_curves(cfg: dict, args) -> int:
         except KeyError as exc:
             raise ConfigError(f'the "sc" series needs {exc}') from exc
         itcfg = IterationConfig(max_iters=int(params.get("max_iters", 10**6)))
-        for e in np.linspace(eps_lo, eps_hi, int(params.get("sc_eps_n", 21))):
+        for e in np.linspace(eps_lo, eps_hi, sc_eps_n):
             try:
                 run = coupled_fixed_point(built.at_eps(float(e)), spec, itcfg)
                 worst = run.profile.max

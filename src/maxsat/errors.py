@@ -36,7 +36,3 @@ class NonConvergenceError(RuntimeError):
 
 class NumericError(RuntimeError):
     """A numeric kernel failed to reach its requested accuracy."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial

@@ -143,11 +143,11 @@ def psi_matches_integral(psys, eps_values) -> bool:
 
 def q_matches_ebp_integral(cases) -> bool:
     """Q(x2) - Q(x1) equals its parametric integral along the fixed-point
-    curve to 1e-6, for each (psys, [(x1, x2), ...]) case."""
+    curve to 1e-10, for each (psys, [(x1, x2), ...]) case."""
     for psys, intervals in cases:
         for x1, x2 in intervals:
             direct, integral = Q_integral_check(psys, x1, x2)
-            if not abs(direct - integral) <= 1e-6:
+            if not abs(direct - integral) <= 1e-10:
                 return False
     return True
 

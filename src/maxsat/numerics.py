@@ -1,5 +1,6 @@
-"""Numeric kernels: polynomials, adaptive Simpson quadrature, bracketing
-solvers, and Gauss-Hermite nodes.
+"""Numeric kernels: polynomials, bracketing solvers, and Gauss-Hermite
+nodes. The package's one quadrature, a piecewise-Chebyshev table, lives
+with the systems it integrates in :mod:`maxsat.recursion`.
 
 Everything here is stateless and deterministic: identical inputs give
 bit-identical outputs.
@@ -16,13 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 __all__ = [
     "Polynomial",
     "parse_polynomial",
-    "QuadratureResult",
-    "adaptive_simpson",
     "bisect_root",
     "bisect_sup",
     "golden_min",
@@ -118,60 +117,9 @@ def parse_polynomial(text: str) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    est_error: float
-    evaluations: int
-
-
-def adaptive_simpson(fn: Callable[[float], float], lo: float, hi: float,
-                     tol: float = 1e-11, max_depth: int = 60) -> QuadratureResult:
-    """Adaptive Simpson quadrature with Richardson error control.
-
-    Panels are bisected until the Richardson estimate meets the (absolute)
-    tolerance split across subintervals. Raises :class:`NumericError` with
-    the partial value if the depth cap is exceeded.
-    """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if lo == hi:
-        return QuadratureResult(0.0, 0.0, 0)
-    if lo > hi:
-        r = adaptive_simpson(fn, hi, lo, tol, max_depth)
-        return QuadratureResult(-r.value, r.est_error, r.evaluations)
-
-    nev = [0]
-
-    def f(x: float) -> float:
-        nev[0] += 1
-        return float(fn(x))
-
-    def simp(fa: float, fm: float, fb: float, width: float) -> float:
-        return width * (fa + 4.0 * fm + fb) / 6.0
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simp(fa, flm, fm, m - a)
-        right = simp(fm, frm, fb, b - m)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        if depth <= 0:
-            raise NumericError(
-                f"adaptive_simpson: depth cap reached on [{a}, {b}]",
-                partial=left + right,
-            )
-        lv, le = recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth - 1)
-        rv, re_ = recurse(m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
-        return lv + rv, le + re_
-
-    fa, fm, fb = f(lo), f(0.5 * (lo + hi)), f(hi)
-    whole = simp(fa, fm, fb, hi - lo)
-    value, err = recurse(lo, hi, fa, fm, fb, whole, tol, max_depth)
-    return QuadratureResult(value, err, nev[0])
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
 
 def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
@@ -179,6 +127,7 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
     """Bisection root of fn on [lo, hi]; requires a sign change (or a zero
     endpoint). Deterministic midpoint splitting; returns the final midpoint.
     """
+    _check_tol(tol)
     if not lo <= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     flo = float(fn(lo))
@@ -208,6 +157,7 @@ def bisect_sup(pred: Callable[[float], bool], lo: float, hi: float,
     """Supremum of {t : pred(t)} for a predicate that is true on [lo, t*) and
     false after. pred(lo) must hold; returns hi if pred(hi) holds.
     """
+    _check_tol(tol)
     if not lo <= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     if not pred(lo):
@@ -232,6 +182,7 @@ _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 def golden_min(fn: Callable[[float], float], lo: float, hi: float,
                tol: float = 1e-12) -> float:
     """Golden-section minimizer of a unimodal function on [lo, hi]."""
+    _check_tol(tol)
     if not lo <= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     dist = hi - lo

@@ -120,8 +120,8 @@ class IterationConfig:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConstructionError("tol must be > 0")
+        if not 0.0 < self.tol < np.inf:
+            raise ConstructionError(f"tol must be finite and > 0, got {self.tol!r}")
         if self.max_iters < 1:
             raise ConstructionError("max_iters must be >= 1")
 
@@ -179,8 +179,8 @@ def _fd_derivative(fn, lo, hi, step=1e-7):
     return deriv
 
 
-def _chebyshev_table(fn, hi):
-    """Piecewise-Chebyshev antiderivative of fn on [0, hi].
+def _chebyshev_table(fn, lo, hi):
+    """Piecewise-Chebyshev antiderivative of fn on [lo, hi].
 
     Interpolates fn at _CHEB_POINTS Chebyshev points of the second kind on
     each panel (the panel ends among them, so a feature at either end of
@@ -212,7 +212,7 @@ def _chebyshev_table(fn, hi):
         est = half * float(np.sum(np.abs(coef[-2:]) * tail_weight))
         return (-est, a, b, depth, C.chebint(coef, lbnd=-1.0, scl=half))
 
-    heap = [panel(0.0, float(hi), 0)]
+    heap = [panel(float(lo), float(hi), 0)]
     total = -heap[0][0]
     while total > _ANTI_TOL:
         neg_est, a, b, depth, _ = heapq.heappop(heap)
@@ -245,6 +245,15 @@ def _clenshaw(series, k, t):
     return series[0, k] + t * b1 - b2
 
 
+def tabulated_integral(fn, lo, hi) -> float:
+    """Integral of the elementwise fn over [lo, hi] from one
+    piecewise-Chebyshev table (_chebyshev_table), to an absolute error of
+    about 1e-11. Raises NumericError where the table cannot get there."""
+    _, offset, series = _chebyshev_table(fn, lo, hi)
+    last = len(offset) - 1
+    return float(offset[last] + _clenshaw(series, last, 1.0))
+
+
 def _tabulated_antiderivative(fn, hi):
     """Antiderivative of fn on [0, hi] with value 0 at 0.
 
@@ -258,7 +267,7 @@ def _tabulated_antiderivative(fn, hi):
     def anti(y):
         nonlocal table
         if table is None:
-            table = _chebyshev_table(fn, hi)
+            table = _chebyshev_table(fn, 0.0, hi)
         edges, offset, series = table
         arr = np.asarray(_clamp(y, 0.0, hi, "antiderivative argument"), dtype=float)
         flat = arr.ravel()

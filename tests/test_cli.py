@@ -158,6 +158,18 @@ class TestCoupledRun:
 
 
 class TestThresholds:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, tol):
+        # json reads NaN and Infinity; a NaN tol used to end in an IndexError
+        # and an infinite one printed 0.5 for three thresholds
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1, "system": {"type": "ldpc", "lambda": "x^2", "rho": "x^5"},
+                         "command": {"tol": tol}})
+        out = tmp_path / "t.json"
+        assert main(["thresholds", "--config", cfg, "--out", str(out)]) == 2
+        assert "tol must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gldpc_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         {"schema": 1, "system": {"type": "gldpc", "n": 31, "t": 4}})
@@ -230,6 +242,16 @@ class TestExitCurves:
             "command": {"eps_lo": 0.8, "eps_hi": 0.2},
         })
         assert main(["exit-curves", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key,value", [("eps_n", -3), ("x_n", 0), ("sc_eps_n", -1),
+                                           ("eps_n", "many")])
+    def test_sample_count_below_one_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "schema": 1, "system": {"type": "ldpc", "lambda": "x^2", "rho": "x^5"},
+            "command": {"series": ["ebp", "map", "sc"], "N": 20, "w": 3, key: value},
+        })
+        assert main(["exit-curves", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestVerify:

@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from maxsat.errors import DomainError, NumericError
+from maxsat.errors import ConstructionError, DomainError
 from maxsat.numerics import (
     Polynomial,
-    adaptive_simpson,
     bisect_root,
     bisect_sup,
     gauss_hermite,
     golden_min,
     parse_polynomial,
 )
+from maxsat.recursion import IterationConfig
 
 
 class TestPolynomial:
@@ -57,42 +57,6 @@ class TestPolynomial:
             parse_polynomial(bad)
 
 
-class TestAdaptiveSimpson:
-    def test_x_squared(self):
-        r = adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-12)
-        assert abs(r.value - 1 / 3) <= 1e-12
-
-    def test_exact_on_cubics(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            c = rng.normal(size=4)
-            p = Polynomial(tuple(c))
-            anti = p.antiderivative()
-            a, b = sorted(rng.uniform(-1, 1, 2))
-            r = adaptive_simpson(p, a, b, 1e-9)
-            assert abs(r.value - (anti(b) - anti(a))) <= 1e-14
-
-    def test_example_g_closed_form(self):
-        # integral of 1-(1-x)^2 over [0,1] is 2/3
-        r = adaptive_simpson(lambda x: 1 - (1 - x) ** 2, 0.0, 1.0, 1e-12)
-        assert abs(r.value - 2 / 3) <= 1e-12
-
-    def test_orientation_and_empty(self):
-        assert adaptive_simpson(lambda x: x, 1.0, 0.0, 1e-10).value == pytest.approx(-0.5)
-        assert adaptive_simpson(lambda x: x, 2.0, 2.0, 1e-10).value == 0.0
-
-    def test_depth_cap_raises_with_partial(self):
-        with pytest.raises(NumericError) as exc:
-            adaptive_simpson(lambda x: math.sin(1.0 / (x + 1e-12)), 0.0, 1.0,
-                             1e-16, max_depth=4)
-        assert exc.value.partial is not None
-
-    def test_error_estimate_within_tolerance(self):
-        r = adaptive_simpson(np.exp, 0.0, 3.0, 1e-10)
-        assert r.est_error <= 1e-10
-        assert abs(r.value - (math.e**3 - 1)) <= 1e-9
-
-
 class TestSolvers:
     def test_bisect_root_sqrt2(self):
         r = bisect_root(lambda x: x * x - 2.0, 1.0, 2.0, 1e-9)
@@ -115,6 +79,26 @@ class TestSolvers:
         assert bisect_root(lambda x: x**3 - 0.1, 0.0, 1.0) == \
             bisect_root(lambda x: x**3 - 0.1, 0.0, 1.0)
         assert golden_min(f, 0.0, 2.0) == golden_min(f, 0.0, 2.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tol ends every loop at once and an infinite one returns the
+        # first midpoint, so both are rejected before any evaluation
+        calls = []
+
+        def probe(t):
+            calls.append(t)
+            return t - 0.5
+
+        with pytest.raises(DomainError):
+            bisect_root(probe, 0.0, 1.0, tol)
+        with pytest.raises(DomainError):
+            bisect_sup(lambda t: probe(t) < 0.0, 0.0, 1.0, tol)
+        with pytest.raises(DomainError):
+            golden_min(lambda t: probe(t) ** 2, 0.0, 1.0, tol)
+        with pytest.raises(ConstructionError):
+            IterationConfig(tol=tol)
+        assert calls == []
 
 
 def test_gauss_hermite_total_weight():

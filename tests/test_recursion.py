@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from maxsat.errors import (
     ConstructionError,
@@ -9,7 +12,7 @@ from maxsat.errors import (
     ShapeError,
 )
 from maxsat.invariants import coupled_symmetric_unimodal
-from maxsat.numerics import adaptive_simpson
+from maxsat.numerics import Polynomial
 from maxsat.recursion import (
     CoupledProfile,
     CouplingSpec,
@@ -22,6 +25,7 @@ from maxsat.recursion import (
     enumerate_fixed_points,
     make_system,
     modified_coupled_fixed_point,
+    tabulated_integral,
     translate_system,
     uncoupled_fixed_point,
     uncoupled_step,
@@ -344,7 +348,7 @@ class TestTabulatedAntiderivative:
         s = cs_system(CsParams(TwoPointPrior(1.0, 0.1), sigma2, 0.44))
         # f is flat near 0 and changes within the last few percent of [0, y_max]
         ys = s.y_max * np.array([0.0, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0])
-        pieces = [adaptive_simpson(s.f, a, b, 1e-13).value for a, b in zip(ys[:-1], ys[1:])]
+        pieces = [quad(s.f, a, b, epsabs=1e-13, epsrel=1e-13)[0] for a, b in zip(ys[:-1], ys[1:])]
         ref = np.concatenate(([0.0], np.cumsum(pieces)))
         assert np.max(np.abs(s.F(ys) - ref)) <= 1e-10
 
@@ -396,3 +400,30 @@ class TestTabulatedAntiderivative:
                         validate=False)
         with pytest.raises(NumericError):
             s.F(0.25)
+
+
+class TestTabulatedIntegral:
+    """The one quadrature of the package: a single piecewise-Chebyshev
+    table over [lo, hi]."""
+
+    def test_exact_on_polynomials(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            p = Polynomial(tuple(rng.normal(size=9)))
+            anti = p.antiderivative()
+            a, b = sorted(rng.uniform(-1, 1, 2))
+            assert abs(tabulated_integral(p, a, b) - (anti(b) - anti(a))) <= 1e-14
+
+    def test_smooth_integrands(self):
+        assert abs(tabulated_integral(np.exp, 0.0, 3.0) - (math.e**3 - 1)) <= 1e-11
+        runge = tabulated_integral(lambda x: 1.0 / (1.0 + 25.0 * x * x), -1.0, 1.0)
+        assert abs(runge - 0.4 * math.atan(5.0)) <= 1e-11
+        # the square root's infinite slope at 0 makes the table refine there
+        assert abs(tabulated_integral(np.sqrt, 0.0, 1.0) - 2.0 / 3.0) <= 1e-11
+
+    def test_empty_interval(self):
+        assert tabulated_integral(np.exp, 2.0, 2.0) == 0.0
+
+    def test_unresolved_integrand_raises(self):
+        with pytest.raises(NumericError):
+            tabulated_integral(lambda x: 1e-6 * np.sin(1e7 * x), 0.0, 1.0)

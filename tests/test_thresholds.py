@@ -123,6 +123,21 @@ def test_validate_rejects_constant_map(gldpc31, name):
         validate_param_system(bad)
 
 
+@pytest.mark.parametrize("name,match", [
+    ("f", "f is not finite"), ("g", "g is not finite"), ("F_eps", "F_eps is not finite"),
+    ("G_eps", "G_eps is not finite"), ("g_x", "g' not positive"),
+    ("g_eps", "h_eps not positive"),
+], ids=["f", "g", "F_eps", "G_eps", "g_x", "g_eps"])
+def test_validate_rejects_nan_samples(ldpc8, name, match):
+    # NaN on half the grid: min() of an array holding NaN is NaN, which
+    # passes every `< threshold` test unless the test is written to fail it
+    good = getattr(ldpc8, name)
+    bad = dataclasses.replace(
+        ldpc8, **{name: lambda x, e: np.where(x > 0.5, np.nan, good(x, e))})
+    with pytest.raises(ConstructionError, match=match):
+        validate_param_system(bad)
+
+
 class TestSingleAndStability:
     def test_eps_single_value_and_oracle(self, ldpc8):
         es = eps_single(ldpc8)
@@ -284,6 +299,15 @@ class TestFixedPointCurve:
     ])
     def test_q_integral_matches_direct(self, which, intervals, request):
         assert q_matches_ebp_integral([(request.getfixturevalue(which), intervals)])
+
+    def test_q_integral_check_catches_dropped_F_eps(self, ldpc8):
+        # Q_of_x reads F and G while the integral reads only their
+        # eps-partials, so a defect in F_eps shows in the integral alone
+        planted = dataclasses.replace(ldpc8, F_eps=lambda y, e: 0.0)
+        direct, integral = Q_integral_check(planted, 0.25, 0.55)
+        assert direct == Q_integral_check(ldpc8, 0.25, 0.55)[0]
+        assert abs(direct - integral) > 1e-3
+        assert not q_matches_ebp_integral([(planted, [(0.25, 0.55)])])
 
     def test_ebp_curve_samples_satisfy_fixed_point(self, ldpc8):
         crv = ebp_curve(ldpc8, np.linspace(0.01, 1.0, 64))
