@@ -75,6 +75,27 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _number(obj: dict, key: str, kind=float, default=None, least=None):
+    """obj[key] converted by kind (int or float), or default when the key
+    is absent and a default is given. A missing required key, a value kind
+    rejects or would misread, and a value below least are ConfigErrors."""
+    if key not in obj and default is None:
+        raise ConfigError(f"missing {key!r}")
+    value = obj.get(key, default)
+    bad = ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                      f"got {value!r}")
+    try:
+        n = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise bad from exc
+    # kind() reads true as 1, and int() truncates 20.7 to 20
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and n != value):
+        raise bad
+    if least is not None and n < least:
+        raise ConfigError(f"{key} must be >= {least}, got {n}")
+    return n
+
+
 def _poly_arg(obj, where: str):
     if isinstance(obj, (str, list)):
         return obj
@@ -105,25 +126,20 @@ def build_system(sysobj: dict):
         return "param", builder(L, R)
     if t == "gldpc":
         _reject_unknown(sysobj, {"type", "n", "t"}, "system(gldpc)")
-        try:
-            return "param", gldpc_system(GldpcParams(int(sysobj["n"]), int(sysobj["t"])))
-        except KeyError as exc:
-            raise ConfigError(f"gldpc system needs {exc}") from exc
+        return "param", gldpc_system(GldpcParams(_number(sysobj, "n", int),
+                                                 _number(sysobj, "t", int)))
     if t == "cs":
         _reject_unknown(sysobj, {"type", "prior", "variance", "mass", "rho_s",
                                  "sigma2", "delta"}, "system(cs)")
         prior_kind = sysobj.get("prior", "gaussian")
         if prior_kind == "gaussian":
-            prior = GaussianPrior(float(sysobj.get("variance", 1.0)))
+            prior = GaussianPrior(_number(sysobj, "variance", default=1.0))
         elif prior_kind == "two_point":
-            prior = TwoPointPrior(float(sysobj.get("mass", 1.0)),
-                                  float(sysobj.get("rho_s", 0.1)))
+            prior = TwoPointPrior(_number(sysobj, "mass", default=1.0),
+                                  _number(sysobj, "rho_s", default=0.1))
         else:
             raise ConfigError(f"unknown cs prior {prior_kind!r}")
-        try:
-            params = CsParams(prior, float(sysobj["sigma2"]), float(sysobj["delta"]))
-        except KeyError as exc:
-            raise ConfigError(f"cs system needs {exc}") from exc
+        params = CsParams(prior, _number(sysobj, "sigma2"), _number(sysobj, "delta"))
         return "scalar", cs_system(params)
     if t == "example":
         _reject_unknown(sysobj, {"type", "id"}, "system(example)")
@@ -178,7 +194,7 @@ def _require_eps(kind: str, params: dict):
     if kind == "param":
         if "eps" not in params:
             raise ConfigError("a parameterized system needs --eps")
-        return float(params["eps"])
+        return _number(params, "eps")
     if "eps" in params:
         raise ConfigError("--eps only applies to parameterized systems")
     return None
@@ -218,9 +234,7 @@ def cmd_potential_curve(cfg: dict, args) -> int:
     kind, built = build_system(cfg["system"])
     eps = _require_eps(kind, params)
     sys_ = _slice(kind, built, eps)
-    grid_n = int(params.get("grid_n", 512))
-    if grid_n < 400:
-        raise ConfigError("potential-curve needs grid_n >= 400")
+    grid_n = _number(params, "grid_n", int, default=512, least=400)
     xs = np.linspace(0.0, sys_.x_max, grid_n)
     us = np.asarray(U_s(sys_, xs), dtype=float)
     res = minimize_Us(sys_)
@@ -248,12 +262,9 @@ def cmd_coupled_run(cfg: dict, args) -> int:
     kind, built = build_system(cfg["system"])
     eps = _require_eps(kind, params)
     sys_ = _slice(kind, built, eps)
-    try:
-        spec = CouplingSpec(int(params["N"]), int(params["w"]))
-    except KeyError as exc:
-        raise ConfigError(f"coupled-run needs {exc}") from exc
-    itcfg = IterationConfig(tol=float(params.get("tol", 1e-12)),
-                            max_iters=int(params.get("max_iters", 10**6)))
+    spec = CouplingSpec(_number(params, "N", int), _number(params, "w", int))
+    itcfg = IterationConfig(tol=_number(params, "tol", default=1e-12),
+                            max_iters=_number(params, "max_iters", int, default=10**6))
     meta = {"tool": "maxsat", "version": __version__,
             "fingerprint": _fingerprint(cfg["system"]),
             "system": cfg["system"]["type"],
@@ -277,10 +288,13 @@ def cmd_coupled_run(cfg: dict, args) -> int:
 
 def cmd_thresholds(cfg: dict, args) -> int:
     params = _merged_params(cfg, args, {"tol", "which", "out"})
+    which = params.get("which")
+    if which not in (None, "eps_single", "eps_stab", "eps_c", "eps_maxwell"):
+        raise ConfigError(f"unknown threshold {which!r}")
     kind, built = build_system(cfg["system"])
     if kind != "param":
         raise ConfigError("thresholds need a parameterized system")
-    tol = float(params.get("tol", 1e-9))
+    tol = _number(params, "tol", default=1e-9)
     rep = threshold_report(built, tol)
     obj = {
         "tool": "maxsat",
@@ -307,24 +321,10 @@ def cmd_thresholds(cfg: dict, args) -> int:
                 except (DomainError, ThresholdUndefinedError):
                     continue
         obj["inverse_psi_table"] = table
-    which = params.get("which")
-    if which is not None:
-        if which not in ("eps_single", "eps_stab", "eps_c", "eps_maxwell"):
-            raise ConfigError(f"unknown threshold {which!r}")
-        if obj[which] is None:
-            raise ThresholdUndefinedError(f"{which} is undefined for this system")
+    if which is not None and obj[which] is None:
+        raise ThresholdUndefinedError(f"{which} is undefined for this system")
     _write_text(_json_text(obj), params.get("out"))
     return 0
-
-
-def _sample_count(params: dict, key: str, default: int) -> int:
-    try:
-        n = int(params.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be an integer, got {params[key]!r}") from exc
-    if n < 1:
-        raise ConfigError(f"{key} must be >= 1, got {n}")
-    return n
 
 
 def cmd_exit_curves(cfg: dict, args) -> int:
@@ -337,11 +337,12 @@ def cmd_exit_curves(cfg: dict, args) -> int:
     series = params.get("series", ["ebp", "map"])
     if not isinstance(series, list) or not set(series) <= {"ebp", "map", "sc"}:
         raise ConfigError('series must be a list drawn from ["ebp", "map", "sc"]')
-    eps_lo = float(params.get("eps_lo", 0.0))
-    eps_hi = float(params.get("eps_hi", built.eps_max))
+    eps_lo = _number(params, "eps_lo", default=0.0)
+    eps_hi = _number(params, "eps_hi", default=built.eps_max)
     if not 0.0 <= eps_lo < eps_hi <= built.eps_max:
         raise ConfigError(f"need 0 <= eps_lo < eps_hi <= {built.eps_max}")
-    eps_n, x_n, sc_eps_n = (_sample_count(params, key, default) for key, default in
+    eps_n, x_n, sc_eps_n = (_number(params, key, int, default=default, least=1)
+                            for key, default in
                             (("eps_n", 101), ("x_n", 512), ("sc_eps_n", 21)))
     rows = []
     code = 0
@@ -352,11 +353,8 @@ def cmd_exit_curves(cfg: dict, args) -> int:
         mp = map_exit_curve(built, np.linspace(eps_lo, eps_hi, eps_n))
         rows += [("map", float(e), float(v)) for e, v in zip(mp.eps, mp.exit_values)]
     if "sc" in series:
-        try:
-            spec = CouplingSpec(int(params["N"]), int(params["w"]))
-        except KeyError as exc:
-            raise ConfigError(f'the "sc" series needs {exc}') from exc
-        itcfg = IterationConfig(max_iters=int(params.get("max_iters", 10**6)))
+        spec = CouplingSpec(_number(params, "N", int), _number(params, "w", int))
+        itcfg = IterationConfig(max_iters=_number(params, "max_iters", int, default=10**6))
         for e in np.linspace(eps_lo, eps_hi, sc_eps_n):
             try:
                 run = coupled_fixed_point(built.at_eps(float(e)), spec, itcfg)

@@ -138,8 +138,6 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
     L(1 - rho(1-x)), and the trial entropy -L'(1) Q(x).
     """
     lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
-    lam2 = float(lam_p(0.0))
-
     def eps_closed(x):
         return x / lam(1.0 - rho(1.0 - x))
 
@@ -156,12 +154,9 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
         F_eps=lambda x, e: Ln(x) / Lp1,
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
         proper=True,
-        strict_stability=lam2 > 0.0,
-        unconditionally_stable=lam2 == 0.0,
         zero_is_fixed_point=float(lam(0.0)) == 0.0,
         exit_fn=lambda x, e: Ln(1.0 - rho(1.0 - x)),
         eps_of_x_closed=eps_closed,
-        h_prime0=lambda e: e * lam2 * rp1,
         trial_entropy=trial_entropy,
         sup_f_x=lambda e: e * float(lam_p(1.0)),
         sup_g_x=lambda e: rp1,
@@ -220,12 +215,9 @@ def ldgm_system(L: Union[DegreeDistribution, PolyLike],
         F_eps=lambda x, e: 0.0,
         G_eps=lambda x, e: (1.0 - Rn(1.0 - x)) / Rp1,
         proper=True,
-        strict_stability=False,
-        unconditionally_stable=False,
         zero_is_fixed_point=False,
         exit_fn=lambda x, e: 1.0 - Rn(1.0 - x),
         eps_of_x_closed=eps_closed if float(rho(0.0)) > 0.0 else None,
-        h_prime0=lambda e: float(lam_p(e)) * (1.0 - e) * rp1,
         sup_f_x=lambda e: float(lam_p(1.0 - (1.0 - e) * float(rho(0.0)))),
         sup_g_x=lambda e: (1.0 - e) * rp1,
         sup_g_xx=lambda e: (1.0 - e) * float(rho_pp(1.0)),
@@ -340,12 +332,9 @@ def gldpc_system(params: GldpcParams) -> ParamSystem:
         F_eps=lambda x, e: 0.5 * x * x,
         G_eps=lambda x, e: 0.0,
         proper=True,
-        strict_stability=False,
-        unconditionally_stable=True,
         zero_is_fixed_point=True,
         exit_fn=lambda x, e: g(x) ** 2,
         eps_of_x_closed=lambda x: x / g(x),
-        h_prime0=lambda e: 0.0,
         trial_entropy=lambda x: 2.0 * G(x) - x * g(x),
         trial_entropy_prime=lambda x: g(x) - x * g_prime(x),
         sup_f_x=lambda e: e,
@@ -418,8 +407,6 @@ def isi_system(L: Union[DegreeDistribution, PolyLike],
     if np.min(np.diff(pv, axis=0)) < -1e-9 or np.min(np.diff(pv, axis=1)) < -1e-9:
         raise ConstructionError("phi decreasing in one of its arguments")
 
-    lam2 = float(lam_p(0.0))
-
     psys = ParamSystem(
         f=lambda x, e: phi(Ln(x), e) * lam(x),
         f_x=lambda x, e: (phi_x(Ln(x), e) * Lp1 * lam(x) ** 2
@@ -429,11 +416,8 @@ def isi_system(L: Union[DegreeDistribution, PolyLike],
         F_eps=lambda x, e: Phi_eps(Ln(x), e) / Lp1,
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
         proper=True,
-        strict_stability=lam2 > 0.0,
-        unconditionally_stable=lam2 == 0.0,
         zero_is_fixed_point=float(lam(0.0)) == 0.0,
         exit_fn=lambda x, e: Phi_eps(Ln(1.0 - rho(1.0 - x)), e),
-        h_prime0=lambda e: float(phi(0.0, e)) * lam2 * rp1,
         slice_strict_f=lambda e: e > 0.0,
         name="isi",
     )

@@ -63,10 +63,12 @@ __all__ = [
 class ParamSystem:
     """Family of scalar systems indexed by a parameter eps in [0, eps_max].
 
-    Flags describe structural facts the caller asserts (and the builders
-    grid-check): ``proper`` means the update h = f(g(.)) is strictly
+    A family declares two structural facts, which validate_param_system
+    grid-checks: ``proper`` means the update h = f(g(.)) is strictly
     increasing in eps on the open x-domain, ``zero_is_fixed_point`` means
-    h(0; eps) = 0 for every eps.
+    h(0; eps) = 0 for every eps. Everything else about the zero state,
+    such as its stability threshold, is computed from f_x and g_x; the
+    optional fields are closed forms and bounds.
 
     The callables are elementwise (module docstring): f, g, F, G and
     exit_fn return the shape of x, and each partial any value that
@@ -88,12 +90,9 @@ class ParamSystem:
     x_max: float = 1.0
     eps_max: float = 1.0
     proper: bool = False
-    strict_stability: bool = False
-    unconditionally_stable: bool = False
     zero_is_fixed_point: bool = False
     exit_fn: Optional[Callable] = None
     eps_of_x_closed: Optional[Callable] = None
-    h_prime0: Optional[Callable] = None
     trial_entropy: Optional[Callable] = None
     trial_entropy_prime: Optional[Callable] = None
     sup_f_x: Optional[Callable] = None
@@ -162,11 +161,12 @@ def validate_param_system(psys: ParamSystem, nx: int = 201, ne: int = 9) -> None
     """Grid admissibility checks for a family; raises ConstructionError.
 
     Monotonicity in x and eps, strict increase of g in x, non-negative and
-    x-non-decreasing F_eps / G_eps, and (when flagged proper) positivity of
-    the eps-partial of the update on the open domain. eps = 0 is excluded
-    from the properness grid since several families are degenerate exactly
-    at zero. Non-finite samples of f, g, F_eps or G_eps fail, and so does a
-    NaN slope.
+    x-non-decreasing F_eps / G_eps, (when flagged proper) positivity of
+    the eps-partial of the update on the open domain, and (when flagged
+    zero_is_fixed_point) |h(0; eps)| <= 1e-12 on the eps grid. eps = 0 is
+    excluded from the properness grid since several families are
+    degenerate exactly at zero. Non-finite samples of f, g, F_eps or G_eps
+    fail, and so does a NaN slope.
     """
     problems = []
     xs = np.linspace(0.0, psys.x_max, nx)
@@ -217,6 +217,11 @@ def validate_param_system(psys: ParamSystem, nx: int = 201, ne: int = 9) -> None
         if not np.min(he) > 0.0:
             problems.append("proper flag set but h_eps not positive on the interior grid")
 
+    if psys.zero_is_fixed_point:
+        h0 = np.asarray(psys.h(np.zeros_like(es), es), dtype=float)
+        if not np.max(np.abs(h0)) <= 1e-12:
+            problems.append("zero_is_fixed_point flag set but h(0; eps) != 0 on the grid")
+
     if problems:
         raise ConstructionError(label + "; ".join(problems))
 
@@ -249,7 +254,12 @@ _X_TINY = 1e-9
 def eps_single(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
     """Largest eps below which the uncoupled recursion converges to zero:
     sup{eps : h(x; eps) < x on (0, x_max]}, located by bisection over a
-    grid predicate."""
+    grid predicate.
+
+    When 0 is a fixed point the result is at most eps_stab, since h > x
+    just above 0 for larger eps; the grid's first point, 1e-9, cannot see
+    that crossing through rounding noise at a continuous transition.
+    """
     xs = np.linspace(_X_TINY, psys.x_max, grid_n)
 
     def pred(e: float) -> bool:
@@ -257,37 +267,25 @@ def eps_single(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> flo
 
     if not pred(0.0):
         raise ThresholdUndefinedError("h(x; 0) >= x somewhere; single-system threshold undefined")
-    return bisect_sup(pred, 0.0, psys.eps_max, tol)
+    es = bisect_sup(pred, 0.0, psys.eps_max, tol)
+    return min(es, eps_stab(psys, tol)) if psys.zero_is_fixed_point else es
 
 
 def eps_stab(psys: ParamSystem, tol: float = 1e-9) -> float:
-    """Stability threshold of the zero fixed point.
-
-    Uses the root of h'(0; eps) = 1 when the family supplies that slope;
-    otherwise falls back to a small-x grid scan of h(x; eps) < x with
-    deltas 1e-3, 1e-6, 1e-9.
-    """
+    """Stability threshold of the zero fixed point: the root of
+    h'(0; eps) = f_x(g(0; eps); eps) g_x(0; eps) = 1, or eps_max when the
+    slope stays below 1."""
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError("0 is not a fixed point; stability threshold undefined")
-    if psys.h_prime0 is not None:
-        if float(psys.h_prime0(psys.eps_max)) < 1.0:
-            return psys.eps_max
-        if float(psys.h_prime0(0.0)) >= 1.0:
-            raise ThresholdUndefinedError("0 unstable already at eps = 0")
-        return bisect_root(lambda e: float(psys.h_prime0(e)) - 1.0, 0.0,
-                           psys.eps_max, tol)
 
-    # sampling the top of each window keeps h(x) - x above the rounding
-    # noise of the update near x = 0
-    grids = [np.linspace(d / 4, d, 24) for d in (1e-3, 1e-6, 1e-9)]
+    def slope(e: float) -> float:
+        return float(psys.h_x(0.0, e))
 
-    def pred(e: float) -> bool:
-        return any(bool(np.all(np.asarray(psys.h(xs, e), dtype=float) < xs))
-                   for xs in grids)
-
-    if not pred(0.0):
+    if slope(psys.eps_max) < 1.0:
+        return psys.eps_max
+    if slope(0.0) >= 1.0:
         raise ThresholdUndefinedError("0 unstable already at eps = 0")
-    return bisect_sup(pred, 0.0, psys.eps_max, tol)
+    return bisect_root(lambda e: slope(e) - 1.0, 0.0, psys.eps_max, tol)
 
 
 def eps_c(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
@@ -296,6 +294,11 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
     Valid because the envelope is non-increasing and identically zero below
     the threshold when 0 stays a fixed point. Cross-checked against the
     largest-minimizer criterion sup{eps : x_upper*(eps) = 0}.
+
+    The result is at most eps_stab: above it U_s' = (x - h) g' < 0 just
+    above 0, so Psi < 0. At a continuous transition Psi leaves 0 like
+    (eps - eps_stab)^3, the -1e-12 margin lets the bisection overshoot,
+    and eps_stab is returned, with no minimizer jump to cross-check.
     """
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError(
@@ -307,6 +310,9 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
     if not pred(0.0):
         raise ThresholdUndefinedError("potential already negative at eps = 0")
     ec = bisect_sup(pred, 0.0, psys.eps_max, tol)
+    stab = eps_stab(psys, tol)
+    if ec > stab:
+        return stab
     if ec < psys.eps_max:
         lo = max(ec - 10 * tol, 0.0)
         hi = min(ec + 10 * tol, psys.eps_max)
@@ -423,15 +429,13 @@ def maxwell_threshold(psys: ParamSystem, tol: float = 1e-9,
                       grid_n: int = 10**4) -> float:
     """Smallest eps(x) over roots of the fixed-point potential Q on the
     closure of the fixed-point domain; the boundary value at x -> 0 is the
-    stability threshold when the domain reaches down to zero."""
+    stability threshold when the domain reaches down to zero, and the
+    threshold is undefined with it when 0 is not a fixed point."""
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys, grid_n)
     if not intervals:
         raise ThresholdUndefinedError("empty fixed-point domain")
-    if touches_zero and not (psys.strict_stability or psys.unconditionally_stable):
-        raise ThresholdUndefinedError(
-            "fixed-point domain reaches 0 but the stability threshold is not strict")
 
     candidates: list[float] = []
     if touches_zero:
@@ -593,9 +597,9 @@ class ThresholdReport:
 
 def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
-    raising; asserts the potential threshold does not exceed the stability
-    threshold whenever the family's stability structure guarantees that
-    ordering."""
+    raising. As a guard, raises ThresholdUndefinedError if eps_c exceeds
+    eps_stab by more than 10 tol: both are defined only when 0 is a fixed
+    point, and then eps_c is at most eps_stab (see eps_c)."""
     values = {}
     notes = []
 
@@ -610,16 +614,14 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     attempt("eps_single", lambda: eps_single(psys, tol),
             "bisection on h(x;eps)<x over a 1e4 grid")
     attempt("eps_stab", lambda: eps_stab(psys, tol),
-            "root of h'(0;eps)=1" if psys.h_prime0 is not None else "small-x scan bisection")
+            "root of h'(0;eps)=1")
     attempt("eps_c", lambda: eps_c(psys, tol),
             "bisection on min_x U_s(x;eps) >= 0")
     attempt("eps_maxwell", lambda: maxwell_threshold(psys, tol),
             "min eps(x) over roots of the fixed-point potential")
 
     ec, es_ = values["eps_c"], values["eps_stab"]
-    if (psys.strict_stability or psys.unconditionally_stable) and \
-            ec is not None and es_ is not None and ec > es_ + 10 * tol:
-        raise ThresholdUndefinedError(
-            f"eps_c={ec} exceeds eps_stab={es_} on a stability-structured family")
+    if ec is not None and es_ is not None and ec > es_ + 10 * tol:
+        raise ThresholdUndefinedError(f"eps_c={ec} exceeds eps_stab={es_}")
     return ThresholdReport(values["eps_single"], values["eps_stab"],
                            values["eps_c"], values["eps_maxwell"], tuple(notes))

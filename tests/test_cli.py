@@ -3,9 +3,34 @@ import json
 import numpy as np
 import pytest
 
+from maxsat import cli
 from maxsat.cli import main
 from maxsat.recursion import uncoupled_fixed_point
 from maxsat.systems import example1_system
+
+
+EX1 = {"type": "example", "id": 1}
+LDPC = {"type": "ldpc", "lambda": "x^2", "rho": "x^5"}
+CS = {"type": "cs", "sigma2": 1e-4, "delta": 0.5}
+
+# (key, command, system, command params): one bad value per config number
+BAD_NUMBERS = [
+    ("eps", "potential-curve", LDPC, {"eps": "high"}),
+    ("grid_n", "potential-curve", EX1, {"grid_n": "many"}),
+    ("N", "coupled-run", EX1, {"N": 20.7, "w": 3}),
+    ("w", "coupled-run", EX1, {"N": 20, "w": True}),
+    ("tol", "coupled-run", EX1, {"N": 20, "w": 3, "tol": "small"}),
+    ("max_iters", "coupled-run", EX1, {"N": 20, "w": 3, "max_iters": 1e400}),
+    ("eps_lo", "exit-curves", LDPC, {"eps_lo": "low"}),
+    ("eps_hi", "exit-curves", LDPC, {"eps_hi": None}),
+    ("n", "thresholds", {"type": "gldpc", "n": "x", "t": 4}, {}),
+    ("t", "thresholds", {"type": "gldpc", "n": 31, "t": "four"}, {}),
+    ("variance", "potential-curve", {**CS, "variance": "big"}, {}),
+    ("mass", "potential-curve", {**CS, "prior": "two_point", "mass": "heavy"}, {}),
+    ("rho_s", "potential-curve", {**CS, "prior": "two_point", "rho_s": "x"}, {}),
+    ("sigma2", "potential-curve", {**CS, "sigma2": "x"}, {}),
+    ("delta", "potential-curve", {**CS, "delta": "x"}, {}),
+]
 
 
 def write_cfg(tmp_path, name, obj):
@@ -193,6 +218,16 @@ class TestThresholds:
         assert "undefined" in obj["note_eps_c"]
         assert len(obj["inverse_psi_table"]) > 0
 
+    def test_unknown_threshold_rejected_before_computing(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "threshold_report",
+                            lambda *a: pytest.fail("thresholds computed for a bad config"))
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1,
+                         "system": {"type": "ldgm", "lambda": "x^5",
+                                    "rho": "2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3"},
+                         "command": {"which": "eps_bp"}})
+        assert main(["thresholds", "--config", cfg]) == 2
+
     def test_requested_undefined_threshold_exits_4(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         {"schema": 1,
@@ -336,6 +371,15 @@ class TestConfigErrors:
                         {"system": {"type": "ldpc", "lambda": "0.9 x",
                                     "rho": "x^5"}})
         assert main(["thresholds", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("key,command,system,params", BAD_NUMBERS,
+                             ids=[case[0] for case in BAD_NUMBERS])
+    def test_unconvertible_number_exits_2(self, tmp_path, capsys, key, command, system,
+                                          params):
+        # 1e400 reads as inf, which int() rejects with an OverflowError
+        cfg = write_cfg(tmp_path, "c.json", {"schema": 1, "system": system, "command": params})
+        assert main([command, "--config", cfg]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_example_and_cs_validation(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {"system": {"type": "example", "id": 9}})

@@ -2,7 +2,9 @@
 
 x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values in
 one call: maps return (K, M), partials broadcast to it, and row k equals
-the call with the scalar eps[k, 0] bit for bit.
+the call with the scalar eps[k, 0] bit for bit. On random degree profiles
+the families also keep potential descent, and their thresholds computed
+from these callables match coefficient oracles and stay ordered.
 """
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxsat.errors import ThresholdUndefinedError
 from maxsat.invariants import potential_descent
 from maxsat.systems import (
     DegreeDistribution,
@@ -19,6 +22,7 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
+from maxsat.thresholds import eps_stab, threshold_report
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -107,3 +111,40 @@ def test_random_profiles_keep_contract_and_descent(psys, eps):
     assert_lane_contract(psys, *lanes(K=4, M=20))
     s = psys.at_eps(eps, validate=True)
     assert potential_descent([s], np.random.default_rng(0), 200)
+
+
+@st.composite
+def stability_case(draw):
+    """An ldpc or isi family and its stability threshold from the node
+    coefficients alone, None when lam(0) > 0. h'(0; eps) is
+    phi(0; eps) lam'(0) rho'(1) with phi(0; eps) = eps for ldpc and
+    dec_phi(0; eps) = eps^2 for isi, lam'(0) = 2 L_2 / L'(1) and
+    rho'(1) = R''(1) / R'(1)."""
+    builder = draw(st.sampled_from([ldpc_system, isi_system]))
+    # a required bit degree of 1, 2 or 3 draws undefined, finite and
+    # unit thresholds alike
+    L = draw(node_profile([draw(st.integers(1, 3))]))
+    R = draw(node_profile([draw(st.integers(2, 8))]))
+    if L[1] > 0.0:
+        return builder(L, R), None
+    s = (2.0 * L[2] / sum(d * c for d, c in enumerate(L))
+         * sum(d * (d - 1) * c for d, c in enumerate(R))
+         / sum(d * c for d, c in enumerate(R)))
+    power = 1.0 if builder is ldpc_system else 2.0
+    return builder(L, R), 1.0 if s <= 1.0 else s ** (-1.0 / power)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(case=stability_case())
+def test_random_profiles_stability_and_threshold_order(case):
+    psys, oracle = case
+    if oracle is None:
+        with pytest.raises(ThresholdUndefinedError):
+            eps_stab(psys)
+    else:
+        assert eps_stab(psys) == pytest.approx(oracle, abs=1e-9)
+    tol = 1e-9
+    # threshold_report itself raises if eps_c exceeds eps_stab + 10 tol
+    rep = threshold_report(psys, tol)
+    if rep.eps_single is not None and rep.eps_c is not None:
+        assert rep.eps_single <= rep.eps_c + 10 * tol

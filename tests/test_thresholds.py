@@ -15,6 +15,7 @@ from maxsat.systems import (
     ldpc_system,
 )
 from maxsat.thresholds import (
+    ParamSystem,
     Psi,
     Q_integral_check,
     Q_of_x,
@@ -138,6 +139,13 @@ def test_validate_rejects_nan_samples(ldpc8, name, match):
         validate_param_system(bad)
 
 
+def test_validate_rejects_false_zero_fixed_point(ldgm9):
+    # h(0; eps) = lam(eps) > 0 for eps > 0
+    bad = dataclasses.replace(ldgm9, zero_is_fixed_point=True)
+    with pytest.raises(ConstructionError, match="zero_is_fixed_point"):
+        validate_param_system(bad)
+
+
 class TestSingleAndStability:
     def test_eps_single_value_and_oracle(self, ldpc8):
         es = eps_single(ldpc8)
@@ -164,14 +172,8 @@ class TestSingleAndStability:
         # oracle: eps lam'(0) rho'(1) = 1 with lam'(0) = 0.2, rho'(1) = 7.2
         assert eps_stab(ldpc8) == pytest.approx(1.0 / (0.2 * 7.2), abs=1e-9)
 
-    def test_eps_stab_unconditionally_stable(self, gldpc31):
+    def test_eps_stab_is_eps_max_for_zero_slope_at_zero(self, gldpc31):
         assert eps_stab(gldpc31) == 1.0
-
-    def test_eps_stab_scan_fallback(self, ldpc8):
-        # the grid scan is noise-limited near x = 0, so it is only expected
-        # to land within ~1e-5 of the closed-form slope root
-        scan = dataclasses.replace(ldpc8, h_prime0=None)
-        assert eps_stab(scan) == pytest.approx(1.0 / (0.2 * 7.2), abs=1e-5)
 
     def test_eps_stab_undefined_for_ldgm(self, ldgm9):
         with pytest.raises(ThresholdUndefinedError):
@@ -328,8 +330,9 @@ class TestMaxwell:
         # root here, so the minimum is the interior one
         assert maxwell_threshold(ldpc8) < eps_stab(ldpc8)
 
-    def test_refuses_non_strict_stability_at_zero_boundary(self, ldgm9):
-        with pytest.raises(ThresholdUndefinedError):
+    def test_undefined_when_domain_reaches_non_fixed_zero(self, ldgm9):
+        # the boundary candidate at x -> 0 is eps_stab, which needs h(0) = 0
+        with pytest.raises(ThresholdUndefinedError, match="0 is not a fixed point"):
             maxwell_threshold(ldgm9)
 
     def test_isi_dual_route(self, isi36):
@@ -426,6 +429,26 @@ class TestReport:
         assert rep.eps_stab == 1.0
         assert rep.eps_c < 1.0
         assert abs(rep.eps_maxwell - rep.eps_c) <= 1e-6
+
+    def test_family_from_callables_alone(self, ldpc8):
+        # the stability threshold and the boundary candidate of the Maxwell
+        # threshold come from f_x and g_x, with no closed form supplied
+        names = ("f", "g", "f_x", "g_x", "g_xx", "f_eps", "g_eps",
+                 "F", "G", "F_eps", "G_eps")
+        bare = ParamSystem(**{n: getattr(ldpc8, n) for n in names},
+                           proper=True, zero_is_fixed_point=True)
+        rep = threshold_report(bare)
+        assert rep.eps_stab == pytest.approx(25.0 / 36.0, abs=1e-9)
+        assert rep.eps_maxwell == pytest.approx(0.62192946106121, abs=1e-8)
+
+    def test_continuous_transition_meets_stability(self):
+        # (2, 3)-regular: h = eps (2x - x^2), whose non-zero fixed point
+        # 2 - 1/eps grows from 0 at eps = 1/2, so all four thresholds are
+        # 1/2, which the value margins of eps_single and eps_c overshoot
+        # unless eps_stab caps them
+        rep = threshold_report(ldpc_system("x^2", "x^3"))
+        for value in (rep.eps_single, rep.eps_stab, rep.eps_c, rep.eps_maxwell):
+            assert value == pytest.approx(0.5, abs=1e-9)
 
     def test_ldgm_report_tags_undefined(self, ldgm9):
         rep = threshold_report(ldgm9)
