@@ -67,21 +67,22 @@ def U_s_prime(sys: ScalarSystem, x):
 def V_s(sys: ScalarSystem, y):
     """Half-iteration potential y f(y) - F(y) - G(f(y)).
 
-    Defined for systems whose f is strictly increasing (flagged on the
-    system); the swapped recursion y <- g(f(y)) shares its fixed points and
-    minimizers with the original through g.
+    Defined for systems whose f is strictly increasing, as measured on a
+    1000-point grid (ScalarSystem.strictly_increasing_f); the swapped
+    recursion y <- g(f(y)) shares its fixed points and minimizers with
+    the original through g.
     """
     if not sys.strictly_increasing_f:
         raise UnsupportedOperationError(
-            "half-iteration potential needs the strictly-increasing-f flag")
+            "half-iteration potential needs f strictly increasing on [0, y_max]")
     fy = sys.f(y)
     return y * fy - sys.F(y) - sys.G(fy)
 
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Minimizer set of a potential, with the (x, is_tangential) fixed points
-    of the update found by the same scan."""
+    """Minimizer set of a potential, with the fixed points of the update
+    found by the same scan."""
 
     x_lower: float
     x_upper: float
@@ -123,12 +124,12 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
                                 float(xs[i + 1]), x_tol))
     fixed_points = tuple(fixed_points_of(h_vec, x_max, grid_n))
-    cands.extend(x for x, _tang in fixed_points)
+    cands.extend(fixed_points)
 
     cand_arr = np.asarray(sorted(set(cands)), dtype=float)
     vals = np.asarray(u_vec(cand_arr), dtype=float)
     vmin = float(np.min(vals))
-    bisected = {x for x, _tang in fixed_points}
+    bisected = set(fixed_points)
     mins: list[float] = []
     for x, v in zip(cand_arr, vals):
         if v <= vmin + value_tol:
@@ -201,7 +202,7 @@ def _gap(sys: ScalarSystem, res: MinimizeResult, delta_offset: float) -> float:
     # refinement noise: a fixed point within 1e-9 of the minimizer is the
     # minimizer itself, not a point strictly above it
     cut = xbar + max(delta_offset, 1e-9)
-    gaps = [float(U_s(sys, x)) - base for x, _tang in res.fixed_points if x > cut]
+    gaps = [float(U_s(sys, x)) - base for x in res.fixed_points if x > cut]
     return min(gaps) if gaps else math.inf
 
 
@@ -265,7 +266,7 @@ def check_finite_w_conditions(sys: ScalarSystem, gamma: float = 1e-3,
         if np.all(np.asarray(sys.h(xs), dtype=float) < xs):
             return FiniteWCondition.FINITE_BY_STRICT_DESCENT
 
-    above = [x for x, _tang in res.fixed_points if x > xbar + 1e-9]
+    above = [x for x in res.fixed_points if x > xbar + 1e-9]
     if not above or min(above) > xbar + gamma:
         return FiniteWCondition.FINITE_BY_GAP
     return FiniteWCondition.UNKNOWN

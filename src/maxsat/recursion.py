@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,6 +57,9 @@ __all__ = [
 # Absolute slack allowed before a clamp is treated as a real domain violation.
 _CLAMP_TOL = 1e-9
 
+# Points of validate_system's grids of [0, x_max] and [0, y_max].
+_GRID_N = 1000
+
 # Tabulated antiderivatives: Chebyshev points per panel, absolute error
 # bound of the whole table, and the bisection depth and panel count at
 # which it gives up (where the integrand's own rounding exceeds the bound,
@@ -74,7 +78,7 @@ class ScalarSystem:
     closed form or tabulated once per system from f or g (make_system).
     The *_sup fields are optional exact suprema of |f'|, |g'|, |g''| over
     their domains; when absent a grid maximum (inflated by 1%) is used by
-    consumers that need them.
+    consumers that need them. strictly_increasing_f is measured from f.
     """
 
     f: Callable
@@ -89,12 +93,18 @@ class ScalarSystem:
     f_prime_sup: Optional[float] = None
     g_prime_sup: Optional[float] = None
     g_second_sup: Optional[float] = None
-    strictly_increasing_f: bool = False
     name: str = ""
 
     def h(self, x):
         """One uncoupled update f(g(x)) without domain checks."""
         return self.f(_clamp(self.g(x), 0.0, self.y_max))
+
+    @cached_property
+    def strictly_increasing_f(self) -> bool:
+        """Every increment of f on validate_system's _GRID_N-point grid of
+        [0, y_max] is positive; measured once per instance."""
+        fy = np.asarray(self.f(np.linspace(0.0, self.y_max, _GRID_N)), dtype=float)
+        return bool(np.all(np.diff(fy) > 0.0))
 
 
 @dataclass(frozen=True)
@@ -282,8 +292,7 @@ def _tabulated_antiderivative(fn, hi):
 
 def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
                 F=None, G=None, f_prime_sup=None, g_prime_sup=None,
-                g_second_sup=None, strictly_increasing_f=False, name="",
-                validate=True) -> ScalarSystem:
+                g_second_sup=None, name="", validate=True) -> ScalarSystem:
     """Assemble a ScalarSystem, filling gaps with finite differences and
     antiderivatives tabulated on [0, y_max] (F) and [0, x_max] (G) to an
     absolute error of 1e-11, then grid-check the invariants."""
@@ -301,7 +310,6 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
         f_prime_sup=f_prime_sup,
         g_prime_sup=g_prime_sup,
         g_second_sup=g_second_sup,
-        strictly_increasing_f=strictly_increasing_f,
         name=name,
     )
     if validate:
@@ -309,15 +317,27 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
     return sys
 
 
-def validate_system(sys: ScalarSystem, grid_n: int = 1000) -> None:
+def antiderivative_error(anti, fn, hi) -> float:
+    """Largest error of central differences of anti against fn at 19 points
+    of [0.05 hi, 0.95 hi], relative to |fn| with a floor of 1e-3. hi is a
+    scalar, or a column with one row per lane. Both validators accept an
+    error of at most 1e-5; a NaN is returned as NaN."""
+    pts = np.linspace(0.05, 0.95, 19) * hi
+    step = 1e-6 * hi
+    fd = (np.asarray(anti(pts + step)) - np.asarray(anti(pts - step))) / (2 * step)
+    ref = np.asarray(fn(pts), dtype=float)
+    return float(np.max(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-3), initial=0.0))
+
+
+def validate_system(sys: ScalarSystem) -> None:
     """Grid checks of the system invariants; raises ConstructionError.
 
     Every comparison is written so that a NaN fails it."""
     label = f"system {sys.name or '<anonymous>'}: "
     if not 0.0 < sys.x_max < np.inf:
         raise ConstructionError(label + f"x_max must be positive and finite, got {sys.x_max}")
-    xs = np.linspace(0.0, sys.x_max, grid_n)
-    ys = np.linspace(0.0, sys.y_max, grid_n)
+    xs = np.linspace(0.0, sys.x_max, _GRID_N)
+    ys = np.linspace(0.0, sys.y_max, _GRID_N)
     gx = np.asarray(sys.g(xs), dtype=float)
     fy = np.asarray(sys.f(ys), dtype=float)
     for name, vals in (("f", fy), ("g", gx)):
@@ -345,19 +365,13 @@ def validate_system(sys: ScalarSystem, grid_n: int = 1000) -> None:
     if not (np.min(gx) >= -_CLAMP_TOL and np.max(gx) <= sys.y_max + _CLAMP_TOL):
         problems.append("g does not map [0, x_max] into [0, y_max]")
 
-    # F and G finite on the grids, F' = f and G' = g to a relative
-    # tolerance of 1e-6 with an absolute floor
+    # F and G finite on the grids, F' = f and G' = g
     def check_anti(anti, fn, grid, name):
         if not np.all(np.isfinite(np.asarray(anti(grid), dtype=float))):
             problems.append(f"{name} is not finite on its grid")
-        hi = grid[-1]
-        pts = np.linspace(hi * 0.05, hi * 0.95, 19)
-        step = hi * 1e-6
-        fd = (np.asarray(anti(pts + step)) - np.asarray(anti(pts - step))) / (2 * step)
-        ref = np.asarray(fn(pts), dtype=float)
-        err = np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-3)
-        if not np.max(err) <= 1e-5:
-            problems.append(f"{name}' vs {name.lower()} mismatch: max rel err {np.max(err):.2e}")
+        err = antiderivative_error(anti, fn, grid[-1])
+        if not err <= 1e-5:
+            problems.append(f"{name}' vs {name.lower()} mismatch: max rel err {err:.2e}")
 
     if sys.y_max > 0:
         check_anti(sys.F, sys.f, ys, "F")
@@ -517,7 +531,6 @@ def translate_system(sys: ScalarSystem, x_tilde: float) -> ScalarSystem:
         f_prime_sup=sys.f_prime_sup,
         g_prime_sup=sys.g_prime_sup,
         g_second_sup=sys.g_second_sup,
-        strictly_increasing_f=sys.strictly_increasing_f,
         name=f"{sys.name}~{x_tilde:g}" if sys.name else "",
     )
 
@@ -527,32 +540,26 @@ def _refine_tangential(d, lo, hi, tol=1e-12) -> float:
 
 
 def fixed_points_of(h, x_max: float, grid_n: int = 10**4,
-                    tangent_tol: float = 1e-9):
+                    tangent_tol: float = 1e-9) -> list:
     """Scan x - h(x) on a grid for roots.
 
     Sign changes are refined by bisection to 1e-12; local minima of |x - h(x)|
-    below tangent_tol that do not bracket a sign change are refined by
-    golden section and flagged tangential. Returns a list of
-    (x, is_tangential), sorted and deduplicated.
+    below tangent_tol that do not bracket a sign change (grazing roots) are
+    refined by golden section. Returns the roots sorted and deduplicated.
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
     xs = np.linspace(0.0, x_max, int(grid_n))
     d = np.asarray(h(xs), dtype=float)
     d = xs - d
-    found: list[tuple[float, bool]] = []
 
     def dfun(x):
         return float(x - h(x))
 
-    zero_nodes = np.where(d == 0.0)[0]
-    for i in zero_nodes:
-        found.append((float(xs[i]), False))
-
+    found = [float(x) for x in xs[d == 0.0]]
     prod = d[:-1] * d[1:]
     for i in np.where(prod < 0.0)[0]:
-        root = bisect_root(dfun, float(xs[i]), float(xs[i + 1]), tol=1e-12)
-        found.append((root, False))
+        found.append(bisect_root(dfun, float(xs[i]), float(xs[i + 1]), tol=1e-12))
 
     crossing_cells = set(np.where(prod <= 0.0)[0])
     absd = np.abs(d)
@@ -566,25 +573,18 @@ def fixed_points_of(h, x_max: float, grid_n: int = 10**4,
             continue
         x = _refine_tangential(dfun, float(xs[i - 1]), float(xs[i + 1]))
         if abs(dfun(x)) < tangent_tol:
-            found.append((x, True))
+            found.append(x)
 
     found.sort()
-    out: list[tuple[float, bool]] = []
-    for x, tang in found:
-        if out and abs(x - out[-1][0]) <= 1e-9:
+    out: list[float] = []
+    for x in found:
+        if out and abs(x - out[-1]) <= 1e-9:
             continue
-        out.append((x, tang))
+        out.append(x)
     return out
 
 
-def enumerate_fixed_points(sys: ScalarSystem, grid_n: int = 10**4,
-                           with_flags: bool = False):
-    """All fixed points of h(x) = f(g(x)) on [0, x_max], sorted ascending.
-
-    With with_flags=True each entry is (x, is_tangential); tangential points
-    are grazing roots that bisection cannot bracket.
-    """
-    pts = fixed_points_of(sys.h, sys.x_max, grid_n)
-    if with_flags:
-        return pts
-    return [x for x, _ in pts]
+def enumerate_fixed_points(sys: ScalarSystem, grid_n: int = 10**4) -> list:
+    """All fixed points of h(x) = f(g(x)) on [0, x_max], sorted ascending,
+    grazing roots that bisection cannot bracket included."""
+    return fixed_points_of(sys.h, sys.x_max, grid_n)

@@ -153,15 +153,12 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
         F=lambda x, e: e * Ln(x) / Lp1,
         F_eps=lambda x, e: Ln(x) / Lp1,
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
-        proper=True,
-        zero_is_fixed_point=float(lam(0.0)) == 0.0,
         exit_fn=lambda x, e: Ln(1.0 - rho(1.0 - x)),
         eps_of_x_closed=eps_closed,
         trial_entropy=trial_entropy,
         sup_f_x=lambda e: e * float(lam_p(1.0)),
         sup_g_x=lambda e: rp1,
         sup_g_xx=lambda e: float(rho_pp(1.0)),
-        slice_strict_f=lambda e: e > 0.0,
         name="ldpc",
     )
     validate_param_system(psys)
@@ -193,7 +190,9 @@ def ldgm_system(L: Union[DegreeDistribution, PolyLike],
     Zero is not a fixed point for eps > 0 (no perfect-decoding state), so
     the potential threshold is reported undefined and the inverse-envelope
     threshold is the meaningful quantity. eps(x) is closed-form through the
-    inverse of lam.
+    inverse of lam. Without degree-1 checks (rho(0) = 0) h_eps vanishes
+    at x = 1, so the family is not proper and the Maxwell and
+    inverse-envelope thresholds are undefined.
     """
     lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
     lam_inv = _poly_inverse(lam)
@@ -214,14 +213,11 @@ def ldgm_system(L: Union[DegreeDistribution, PolyLike],
         G=lambda x, e: x - (1.0 - e) * (1.0 - Rn(1.0 - x)) / Rp1,
         F_eps=lambda x, e: 0.0,
         G_eps=lambda x, e: (1.0 - Rn(1.0 - x)) / Rp1,
-        proper=True,
-        zero_is_fixed_point=False,
         exit_fn=lambda x, e: 1.0 - Rn(1.0 - x),
         eps_of_x_closed=eps_closed if float(rho(0.0)) > 0.0 else None,
         sup_f_x=lambda e: float(lam_p(1.0 - (1.0 - e) * float(rho(0.0)))),
         sup_g_x=lambda e: (1.0 - e) * rp1,
         sup_g_xx=lambda e: (1.0 - e) * float(rho_pp(1.0)),
-        slice_strict_f=lambda e: True,
         name="ldgm",
     )
     validate_param_system(psys)
@@ -331,15 +327,12 @@ def gldpc_system(params: GldpcParams) -> ParamSystem:
         G=lambda x, e: G(x),
         F_eps=lambda x, e: 0.5 * x * x,
         G_eps=lambda x, e: 0.0,
-        proper=True,
-        zero_is_fixed_point=True,
         exit_fn=lambda x, e: g(x) ** 2,
         eps_of_x_closed=lambda x: x / g(x),
         trial_entropy=lambda x: 2.0 * G(x) - x * g(x),
         trial_entropy_prime=lambda x: g(x) - x * g_prime(x),
         sup_f_x=lambda e: e,
         sup_g_x=lambda e: gp_sup,
-        slice_strict_f=lambda e: e > 0.0,
         name=f"gldpc(n={n},t={t})",
     )
     validate_param_system(psys)
@@ -415,10 +408,7 @@ def isi_system(L: Union[DegreeDistribution, PolyLike],
         F=lambda x, e: Phi(Ln(x), e) / Lp1,
         F_eps=lambda x, e: Phi_eps(Ln(x), e) / Lp1,
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
-        proper=True,
-        zero_is_fixed_point=float(lam(0.0)) == 0.0,
         exit_fn=lambda x, e: Phi_eps(Ln(1.0 - rho(1.0 - x)), e),
-        slice_strict_f=lambda e: e > 0.0,
         name="isi",
     )
     validate_param_system(psys)
@@ -573,9 +563,6 @@ def cs_system(params: CsParams, use_closed_form_F: bool = False) -> ScalarSystem
         F=F, G=G,
         g_prime_sup=(1.0 / delta) / s2**2,
         g_second_sup=(2.0 / delta**2) / s2**3,
-        strictly_increasing_f=isinstance(prior, GaussianPrior)
-        or (isinstance(prior, TwoPointPrior) and 0.0 < prior.rho_s < 1.0
-            and prior.mass != 0.0),
         name="cs-gaussian" if isinstance(prior, GaussianPrior) else "cs-two-point",
     )
 
@@ -599,7 +586,6 @@ def example1_system() -> ScalarSystem:
         f_prime_sup=1.94,
         g_prime_sup=2.0,
         g_second_sup=2.0,
-        strictly_increasing_f=True,
         name="example1",
     )
 
@@ -628,7 +614,6 @@ def example2_system() -> ScalarSystem:
         f_prime_sup=5.0 * y_max**4,
         g_prime_sup=0.5 * float(rho_p(1.0)),
         g_second_sup=0.5 * float(rho_pp(1.0)),
-        strictly_increasing_f=True,
         name="example2",
     )
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import ConstructionError, DomainError, ThresholdUndefinedError
 from .numerics import bisect_root, bisect_sup
 from .potential import MinimizeResult, minimize_potential
-from .recursion import ScalarSystem, make_system, tabulated_integral
+from .recursion import ScalarSystem, antiderivative_error, make_system, tabulated_integral
 
 __all__ = [
     "ParamSystem",
@@ -59,16 +60,25 @@ __all__ = [
 ]
 
 
+def _grid(psys: ParamSystem):
+    """validate_param_system's grid, on which ParamSystem measures its
+    structural facts too: (X, E) of shape (201, 9), with row 0 at x = 0
+    and column 0 at eps = 0."""
+    return np.meshgrid(np.linspace(0.0, psys.x_max, 201),
+                       np.linspace(0.0, psys.eps_max, 9), indexing="ij")
+
+
 @dataclass(frozen=True)
 class ParamSystem:
     """Family of scalar systems indexed by a parameter eps in [0, eps_max].
 
-    A family declares two structural facts, which validate_param_system
-    grid-checks: ``proper`` means the update h = f(g(.)) is strictly
-    increasing in eps on the open x-domain, ``zero_is_fixed_point`` means
-    h(0; eps) = 0 for every eps. Everything else about the zero state,
-    such as its stability threshold, is computed from f_x and g_x; the
-    optional fields are closed forms and bounds.
+    Two structural facts the thresholds need are measured once per
+    instance on validate_param_system's 201 x 9 grid (_grid): ``proper``,
+    h_eps > 0 on its interior x > 0, eps > 0 (the update grows strictly
+    with eps), and ``zero_is_fixed_point``, |h(0; eps)| <= 1e-12 at its 9
+    values of eps. Everything else about the zero state, such as its
+    stability threshold, is computed from f_x and g_x; the optional
+    fields are closed forms and bounds.
 
     The callables are elementwise (module docstring): f, g, F, G and
     exit_fn return the shape of x, and each partial any value that
@@ -89,8 +99,6 @@ class ParamSystem:
     G_eps: Callable
     x_max: float = 1.0
     eps_max: float = 1.0
-    proper: bool = False
-    zero_is_fixed_point: bool = False
     exit_fn: Optional[Callable] = None
     eps_of_x_closed: Optional[Callable] = None
     trial_entropy: Optional[Callable] = None
@@ -98,8 +106,19 @@ class ParamSystem:
     sup_f_x: Optional[Callable] = None
     sup_g_x: Optional[Callable] = None
     sup_g_xx: Optional[Callable] = None
-    slice_strict_f: Optional[Callable] = None
     name: str = ""
+
+    @cached_property
+    def proper(self) -> bool:
+        """h_eps > 0 on the interior (x > 0, eps > 0) of the grid."""
+        X, E = _grid(self)
+        return bool(np.all(np.asarray(self.h_eps(X[1:, 1:], E[1:, 1:]), dtype=float) > 0.0))
+
+    @cached_property
+    def zero_is_fixed_point(self) -> bool:
+        """|h(0; eps)| <= 1e-12 at the grid values of eps."""
+        X, E = _grid(self)
+        return bool(np.all(np.abs(np.asarray(self.h(X[0], E[0]), dtype=float)) <= 1e-12))
 
     def h(self, x, eps):
         return self.f(self.g(x, eps), eps)
@@ -138,7 +157,6 @@ class ParamSystem:
         e = float(eps)
         if not 0.0 <= e <= self.eps_max:
             raise DomainError(f"eps={e} outside [0, {self.eps_max}]")
-        strict_f = bool(self.slice_strict_f(e)) if self.slice_strict_f else False
         return make_system(
             f=lambda y, _e=e: self.f(y, _e),
             g=lambda x, _e=e: self.g(x, _e),
@@ -151,27 +169,25 @@ class ParamSystem:
             f_prime_sup=self.sup_f_x(e) if self.sup_f_x else None,
             g_prime_sup=self.sup_g_x(e) if self.sup_g_x else None,
             g_second_sup=self.sup_g_xx(e) if self.sup_g_xx else None,
-            strictly_increasing_f=strict_f,
             name=f"{self.name}@eps={e:g}" if self.name else f"@eps={e:g}",
             validate=validate,
         )
 
 
-def validate_param_system(psys: ParamSystem, nx: int = 201, ne: int = 9) -> None:
+def validate_param_system(psys: ParamSystem) -> None:
     """Grid admissibility checks for a family; raises ConstructionError.
 
-    Monotonicity in x and eps, strict increase of g in x, non-negative and
-    x-non-decreasing F_eps / G_eps, (when flagged proper) positivity of
-    the eps-partial of the update on the open domain, and (when flagged
-    zero_is_fixed_point) |h(0; eps)| <= 1e-12 on the eps grid. eps = 0 is
-    excluded from the properness grid since several families are
-    degenerate exactly at zero. Non-finite samples of f, g, F_eps or G_eps
-    fail, and so does a NaN slope.
+    On the 201 x 9 grid of [0, x_max] x [0, eps_max] (_grid): f and g
+    non-decreasing in x and eps, g_x > 0 at interior points, F_eps and
+    G_eps non-negative and non-decreasing in x, and on each eps lane
+    F_x = f on [0, g(x_max; eps)] and G_x = g on [0, x_max] by central
+    differences, as in validate_system (antiderivative_error). Non-finite
+    samples of f, g, F_eps, G_eps, or of h_eps on the interior x > 0,
+    eps > 0, fail, and so does a NaN slope. proper and
+    zero_is_fixed_point are measured on the same grid, not checked.
     """
     problems = []
-    xs = np.linspace(0.0, psys.x_max, nx)
-    es = np.linspace(0.0, psys.eps_max, ne)
-    X, E = np.meshgrid(xs, es, indexing="ij")
+    X, E = _grid(psys)
 
     label = f"family {psys.name or '<anonymous>'}: "
     gx = np.asarray(psys.g(X, E), dtype=float)
@@ -183,8 +199,9 @@ def validate_param_system(psys: ParamSystem, nx: int = 201, ne: int = 9) -> None
     # a constant partial may come back as a float
     fe = np.broadcast_to(np.asarray(psys.F_eps(X, E), dtype=float), X.shape)
     ge = np.broadcast_to(np.asarray(psys.G_eps(X, E), dtype=float), X.shape)
+    he = np.asarray(psys.h_eps(X[1:, 1:], E[1:, 1:]), dtype=float)
     # NaN passes every `<` test below, so non-finite samples fail first
-    for name, vals in (("f", fx), ("g", gx), ("F_eps", fe), ("G_eps", ge)):
+    for name, vals in (("f", fx), ("g", gx), ("F_eps", fe), ("G_eps", ge), ("h_eps", he)):
         if not np.all(np.isfinite(vals)):
             raise ConstructionError(label + f"{name} is not finite on the grid")
 
@@ -198,29 +215,25 @@ def validate_param_system(psys: ParamSystem, nx: int = 201, ne: int = 9) -> None
         problems.append("g' not positive on the interior grid")
     if np.min(np.diff(fx, axis=0)) < -1e-9:
         problems.append("f decreasing in x")
-    if ne > 1:
-        if np.min(np.diff(gx, axis=1)) < -1e-9:
-            problems.append("g decreasing in eps")
-        if np.min(np.diff(fx, axis=1)) < -1e-9:
-            problems.append("f decreasing in eps")
+    if np.min(np.diff(gx, axis=1)) < -1e-9:
+        problems.append("g decreasing in eps")
+    if np.min(np.diff(fx, axis=1)) < -1e-9:
+        problems.append("f decreasing in eps")
 
     if np.min(fe) < -1e-9 or np.min(ge) < -1e-9:
         problems.append("F_eps or G_eps negative")
     if np.min(np.diff(fe, axis=0)) < -1e-9 or np.min(np.diff(ge, axis=0)) < -1e-9:
         problems.append("F_eps or G_eps decreasing in x")
 
-    if psys.proper:
-        xi = xs[xs > 0]
-        ei = es[es > 0]
-        Xi, Ei = np.meshgrid(xi, ei, indexing="ij")
-        he = np.asarray(psys.h_eps(Xi, Ei), dtype=float)
-        if not np.min(he) > 0.0:
-            problems.append("proper flag set but h_eps not positive on the interior grid")
-
-    if psys.zero_is_fixed_point:
-        h0 = np.asarray(psys.h(np.zeros_like(es), es), dtype=float)
-        if not np.max(np.abs(h0)) <= 1e-12:
-            problems.append("zero_is_fixed_point flag set but h(0; eps) != 0 on the grid")
+    # F_x = f and G_x = g on each eps lane; F only where its y-range
+    # [0, g(x_max; eps)] is not empty
+    es, y_hi = E[0][:, None], gx[-1][:, None]
+    keep = y_hi[:, 0] > 0.0
+    for name, anti, fn, hi, lane in (("F", psys.F, psys.f, y_hi[keep], es[keep]),
+                                     ("G", psys.G, psys.g, np.full_like(es, psys.x_max), es)):
+        err = antiderivative_error(lambda y: anti(y, lane), lambda y: fn(y, lane), hi)
+        if not err <= 1e-5:
+            problems.append(f"{name}_x vs {name.lower()} mismatch: max rel err {err:.2e}")
 
     if problems:
         raise ConstructionError(label + "; ".join(problems))
@@ -430,7 +443,10 @@ def maxwell_threshold(psys: ParamSystem, tol: float = 1e-9,
     """Smallest eps(x) over roots of the fixed-point potential Q on the
     closure of the fixed-point domain; the boundary value at x -> 0 is the
     stability threshold when the domain reaches down to zero, and the
-    threshold is undefined with it when 0 is not a fixed point."""
+    threshold is undefined with it when 0 is not a fixed point. When 0 is
+    a fixed point and Q > 0 at every sample of the domain, no fixed point
+    undercuts the zero state up to eps_max, which is returned, as eps_c
+    returns the sup of its predicate."""
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys, grid_n)
@@ -438,11 +454,13 @@ def maxwell_threshold(psys: ParamSystem, tol: float = 1e-9,
         raise ThresholdUndefinedError("empty fixed-point domain")
 
     candidates: list[float] = []
+    q_positive = True
     if touches_zero:
         candidates.append(eps_stab(psys))
     for lo, hi in intervals:
         xs = np.linspace(lo, hi, grid_n)
         q = np.asarray(Q_of_x(psys, xs), dtype=float)
+        q_positive = q_positive and bool(np.all(q > 0.0))
         for i in np.where(q[:-1] * q[1:] < 0.0)[0]:
             xr = bisect_root(lambda x: float(Q_of_x(psys, x)),
                              float(xs[i]), float(xs[i + 1]), tol=1e-12)
@@ -450,6 +468,8 @@ def maxwell_threshold(psys: ParamSystem, tol: float = 1e-9,
         for i in np.where(q == 0.0)[0]:
             candidates.append(eps_of_x(psys, float(xs[i])))
     if not candidates:
+        if q_positive and psys.zero_is_fixed_point:
+            return psys.eps_max
         raise ThresholdUndefinedError("fixed-point potential has no root")
     return min(candidates)
 

@@ -89,9 +89,10 @@ def node_profile(draw, required):
 @st.composite
 def family_draw(draw):
     """A builder with a degree profile pair it accepts: g' > 0 inside the
-    domain needs a check degree of at least 2; ldgm's h_eps > 0 up to
-    x = 1 also needs degree-1 checks (rho(0) > 0) and a bit degree of at
-    least 2."""
+    domain needs a check degree of at least 2. ldgm draws degree-1 checks
+    (rho(0) > 0) and a bit degree of at least 2, which keep h_eps > 0 up
+    to x = 1, so the drawn ldgm families are proper; without them one
+    builds as a non-proper family."""
     builder = draw(st.sampled_from([ldpc_system, ldgm_system, isi_system]))
     top = draw(st.integers(2, 8))
     if builder is ldgm_system:
@@ -148,3 +149,6 @@ def test_random_profiles_stability_and_threshold_order(case):
     rep = threshold_report(psys, tol)
     if rep.eps_single is not None and rep.eps_c is not None:
         assert rep.eps_single <= rep.eps_c + 10 * tol
+    if rep.eps_c is not None:
+        assert rep.eps_maxwell is not None
+        assert abs(rep.eps_c - rep.eps_maxwell) <= 1e-8

@@ -40,6 +40,7 @@ from maxsat.systems import (
     cs_system,
     example1_system,
     example2_system,
+    ldpc_system,
     pathological_system,
 )
 
@@ -132,8 +133,17 @@ class TestHalfIteration:
         assert abs(y_star - ex1.g(x_star)) <= 1e-4
 
     def test_requires_flag(self, path):
-        with pytest.raises(UnsupportedOperationError):
-            V_s(path, 0.1)
+        # measured on the 1000-point grid of [0, y_max]: the pathological f
+        # rises by at least 2e-6 per step, ldpc with lam = 1 has f = eps,
+        # and the cs two-point f is flat on 972 of 999 steps
+        assert path.strictly_increasing_f
+        for x in enumerate_fixed_points(path)[:8]:
+            assert V_s(path, path.g(x)) == pytest.approx(U_s(path, x), abs=1e-14)
+        flat = (ldpc_system("x", "x^3").at_eps(0.5),
+                cs_system(CsParams(TwoPointPrior(1.0, 0.1), 1e-4, 0.44)))
+        for s in flat:
+            with pytest.raises(UnsupportedOperationError):
+                V_s(s, 0.1)
 
 
 class TestMinimize:
@@ -330,7 +340,7 @@ class TestSingleScan:
 
     def test_minimize_keeps_fixed_points(self, ex2):
         res = minimize_Us(ex2)
-        assert res.fixed_points == tuple(enumerate_fixed_points(ex2, with_flags=True))
+        assert res.fixed_points == tuple(enumerate_fixed_points(ex2))
 
     def test_report_equals_parts(self, ex2):
         rep = potential_report(ex2)

@@ -288,7 +288,7 @@ class TestEnumerate:
         pts = [x for x in enumerate_fixed_points(s, 200000) if 0.01 <= x <= 0.1]
         assert len(pts) >= 5
 
-    def test_tangential_root_flagged(self):
+    def test_tangential_root_found(self):
         # h(x) - x = -x (x - 1/2)^2 / 2 grazes zero at 1/2 without a sign
         # change; bisection cannot bracket it, the |d| refinement finds it
         k = 0.5
@@ -297,11 +297,10 @@ class TestEnumerate:
                         f_prime=lambda x: 1.0 - k * ((x - 0.5) ** 2 + 2 * x * (x - 0.5)),
                         g_prime=lambda x: 1.0 + 0.0 * x,
                         g_second=lambda x: 0.0 * x)
-        pts = enumerate_fixed_points(s, with_flags=True)
-        assert (0.0, False) == pts[0]
-        tang = [x for x, flag in pts if flag]
-        assert len(tang) == 1
-        assert tang[0] == pytest.approx(0.5, abs=1e-4)
+        pts = enumerate_fixed_points(s)
+        assert pts[0] == 0.0
+        assert len(pts) == 2
+        assert pts[1] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_make_system_rejects_decreasing_g():

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import betainc as scipy_betainc
 from scipy.stats import beta as scipy_beta
 
-from maxsat.errors import ConstructionError, DomainError
+from maxsat.errors import ConstructionError, DomainError, ThresholdUndefinedError
 from maxsat.invariants import gldpc_trial_entropy_signs
 from maxsat.potential import U_s, minimize_Us
 from maxsat.recursion import uncoupled_fixed_point
@@ -27,7 +27,7 @@ from maxsat.systems import (
     mmse_two_point,
     pathological_system,
 )
-from maxsat.thresholds import Psi, Q_of_x, eps_of_x
+from maxsat.thresholds import Psi, Q_of_x, eps_of_x, inverse_Psi_threshold, maxwell_threshold
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -132,6 +132,16 @@ class TestLdgm:
     def test_zero_not_fixed_point(self, ldgm9):
         assert not ldgm9.zero_is_fixed_point
         assert float(ldgm9.h(0.0, 0.3)) > 0.0
+
+    def test_without_degree_one_checks_not_proper(self):
+        # rho(0) = 0, so h_eps = lam'(g) rho(1-x) vanishes at x = 1: the
+        # family builds, and the thresholds that need properness are undefined
+        psys = ldgm_system("x^3", "x^4")
+        assert not psys.proper and not psys.zero_is_fixed_point
+        with pytest.raises(ThresholdUndefinedError):
+            maxwell_threshold(psys)
+        with pytest.raises(ThresholdUndefinedError):
+            inverse_Psi_threshold(psys, 0.5)
 
     def test_eps_of_x_closed_matches_fixed_point(self, ldgm9):
         for x in (0.3, 0.6, 0.9):

@@ -127,7 +127,7 @@ def test_validate_rejects_constant_map(gldpc31, name):
 @pytest.mark.parametrize("name,match", [
     ("f", "f is not finite"), ("g", "g is not finite"), ("F_eps", "F_eps is not finite"),
     ("G_eps", "G_eps is not finite"), ("g_x", "g' not positive"),
-    ("g_eps", "h_eps not positive"),
+    ("g_eps", "h_eps is not finite"),
 ], ids=["f", "g", "F_eps", "G_eps", "g_x", "g_eps"])
 def test_validate_rejects_nan_samples(ldpc8, name, match):
     # NaN on half the grid: min() of an array holding NaN is NaN, which
@@ -139,10 +139,14 @@ def test_validate_rejects_nan_samples(ldpc8, name, match):
         validate_param_system(bad)
 
 
-def test_validate_rejects_false_zero_fixed_point(ldgm9):
-    # h(0; eps) = lam(eps) > 0 for eps > 0
-    bad = dataclasses.replace(ldgm9, zero_is_fixed_point=True)
-    with pytest.raises(ConstructionError, match="zero_is_fixed_point"):
+@pytest.mark.parametrize("name,wrong,match", [
+    ("F", lambda F: lambda x, e: 1.5 * F(x, e), "F_x vs f"),
+    ("G", lambda G: lambda x, e: G(x, e) + 0.1 * x * x, "G_x vs g"),
+], ids=["F", "G"])
+def test_validate_rejects_wrong_antiderivative(ldpc8, name, wrong, match):
+    # either one alone moves eps_c from 0.62193 to 0.4146 (F) or 0.2318 (G)
+    bad = dataclasses.replace(ldpc8, **{name: wrong(getattr(ldpc8, name))})
+    with pytest.raises(ConstructionError, match=match):
         validate_param_system(bad)
 
 
@@ -165,7 +169,7 @@ class TestSingleAndStability:
             f_eps=lambda x, e: 0.0 * x + 0.0 * e,
             F=lambda x, e: 0.0 * x + 0.0 * e,
             F_eps=lambda x, e: 0.0 * x + 0.0 * e,
-            eps_of_x_closed=None, proper=False)
+            eps_of_x_closed=None)
         assert eps_single(frozen) == frozen.eps_max
 
     def test_eps_stab_closed_form(self, ldpc8):
@@ -435,8 +439,8 @@ class TestReport:
         # threshold come from f_x and g_x, with no closed form supplied
         names = ("f", "g", "f_x", "g_x", "g_xx", "f_eps", "g_eps",
                  "F", "G", "F_eps", "G_eps")
-        bare = ParamSystem(**{n: getattr(ldpc8, n) for n in names},
-                           proper=True, zero_is_fixed_point=True)
+        bare = ParamSystem(**{n: getattr(ldpc8, n) for n in names})
+        assert bare.proper and bare.zero_is_fixed_point
         rep = threshold_report(bare)
         assert rep.eps_stab == pytest.approx(25.0 / 36.0, abs=1e-9)
         assert rep.eps_maxwell == pytest.approx(0.62192946106121, abs=1e-8)
@@ -449,6 +453,14 @@ class TestReport:
         rep = threshold_report(ldpc_system("x^2", "x^3"))
         for value in (rep.eps_single, rep.eps_stab, rep.eps_c, rep.eps_maxwell):
             assert value == pytest.approx(0.5, abs=1e-9)
+
+    def test_maxwell_is_eps_max_when_q_stays_positive(self):
+        # the potential never goes negative, so eps_c = eps_max; the
+        # fixed-point domain is about [0.262, 1] with Q in [0.0065, 0.067]
+        psys = isi_system("0.185893 x^3 + 0.814107 x^6", "0.185893 x^2 + 0.814107 x^6")
+        rep = threshold_report(psys)
+        assert rep.eps_c == 1.0
+        assert rep.eps_maxwell == 1.0
 
     def test_ldgm_report_tags_undefined(self, ldgm9):
         rep = threshold_report(ldgm9)
