@@ -12,7 +12,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,8 +33,15 @@ __all__ = [
 class Polynomial:
     """Real polynomial stored as ascending-degree coefficients.
 
-    Evaluation is Horner's rule and works elementwise on numpy arrays;
-    derivative and antiderivative are exact in the coefficients.
+    Evaluation is Horner's rule, elementwise on numpy arrays, with the zero
+    coefficients skipped: between two non-zero coefficients it multiplies
+    by x once per degree and adds nothing, since r*x + 0.0 == r*x. So a
+    sparse profile such as a degree-20 lam with 4 terms costs 24 array
+    passes instead of 42, and the result is bit-identical to the dense rule
+    at every finite x. A Python float takes the dense loop, which is the
+    cheaper one per scalar and rounds the same. Writing the gaps as x**k or
+    the sum as monomials would be cheaper still but changes the last bits.
+    Derivative and antiderivative are exact in the coefficients.
     """
 
     coeffs: tuple
@@ -45,10 +52,38 @@ class Polynomial:
         else:
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
+    @cached_property
+    def _horner_steps(self) -> tuple:
+        """The top non-zero coefficient and, below it, one (multiplications
+        by x, coefficient added) pair per non-zero coefficient. A last pair
+        adds 0.0 after the multiplications down to degree 0, as the dense
+        rule does, which turns a -0.0 into 0.0. The first pair leaves out
+        the multiplication that makes the result array."""
+        terms = [(d, c) for d, c in enumerate(self.coeffs) if c != 0.0][::-1]
+        if not terms:
+            return 0.0, ()
+        if terms[-1][0] > 0:
+            terms.append((0, 0.0))
+        gaps = [hi - lo for (hi, _), (lo, _) in zip(terms, terms[1:])]
+        if gaps:
+            gaps[0] -= 1
+        return terms[0][1], tuple(zip(gaps, (c for _, c in terms[1:])))
+
     def __call__(self, x):
-        r = 0.0
-        for c in reversed(self.coeffs):
-            r = r * x + c
+        if isinstance(x, float):
+            r = 0.0
+            for c in reversed(self.coeffs):
+                r = r * x + c
+            return r
+        lead, steps = self._horner_steps
+        if not steps:
+            return 0.0 * x + lead
+        # a new array, so the steps below can work in place
+        r = lead * x
+        for mults, c in steps:
+            for _ in range(mults):
+                r *= x
+            r += c
         return r
 
     @property

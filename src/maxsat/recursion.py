@@ -166,13 +166,19 @@ class CoupledRun:
 
 
 def _clamp(values, lo, hi, what: str = "value"):
+    """values clipped to [lo, hi], as a float for a scalar; raises
+    DomainError beyond _CLAMP_TOL outside. Values already in range come
+    back without a copy, so callers must not write to the result. A NaN
+    passes and forces the clip, whose output keeps it."""
     arr = np.asarray(values, dtype=float)
-    over = float(np.max(arr - hi, initial=0.0))
-    under = float(np.max(lo - arr, initial=0.0))
+    top = float(arr.max(initial=-np.inf))
+    bottom = float(arr.min(initial=np.inf))
+    over, under = top - hi, lo - bottom
     if over > _CLAMP_TOL or under > _CLAMP_TOL:
         raise DomainError(f"{what} escapes [{lo}, {hi}] by {max(over, under):.3e}")
-    clipped = np.clip(arr, lo, hi)
-    return float(clipped) if np.ndim(values) == 0 else clipped
+    if not (lo <= bottom and top <= hi):
+        arr = np.clip(arr, lo, hi)
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def _fd_derivative(fn, lo, hi, step=1e-7):

@@ -447,6 +447,11 @@ def maxwell_threshold(psys: ParamSystem, tol: float = 1e-9,
     a fixed point and Q > 0 at every sample of the domain, no fixed point
     undercuts the zero state up to eps_max, which is returned, as eps_c
     returns the sup of its predicate."""
+    return _maxwell(psys, grid_n)[0]
+
+
+def _maxwell(psys: ParamSystem, grid_n: int = 10**4) -> tuple:
+    """maxwell_threshold and the note saying which rule gave it."""
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys, grid_n)
@@ -469,9 +474,9 @@ def maxwell_threshold(psys: ParamSystem, tol: float = 1e-9,
             candidates.append(eps_of_x(psys, float(xs[i])))
     if not candidates:
         if q_positive and psys.zero_is_fixed_point:
-            return psys.eps_max
+            return psys.eps_max, "eps_max: Q > 0 on the whole fixed-point domain"
         raise ThresholdUndefinedError("fixed-point potential has no root")
-    return min(candidates)
+    return min(candidates), "min eps(x) over roots of the fixed-point potential"
 
 
 def psi_exit(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
@@ -623,22 +628,20 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     values = {}
     notes = []
 
-    def attempt(name, fn, how):
+    def attempt(name, fn):
+        """fn returns the threshold and the note saying how it was found."""
         try:
-            values[name] = fn()
+            values[name], how = fn()
             notes.append((name, how))
         except ThresholdUndefinedError as exc:
             values[name] = None
             notes.append((name, f"undefined: {exc}"))
 
-    attempt("eps_single", lambda: eps_single(psys, tol),
-            "bisection on h(x;eps)<x over a 1e4 grid")
-    attempt("eps_stab", lambda: eps_stab(psys, tol),
-            "root of h'(0;eps)=1")
-    attempt("eps_c", lambda: eps_c(psys, tol),
-            "bisection on min_x U_s(x;eps) >= 0")
-    attempt("eps_maxwell", lambda: maxwell_threshold(psys, tol),
-            "min eps(x) over roots of the fixed-point potential")
+    attempt("eps_single", lambda: (eps_single(psys, tol),
+                                   "bisection on h(x;eps)<x over a 1e4 grid"))
+    attempt("eps_stab", lambda: (eps_stab(psys, tol), "root of h'(0;eps)=1"))
+    attempt("eps_c", lambda: (eps_c(psys, tol), "bisection on min_x U_s(x;eps) >= 0"))
+    attempt("eps_maxwell", lambda: _maxwell(psys))
 
     ec, es_ = values["eps_c"], values["eps_stab"]
     if ec is not None and es_ is not None and ec > es_ + 10 * tol:

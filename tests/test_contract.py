@@ -3,8 +3,9 @@
 x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values in
 one call: maps return (K, M), partials broadcast to it, and row k equals
 the call with the scalar eps[k, 0] bit for bit. On random degree profiles
-the families also keep potential descent, and their thresholds computed
-from these callables match coefficient oracles and stay ordered.
+the families also keep potential descent and symmetric, unimodal coupled
+iterates, and their thresholds computed from these callables match
+coefficient oracles and stay ordered.
 """
 
 import numpy as np
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxsat.errors import ThresholdUndefinedError
-from maxsat.invariants import potential_descent
+from maxsat.invariants import coupled_symmetric_unimodal, potential_descent
+from maxsat.recursion import CouplingSpec
 from maxsat.systems import (
     DegreeDistribution,
     GldpcParams,
@@ -152,3 +154,19 @@ def test_random_profiles_stability_and_threshold_order(case):
     if rep.eps_c is not None:
         assert rep.eps_maxwell is not None
         assert abs(rep.eps_c - rep.eps_maxwell) <= 1e-8
+
+
+@st.composite
+def gldpc_draw(draw):
+    n = draw(st.sampled_from([15, 31, 63]))
+    return gldpc_system(GldpcParams(n, draw(st.integers(2, (n - 1) // 2))))
+
+
+# from the all-x_max start every coupled iterate is symmetric and
+# non-decreasing up to the midpoint; the draws hold chains that decode,
+# chains that stop at a non-zero profile and some that take 1000 steps
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(psys=st.one_of(family_draw(), gldpc_draw()), eps=st.floats(0.0, 0.99),
+       N=st.integers(8, 40), w=st.integers(2, 5))
+def test_random_chains_stay_symmetric_and_unimodal(psys, eps, N, w):
+    assert coupled_symmetric_unimodal([(psys.at_eps(eps), CouplingSpec(N, w))])

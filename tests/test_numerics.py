@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from maxsat.errors import ConstructionError, DomainError
 from maxsat.numerics import (
@@ -29,6 +32,38 @@ class TestPolynomial:
         p = Polynomial((1.0, 2.0, 3.0))
         assert isinstance(p(0.5), float)
         assert p(0.5) == 1.0 + 2.0 * 0.5 + 3.0 * 0.25
+
+    @staticmethod
+    def dense_horner(coeffs, x):
+        r = 0.0
+        for c in reversed(coeffs):
+            r = r * x + c
+        return r
+
+    # degree 0 to 30 with about 70% of the coefficients zero; the constant
+    # and the all-zero polynomial are drawn too. -0.0 and 0.0 are among
+    # the points, so the sign of a zero result is compared as well
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(coeffs=st.lists(st.tuples(st.integers(0, 9), st.floats(-2.0, 2.0)),
+                           min_size=1, max_size=31)
+           .map(lambda terms: tuple(c if k >= 7 else 0.0 for k, c in terms)),
+           x=st.floats(-2.0, 2.0),
+           xs=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                     elements=st.floats(-2.0, 2.0)))
+    @example(coeffs=(0.0,), x=-0.0, xs=np.array([[-0.0, 0.0, 1.5]]))
+    @example(coeffs=(0.0, 0.0, -1.0), x=0.0, xs=np.array([[0.0, -0.0, 2.0]]))
+    @example(coeffs=(0.5,), x=1.0, xs=np.array([[0.25]]))
+    def test_zero_skipping_is_bit_equal_to_dense_horner(self, coeffs, x, xs):
+        p = Polynomial(coeffs)
+        out = p(x)
+        assert type(out) is float
+        ref = np.float64(self.dense_horner(p.coeffs, x)).tobytes()
+        # a 0-d array takes the zero-skipping loop that arrays take
+        assert np.float64(out).tobytes() == ref == np.float64(p(np.array(x))).tobytes()
+        out = p(xs)
+        ref = np.asarray(self.dense_horner(p.coeffs, xs))
+        assert out.shape == xs.shape and out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
 
     def test_derivative_antiderivative_roundtrip(self):
         p = Polynomial((0.0, 0.2, 0.25, 0.0, 0.55))

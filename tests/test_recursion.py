@@ -17,6 +17,7 @@ from maxsat.recursion import (
     CoupledProfile,
     CouplingSpec,
     IterationConfig,
+    _clamp,
     apply_A,
     apply_At,
     copy_midpoint_tail,
@@ -332,6 +333,31 @@ def test_make_system_fd_and_quadrature_fallbacks():
     mid = xs[1:-1]
     assert np.max(np.abs(np.asarray(bare.f_prime(mid)) - np.asarray(ref.f_prime(mid)))) <= 1e-6
     assert np.max(np.abs(np.asarray(bare.g_prime(mid)) - np.asarray(ref.g_prime(mid)))) <= 1e-6
+
+
+class TestClamp:
+    def test_in_range_comes_back_unchanged(self):
+        v = np.linspace(0.0, 1.0, 7).reshape(7, 1)
+        assert _clamp(v, 0.0, 1.0).tobytes() == v.tobytes()
+
+    def test_slack_is_clipped_to_the_bounds(self):
+        out = _clamp(np.array([-5e-10, 0.5, 1.0 + 5e-10]), 0.0, 1.0)
+        assert out.tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-9, -2e-9])
+    def test_beyond_slack_raises(self, bad):
+        with pytest.raises(DomainError, match=r"^x escapes \[0\.0, 1\.0\] by 2\.000e-09$"):
+            _clamp(np.array([0.5, bad]), 0.0, 1.0, "x")
+
+    def test_nan_passes_and_the_rest_is_clipped(self):
+        out = _clamp(np.array([np.nan, 1.0 + 1e-12, 0.25]), 0.0, 1.0)
+        assert np.isnan(out[0]) and out[1:].tolist() == [1.0, 0.25]
+
+    @pytest.mark.parametrize("v,expected", [(0.25, 0.25), (np.float64(1.0 + 1e-12), 1.0),
+                                            (np.array(-1e-12), 0.0)])
+    def test_scalar_returns_float(self, v, expected):
+        out = _clamp(v, 0.0, 1.0)
+        assert type(out) is float and out == expected
 
 
 class TestTabulatedAntiderivative:

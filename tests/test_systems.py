@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -162,6 +163,23 @@ class TestGldpc:
         ours = np.asarray(gldpc31.g(xs, 0.0))
         ref_scipy = scipy_betainc(4, 27, xs)
         assert np.max(np.abs(ours - ref_scipy)) <= 1e-13
+
+    @pytest.mark.parametrize("n,t", [(31, 4), (63, 5), (127, 9)])
+    def test_transfer_scalar_equals_array_and_matches_betainc(self, n, t):
+        # fixed_points_of scans a grid and bisects with scalars, so both
+        # must see one function
+        g = gldpc_system(GldpcParams(n, t)).g
+        xs = np.concatenate(([0.0, 0.5, 1.0], np.logspace(-30, -1, 30),
+                             1.0 - np.logspace(-16, -1, 30), np.linspace(0.0, 1.0, 41)))
+        arr = np.asarray(g(xs, 0.0))
+        scalars = np.array([g(float(x), 0.0) for x in xs])
+        assert arr.tobytes() == scalars.tobytes()
+        with mp.workdps(40):
+            ref = np.array([float(mp.betainc(t, n - t, 0, mp.mpf(float(x)), regularized=True))
+                            for x in xs])
+        assert np.all(np.isfinite(arr))
+        assert np.max(np.abs(arr - ref) / np.where(ref > 0.0, ref, 1.0)) <= 1e-13
+        assert g(0.0, 0.0) == 0.0 and g(1.0, 0.0) == 1.0
 
     @pytest.mark.parametrize("n,t", [(31, 4), (63, 5)])
     def test_derivatives_match_beta_density(self, n, t):

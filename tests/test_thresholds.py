@@ -461,6 +461,11 @@ class TestReport:
         rep = threshold_report(psys)
         assert rep.eps_c == 1.0
         assert rep.eps_maxwell == 1.0
+        assert dict(rep.notes)["eps_maxwell"] == "eps_max: Q > 0 on the whole fixed-point domain"
+
+    def test_maxwell_note_at_a_root(self, ldpc8):
+        notes = dict(threshold_report(ldpc8).notes)
+        assert notes["eps_maxwell"] == "min eps(x) over roots of the fixed-point potential"
 
     def test_ldgm_report_tags_undefined(self, ldgm9):
         rep = threshold_report(ldgm9)
