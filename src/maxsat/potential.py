@@ -92,25 +92,37 @@ class MinimizeResult:
 
 
 def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
-                       grid_n: int = 10**4, value_tol: float = VALUE_TOL,
+                       y_max: float, grid_n: int = 10**4,
+                       value_tol: float = VALUE_TOL,
                        x_tol: float = 1e-12) -> MinimizeResult:
-    """Global minimum of a potential on [0, x_max].
+    """Global minimum of a potential U = x g(x) - G(x) - F(g(x)) on
+    [0, x_max], where g is increasing with g(x_max) = y_max and f maps
+    into [0, x_max].
 
-    Scans a grid, golden-refines every grid-local minimum, and seeds the
-    candidate set with all fixed points of h (every local minimum of the
-    potential is one, so narrow basins between grid nodes are still found)
-    plus both endpoints. Minimizers are all candidates whose value is within
-    value_tol of the best; of two within 1e-9 of each other the fixed point
-    is kept.
+    Scans a grid, golden-refines the grid-local minima the grid resolves,
+    and seeds the candidate set with all fixed points of h (every interior
+    local minimum of the potential is one, so narrow basins between grid
+    nodes are still found) plus both endpoints. A grid-local minimum is
+    resolved when it lies below its left neighbour by more than the
+    rounding level of U and not above its right neighbour by more than
+    that level. The level is 64 ulps of x_max * y_max: each of x g(x),
+    G(x) and F(g(x)) lies in [0, x_max * y_max], so U carries the rounding
+    of terms that size even where U itself is much smaller. Where U is
+    flat to that level (g near 1 on the gldpc codes) the grid shows only
+    noise, and that basin is left to its fixed point. Minimizers are all
+    candidates whose value is within value_tol of the best; of two within
+    1e-9 of each other the fixed point is kept.
     """
     xs = np.linspace(0.0, x_max, int(grid_n))
     us = np.asarray(u_vec(xs), dtype=float)
 
     cands = [0.0, float(x_max)]
-    interior = np.arange(1, len(xs) - 1)
-    # strict decrease on the left picks one entry per flat bottom and keeps
-    # rounding plateaus from spawning refinements
-    local = interior[(us[interior] < us[interior - 1]) & (us[interior] <= us[interior + 1])]
+    # resolved grid-local minima: a decrease on the left beyond the
+    # rounding level picks one entry per flat bottom and keeps rounding
+    # noise from spawning refinements
+    noise = 64.0 * np.finfo(float).eps * float(x_max) * float(y_max)
+    mid = us[1:-1]
+    local = np.flatnonzero((mid < us[:-2] - noise) & (mid <= us[2:] + noise)) + 1
     # only near-minimal grid minima are worth refining: anything farther
     # than refine_margin above the grid minimum cannot become the global
     # minimum, and basins the grid misses entirely are still reached
@@ -145,7 +157,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
 
 def minimize_Us(sys: ScalarSystem, grid_n: int = 10**4) -> MinimizeResult:
     """Minimize the single-system potential over [0, x_max]."""
-    return minimize_potential(lambda x: U_s(sys, x), sys.h, sys.x_max, grid_n)
+    return minimize_potential(lambda x: U_s(sys, x), sys.h, sys.x_max, sys.y_max, grid_n)
 
 
 def _check_profile(spec: CouplingSpec, values) -> np.ndarray:

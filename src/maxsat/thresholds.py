@@ -243,7 +243,7 @@ def minimize_us_at(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> Minimi
     """Minimize the potential slice at one parameter value."""
     e = float(eps)
     return minimize_potential(lambda x: psys.u(x, e), lambda x: psys.h(x, e),
-                              psys.x_max, grid_n)
+                              psys.x_max, float(psys.g(psys.x_max, e)), grid_n)
 
 
 def Psi(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
@@ -438,15 +438,19 @@ def xf_intervals(psys: ParamSystem, grid_n: int = 10**4):
     return intervals, touches_zero
 
 
-def maxwell_threshold(psys: ParamSystem, tol: float = 1e-9,
-                      grid_n: int = 10**4) -> float:
+def maxwell_threshold(psys: ParamSystem, grid_n: int = 10**4) -> float:
     """Smallest eps(x) over roots of the fixed-point potential Q on the
     closure of the fixed-point domain; the boundary value at x -> 0 is the
     stability threshold when the domain reaches down to zero, and the
     threshold is undefined with it when 0 is not a fixed point. When 0 is
     a fixed point and Q > 0 at every sample of the domain, no fixed point
     undercuts the zero state up to eps_max, which is returned, as eps_c
-    returns the sup of its predicate."""
+    returns the sup of its predicate.
+
+    The tolerances are fixed: each sign change of Q on a grid_n-point grid
+    of a domain interval is bisected to 1e-12 in x, eps(x) there is
+    bisected to 1e-12 unless the family has a closed form, and the
+    stability candidate is eps_stab's root to its default 1e-9."""
     return _maxwell(psys, grid_n)[0]
 
 
@@ -622,9 +626,12 @@ class ThresholdReport:
 
 def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
-    raising. As a guard, raises ThresholdUndefinedError if eps_c exceeds
-    eps_stab by more than 10 tol: both are defined only when 0 is a fixed
-    point, and then eps_c is at most eps_stab (see eps_c)."""
+    raising. eps_single, eps_stab and eps_c are bisected to tol;
+    eps_maxwell keeps maxwell_threshold's fixed tolerances (its roots of Q
+    are bisected to 1e-12 in x) whatever tol is. As a guard, raises
+    ThresholdUndefinedError if eps_c exceeds eps_stab by more than 10 tol:
+    both are defined only when 0 is a fixed point, and then eps_c is at
+    most eps_stab (see eps_c)."""
     values = {}
     notes = []
 

@@ -16,6 +16,7 @@ from maxsat.invariants import (
 from maxsat.potential import (
     FiniteWCondition,
     K_fg_bound,
+    MinimizeResult,
     U_c,
     U_s,
     U_s_prime,
@@ -36,13 +37,17 @@ from maxsat.recursion import (
 )
 from maxsat.systems import (
     CsParams,
+    DegreeDistribution,
+    GldpcParams,
     TwoPointPrior,
     cs_system,
     example1_system,
     example2_system,
+    gldpc_system,
     ldpc_system,
     pathological_system,
 )
+from maxsat.thresholds import minimize_us_at, threshold_report
 
 EX1_FP_TOP = 0.9680165035778856
 # potential value at that fixed point (the energy gap), from the closed form
@@ -346,3 +351,54 @@ class TestSingleScan:
         rep = potential_report(ex2)
         assert rep.w0 == w0_bound(ex2)
         assert rep.delta_gap == energy_gap_delta(ex2)
+
+
+class TestGoldenRefinement:
+    """Only grid-local minima the grid resolves above the rounding level of
+    U's terms are golden-refined; rounding noise on flat stretches is not,
+    and the minimizer sets stay those of refining every grid-local
+    minimum."""
+
+    @pytest.fixture
+    def golden_calls(self, monkeypatch):
+        import maxsat.potential as pot
+        calls = []
+        real = pot.golden_min
+
+        def counting(*a, **k):
+            calls.append(a)
+            return real(*a, **k)
+
+        monkeypatch.setattr(pot, "golden_min", counting)
+        return calls
+
+    def test_flat_gldpc_slice_skips_noise(self, golden_calls):
+        # U is flat to ~1e-17 where g ~ 1: refining every near-minimal
+        # grid-local minimum, noise included, hits the 256 cap here and
+        # gives this same result
+        res = minimize_us_at(gldpc_system(GldpcParams(63, 5)), 0.3)
+        assert len(golden_calls) <= 2
+        assert res == MinimizeResult(
+            x_lower=0.2999977400254311, x_upper=0.29999834406349357,
+            value=-0.07063499680216825,
+            minimizers=(0.2999977400254311, 0.29999834406349357),
+            fixed_points=(0.0, 0.04556898344153523, 0.29999834406349357))
+
+    def test_resolved_basins_still_refined(self, golden_calls, ex2):
+        assert minimize_Us(ex2).minimizers == (0.05605843561542298,)
+        assert len(golden_calls) >= 1
+        golden_calls.clear()
+        ldpc8 = ldpc_system(
+            DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
+            DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
+        # the golden candidate is the larger minimizer (the flat-minimum
+        # tie of the fixed point 0.9599847891150486 and its basin's search)
+        assert minimize_us_at(ldpc8, 0.96).minimizers == (0.9599847891150486,
+                                                          0.9599855473906065)
+        assert len(golden_calls) >= 1
+
+    @pytest.mark.parametrize("n, t", [(31, 4), (63, 5)])
+    def test_threshold_report_search_count(self, golden_calls, n, t):
+        # a work count, not a clock: refining noise made 536 and 535
+        threshold_report(gldpc_system(GldpcParams(n, t)))
+        assert len(golden_calls) <= 100

@@ -8,7 +8,13 @@ import mpmath as mp
 import pytest
 
 from maxsat.potential import potential_report
-from maxsat.systems import DegreeDistribution, example2_system, ldpc_system
+from maxsat.systems import (
+    DegreeDistribution,
+    GldpcParams,
+    example2_system,
+    gldpc_system,
+    ldpc_system,
+)
 from maxsat.thresholds import eps_c, eps_stab, maxwell_threshold
 
 mp.mp.dps = 40
@@ -68,6 +74,52 @@ def test_ldpc8_thresholds(ldpc8):
     assert abs(maxwell_threshold(ldpc8) - maxwell) <= 1e-12
     assert abs(eps_c(ldpc8) - maxwell) <= 1e-9
     assert abs(eps_stab(ldpc8) - stab) <= 1e-9
+
+
+def bisect(fn, lo, hi, steps=140):
+    """Root of fn in [lo, hi], given a sign change there; 140 halvings of a
+    1e-2 bracket reach below 1e-40."""
+    f_lo = fn(lo)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if fn(mid) * f_lo > 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def gldpc_maxwell_reference(n, t):
+    # g(x) = I_x(t, n - t), the chance that t or more of the other n - 1
+    # bits are erased, f(y; eps) = eps y and F(y; eps) = eps y^2 / 2, and
+    # G(x) = x I_x(t, n - t) - (t/n) I_x(t + 1, n - t); so along
+    # eps(x) = x / g(x) the potential x g - G - F(g; eps) becomes
+    # Q(x) = (t/n) I_x(t + 1, n - t) - x I_x(t, n - t) / 2
+    def I(x, a, b):
+        return mp.betainc(a, b, 0, x, regularized=True)
+
+    def Q(x):
+        return D(t) / n * I(x, t + 1, n - t) - x * I(x, t, n - t) / 2
+
+    # Q ~ C(n-1, t) x^(t+1) (t/(t+1) - 1/2) > 0 near 0; the grid i/100
+    # must show exactly one sign change
+    xs = [D(i) / 100 for i in range(1, 101)]
+    qs = [Q(x) for x in xs]
+    ((lo, hi),) = [(a, b) for a, b, qa, qb in zip(xs, xs[1:], qs, qs[1:]) if qa * qb < 0]
+    root = bisect(Q, lo, hi)
+    return root / I(root, t, n - t)
+
+
+@pytest.mark.parametrize("n, t, digits", [
+    (31, 4, "0.25545820811870525"),
+    (63, 5, "0.1576458811743199"),
+])
+def test_gldpc_thresholds(n, t, digits):
+    maxwell = gldpc_maxwell_reference(n, t)
+    assert mp.nstr(maxwell, 17) == digits
+    psys = gldpc_system(GldpcParams(n, t))
+    assert abs(maxwell_threshold(psys) - maxwell) <= 1e-12
+    assert abs(eps_c(psys) - maxwell) <= 1e-9
 
 
 def test_example2_gap_and_minimizer():
