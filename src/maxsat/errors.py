@@ -24,14 +24,16 @@ class ThresholdUndefinedError(RuntimeError):
 class NonConvergenceError(RuntimeError):
     """Iteration hit its cap before meeting the tolerance.
 
-    Carries the last iterate in ``last`` and the iteration count in
-    ``iters`` so callers can report partial results.
+    Carries the last iterate in ``last``, the iteration count in ``iters``
+    and the last step's size in ``residual`` so callers can report partial
+    results and how far they were from the tolerance.
     """
 
-    def __init__(self, message, last=None, iters=None):
+    def __init__(self, message, last=None, iters=None, residual=None):
         super().__init__(message)
         self.last = last
         self.iters = iters
+        self.residual = residual
 
 
 class NumericError(RuntimeError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonConvergenceError
 from .potential import (
     FiniteWCondition,
     K_fg_bound,
@@ -19,7 +20,7 @@ from .potential import (
     check_finite_w_conditions,
     grad_Uc,
 )
-from .recursion import CouplingSpec, IterationConfig, coupled_fixed_point, midpoint_index
+from .recursion import CoupledProfile, CouplingSpec, coupled_step, midpoint_index
 from .systems import (
     DegreeDistribution,
     GldpcParams,
@@ -60,17 +61,29 @@ def potential_descent(systems, rng, n: int) -> bool:
 
 
 def coupled_symmetric_unimodal(cases) -> bool:
-    """Every iterate of the coupled run from x_max to its fixed point is
+    """Every iterate of the coupled recursion from x_max to its fixed point is
     symmetric and non-decreasing up to the midpoint (both to 1e-12), for
-    each (system, spec) pair. The runs are capped at 1e5 iterations."""
-    cfg = IterationConfig(record_trajectory=True, max_iters=10**5)
+    each (system, spec) pair. The iterates come from coupled_step on the
+    full chain, since coupled_fixed_point iterates only the left half and is
+    symmetric by construction. A run stops once a step is at most 1e-12 and
+    raises NonConvergenceError after 1e5 iterations."""
+    tol, cap = 1e-12, 10**5
     for s, spec in cases:
-        run = coupled_fixed_point(s, spec, cfg)
         i0 = midpoint_index(spec.M)
-        for v in run.trajectory:
+        v, step, iters = np.full(spec.M, s.x_max), np.inf, 0
+        while True:
             if not (np.max(np.abs(v - v[::-1])) <= 1e-12
-                    and np.min(np.diff(v[:i0 + 1])) >= -1e-12):
+                    and np.min(np.diff(v[:i0 + 1]), initial=0.0) >= -1e-12):
                 return False
+            if step <= tol:
+                break
+            if iters == cap:
+                raise NonConvergenceError(
+                    f"coupled recursion did not converge in {cap} iterations",
+                    last=CoupledProfile(v, spec), iters=cap, residual=step)
+            prev, v = v, coupled_step(s, CoupledProfile(v, spec)).values
+            step = float(np.max(np.abs(v - prev)))
+            iters += 1
     return True
 
 

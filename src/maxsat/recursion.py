@@ -8,6 +8,14 @@ averages over a width-w window with an implicit zero boundary:
 
     x_i <- sum_j A_ji f( sum_k A_jk g(x_k) ),   A_jk = 1/w for 0 <= k-j < w.
 
+From the all-x_max start the iterates are symmetric about the midpoint,
+and the modified recursion copies the midpoint value over the right half.
+So coupled_fixed_point and modified_coupled_fixed_point iterate only the
+cells up to the midpoint and rebuild the right half as the mirror image or
+the pinned tail: plain profiles are exactly symmetric, and modified ones
+bit-equal to the full-chain iteration. coupled_step, apply_A, apply_At and
+copy_midpoint_tail act on the full chain and serve as the reference.
+
 Every callable attached to a system is elementwise: f, g, F and G return
 the shape of their argument (a scalar or a numpy array), while f_prime,
 g_prime and g_second may return any value that broadcasts to it, so a
@@ -160,8 +168,13 @@ class CoupledProfile:
 
 @dataclass(frozen=True)
 class CoupledRun:
+    """A converged coupled run: the final profile, the iteration count, the
+    residual (the last step's max-abs change, at most the tolerance) and,
+    when recorded, the iterates from the start on, each of length M."""
+
     profile: CoupledProfile
     iters: int
+    residual: float
     trajectory: Optional[list] = None
 
 
@@ -398,17 +411,18 @@ def uncoupled_fixed_point(sys: ScalarSystem, x0: float,
     """Iterate h from x0 until the step is below cfg.tol.
 
     Returns (x_inf, iterations). Raises NonConvergenceError carrying the
-    last iterate when the cap is hit.
+    last iterate and step when the cap is hit.
     """
     x = float(_clamp(x0, 0.0, sys.x_max, "x0"))
     for it in range(1, cfg.max_iters + 1):
         xn = float(sys.h(x))
-        if abs(xn - x) <= cfg.tol:
+        step = abs(xn - x)
+        if step <= cfg.tol:
             return xn, it
         x = xn
     raise NonConvergenceError(
         f"uncoupled recursion did not converge in {cfg.max_iters} iterations",
-        last=x, iters=cfg.max_iters,
+        last=x, iters=cfg.max_iters, residual=step,
     )
 
 
@@ -460,37 +474,88 @@ def copy_midpoint_tail(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fill_right(buf: np.ndarray, M: int, pin_tail: bool) -> None:
+    """Fill buf[H:] from buf[:H], H = midpoint_index(M) + 1, in place, so that
+    buf holds the first len(buf) cells of a length-M chain that is the mirror
+    image of itself about the midpoint or, with pin_tail, constant past it."""
+    H = midpoint_index(M) + 1
+    if pin_tail:
+        buf[H:] = buf[H - 1]
+    else:
+        buf[H:] = buf[M - buf.shape[0]:M - H][::-1]
+
+
+def _unfold(left: np.ndarray, M: int, pin_tail: bool) -> np.ndarray:
+    """The length-M profile whose cells 0..midpoint_index(M) are left."""
+    out = np.empty(M)
+    out[:left.shape[0]] = left
+    _fill_right(out, M, pin_tail)
+    return out
+
+
 def _run_coupled(sys: ScalarSystem, spec: CouplingSpec, cfg: IterationConfig,
                  pin_tail: bool) -> CoupledRun:
+    """Iterate cells 0..i0 = midpoint_index(M) of the chain from x_max.
+
+    New cell i reads x up to i + w - 1, so the state lives in the first H
+    cells of a buffer of E = min(M, H + w - 1) cells, H = i0 + 1, and the
+    w - 1 cells past the midpoint are refilled before each step: with the
+    mirror image x_k = x_{M-1-k} of the plain recursion, whose iterates are
+    symmetric, or with x_{i0} for the modified one, whose tail is pinned.
+    The first H cells of the step are then those of the same step on the
+    full chain (bit for bit when the tail is pinned, since that extension
+    is exact), and so is the step size, the max-abs change over them. The
+    step maps E cells to E cells, so its output is the next buffer.
+    """
+    M = spec.M
+    H = midpoint_index(M) + 1
     kern = _kernel(spec.w)
-    x = np.full(spec.M, sys.x_max, dtype=float)
-    trajectory = [x.copy()] if cfg.record_trajectory else None
+    x = np.full(min(M, H + spec.w - 1), sys.x_max)
+    diff = np.empty(H)
+    trajectory = [_unfold(x[:H], M, pin_tail)] if cfg.record_trajectory else None
     for it in range(1, cfg.max_iters + 1):
+        _fill_right(x, M, pin_tail)
         xn = _coupled_step_values(sys, x, kern)
-        if pin_tail:
-            xn = copy_midpoint_tail(xn)
-        step = float(np.max(np.abs(xn - x)))
+        np.subtract(xn[:H], x[:H], out=diff)
+        np.abs(diff, out=diff)
+        step = float(diff.max())
         x = xn
         if trajectory is not None:
-            trajectory.append(x.copy())
+            trajectory.append(_unfold(x[:H], M, pin_tail))
         if step <= cfg.tol:
-            return CoupledRun(CoupledProfile(x, spec), it, trajectory)
+            return CoupledRun(CoupledProfile(_unfold(x[:H], M, pin_tail), spec), it,
+                              step, trajectory)
     raise NonConvergenceError(
         f"coupled recursion did not converge in {cfg.max_iters} iterations",
-        last=CoupledProfile(x, spec), iters=cfg.max_iters,
+        last=CoupledProfile(_unfold(x[:H], M, pin_tail), spec), iters=cfg.max_iters,
+        residual=step,
     )
 
 
 def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
                         cfg: IterationConfig = IterationConfig()) -> CoupledRun:
-    """Run the coupled recursion from the all-x_max start to its fixed point."""
+    """Run the coupled recursion from the all-x_max start to its fixed point.
+
+    Only cells 0..midpoint_index(M) are iterated, the right half being their
+    mirror image (_run_coupled), so the returned profile and every
+    trajectory entry are exactly symmetric. Iterating coupled_step on the
+    full chain gives the same profiles to rounding (a few 1e-15 on chains of
+    hundreds of cells: np.convolve sums each window in a fixed order, so the
+    full chain is symmetric only to rounding) and, in practice, the same
+    iteration count.
+    """
     return _run_coupled(sys, spec, cfg, pin_tail=False)
 
 
 def modified_coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
                                  cfg: IterationConfig = IterationConfig()) -> CoupledRun:
     """Coupled recursion with the midpoint value copied over the right half
-    after each step; dominates the plain recursion entrywise."""
+    after each step; dominates the plain recursion entrywise.
+
+    Only cells 0..midpoint_index(M) are iterated, the tail past them being
+    pinned to the midpoint value (_run_coupled); every iterate is bit-equal
+    to that of the full-chain step followed by copy_midpoint_tail.
+    """
     return _run_coupled(sys, spec, cfg, pin_tail=True)
 
 

@@ -34,11 +34,16 @@ from maxsat.recursion import (
 from maxsat.potential import U_s
 from maxsat.systems import (
     CsParams,
+    DegreeDistribution,
     GaussianPrior,
+    GldpcParams,
     TwoPointPrior,
     cs_system,
     example1_system,
     example2_system,
+    gldpc_system,
+    ldgm_system,
+    ldpc_system,
     pathological_system,
 )
 
@@ -227,6 +232,120 @@ class TestModifiedRecursion:
         # modified iterates are non-decreasing along the chain
         for v in mod.trajectory:
             assert np.min(np.diff(v)) >= -1e-12
+
+
+def full_chain_run(sys_, spec, pin_tail, tol=1e-12, cap=10**5):
+    """The coupled recursion iterated with coupled_step on the whole chain:
+    (iterations, iterates from the all-x_max start on)."""
+    x = np.full(spec.M, sys_.x_max)
+    traj = [x]
+    for it in range(1, cap + 1):
+        xn = coupled_step(sys_, CoupledProfile(x, spec)).values
+        if pin_tail:
+            xn = copy_midpoint_tail(xn)
+        step = np.max(np.abs(xn - x))
+        x = xn
+        traj.append(x)
+        if step <= tol:
+            return it, traj
+    raise AssertionError(f"full-chain reference did not converge in {cap} iterations")
+
+
+# odd and even M, w > N, and chains so short that the half-chain buffer of
+# H + w - 1 cells is the whole chain
+_EX1_SPECS = [(1, 1), (1, 3), (2, 2), (5, 7), (9, 2), (16, 3), (64, 8)]
+_CHAINS = {
+    "ldpc8": (lambda: ldpc_system(DegreeDistribution.from_edge(
+        "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
+        DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12")), 0.6, 400),
+    "ldgm9": (lambda: ldgm_system("x^6", DegreeDistribution.from_edge(
+        "2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3")), 0.5, 401),
+    "gldpc31": (lambda: gldpc_system(GldpcParams(31, 4)), 0.23, 400),
+}
+
+
+def _half_chain_case(case):
+    if case in _CHAINS:
+        build, eps, N = _CHAINS[case]
+        return build().at_eps(eps), CouplingSpec(N, 11)
+    return example1_system(), CouplingSpec(*case)
+
+
+_CASES = _EX1_SPECS + list(_CHAINS)
+
+
+class TestHalfChain:
+    """coupled_fixed_point and modified_coupled_fixed_point iterate only the
+    cells up to the midpoint; the full chain under coupled_step is the
+    reference."""
+
+    @pytest.mark.parametrize("case", _CASES, ids=str)
+    def test_plain_run_matches_full_chain(self, case):
+        s, spec = _half_chain_case(case)
+        run = coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True))
+        iters, ref = full_chain_run(s, spec, pin_tail=False)
+        assert run.iters == iters
+        assert len(run.trajectory) == iters + 1
+        for ours, theirs in zip(run.trajectory, ref):
+            assert ours.shape == (spec.M,)
+            assert np.max(np.abs(ours - theirs)) <= 1e-13
+            assert np.array_equal(ours, ours[::-1])
+        assert np.array_equal(run.profile.values, run.profile.values[::-1])
+        assert np.array_equal(run.profile.values, run.trajectory[-1])
+
+    @pytest.mark.parametrize("case", _CASES, ids=str)
+    def test_modified_run_is_bit_equal_to_full_chain(self, case):
+        s, spec = _half_chain_case(case)
+        run = modified_coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True))
+        iters, ref = full_chain_run(s, spec, pin_tail=True)
+        assert run.iters == iters
+        assert len(run.trajectory) == iters + 1
+        for ours, theirs in zip(run.trajectory, ref):
+            assert ours.shape == (spec.M,)
+            assert np.array_equal(ours, theirs)
+        assert np.array_equal(run.profile.values, ref[-1])
+
+    def test_full_chain_iterates_are_symmetric_and_unimodal(self):
+        # includes M = 1, where the rising part up to the midpoint is empty
+        assert coupled_symmetric_unimodal(
+            [(example1_system(), CouplingSpec(N, w)) for N, w in _EX1_SPECS])
+
+    @pytest.mark.parametrize("fixed_point", [coupled_fixed_point, modified_coupled_fixed_point])
+    def test_residual_is_the_last_step(self, fixed_point):
+        s, spec = example1_system(), CouplingSpec(16, 3)
+        cfg = IterationConfig(record_trajectory=True)
+        run = fixed_point(s, spec, cfg)
+        last_step = np.max(np.abs(run.trajectory[-1] - run.trajectory[-2]))
+        assert run.residual == last_step <= cfg.tol
+        capped = IterationConfig(max_iters=20)
+        with pytest.raises(NonConvergenceError) as exc:
+            fixed_point(s, spec, capped)
+        _, ref = full_chain_run(s, spec, pin_tail=fixed_point is modified_coupled_fixed_point)
+        assert exc.value.iters == 20
+        assert exc.value.last.values.shape == (spec.M,)
+        assert np.max(np.abs(exc.value.last.values - ref[20])) <= 1e-13
+        assert exc.value.residual > capped.tol
+        assert exc.value.residual == pytest.approx(np.max(np.abs(ref[20] - ref[19])),
+                                                   rel=1e-9)
+
+    def test_uncoupled_residual(self):
+        s = example1_system()
+        xs = [s.x_max]
+        for _ in range(3):
+            xs.append(float(s.h(xs[-1])))
+        with pytest.raises(NonConvergenceError) as exc:
+            uncoupled_fixed_point(s, s.x_max, IterationConfig(max_iters=3))
+        assert exc.value.last == xs[3]
+        assert exc.value.residual == abs(xs[3] - xs[2]) > 1e-12
+
+    def test_clamp_guards_the_run(self):
+        # f overshoots x_max, so the second step averages g-values up to
+        # 2 y_max; without validation nothing stops the system being built
+        s = make_system(f=lambda y: 2.0 + 0.0 * y, g=lambda x: 1.0 * x, x_max=1.0,
+                        F=lambda y: 2.0 * y, G=lambda x: 0.5 * x * x, validate=False)
+        for fixed_point in (coupled_fixed_point, modified_coupled_fixed_point):
+            with pytest.raises(DomainError, match="averaged g-value escapes"):
+                fixed_point(s, CouplingSpec(12, 3))
 
 
 class TestTranslate:
