@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DomainError, ShapeError, UnsupportedOperationError
 from .numerics import golden_min
 from .recursion import (
+    ANALYSIS_GRID_N,
     CouplingSpec,
     ScalarSystem,
     apply_A,
@@ -51,6 +52,8 @@ __all__ = [
 
 #: two minimizers are tied when their potential values differ by less
 VALUE_TOL = 1e-10
+# golden refinements of grid minima stop at this width in x
+_X_TOL = 1e-12
 
 
 def U_s(sys: ScalarSystem, x):
@@ -92,17 +95,16 @@ class MinimizeResult:
 
 
 def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
-                       y_max: float, grid_n: int = 10**4,
-                       value_tol: float = VALUE_TOL,
-                       x_tol: float = 1e-12) -> MinimizeResult:
+                       y_max: float, grid_n: int = ANALYSIS_GRID_N) -> MinimizeResult:
     """Global minimum of a potential U = x g(x) - G(x) - F(g(x)) on
     [0, x_max], where g is increasing with g(x_max) = y_max and f maps
     into [0, x_max].
 
-    Scans a grid, golden-refines the grid-local minima the grid resolves,
-    and seeds the candidate set with all fixed points of h (every interior
-    local minimum of the potential is one, so narrow basins between grid
-    nodes are still found) plus both endpoints. A grid-local minimum is
+    Scans a grid_n-point grid, golden-refines the grid-local minima the
+    grid resolves to 1e-12 in x, and seeds the candidate set with all fixed
+    points of h on the same grid (every interior local minimum of the
+    potential is one, so narrow basins between grid nodes are still found)
+    plus both endpoints. A grid-local minimum is
     resolved when it lies below its left neighbour by more than the
     rounding level of U and not above its right neighbour by more than
     that level. The level is 64 ulps of x_max * y_max: each of x g(x),
@@ -110,7 +112,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     of terms that size even where U itself is much smaller. Where U is
     flat to that level (g near 1 on the gldpc codes) the grid shows only
     noise, and that basin is left to its fixed point. Minimizers are all
-    candidates whose value is within value_tol of the best; of two within
+    candidates whose value is within VALUE_TOL of the best; of two within
     1e-9 of each other the fixed point is kept.
     """
     xs = np.linspace(0.0, x_max, int(grid_n))
@@ -134,7 +136,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     local.sort(key=lambda i: us[i])
     for i in local[:256]:
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
-                                float(xs[i + 1]), x_tol))
+                                float(xs[i + 1]), _X_TOL))
     fixed_points = tuple(fixed_points_of(h_vec, x_max, grid_n))
     cands.extend(fixed_points)
 
@@ -144,7 +146,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     bisected = set(fixed_points)
     mins: list[float] = []
     for x, v in zip(cand_arr, vals):
-        if v <= vmin + value_tol:
+        if v <= vmin + VALUE_TOL:
             if mins and abs(x - mins[-1]) <= 1e-9:
                 # a golden candidate is limited by the flat minimum; the
                 # fixed point it merges with is resolved to 1e-12
@@ -155,9 +157,9 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     return MinimizeResult(mins[0], mins[-1], vmin, tuple(mins), fixed_points)
 
 
-def minimize_Us(sys: ScalarSystem, grid_n: int = 10**4) -> MinimizeResult:
+def minimize_Us(sys: ScalarSystem) -> MinimizeResult:
     """Minimize the single-system potential over [0, x_max]."""
-    return minimize_potential(lambda x: U_s(sys, x), sys.h, sys.x_max, sys.y_max, grid_n)
+    return minimize_potential(lambda x: U_s(sys, x), sys.h, sys.x_max, sys.y_max)
 
 
 def _check_profile(spec: CouplingSpec, values) -> np.ndarray:
@@ -218,11 +220,10 @@ def _gap(sys: ScalarSystem, res: MinimizeResult, delta_offset: float) -> float:
     return min(gaps) if gaps else math.inf
 
 
-def energy_gap_delta(sys: ScalarSystem, delta_offset: float = 0.0,
-                     grid_n: int = 10**4) -> float:
+def energy_gap_delta(sys: ScalarSystem, delta_offset: float = 0.0) -> float:
     """Minimum of U_s(x) - U_s(x_upper*) over fixed points x > x_upper* +
     delta_offset; +inf when that set is empty."""
-    return _gap(sys, minimize_Us(sys, grid_n), delta_offset)
+    return _gap(sys, minimize_Us(sys), delta_offset)
 
 
 def _w0(sys: ScalarSystem, delta: float, k_fg: Optional[float] = None) -> float:
@@ -250,8 +251,7 @@ class FiniteWCondition(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def check_finite_w_conditions(sys: ScalarSystem, gamma: float = 1e-3,
-                              grid_n: int = 10**4) -> FiniteWCondition:
+def check_finite_w_conditions(sys: ScalarSystem, gamma: float = 1e-3) -> FiniteWCondition:
     """Classify whether a finite coupling width provably suffices at the
     potential minimizer x_upper*.
 
@@ -262,7 +262,7 @@ def check_finite_w_conditions(sys: ScalarSystem, gamma: float = 1e-3,
     enumerated fixed-point set. Analyticity-style arguments are not
     decidable numerically and fall through to UNKNOWN.
     """
-    res = minimize_Us(sys, grid_n)
+    res = minimize_Us(sys)
     if res.x_upper - res.x_lower > 1e-6:
         return FiniteWCondition.UNKNOWN
     xbar = res.x_upper
@@ -295,10 +295,9 @@ class PotentialReport:
     w0: float
 
 
-def potential_report(sys: ScalarSystem, delta_offset: float = 0.0,
-                     grid_n: int = 10**4) -> PotentialReport:
+def potential_report(sys: ScalarSystem, delta_offset: float = 0.0) -> PotentialReport:
     """Bundle the minimizer set, energy gap, Hessian constant, and w0."""
-    res = minimize_Us(sys, grid_n)
+    res = minimize_Us(sys)
     delta = _gap(sys, res, delta_offset)
     k = K_fg_bound(sys)
     return PotentialReport(res.x_lower, res.x_upper, res.value, res.minimizers,

@@ -68,6 +68,12 @@ _CLAMP_TOL = 1e-9
 # Points of validate_system's grids of [0, x_max] and [0, y_max].
 _GRID_N = 1000
 
+# Points of the analysis grid of [0, x_max], which fixed points, minimizers,
+# eps_single, xf_intervals and the Maxwell roots are scanned on.
+ANALYSIS_GRID_N = 10**4
+# Largest |x - h(x)| at a grazing root (fixed_points_of).
+_TANGENT_TOL = 1e-9
+
 # Tabulated antiderivatives: Chebyshev points per panel, absolute error
 # bound of the whole table, and the bisection depth and panel count at
 # which it gives up (where the integrand's own rounding exceeds the bound,
@@ -606,16 +612,11 @@ def translate_system(sys: ScalarSystem, x_tilde: float) -> ScalarSystem:
     )
 
 
-def _refine_tangential(d, lo, hi, tol=1e-12) -> float:
-    return golden_min(lambda x: abs(float(d(x))), lo, hi, tol)
-
-
-def fixed_points_of(h, x_max: float, grid_n: int = 10**4,
-                    tangent_tol: float = 1e-9) -> list:
-    """Scan x - h(x) on a grid for roots.
+def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
+    """Scan x - h(x) on a grid_n-point grid of [0, x_max] for roots.
 
     Sign changes are refined by bisection to 1e-12; local minima of |x - h(x)|
-    below tangent_tol that do not bracket a sign change (grazing roots) are
+    below 1e-9 that do not bracket a sign change (grazing roots) are
     refined by golden section. Returns the roots sorted and deduplicated.
     """
     if grid_n < 2:
@@ -637,13 +638,13 @@ def fixed_points_of(h, x_max: float, grid_n: int = 10**4,
     interior = np.arange(1, len(xs) - 1)
     local_min = interior[(absd[interior] <= absd[interior - 1])
                          & (absd[interior] <= absd[interior + 1])
-                         & (absd[interior] < tangent_tol)
+                         & (absd[interior] < _TANGENT_TOL)
                          & (absd[interior] > 0.0)]
     for i in local_min:
         if (i - 1) in crossing_cells or i in crossing_cells:
             continue
-        x = _refine_tangential(dfun, float(xs[i - 1]), float(xs[i + 1]))
-        if abs(dfun(x)) < tangent_tol:
+        x = golden_min(lambda t: abs(dfun(t)), float(xs[i - 1]), float(xs[i + 1]), 1e-12)
+        if abs(dfun(x)) < _TANGENT_TOL:
             found.append(x)
 
     found.sort()
@@ -655,7 +656,7 @@ def fixed_points_of(h, x_max: float, grid_n: int = 10**4,
     return out
 
 
-def enumerate_fixed_points(sys: ScalarSystem, grid_n: int = 10**4) -> list:
+def enumerate_fixed_points(sys: ScalarSystem) -> list:
     """All fixed points of h(x) = f(g(x)) on [0, x_max], sorted ascending,
     grazing roots that bisection cannot bracket included."""
-    return fixed_points_of(sys.h, sys.x_max, grid_n)
+    return fixed_points_of(sys.h, sys.x_max)

@@ -165,42 +165,17 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
     return psys
 
 
-def _poly_inverse(p: Polynomial):
-    """Inverse of a strictly increasing polynomial on [0, 1], by bisection."""
-
-    def inv(y):
-        arr = np.atleast_1d(np.asarray(y, dtype=float))
-        lo = np.zeros_like(arr)
-        hi = np.ones_like(arr)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            below = np.asarray(p(mid), dtype=float) < arr
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out[0]) if np.ndim(y) == 0 else out.reshape(np.shape(y))
-
-    return inv
-
-
 def ldgm_system(L: Union[DegreeDistribution, PolyLike],
                 R: Union[DegreeDistribution, PolyLike]) -> ParamSystem:
     """Generator-matrix-code family f(x;eps) = lam(x), g = 1 - (1-eps) rho(1-x).
 
     Zero is not a fixed point for eps > 0 (no perfect-decoding state), so
     the potential threshold is reported undefined and the inverse-envelope
-    threshold is the meaningful quantity. eps(x) is closed-form through the
-    inverse of lam. Without degree-1 checks (rho(0) = 0) h_eps vanishes
-    at x = 1, so the family is not proper and the Maxwell and
-    inverse-envelope thresholds are undefined.
+    threshold is the meaningful quantity. Without degree-1 checks
+    (rho(0) = 0) h_eps vanishes at x = 1, so the family is not proper and
+    the Maxwell and inverse-envelope thresholds are undefined.
     """
     lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
-    lam_inv = _poly_inverse(lam)
-
-    def eps_closed(x):
-        denom = rho(1.0 - x)
-        return 1.0 - (1.0 - lam_inv(x)) / denom
-
     psys = ParamSystem(
         f=lambda x, e: lam(x),
         g=lambda x, e: 1.0 - (1.0 - e) * rho(1.0 - x),
@@ -214,7 +189,6 @@ def ldgm_system(L: Union[DegreeDistribution, PolyLike],
         F_eps=lambda x, e: 0.0,
         G_eps=lambda x, e: (1.0 - Rn(1.0 - x)) / Rp1,
         exit_fn=lambda x, e: 1.0 - Rn(1.0 - x),
-        eps_of_x_closed=eps_closed if float(rho(0.0)) > 0.0 else None,
         sup_f_x=lambda e: float(lam_p(1.0 - (1.0 - e) * float(rho(0.0)))),
         sup_g_x=lambda e: (1.0 - e) * rp1,
         sup_g_xx=lambda e: (1.0 - e) * float(rho_pp(1.0)),
@@ -461,10 +435,6 @@ class GaussianPrior:
         if self.variance <= 0:
             raise ConstructionError("variance must be positive")
 
-    @property
-    def second_moment(self) -> float:
-        return self.variance
-
     def mmse(self, snr):
         return self.variance / (1.0 + self.variance * snr)
 
@@ -491,10 +461,6 @@ class TwoPointPrior:
     def __post_init__(self):
         if not 0.0 <= self.rho_s <= 1.0:
             raise ConstructionError("rho_s must lie in [0, 1]")
-
-    @property
-    def second_moment(self) -> float:
-        return self.mass**2 * self.rho_s
 
     def mmse(self, snr):
         arr = np.asarray(snr, dtype=float)

@@ -28,7 +28,8 @@ import numpy as np
 from .errors import ConstructionError, DomainError, ThresholdUndefinedError
 from .numerics import bisect_root, bisect_sup
 from .potential import MinimizeResult, minimize_potential
-from .recursion import ScalarSystem, antiderivative_error, make_system, tabulated_integral
+from .recursion import (ANALYSIS_GRID_N, ScalarSystem, antiderivative_error, make_system,
+                        tabulated_integral)
 
 __all__ = [
     "ParamSystem",
@@ -58,6 +59,21 @@ __all__ = [
     "ThresholdReport",
     "threshold_report",
 ]
+
+
+# Minimizer grid of the MAP curve, its jumps and psi_integral; the other
+# analyses minimize on ANALYSIS_GRID_N points.
+_CURVE_GRID_N = 3000
+# Jumps of the largest minimizer: the eps scan step, the smallest jump, and
+# the eps width each jump is bisected to.
+_JUMP_SCAN_STEP = 1e-3
+_JUMP_SIZE = 0.01
+_JUMP_EPS_TOL = 1e-6
+# Bisection widths in eps of eps(x) and of inverse_Psi_threshold, and the
+# trapezoid samples of psi_integral over [0, eps].
+_EPS_OF_X_TOL = 1e-12
+_INVERSE_PSI_TOL = 1e-9
+_PSI_SAMPLES = 1000
 
 
 def _grid(psys: ParamSystem):
@@ -239,41 +255,42 @@ def validate_param_system(psys: ParamSystem) -> None:
         raise ConstructionError(label + "; ".join(problems))
 
 
-def minimize_us_at(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> MinimizeResult:
+def minimize_us_at(psys: ParamSystem, eps: float,
+                   grid_n: int = ANALYSIS_GRID_N) -> MinimizeResult:
     """Minimize the potential slice at one parameter value."""
     e = float(eps)
     return minimize_potential(lambda x: psys.u(x, e), lambda x: psys.h(x, e),
                               psys.x_max, float(psys.g(psys.x_max, e)), grid_n)
 
 
-def Psi(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
+def Psi(psys: ParamSystem, eps: float) -> float:
     """Minimum of the potential slice, min_x U_s(x; eps)."""
-    return minimize_us_at(psys, eps, grid_n).value
+    return minimize_us_at(psys, eps).value
 
 
-def x_bar_star(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
+def x_bar_star(psys: ParamSystem, eps: float, grid_n: int = ANALYSIS_GRID_N) -> float:
     """Largest minimizer of the potential slice."""
     return minimize_us_at(psys, eps, grid_n).x_upper
 
 
-def x_lower_star(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
+def x_lower_star(psys: ParamSystem, eps: float) -> float:
     """Smallest minimizer of the potential slice."""
-    return minimize_us_at(psys, eps, grid_n).x_lower
+    return minimize_us_at(psys, eps).x_lower
 
 
 _X_TINY = 1e-9
 
 
-def eps_single(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
+def eps_single(psys: ParamSystem, tol: float = 1e-9) -> float:
     """Largest eps below which the uncoupled recursion converges to zero:
     sup{eps : h(x; eps) < x on (0, x_max]}, located by bisection over a
-    grid predicate.
+    predicate on the ANALYSIS_GRID_N-point grid of [1e-9, x_max].
 
     When 0 is a fixed point the result is at most eps_stab, since h > x
     just above 0 for larger eps; the grid's first point, 1e-9, cannot see
     that crossing through rounding noise at a continuous transition.
     """
-    xs = np.linspace(_X_TINY, psys.x_max, grid_n)
+    xs = np.linspace(_X_TINY, psys.x_max, ANALYSIS_GRID_N)
 
     def pred(e: float) -> bool:
         return bool(np.all(np.asarray(psys.h(xs, e), dtype=float) < xs))
@@ -301,7 +318,7 @@ def eps_stab(psys: ParamSystem, tol: float = 1e-9) -> float:
     return bisect_root(lambda e: slope(e) - 1.0, 0.0, psys.eps_max, tol)
 
 
-def eps_c(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
+def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     """Coupled (potential) threshold: sup{eps : min_x U_s(x; eps) >= 0}.
 
     Valid because the envelope is non-increasing and identically zero below
@@ -318,7 +335,7 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
             "0 is not a fixed point for all eps; use inverse_Psi_threshold instead")
 
     def pred(e: float) -> bool:
-        return Psi(psys, e, grid_n) >= -1e-12
+        return Psi(psys, e) >= -1e-12
 
     if not pred(0.0):
         raise ThresholdUndefinedError("potential already negative at eps = 0")
@@ -329,8 +346,8 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9, grid_n: int = 10**4) -> float:
     if ec < psys.eps_max:
         lo = max(ec - 10 * tol, 0.0)
         hi = min(ec + 10 * tol, psys.eps_max)
-        res_lo = minimize_us_at(psys, lo, grid_n)
-        res_hi = minimize_us_at(psys, hi, grid_n)
+        res_lo = minimize_us_at(psys, lo)
+        res_hi = minimize_us_at(psys, hi)
         if not (res_lo.value >= -1e-12 and res_lo.x_lower <= 1e-6
                 and res_hi.value < -1e-12 and res_hi.x_upper > 1e-6):
             raise ThresholdUndefinedError(
@@ -347,8 +364,9 @@ def _eps_bracket_check(psys: ParamSystem, xs: np.ndarray) -> None:
         raise DomainError(f"x not in the fixed-point domain: {bad[:4]}...")
 
 
-def eps_of_x_vec(psys: ParamSystem, xs, tol: float = 1e-12) -> np.ndarray:
-    """Parameter supporting a fixed point at each x (vectorized)."""
+def eps_of_x_vec(psys: ParamSystem, xs) -> np.ndarray:
+    """Parameter supporting a fixed point at each x (vectorized): the
+    family's closed form, or else a bisection on eps to 1e-12."""
     arr = np.asarray(xs, dtype=float)
     flat = np.atleast_1d(arr).astype(float)
     if np.any(flat <= 0.0) or np.any(flat > psys.x_max):
@@ -362,7 +380,7 @@ def eps_of_x_vec(psys: ParamSystem, xs, tol: float = 1e-12) -> np.ndarray:
         _eps_bracket_check(psys, flat)
         lo = np.zeros_like(flat)
         hi = np.full_like(flat, psys.eps_max)
-        while float(np.max(hi - lo)) > tol:
+        while float(np.max(hi - lo)) > _EPS_OF_X_TOL:
             mid = 0.5 * (lo + hi)
             above = np.asarray(psys.h(flat, mid), dtype=float) >= flat
             hi = np.where(above, mid, hi)
@@ -371,9 +389,9 @@ def eps_of_x_vec(psys: ParamSystem, xs, tol: float = 1e-12) -> np.ndarray:
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def eps_of_x(psys: ParamSystem, x: float, tol: float = 1e-12) -> float:
+def eps_of_x(psys: ParamSystem, x: float) -> float:
     """Smallest parameter supporting a fixed point at x (unique when proper)."""
-    return float(eps_of_x_vec(psys, float(x), tol))
+    return float(eps_of_x_vec(psys, float(x)))
 
 
 def eps_prime_of_x(psys: ParamSystem, x: float) -> float:
@@ -415,13 +433,14 @@ def Q_integral_check(psys: ParamSystem, x1: float, x2: float):
     return direct, tabulated_integral(integrand, x1, x2)
 
 
-def xf_intervals(psys: ParamSystem, grid_n: int = 10**4):
-    """Intervals of (0, x_max] that support a fixed point for some eps.
+def xf_intervals(psys: ParamSystem):
+    """Intervals of (0, x_max] that support a fixed point for some eps, on
+    the ANALYSIS_GRID_N-point grid of [0, x_max].
 
     Returns (intervals, touches_zero) where touches_zero reports whether the
     domain extends down to the first grid cell above 0.
     """
-    xs = np.linspace(0.0, psys.x_max, grid_n)[1:]
+    xs = np.linspace(0.0, psys.x_max, ANALYSIS_GRID_N)[1:]
     mask = ((np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12)
             & (np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12))
     intervals = []
@@ -438,7 +457,7 @@ def xf_intervals(psys: ParamSystem, grid_n: int = 10**4):
     return intervals, touches_zero
 
 
-def maxwell_threshold(psys: ParamSystem, grid_n: int = 10**4) -> float:
+def maxwell_threshold(psys: ParamSystem) -> float:
     """Smallest eps(x) over roots of the fixed-point potential Q on the
     closure of the fixed-point domain; the boundary value at x -> 0 is the
     stability threshold when the domain reaches down to zero, and the
@@ -447,18 +466,19 @@ def maxwell_threshold(psys: ParamSystem, grid_n: int = 10**4) -> float:
     undercuts the zero state up to eps_max, which is returned, as eps_c
     returns the sup of its predicate.
 
-    The tolerances are fixed: each sign change of Q on a grid_n-point grid
-    of a domain interval is bisected to 1e-12 in x, eps(x) there is
-    bisected to 1e-12 unless the family has a closed form, and the
-    stability candidate is eps_stab's root to its default 1e-9."""
-    return _maxwell(psys, grid_n)[0]
+    The grid and tolerances are fixed: each sign change of Q on the
+    ANALYSIS_GRID_N-point grid of a domain interval is bisected to 1e-12 in
+    x, eps(x) there is bisected to 1e-12 unless the family has a closed
+    form, and the stability candidate is eps_stab's root to its default
+    1e-9."""
+    return _maxwell(psys)[0]
 
 
-def _maxwell(psys: ParamSystem, grid_n: int = 10**4) -> tuple:
+def _maxwell(psys: ParamSystem) -> tuple:
     """maxwell_threshold and the note saying which rule gave it."""
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
-    intervals, touches_zero = xf_intervals(psys, grid_n)
+    intervals, touches_zero = xf_intervals(psys)
     if not intervals:
         raise ThresholdUndefinedError("empty fixed-point domain")
 
@@ -467,7 +487,7 @@ def _maxwell(psys: ParamSystem, grid_n: int = 10**4) -> tuple:
     if touches_zero:
         candidates.append(eps_stab(psys))
     for lo, hi in intervals:
-        xs = np.linspace(lo, hi, grid_n)
+        xs = np.linspace(lo, hi, ANALYSIS_GRID_N)
         q = np.asarray(Q_of_x(psys, xs), dtype=float)
         q_positive = q_positive and bool(np.all(q > 0.0))
         for i in np.where(q[:-1] * q[1:] < 0.0)[0]:
@@ -483,7 +503,7 @@ def _maxwell(psys: ParamSystem, grid_n: int = 10**4) -> tuple:
     return min(candidates), "min eps(x) over roots of the fixed-point potential"
 
 
-def psi_exit(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
+def psi_exit(psys: ParamSystem, eps: float, grid_n: int = ANALYSIS_GRID_N) -> float:
     """Derivative of the potential envelope:
     -G_eps(x*; eps) - F_eps(g(x*; eps); eps) at the largest minimizer x*."""
     xb = x_bar_star(psys, eps, grid_n)
@@ -491,64 +511,63 @@ def psi_exit(psys: ParamSystem, eps: float, grid_n: int = 10**4) -> float:
              + float(psys.F_eps(psys.g(xb, eps), eps)))
 
 
-def _refine_jumps(psys: ParamSystem, es, xbars, jump_tol: float, eps_tol: float,
-                  grid_n: int) -> list:
-    """Bisect every step above jump_tol between adjacent entries of xbars
-    (the largest minimizer at es) down to eps_tol; returns the midpoints.
-    The minimizer is carried at both bracket ends, so the final test for a
-    genuine discontinuity costs no further minimization."""
+def _refine_jumps(psys: ParamSystem, es, xbars) -> list:
+    """Bisect every step above 0.01 between adjacent entries of xbars (the
+    largest minimizer at es) down to 1e-6 in eps, with the minimizer on the
+    _CURVE_GRID_N-point grid; returns the midpoints. The minimizer is carried
+    at both bracket ends, so the final test for a genuine discontinuity
+    costs no further minimization."""
     jumps = []
     for i in range(len(es) - 1):
-        if abs(xbars[i + 1] - xbars[i]) > jump_tol:
+        if abs(xbars[i + 1] - xbars[i]) > _JUMP_SIZE:
             a, b = float(es[i]), float(es[i + 1])
             x0 = xa = xbars[i]
             xb = xbars[i + 1]
-            while b - a > eps_tol:
+            while b - a > _JUMP_EPS_TOL:
                 m = 0.5 * (a + b)
-                xm = x_bar_star(psys, m, grid_n)
-                if abs(xm - x0) > jump_tol:
+                xm = x_bar_star(psys, m, _CURVE_GRID_N)
+                if abs(xm - x0) > _JUMP_SIZE:
                     b, xb = m, xm
                 else:
                     a, xa = m, xm
             # a steep but continuous stretch shrinks to nothing under
             # bisection; only a genuine discontinuity survives
-            if abs(xb - xa) > jump_tol:
+            if abs(xb - xa) > _JUMP_SIZE:
                 jumps.append(0.5 * (a + b))
     return jumps
 
 
-def find_xbar_jumps(psys: ParamSystem, lo: float = 0.0, hi: Optional[float] = None,
-                    coarse_step: float = 1e-3, jump_tol: float = 0.01,
-                    eps_tol: float = 1e-6, grid_n: int = 3000):
+def find_xbar_jumps(psys: ParamSystem, lo: float = 0.0, hi: Optional[float] = None):
     """Locate discontinuities of the largest minimizer on [lo, hi].
 
-    Scans with the coarse step, then bisects each detected jump of size
-    above jump_tol down to eps_tol.
+    Scans eps in steps of at most 1e-3, with the minimizer on the
+    _CURVE_GRID_N-point grid, then bisects each detected jump of size above
+    0.01 down to 1e-6 (_refine_jumps).
     """
     hi = psys.eps_max if hi is None else hi
-    n = max(int(math.ceil((hi - lo) / coarse_step)) + 1, 2)
+    n = max(int(math.ceil((hi - lo) / _JUMP_SCAN_STEP)) + 1, 2)
     es = np.linspace(lo, hi, n)
-    xbars = [x_bar_star(psys, float(e), grid_n) for e in es]
-    return _refine_jumps(psys, es, xbars, jump_tol, eps_tol, grid_n)
+    xbars = [x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es]
+    return _refine_jumps(psys, es, xbars)
 
 
-def psi_integral(psys: ParamSystem, eps: float, n: int = 1000,
-                 grid_n: int = 3000) -> float:
+def psi_integral(psys: ParamSystem, eps: float) -> float:
     """Trapezoid integral of the envelope derivative from 0 to eps, split at
     minimizer jumps (located by bisection) so the integrand is smooth on
-    each piece."""
+    each piece: about 1000 samples over [0, eps], at least 8 a piece, with the
+    minimizer on the _CURVE_GRID_N-point grid."""
     if eps <= 0.0:
         return 0.0
-    cuts = [0.0] + [j for j in find_xbar_jumps(psys, 0.0, eps, grid_n=grid_n)
+    cuts = [0.0] + [j for j in find_xbar_jumps(psys, 0.0, eps)
                     if 0.0 < j < eps] + [eps]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 0:
             continue
-        m = max(int(round(n * (b - a) / eps)), 8)
+        m = max(int(round(_PSI_SAMPLES * (b - a) / eps)), 8)
         shrink = min(1e-9, (b - a) * 1e-6)
         es = np.linspace(a + shrink, b - shrink, m)
-        vals = np.array([psi_exit(psys, float(e), grid_n) for e in es])
+        vals = np.array([psi_exit(psys, float(e), _CURVE_GRID_N) for e in es])
         total += float(np.trapezoid(vals, es))
     return total
 
@@ -587,32 +606,32 @@ class MapExitCurve:
     jumps: tuple
 
 
-def map_exit_curve(psys: ParamSystem, eps_grid, grid_n: int = 3000) -> MapExitCurve:
-    """EXIT functional at the largest potential minimizer over an eps-grid,
-    with jump locations refined to 1e-6 between adjacent grid points."""
+def map_exit_curve(psys: ParamSystem, eps_grid) -> MapExitCurve:
+    """EXIT functional at the largest potential minimizer, found on the
+    _CURVE_GRID_N-point grid, over an eps-grid, with jumps above 0.01 located
+    to 1e-6 between adjacent grid points (_refine_jumps)."""
     es = np.asarray(eps_grid, dtype=float)
-    xbars = np.array([x_bar_star(psys, float(e), grid_n) for e in es])
+    xbars = np.array([x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es])
     ex = np.array([float(psys.exit_value(x, float(e)))
                    for x, e in zip(xbars, es)])
-    jumps = _refine_jumps(psys, es, xbars, 0.01, 1e-6, grid_n)
+    jumps = _refine_jumps(psys, es, xbars)
     return MapExitCurve(es, ex, xbars, tuple(jumps))
 
 
-def inverse_Psi_threshold(psys: ParamSystem, x: float, tol: float = 1e-9,
-                          grid_n: int = 10**4) -> float:
+def inverse_Psi_threshold(psys: ParamSystem, x: float) -> float:
     """Parameter below which the largest minimizer stays at or below x,
-    computed as the eps where the envelope equals Q(x). Needs a strictly
-    decreasing envelope (proper family)."""
+    computed as the eps where the envelope equals Q(x), bisected to 1e-9.
+    Needs a strictly decreasing envelope (proper family)."""
     if not psys.proper:
         raise ThresholdUndefinedError("inverse envelope threshold needs a proper family")
     target = float(Q_of_x(psys, x))
-    lo_val = Psi(psys, 0.0, grid_n)
-    hi_val = Psi(psys, psys.eps_max, grid_n)
+    lo_val = Psi(psys, 0.0)
+    hi_val = Psi(psys, psys.eps_max)
     if not (hi_val - 1e-12 <= target <= lo_val + 1e-12):
         raise DomainError(
             f"Q(x)={target:.6g} outside the envelope range [{hi_val:.6g}, {lo_val:.6g}]")
-    return bisect_sup(lambda e: Psi(psys, e, grid_n) >= target - 1e-12,
-                      0.0, psys.eps_max, tol)
+    return bisect_sup(lambda e: Psi(psys, e) >= target - 1e-12,
+                      0.0, psys.eps_max, _INVERSE_PSI_TOL)
 
 
 @dataclass(frozen=True)

@@ -264,6 +264,24 @@ class TestExitCurves:
             if abs(e - 0.622) > 0.03 and round(e, 9) in mp:
                 assert abs(v - mp[round(e, 9)]) <= 0.02
 
+    def test_sc_nonconvergence_exit_3_with_partial_rows(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "schema": 1,
+            "system": {"type": "ldpc", "lambda": "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20",
+                       "rho": "0.6 x^4 + 0.4 x^12"},
+            "command": {"series": ["sc"], "N": 50, "w": 3, "sc_eps_n": 2, "max_iters": 5},
+        })
+        out = str(tmp_path / "e.csv")
+        # eps = 0 converges in two steps, eps = 1 hits the cap
+        assert main(["exit-curves", "--config", cfg, "--out", out]) == 3
+        _, _, rows = read_csv(out)
+        assert [(r[0], float(r[1])) for r in rows] == [("sc-finite", 0.0), ("sc-finite", 1.0)]
+
+    def test_scalar_system_rejected(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1, "system": {"type": "example", "id": 1}})
+        assert main(["exit-curves", "--config", cfg]) == 2
+
     def test_unknown_series_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {
             "schema": 1, "system": {"type": "gldpc", "n": 31, "t": 4},
@@ -314,6 +332,7 @@ class TestRejectedFlags:
         ("thresholds", {"system": {"type": "gldpc", "n": 31, "t": 4}},
          ["--format", "csv"]),
         ("verify", None, ["--N", "5"]),
+        ("potential-curve", {"system": {"type": "example", "id": 1}}, ["--eps", "0.5"]),
     ])
     def test_unsupported_flag_exits_2(self, tmp_path, command, cfg, flags):
         argv = [command] + flags
@@ -386,4 +405,8 @@ class TestConfigErrors:
         assert main(["potential-curve", "--config", cfg]) == 2
         cfg = write_cfg(tmp_path, "c.json",
                         {"system": {"type": "cs", "prior": "gaussian"}})
+        assert main(["potential-curve", "--config", cfg]) == 2
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"system": {"type": "cs", "prior": "laplace", "sigma2": 1e-4,
+                                    "delta": 0.5}})
         assert main(["potential-curve", "--config", cfg]) == 2

@@ -24,6 +24,7 @@ from maxsat.recursion import (
     coupled_fixed_point,
     coupled_step,
     enumerate_fixed_points,
+    fixed_points_of,
     make_system,
     modified_coupled_fixed_point,
     tabulated_integral,
@@ -400,12 +401,13 @@ class TestEnumerate:
         assert pts[2] == pytest.approx(EX1_FP_TOP, abs=1e-9)
 
     def test_grid_n_validation(self):
+        s = example1_system()
         with pytest.raises(DomainError):
-            enumerate_fixed_points(example1_system(), grid_n=1)
+            fixed_points_of(s.h, s.x_max, 1)
 
     def test_pathological_accumulation(self):
         s = pathological_system()
-        pts = [x for x in enumerate_fixed_points(s, 200000) if 0.01 <= x <= 0.1]
+        pts = [x for x in fixed_points_of(s.h, s.x_max, 200000) if 0.01 <= x <= 0.1]
         assert len(pts) >= 5
 
     def test_tangential_root_found(self):

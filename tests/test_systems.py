@@ -144,7 +144,7 @@ class TestLdgm:
         with pytest.raises(ThresholdUndefinedError):
             inverse_Psi_threshold(psys, 0.5)
 
-    def test_eps_of_x_closed_matches_fixed_point(self, ldgm9):
+    def test_eps_of_x_matches_fixed_point(self, ldgm9):
         for x in (0.3, 0.6, 0.9):
             e = eps_of_x(ldgm9, x)
             assert float(ldgm9.h(x, e)) == pytest.approx(x, abs=1e-12)

@@ -1,0 +1,38 @@
+"""The benchmark's per-layer tracer, bench/spans.py, hooks library functions
+and reads their arguments by name (minimize_potential's grid_n among them),
+so a renamed function or parameter would zero its metrics without failing
+a benchmark run. These counts pin what it sees on two small analyses."""
+
+import importlib.util
+from pathlib import Path
+
+import maxsat.potential
+import maxsat.thresholds
+from maxsat.systems import DegreeDistribution, example1_system, ldpc_system
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.Tracer
+
+
+def test_tracer_counts_analysis_layers():
+    ldpc8 = ldpc_system(DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
+                        DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
+    ex1 = example1_system()
+    tracer = load_tracer()()
+    with tracer:
+        # looked up inside the block, where the tracer has rebound them
+        maxsat.potential.potential_report(ex1)
+        maxsat.thresholds.map_exit_curve(ldpc8, [0.5, 0.7])
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    # one 1e4-point minimization for the report; two curve points and 18
+    # bisection steps of the jump near 0.622, each a 3000-point one
+    assert metrics["potential.minimize_calls"] == 21
+    assert metrics["potential.grid_points"] == 10**4 + 20 * 3000
+    assert metrics["potential.fp_scans_per_report"] == 1.0
+    assert metrics["thresholds.xbar_evals"] == 20
