@@ -151,9 +151,13 @@ def build_system(sysobj: dict):
     raise ConfigError(f"unknown system type {t!r}")
 
 
-def _fingerprint(sysobj: dict) -> str:
-    blob = json.dumps(sysobj, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+def _meta(cfg: dict) -> dict:
+    """Header of every data output: tool, version, a fingerprint of the
+    system object and its type."""
+    blob = json.dumps(cfg["system"], sort_keys=True, separators=(",", ":")).encode()
+    return {"tool": "maxsat", "version": __version__,
+            "fingerprint": hashlib.sha256(blob).hexdigest()[:12],
+            "system": cfg["system"]["type"]}
 
 
 def load_config(path: str) -> dict:
@@ -238,9 +242,7 @@ def cmd_potential_curve(cfg: dict, args) -> int:
     xs = np.linspace(0.0, sys_.x_max, grid_n)
     us = np.asarray(U_s(sys_, xs), dtype=float)
     res = minimize_Us(sys_)
-    meta = {"tool": "maxsat", "version": __version__,
-            "fingerprint": _fingerprint(cfg["system"]),
-            "system": cfg["system"]["type"]}
+    meta = _meta(cfg)
     if eps is not None:
         meta["eps"] = _fmt(eps)
     rows = [("potential", float(x), float(u)) for x, u in zip(xs, us)]
@@ -265,10 +267,7 @@ def cmd_coupled_run(cfg: dict, args) -> int:
     spec = CouplingSpec(_number(params, "N", int), _number(params, "w", int))
     itcfg = IterationConfig(tol=_number(params, "tol", default=1e-12),
                             max_iters=_number(params, "max_iters", int, default=10**6))
-    meta = {"tool": "maxsat", "version": __version__,
-            "fingerprint": _fingerprint(cfg["system"]),
-            "system": cfg["system"]["type"],
-            "N": spec.N, "w": spec.w}
+    meta = {**_meta(cfg), "N": spec.N, "w": spec.w}
     if eps is not None:
         meta["eps"] = _fmt(eps)
 
@@ -297,10 +296,7 @@ def cmd_thresholds(cfg: dict, args) -> int:
     tol = _number(params, "tol", default=1e-9)
     rep = threshold_report(built, tol)
     obj = {
-        "tool": "maxsat",
-        "version": __version__,
-        "fingerprint": _fingerprint(cfg["system"]),
-        "system": cfg["system"]["type"],
+        **_meta(cfg),
         "eps_single": rep.eps_single,
         "eps_stab": rep.eps_stab,
         "eps_c": rep.eps_c,
@@ -327,16 +323,26 @@ def cmd_thresholds(cfg: dict, args) -> int:
     return 0
 
 
+# The command keys each exit-curves series reads.
+_SERIES_KEYS = {
+    "ebp": {"x_n"},
+    "map": {"eps_lo", "eps_hi", "eps_n"},
+    "sc": {"eps_lo", "eps_hi", "sc_eps_n", "N", "w", "max_iters"},
+}
+
+
 def cmd_exit_curves(cfg: dict, args) -> int:
-    params = _merged_params(cfg, args, {"series", "eps_lo", "eps_hi", "eps_n",
-                                        "x_n", "N", "w", "sc_eps_n", "max_iters",
-                                        "out"})
+    params = _merged_params(cfg, args, {"series", "out"}.union(*_SERIES_KEYS.values()))
     kind, built = build_system(cfg["system"])
     if kind != "param":
         raise ConfigError("exit-curves need a parameterized system")
     series = params.get("series", ["ebp", "map"])
-    if not isinstance(series, list) or not set(series) <= {"ebp", "map", "sc"}:
+    if not isinstance(series, list) or not all(
+            isinstance(s, str) and s in _SERIES_KEYS for s in series):
         raise ConfigError('series must be a list drawn from ["ebp", "map", "sc"]')
+    unused = set(params) - {"series", "out"}.union(*(_SERIES_KEYS[s] for s in series))
+    if unused:
+        raise ConfigError(f"keys or flags not used by series {series}: {sorted(unused)}")
     eps_lo = _number(params, "eps_lo", default=0.0)
     eps_hi = _number(params, "eps_hi", default=built.eps_max)
     if not 0.0 <= eps_lo < eps_hi <= built.eps_max:
@@ -363,10 +369,7 @@ def cmd_exit_curves(cfg: dict, args) -> int:
                 worst = exc.last.max
                 code = 3
             rows.append(("sc-finite", float(e), float(built.exit_value(worst, float(e)))))
-    meta = {"tool": "maxsat", "version": __version__,
-            "fingerprint": _fingerprint(cfg["system"]),
-            "system": cfg["system"]["type"]}
-    _write_text(_csv_text(meta, ["series", "eps", "exit"], rows), params.get("out"))
+    _write_text(_csv_text(_meta(cfg), ["series", "eps", "exit"], rows), params.get("out"))
     return code
 
 

@@ -48,6 +48,8 @@ __all__ = [
     "CoupledRun",
     "IterationConfig",
     "make_system",
+    "tabulated_integral",
+    "antiderivative_error",
     "validate_system",
     "uncoupled_step",
     "uncoupled_fixed_point",
@@ -59,7 +61,7 @@ __all__ = [
     "copy_midpoint_tail",
     "midpoint_index",
     "translate_system",
-    "enumerate_fixed_points",
+    "fixed_points_of",
 ]
 
 # Absolute slack allowed before a clamp is treated as a real domain violation.
@@ -617,7 +619,8 @@ def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
 
     Sign changes are refined by bisection to 1e-12; local minima of |x - h(x)|
     below 1e-9 that do not bracket a sign change (grazing roots) are
-    refined by golden section. Returns the roots sorted and deduplicated.
+    refined by golden section. Returns the roots sorted and deduplicated;
+    a ScalarSystem's fixed points are fixed_points_of(sys.h, sys.x_max).
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
@@ -654,9 +657,3 @@ def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
             continue
         out.append(x)
     return out
-
-
-def enumerate_fixed_points(sys: ScalarSystem) -> list:
-    """All fixed points of h(x) = f(g(x)) on [0, x_max], sorted ascending,
-    grazing roots that bisection cannot bracket included."""
-    return fixed_points_of(sys.h, sys.x_max)

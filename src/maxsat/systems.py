@@ -7,7 +7,8 @@ Erasure-decoding families over a channel parameter eps:
   * gldpc_system: f(x;eps) = eps x,            g(x) the bounded-distance
                   component-decoder transfer, a regularized incomplete Beta
   * isi_system:   f(x;eps) = phi(L(x);eps) lam(x), g as LDPC, for joint
-                  detection/decoding over a channel with memory
+                  detection/decoding over the dicode erasure channel
+                  (phi = dec_phi)
 
 plus a compressed-sensing state-evolution pair built from a prior's mmse
 curve, and three fixed demo systems (two decodable families frozen at one
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "GaussianPrior",
     "TwoPointPrior",
     "CsParams",
-    "mmse_two_point",
     "cs_system",
     "example1_system",
     "example2_system",
@@ -344,8 +344,9 @@ def dec_phi(x, eps):
     """Erasure transfer function of a two-tap partial-response detector,
     phi(x; eps) = 4 eps^2 / (2 - (1-eps) x)^2.
 
-    Shipped as the default channel for isi_system with provenance flagged
-    as external; satisfies phi(x;0) = 0 and phi(1;1) = 1.
+    The channel of isi_system, with provenance flagged as external;
+    satisfies phi(x;0) = 0 and phi(1;1) = 1 and is non-decreasing in both
+    arguments on [0, 1]^2.
     """
     # eps * eps, not eps**2: a float's pow and numpy's array square round
     # differently for some eps, so a scalar eps would not match its lane
@@ -370,46 +371,23 @@ def _dec_Phi_eps(z, eps):
 
 
 def isi_system(L: Union[DegreeDistribution, PolyLike],
-               R: Union[DegreeDistribution, PolyLike],
-               phi: Optional[Callable] = None,
-               phi_x: Optional[Callable] = None,
-               phi_eps: Optional[Callable] = None,
-               Phi: Optional[Callable] = None,
-               Phi_eps: Optional[Callable] = None) -> ParamSystem:
+               R: Union[DegreeDistribution, PolyLike]) -> ParamSystem:
     """Joint detection/decoding family f(x;eps) = phi(L(x);eps) lam(x) with
-    the LDPC check side g = 1 - rho(1-x).
-
-    phi maps the code's a-priori erasure rate and the channel parameter to
-    the detector's extrinsic erasure rate; it must be C^1, non-decreasing
-    in both arguments, and satisfy phi(1;1) = 1 (grid-checked). When phi is
-    omitted the shipped two-tap detector dec_phi is used with closed-form
-    antiderivatives; a custom phi needs Phi (and Phi_eps) or they are left
-    to quadrature-free failure.
+    the LDPC check side g = 1 - rho(1-x), over the dicode erasure channel:
+    phi = dec_phi maps the code's a-priori erasure rate and the channel
+    parameter to the detector's extrinsic erasure rate, with closed-form
+    partials and antiderivative.
     """
     lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
-    if phi is None:
-        phi, phi_x, phi_eps = dec_phi, _dec_phi_x, _dec_phi_eps
-        Phi, Phi_eps = _dec_Phi, _dec_Phi_eps
-    if Phi is None or Phi_eps is None or phi_x is None or phi_eps is None:
-        raise ConstructionError("custom phi needs phi_x, phi_eps, Phi, and Phi_eps")
-
-    zs = np.linspace(0.0, 1.0, 101)
-    Z, Ei = np.meshgrid(zs, zs, indexing="ij")
-    pv = np.asarray(phi(Z, Ei), dtype=float)
-    if abs(float(phi(1.0, 1.0)) - 1.0) > 1e-12:
-        raise ConstructionError("phi(1; 1) != 1")
-    if np.min(np.diff(pv, axis=0)) < -1e-9 or np.min(np.diff(pv, axis=1)) < -1e-9:
-        raise ConstructionError("phi decreasing in one of its arguments")
-
     psys = ParamSystem(
-        f=lambda x, e: phi(Ln(x), e) * lam(x),
-        f_x=lambda x, e: (phi_x(Ln(x), e) * Lp1 * lam(x) ** 2
-                          + phi(Ln(x), e) * lam_p(x)),
-        f_eps=lambda x, e: phi_eps(Ln(x), e) * lam(x),
-        F=lambda x, e: Phi(Ln(x), e) / Lp1,
-        F_eps=lambda x, e: Phi_eps(Ln(x), e) / Lp1,
+        f=lambda x, e: dec_phi(Ln(x), e) * lam(x),
+        f_x=lambda x, e: (_dec_phi_x(Ln(x), e) * Lp1 * lam(x) ** 2
+                          + dec_phi(Ln(x), e) * lam_p(x)),
+        f_eps=lambda x, e: _dec_phi_eps(Ln(x), e) * lam(x),
+        F=lambda x, e: _dec_Phi(Ln(x), e) / Lp1,
+        F_eps=lambda x, e: _dec_Phi_eps(Ln(x), e) / Lp1,
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
-        exit_fn=lambda x, e: Phi_eps(Ln(1.0 - rho(1.0 - x)), e),
+        exit_fn=lambda x, e: _dec_Phi_eps(Ln(1.0 - rho(1.0 - x)), e),
         name="isi",
     )
     validate_param_system(psys)
@@ -496,14 +474,6 @@ class CsParams:
             raise ConstructionError("sigma2 must be positive")
         if self.delta <= 0:
             raise ConstructionError("delta must be positive")
-
-
-def mmse_two_point(params: Union[CsParams, TwoPointPrior], snr):
-    """Minimum mean-square error of the two-point prior at the given snr."""
-    prior = params.prior if isinstance(params, CsParams) else params
-    if not isinstance(prior, TwoPointPrior):
-        raise DomainError("mmse_two_point needs a two-point prior")
-    return prior.mmse(snr)
 
 
 def cs_system(params: CsParams, use_closed_form_F: bool = False) -> ScalarSystem:

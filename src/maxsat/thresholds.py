@@ -42,7 +42,6 @@ __all__ = [
     "eps_stab",
     "eps_c",
     "eps_of_x",
-    "eps_of_x_vec",
     "eps_prime_of_x",
     "Q_of_x",
     "Q_integral_check",
@@ -50,7 +49,6 @@ __all__ = [
     "maxwell_threshold",
     "psi_exit",
     "psi_integral",
-    "find_xbar_jumps",
     "FixedPointCurve",
     "ebp_curve",
     "MapExitCurve",
@@ -64,8 +62,8 @@ __all__ = [
 # Minimizer grid of the MAP curve, its jumps and psi_integral; the other
 # analyses minimize on ANALYSIS_GRID_N points.
 _CURVE_GRID_N = 3000
-# Jumps of the largest minimizer: the eps scan step, the smallest jump, and
-# the eps width each jump is bisected to.
+# Jumps of the largest minimizer: psi_integral's eps scan step, the smallest
+# jump, and the eps width each jump is bisected to.
 _JUMP_SCAN_STEP = 1e-3
 _JUMP_SIZE = 0.01
 _JUMP_EPS_TOL = 1e-6
@@ -364,10 +362,11 @@ def _eps_bracket_check(psys: ParamSystem, xs: np.ndarray) -> None:
         raise DomainError(f"x not in the fixed-point domain: {bad[:4]}...")
 
 
-def eps_of_x_vec(psys: ParamSystem, xs) -> np.ndarray:
-    """Parameter supporting a fixed point at each x (vectorized): the
-    family's closed form, or else a bisection on eps to 1e-12."""
-    arr = np.asarray(xs, dtype=float)
+def eps_of_x(psys: ParamSystem, x):
+    """Smallest parameter supporting a fixed point at x (unique when
+    proper), elementwise: the family's closed form, or else a bisection on
+    eps to 1e-12. A scalar x gives a float, an array its shape."""
+    arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr).astype(float)
     if np.any(flat <= 0.0) or np.any(flat > psys.x_max):
         raise DomainError("eps_of_x needs x in (0, x_max]")
@@ -389,11 +388,6 @@ def eps_of_x_vec(psys: ParamSystem, xs) -> np.ndarray:
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def eps_of_x(psys: ParamSystem, x: float) -> float:
-    """Smallest parameter supporting a fixed point at x (unique when proper)."""
-    return float(eps_of_x_vec(psys, float(x)))
-
-
 def eps_prime_of_x(psys: ParamSystem, x: float) -> float:
     """Derivative of eps(x) from the implicit fixed-point equation:
     (1 - h_x(x; eps(x))) / h_eps(x; eps(x))."""
@@ -406,7 +400,7 @@ def eps_prime_of_x(psys: ParamSystem, x: float) -> float:
 
 def Q_of_x(psys: ParamSystem, x):
     """Fixed-point potential Q(x) = U_s(x; eps(x))."""
-    e = eps_of_x_vec(psys, x)
+    e = eps_of_x(psys, x)
     return psys.u(x, e)
 
 
@@ -426,7 +420,7 @@ def Q_integral_check(psys: ParamSystem, x1: float, x2: float):
     direct = float(Q_of_x(psys, x2) - Q_of_x(psys, x1))
 
     def integrand(x):
-        e = eps_of_x_vec(psys, x)
+        e = eps_of_x(psys, x)
         depsdx = (1.0 - psys.h_x(x, e)) / psys.h_eps(x, e)
         return -(psys.G_eps(x, e) + psys.F_eps(psys.g(x, e), e)) * depsdx
 
@@ -462,9 +456,9 @@ def maxwell_threshold(psys: ParamSystem) -> float:
     closure of the fixed-point domain; the boundary value at x -> 0 is the
     stability threshold when the domain reaches down to zero, and the
     threshold is undefined with it when 0 is not a fixed point. When 0 is
-    a fixed point and Q > 0 at every sample of the domain, no fixed point
-    undercuts the zero state up to eps_max, which is returned, as eps_c
-    returns the sup of its predicate.
+    a fixed point and Q > 0 at every sample of the domain, or the domain is
+    empty, no fixed point undercuts the zero state up to eps_max, which is
+    returned, as eps_c returns the sup of its predicate.
 
     The grid and tolerances are fixed: each sign change of Q on the
     ANALYSIS_GRID_N-point grid of a domain interval is bisected to 1e-12 in
@@ -479,8 +473,6 @@ def _maxwell(psys: ParamSystem) -> tuple:
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys)
-    if not intervals:
-        raise ThresholdUndefinedError("empty fixed-point domain")
 
     candidates: list[float] = []
     q_positive = True
@@ -537,29 +529,17 @@ def _refine_jumps(psys: ParamSystem, es, xbars) -> list:
     return jumps
 
 
-def find_xbar_jumps(psys: ParamSystem, lo: float = 0.0, hi: Optional[float] = None):
-    """Locate discontinuities of the largest minimizer on [lo, hi].
-
-    Scans eps in steps of at most 1e-3, with the minimizer on the
-    _CURVE_GRID_N-point grid, then bisects each detected jump of size above
-    0.01 down to 1e-6 (_refine_jumps).
-    """
-    hi = psys.eps_max if hi is None else hi
-    n = max(int(math.ceil((hi - lo) / _JUMP_SCAN_STEP)) + 1, 2)
-    es = np.linspace(lo, hi, n)
-    xbars = [x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es]
-    return _refine_jumps(psys, es, xbars)
-
-
 def psi_integral(psys: ParamSystem, eps: float) -> float:
     """Trapezoid integral of the envelope derivative from 0 to eps, split at
-    minimizer jumps (located by bisection) so the integrand is smooth on
-    each piece: about 1000 samples over [0, eps], at least 8 a piece, with the
-    minimizer on the _CURVE_GRID_N-point grid."""
+    minimizer jumps so the integrand is smooth on each piece: about 1000
+    samples over [0, eps], at least 8 a piece, with the minimizer on the
+    _CURVE_GRID_N-point grid. The jumps are map_exit_curve's on an eps grid
+    of [0, eps] with steps of at most 1e-3."""
     if eps <= 0.0:
         return 0.0
-    cuts = [0.0] + [j for j in find_xbar_jumps(psys, 0.0, eps)
-                    if 0.0 < j < eps] + [eps]
+    n = max(int(math.ceil(eps / _JUMP_SCAN_STEP)) + 1, 2)
+    jumps = map_exit_curve(psys, np.linspace(0.0, eps, n)).jumps
+    cuts = [0.0] + [j for j in jumps if 0.0 < j < eps] + [eps]
     total = 0.0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if b - a <= 0:
@@ -592,7 +572,7 @@ def ebp_curve(psys: ParamSystem, x_grid) -> FixedPointCurve:
     for lo, hi in intervals:
         keep |= (xs >= lo) & (xs <= hi)
     xs = xs[keep]
-    eps = np.asarray(eps_of_x_vec(psys, xs), dtype=float)
+    eps = np.asarray(eps_of_x(psys, xs), dtype=float)
     q = np.asarray(psys.u(xs, eps), dtype=float)
     ex = np.asarray(psys.exit_value(xs, eps), dtype=float)
     return FixedPointCurve(xs, eps, q, ex, tuple(intervals))
@@ -647,10 +627,7 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
     raising. eps_single, eps_stab and eps_c are bisected to tol;
     eps_maxwell keeps maxwell_threshold's fixed tolerances (its roots of Q
-    are bisected to 1e-12 in x) whatever tol is. As a guard, raises
-    ThresholdUndefinedError if eps_c exceeds eps_stab by more than 10 tol:
-    both are defined only when 0 is a fixed point, and then eps_c is at
-    most eps_stab (see eps_c)."""
+    are bisected to 1e-12 in x) whatever tol is."""
     values = {}
     notes = []
 
@@ -669,8 +646,5 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     attempt("eps_c", lambda: (eps_c(psys, tol), "bisection on min_x U_s(x;eps) >= 0"))
     attempt("eps_maxwell", lambda: _maxwell(psys))
 
-    ec, es_ = values["eps_c"], values["eps_stab"]
-    if ec is not None and es_ is not None and ec > es_ + 10 * tol:
-        raise ThresholdUndefinedError(f"eps_c={ec} exceeds eps_stab={es_}")
     return ThresholdReport(values["eps_single"], values["eps_stab"],
                            values["eps_c"], values["eps_maxwell"], tuple(notes))

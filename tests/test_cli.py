@@ -288,6 +288,11 @@ class TestExitCurves:
             "command": {"series": ["bp"]},
         })
         assert main(["exit-curves", "--config", cfg]) == 2
+        cfg = write_cfg(tmp_path, "c.json", {
+            "schema": 1, "system": {"type": "gldpc", "n": 31, "t": 4},
+            "command": {"series": [["ebp"]]},
+        })
+        assert main(["exit-curves", "--config", cfg]) == 2
 
     def test_inverted_eps_grid_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {
@@ -333,6 +338,9 @@ class TestRejectedFlags:
          ["--format", "csv"]),
         ("verify", None, ["--N", "5"]),
         ("potential-curve", {"system": {"type": "example", "id": 1}}, ["--eps", "0.5"]),
+        ("exit-curves", {"system": LDPC, "command": {"series": ["ebp"]}}, ["--N", "5"]),
+        ("exit-curves", {"system": LDPC, "command": {"series": ["map", "ebp"]}},
+         ["--w", "3"]),
     ])
     def test_unsupported_flag_exits_2(self, tmp_path, command, cfg, flags):
         argv = [command] + flags
@@ -345,6 +353,23 @@ class TestRejectedFlags:
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
         assert main(["thresholds", "--help"]) == 0
+
+    @pytest.mark.parametrize("series, key", [
+        (["ebp"], "N"), (["ebp"], "w"), (["ebp"], "sc_eps_n"), (["ebp"], "max_iters"),
+        (["ebp"], "eps_n"), (["ebp"], "eps_lo"), (["map"], "x_n"), (["map"], "N"),
+        (["map"], "sc_eps_n"), (["sc"], "eps_n"), (["sc"], "x_n"),
+    ])
+    def test_exit_curves_key_of_another_series_rejected(self, tmp_path, capsys, series, key):
+        values = {"N": 5, "w": 3, "sc_eps_n": 3, "max_iters": 7, "eps_n": 4, "x_n": 8,
+                  "eps_lo": 0.1}
+        command = {"series": series, key: values[key]}
+        if "sc" in series:
+            command.update({"N": 5, "w": 3})
+        cfg = write_cfg(tmp_path, "c.json", {"system": LDPC, "command": command})
+        out = tmp_path / "e.csv"
+        assert main(["exit-curves", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert key in capsys.readouterr().err
 
     def test_format_config_key_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",

@@ -147,8 +147,9 @@ def test_random_profiles_stability_and_threshold_order(case):
     else:
         assert eps_stab(psys) == pytest.approx(oracle, abs=1e-9)
     tol = 1e-9
-    # threshold_report itself raises if eps_c exceeds eps_stab + 10 tol
     rep = threshold_report(psys, tol)
+    if rep.eps_c is not None and rep.eps_stab is not None:
+        assert rep.eps_c <= rep.eps_stab
     if rep.eps_single is not None and rep.eps_c is not None:
         assert rep.eps_single <= rep.eps_c + 10 * tol
     if rep.eps_c is not None:

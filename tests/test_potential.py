@@ -32,7 +32,7 @@ from maxsat.recursion import (
     CouplingSpec,
     IterationConfig,
     coupled_fixed_point,
-    enumerate_fixed_points,
+    fixed_points_of,
     make_system,
 )
 from maxsat.systems import (
@@ -102,7 +102,7 @@ class TestSingleSystemPotential:
         assert U_s(path, 0.05) == pytest.approx(0.05**6 / 30, abs=1e-15)
 
     def test_derivative_at_fixed_points(self, ex1):
-        for x in enumerate_fixed_points(ex1):
+        for x in fixed_points_of(ex1.h, ex1.x_max):
             assert abs(U_s_prime(ex1, x)) <= 1e-10
 
     def test_derivative_value(self, ex1):
@@ -123,7 +123,7 @@ class TestSingleSystemPotential:
 
 class TestHalfIteration:
     def test_matches_potential_at_fixed_points(self, ex1):
-        for x in enumerate_fixed_points(ex1):
+        for x in fixed_points_of(ex1.h, ex1.x_max):
             assert V_s(ex1, ex1.g(x)) == pytest.approx(U_s(ex1, x), abs=1e-14)
 
     def test_zero(self, ex2):
@@ -142,7 +142,7 @@ class TestHalfIteration:
         # rises by at least 2e-6 per step, ldpc with lam = 1 has f = eps,
         # and the cs two-point f is flat on 972 of 999 steps
         assert path.strictly_increasing_f
-        for x in enumerate_fixed_points(path)[:8]:
+        for x in fixed_points_of(path.h, path.x_max)[:8]:
             assert V_s(path, path.g(x)) == pytest.approx(U_s(path, x), abs=1e-14)
         flat = (ldpc_system("x", "x^3").at_eps(0.5),
                 cs_system(CsParams(TwoPointPrior(1.0, 0.1), 1e-4, 0.44)))
@@ -345,7 +345,7 @@ class TestSingleScan:
 
     def test_minimize_keeps_fixed_points(self, ex2):
         res = minimize_Us(ex2)
-        assert res.fixed_points == tuple(enumerate_fixed_points(ex2))
+        assert res.fixed_points == tuple(fixed_points_of(ex2.h, ex2.x_max))
 
     def test_report_equals_parts(self, ex2):
         rep = potential_report(ex2)

@@ -23,7 +23,6 @@ from maxsat.recursion import (
     copy_midpoint_tail,
     coupled_fixed_point,
     coupled_step,
-    enumerate_fixed_points,
     fixed_points_of,
     make_system,
     modified_coupled_fixed_point,
@@ -390,7 +389,7 @@ class TestTranslate:
 class TestEnumerate:
     def test_example1_three_fixed_points(self):
         s = example1_system()
-        pts = enumerate_fixed_points(s)
+        pts = fixed_points_of(s.h, s.x_max)
         # oracle: fine scan of x - h(x) plus bisection on each sign change
         xs = np.linspace(0, 1, 10**6 + 1)
         d = xs - np.asarray(s.h(xs))
@@ -419,7 +418,7 @@ class TestEnumerate:
                         f_prime=lambda x: 1.0 - k * ((x - 0.5) ** 2 + 2 * x * (x - 0.5)),
                         g_prime=lambda x: 1.0 + 0.0 * x,
                         g_second=lambda x: 0.0 * x)
-        pts = enumerate_fixed_points(s)
+        pts = fixed_points_of(s.h, s.x_max)
         assert pts[0] == 0.0
         assert len(pts) == 2
         assert pts[1] == pytest.approx(0.5, abs=1e-4)

@@ -22,11 +22,9 @@ from maxsat.thresholds import (
     ebp_curve,
     eps_c,
     eps_of_x,
-    eps_of_x_vec,
     eps_prime_of_x,
     eps_single,
     eps_stab,
-    find_xbar_jumps,
     inverse_Psi_threshold,
     map_exit_curve,
     maxwell_threshold,
@@ -239,9 +237,22 @@ class TestFixedPointCurve:
     def test_eps_of_x_closed_vs_bisection(self, ldpc8):
         generic = dataclasses.replace(ldpc8, eps_of_x_closed=None)
         xs = np.linspace(0.02, 1.0, 100)
-        closed = np.asarray(eps_of_x_vec(ldpc8, xs))
-        bisected = np.asarray(eps_of_x_vec(generic, xs))
+        closed = np.asarray(eps_of_x(ldpc8, xs))
+        bisected = np.asarray(eps_of_x(generic, xs))
         assert np.max(np.abs(closed - bisected)) <= 1e-10
+
+    def test_eps_of_x_shapes_and_scalar_lanes(self, ldpc8, ldgm9):
+        xs = np.linspace(0.05, 1.0, 40)
+        for x in (0.5, np.array(0.5)):
+            assert type(eps_of_x(ldpc8, x)) is float
+        assert eps_of_x(ldpc8, xs).shape == xs.shape
+        # ldpc8's closed form gives a scalar bit-equal to its lane; ldgm9's
+        # bisection agrees to its 1e-12 width
+        lanes = eps_of_x(ldpc8, xs)
+        assert all(eps_of_x(ldpc8, float(x)) == e for x, e in zip(xs, lanes))
+        xs9 = np.linspace(0.1, 1.0, 40)
+        lanes9 = eps_of_x(ldgm9, xs9)
+        assert all(abs(eps_of_x(ldgm9, float(x)) - e) <= 1e-12 for x, e in zip(xs9, lanes9))
 
     def test_eps_of_x_outside_domain(self, gldpc31):
         with pytest.raises(DomainError):
@@ -278,7 +289,7 @@ class TestFixedPointCurve:
         # the single-system threshold sits at the minimum of eps(x); the
         # implicit derivative must vanish there
         xs = np.linspace(1e-3, 1.0, 10001)
-        ex = np.asarray(eps_of_x_vec(ldpc8, xs))
+        ex = np.asarray(eps_of_x(ldpc8, xs))
         i = int(np.argmin(ex))
         x_sp = golden_min(lambda x: eps_of_x(ldpc8, x),
                           float(xs[i - 1]), float(xs[i + 1]), 1e-12)
@@ -362,7 +373,8 @@ class TestEnvelopeIntegral:
 
 class TestExitCurves:
     def test_ldgm_jump_location(self, ldgm9):
-        jumps = find_xbar_jumps(ldgm9, 0.4, 0.6)
+        # psi_integral's jump scan: eps steps of at most 1e-3
+        jumps = map_exit_curve(ldgm9, np.linspace(0.4, 0.6, 201)).jumps
         assert len(jumps) == 1
         assert jumps[0] == pytest.approx(EX9_JUMP, abs=2e-4)
         mp = map_exit_curve(ldgm9, np.linspace(0.45, 0.56, 23))
@@ -462,6 +474,15 @@ class TestReport:
         assert rep.eps_c == 1.0
         assert rep.eps_maxwell == 1.0
         assert dict(rep.notes)["eps_maxwell"] == "eps_max: Q > 0 on the whole fixed-point domain"
+
+    def test_maxwell_is_eps_max_on_an_empty_fixed_point_domain(self):
+        # degree-1 checks keep h(x; 1) < x on all of (0, 1]: no x > 0
+        # supports a fixed point, and the chain decodes up to eps_max
+        psys = ldpc_system("x^3", "0.5 x + 0.5 x^3")
+        assert xf_intervals(psys) == ([], False)
+        rep = threshold_report(psys)
+        assert rep.eps_c == 1.0
+        assert rep.eps_maxwell == 1.0
 
     def test_maxwell_note_at_a_root(self, ldpc8):
         notes = dict(threshold_report(ldpc8).notes)
