@@ -54,10 +54,9 @@ from .systems import (
 )
 from .thresholds import (
     ebp_curve,
-    inverse_Psi_threshold,
+    inverse_psi_table,
     map_exit_curve,
     threshold_report,
-    xf_intervals,
 )
 
 
@@ -307,16 +306,7 @@ def cmd_thresholds(cfg: dict, args) -> int:
     if rep.eps_c is None:
         # no potential threshold: report the inverse-envelope thresholds
         # along the fixed-point domain instead
-        intervals, _ = xf_intervals(built)
-        table = []
-        for lo, hi in intervals:
-            for x in np.linspace(lo, hi, 11):
-                try:
-                    table.append({"x": float(x),
-                                  "eps": float(inverse_Psi_threshold(built, float(x)))})
-                except (DomainError, ThresholdUndefinedError):
-                    continue
-        obj["inverse_psi_table"] = table
+        obj["inverse_psi_table"] = [{"x": x, "eps": e} for x, e in inverse_psi_table(built)]
     if which is not None and obj[which] is None:
         raise ThresholdUndefinedError(f"{which} is undefined for this system")
     _write_text(_json_text(obj), params.get("out"))

@@ -54,6 +54,7 @@ __all__ = [
     "MapExitCurve",
     "map_exit_curve",
     "inverse_Psi_threshold",
+    "inverse_psi_table",
     "ThresholdReport",
     "threshold_report",
 ]
@@ -67,8 +68,8 @@ _CURVE_GRID_N = 3000
 _JUMP_SCAN_STEP = 1e-3
 _JUMP_SIZE = 0.01
 _JUMP_EPS_TOL = 1e-6
-# Bisection widths in eps of eps(x) and of inverse_Psi_threshold, and the
-# trapezoid samples of psi_integral over [0, eps].
+# Widths in eps of eps(x)'s bisection and of inverse_Psi_threshold's
+# envelope search, and the trapezoid samples of psi_integral over [0, eps].
 _EPS_OF_X_TOL = 1e-12
 _INVERSE_PSI_TOL = 1e-9
 _PSI_SAMPLES = 1000
@@ -316,8 +317,50 @@ def eps_stab(psys: ParamSystem, tol: float = 1e-9) -> float:
     return bisect_root(lambda e: slope(e) - 1.0, 0.0, psys.eps_max, tol)
 
 
+def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
+                  res_b: MinimizeResult, tol: float) -> float:
+    """sup{eps in [a, b] : Psi(eps) >= level - 1e-12}, for a predicate that
+    holds at a and fails at b, where res_b = minimize_us_at(psys, b).
+
+    Each step is a Newton step on Psi = level - 1e-12 from the failing end,
+    with the envelope's slope there, u_eps at the largest minimizer
+    (envelope theorem), so one minimization gives both the value and the
+    slope. Where Psi is concave, as on the erasure families, whose U_s is
+    concave in eps for fixed x (affine on ldpc and gldpc), these steps
+    approach the root from above and never overshoot it. A step is replaced by a bisection when it
+    leaves (a, b] or is longer than half the shortest step before it. Once
+    the Newton step is below tol / 2 the search evaluates tol / 2 below
+    the Newton root instead, which closes the bracket if the root is
+    right, and takes no Newton step after that. So at most about
+    log2((b - a) / tol) steps of each kind are taken. It returns the
+    midpoint once b - a <= tol, as bisect_sup does.
+    """
+    goal = level - 1e-12
+    last = b - a
+    while b - a > tol:
+        slope = float(psys.u_eps(res_b.x_upper, b))
+        root = b + (goal - res_b.value) / slope if slope < 0.0 else math.nan
+        if a < root <= b and b - root <= 0.5 * last:
+            if b - root < 0.5 * tol:
+                # closing step; should it miss, only bisection follows
+                e, last = root - 0.5 * tol, 0.0
+            else:
+                e, last = root, b - root
+        else:
+            e = 0.5 * (a + b)
+            last = min(last, b - e)
+        res = minimize_us_at(psys, e)
+        if res.value >= goal:
+            a = e
+        else:
+            b, res_b = e, res
+    return 0.5 * (a + b)
+
+
 def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
-    """Coupled (potential) threshold: sup{eps : min_x U_s(x; eps) >= 0}.
+    """Coupled (potential) threshold: sup{eps : min_x U_s(x; eps) >= 0},
+    found to tol by _envelope_sup's safeguarded Newton search on the
+    envelope with level 0, bracketed by 0 and eps_stab.
 
     Valid because the envelope is non-increasing and identically zero below
     the threshold when 0 stays a fixed point. Cross-checked against the
@@ -325,32 +368,30 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
 
     The result is at most eps_stab: above it U_s' = (x - h) g' < 0 just
     above 0, so Psi < 0. At a continuous transition Psi leaves 0 like
-    (eps - eps_stab)^3, the -1e-12 margin lets the bisection overshoot,
-    and eps_stab is returned, with no minimizer jump to cross-check.
+    (eps - eps_stab)^3, so Psi(eps_stab) is within the -1e-12 margin and
+    eps_stab is returned after two minimizations, with no minimizer jump
+    to cross-check.
     """
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError(
             "0 is not a fixed point for all eps; use inverse_Psi_threshold instead")
 
-    def pred(e: float) -> bool:
-        return Psi(psys, e) >= -1e-12
-
-    if not pred(0.0):
+    if not minimize_us_at(psys, 0.0).value >= -1e-12:
         raise ThresholdUndefinedError("potential already negative at eps = 0")
-    ec = bisect_sup(pred, 0.0, psys.eps_max, tol)
     stab = eps_stab(psys, tol)
-    if ec > stab:
+    res_stab = minimize_us_at(psys, stab)
+    if res_stab.value >= -1e-12:
         return stab
-    if ec < psys.eps_max:
-        lo = max(ec - 10 * tol, 0.0)
-        hi = min(ec + 10 * tol, psys.eps_max)
-        res_lo = minimize_us_at(psys, lo)
-        res_hi = minimize_us_at(psys, hi)
-        if not (res_lo.value >= -1e-12 and res_lo.x_lower <= 1e-6
-                and res_hi.value < -1e-12 and res_hi.x_upper > 1e-6):
-            raise ThresholdUndefinedError(
-                "potential-threshold cross-check failed around eps_c "
-                f"({res_lo.value:.3e}, {res_hi.value:.3e})")
+    ec = _envelope_sup(psys, 0.0, 0.0, stab, res_stab, tol)
+    lo = max(ec - 10 * tol, 0.0)
+    hi = min(ec + 10 * tol, psys.eps_max)
+    res_lo = minimize_us_at(psys, lo)
+    res_hi = minimize_us_at(psys, hi)
+    if not (res_lo.value >= -1e-12 and res_lo.x_lower <= 1e-6
+            and res_hi.value < -1e-12 and res_hi.x_upper > 1e-6):
+        raise ThresholdUndefinedError(
+            "potential-threshold cross-check failed around eps_c "
+            f"({res_lo.value:.3e}, {res_hi.value:.3e})")
     return ec
 
 
@@ -598,20 +639,45 @@ def map_exit_curve(psys: ParamSystem, eps_grid) -> MapExitCurve:
     return MapExitCurve(es, ex, xbars, tuple(jumps))
 
 
+def _inverse_psi(psys: ParamSystem, x: float, ends: tuple) -> float:
+    """inverse_Psi_threshold, given minimize_us_at at eps = 0 and eps_max."""
+    target = float(Q_of_x(psys, x))
+    res_lo, res_hi = ends
+    if not (res_hi.value - 1e-12 <= target <= res_lo.value + 1e-12):
+        raise DomainError(f"Q(x)={target:.6g} outside the envelope range "
+                          f"[{res_hi.value:.6g}, {res_lo.value:.6g}]")
+    if res_hi.value >= target - 1e-12:
+        return psys.eps_max
+    return _envelope_sup(psys, target, 0.0, psys.eps_max, res_hi, _INVERSE_PSI_TOL)
+
+
 def inverse_Psi_threshold(psys: ParamSystem, x: float) -> float:
     """Parameter below which the largest minimizer stays at or below x,
-    computed as the eps where the envelope equals Q(x), bisected to 1e-9.
+    computed as the eps where the envelope equals Q(x), to 1e-9 by
+    _envelope_sup's safeguarded Newton search between 0 and eps_max.
     Needs a strictly decreasing envelope (proper family)."""
     if not psys.proper:
         raise ThresholdUndefinedError("inverse envelope threshold needs a proper family")
-    target = float(Q_of_x(psys, x))
-    lo_val = Psi(psys, 0.0)
-    hi_val = Psi(psys, psys.eps_max)
-    if not (hi_val - 1e-12 <= target <= lo_val + 1e-12):
-        raise DomainError(
-            f"Q(x)={target:.6g} outside the envelope range [{hi_val:.6g}, {lo_val:.6g}]")
-    return bisect_sup(lambda e: Psi(psys, e) >= target - 1e-12,
-                      0.0, psys.eps_max, _INVERSE_PSI_TOL)
+    ends = minimize_us_at(psys, 0.0), minimize_us_at(psys, psys.eps_max)
+    return _inverse_psi(psys, x, ends)
+
+
+def inverse_psi_table(psys: ParamSystem) -> list:
+    """(x, inverse_Psi_threshold(psys, x)) at 11 evenly spaced x on each
+    interval of the fixed-point domain (xf_intervals), leaving out the x
+    where it is undefined; empty for a family that is not proper. The
+    envelope at eps = 0 and eps_max is minimized once for the table."""
+    if not psys.proper:
+        return []
+    ends = minimize_us_at(psys, 0.0), minimize_us_at(psys, psys.eps_max)
+    table = []
+    for lo, hi in xf_intervals(psys)[0]:
+        for x in np.linspace(lo, hi, 11).tolist():
+            try:
+                table.append((x, float(_inverse_psi(psys, x, ends))))
+            except DomainError:
+                continue
+    return table
 
 
 @dataclass(frozen=True)
@@ -625,7 +691,8 @@ class ThresholdReport:
 
 def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
-    raising. eps_single, eps_stab and eps_c are bisected to tol;
+    raising. eps_single and eps_stab are bisected to tol and eps_c is
+    found to tol by a safeguarded Newton search on the envelope (eps_c);
     eps_maxwell keeps maxwell_threshold's fixed tolerances (its roots of Q
     are bisected to 1e-12 in x) whatever tol is."""
     values = {}
@@ -643,7 +710,7 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     attempt("eps_single", lambda: (eps_single(psys, tol),
                                    "bisection on h(x;eps)<x over a 1e4 grid"))
     attempt("eps_stab", lambda: (eps_stab(psys, tol), "root of h'(0;eps)=1"))
-    attempt("eps_c", lambda: (eps_c(psys, tol), "bisection on min_x U_s(x;eps) >= 0"))
+    attempt("eps_c", lambda: (eps_c(psys, tol), "safeguarded Newton on min_x U_s(x;eps) >= 0"))
     attempt("eps_maxwell", lambda: _maxwell(psys))
 
     return ThresholdReport(values["eps_single"], values["eps_stab"],

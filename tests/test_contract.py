@@ -24,7 +24,7 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
-from maxsat.thresholds import eps_stab, threshold_report
+from maxsat.thresholds import Psi, eps_c, eps_stab, threshold_report
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -155,6 +155,41 @@ def test_random_profiles_stability_and_threshold_order(case):
     if rep.eps_c is not None:
         assert rep.eps_maxwell is not None
         assert abs(rep.eps_c - rep.eps_maxwell) <= 1e-8
+
+
+@st.composite
+def ldpc_draw(draw):
+    """family_draw's ldpc profiles."""
+    top = draw(st.integers(2, 8))
+    L = draw(node_profile([draw(st.integers(1, 8))]))
+    return ldpc_system(L, draw(node_profile([top])))
+
+
+def bisected_eps_c(psys, tol):
+    """sup{eps : Psi(eps) >= -1e-12} by plain bisection of [0, eps_max]
+    to tol, capped by eps_stab as eps_c is."""
+    lo, hi = 0.0, psys.eps_max
+    if Psi(psys, hi) >= -1e-12:
+        lo = hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if Psi(psys, mid) >= -1e-12:
+            lo = mid
+        else:
+            hi = mid
+    return min(0.5 * (lo + hi), eps_stab(psys, tol))
+
+
+# bit degree-1 draws have no zero fixed point, and eps_c is undefined
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(psys=ldpc_draw())
+def test_random_profiles_eps_c_matches_bisection(psys):
+    tol = 1e-9
+    if not psys.zero_is_fixed_point:
+        with pytest.raises(ThresholdUndefinedError):
+            eps_c(psys, tol)
+        return
+    assert abs(eps_c(psys, tol) - bisected_eps_c(psys, tol)) <= 2 * tol
 
 
 @st.composite

@@ -26,6 +26,7 @@ from maxsat.thresholds import (
     eps_single,
     eps_stab,
     inverse_Psi_threshold,
+    inverse_psi_table,
     map_exit_curve,
     maxwell_threshold,
     minimize_us_at,
@@ -42,7 +43,7 @@ EX8_RHO = "0.6 x^4 + 0.4 x^12"
 EX9_RHO = "2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3"
 
 # frozen from the dual-route computations exercised below (envelope
-# bisection vs fixed-point-potential root, plus a plain-iteration oracle
+# search vs fixed-point-potential root, plus a plain-iteration oracle
 # for the single-system threshold)
 EX8_EPS_SINGLE = 0.6146858054
 EX8_EPS_C = 0.6219294611
@@ -430,6 +431,106 @@ class TestInverseEnvelope:
         ec = eps_c(ldpc8)
         xroot = x_bar_star(ldpc8, ec + 1e-7)
         assert inverse_Psi_threshold(ldpc8, xroot) == pytest.approx(ec, abs=1e-5)
+
+
+class TestEnvelopeSearch:
+    """eps_c and the inverse envelope thresholds come from a safeguarded
+    Newton search on Psi, whose slope is u_eps at the largest minimizer.
+    The counts are of minimize_us_at calls, a work count, not a clock;
+    a 30-step bisection of [0, eps_max] made 35 per report, 33 for eps_c
+    at a continuous transition and 184 for the ldgm9 table."""
+
+    # the ldgm9 table as the bisection computed it, each entry within
+    # 5e-10 of its predicate's sup
+    LDGM9_TABLE = [
+        (0.00010001000100010001, 0.1582979685626924),
+        (0.1000900090009001, 0.5126267089508474),
+        (0.20008000800080009, 0.5176721219904721),
+        (0.3000700070007, 0.5090539236553013),
+        (0.9000100010001001, 0.6138880546204746),
+        (1.0, 1.0),
+    ]
+
+    @pytest.fixture
+    def minimizations(self, monkeypatch):
+        import maxsat.thresholds as thr
+        calls = []
+        real = thr.minimize_us_at
+
+        def counting(psys, eps, *a, **k):
+            res = real(psys, eps, *a, **k)
+            calls.append((eps, res.value))
+            return res
+
+        monkeypatch.setattr(thr, "minimize_us_at", counting)
+        return calls
+
+    @pytest.mark.parametrize("family, anchor", [
+        ("ldpc8", 0.62192946106121),
+        ("gldpc31", 0.25545820811870525),
+        ("gldpc63", 0.1576458811743199),
+    ])
+    def test_eps_c_matches_anchor(self, minimizations, ldpc8, gldpc31, family, anchor):
+        # 40-digit mpmath Maxwell thresholds (tests/test_reference.py)
+        psys = {"ldpc8": ldpc8, "gldpc31": gldpc31,
+                "gldpc63": gldpc_system(GldpcParams(63, 5))}[family]
+        assert abs(eps_c(psys) - anchor) <= 1e-9
+        assert len(minimizations) <= 12
+
+    @pytest.mark.parametrize("family", ["ldpc8", "gldpc31"])
+    def test_report_count(self, minimizations, ldpc8, gldpc31, family):
+        threshold_report({"ldpc8": ldpc8, "gldpc31": gldpc31}[family])
+        assert len(minimizations) <= 14
+
+    def test_continuous_transition_is_eps_stab(self, minimizations):
+        # (2, 6)-regular: Psi(eps_stab) is within the 1e-12 margin
+        psys = ldpc_system("x^2", "x^6")
+        assert eps_c(psys) == eps_stab(psys)
+        assert len(minimizations) <= 4
+
+    def test_ldgm9_table(self, minimizations, ldgm9):
+        table = inverse_psi_table(ldgm9)
+        assert len(minimizations) <= 80
+        assert [x for x, _ in table] == [x for x, _ in self.LDGM9_TABLE]
+        for (_, e), (_, ref) in zip(table, self.LDGM9_TABLE):
+            assert abs(e - ref) <= 1e-9
+
+    @pytest.mark.parametrize("family", ["ldpc8", "ldgm9"])
+    def test_ends_on_a_tol_bracket(self, minimizations, ldpc8, ldgm9, family):
+        # the result is the midpoint of the closest probes around it, one
+        # meeting Psi >= level - 1e-12 and one not, at most tol apart
+        if family == "ldpc8":
+            level, tol, result = 0.0, 1e-9, eps_c(ldpc8)
+        else:
+            x = self.LDGM9_TABLE[2][0]
+            level, tol = float(Q_of_x(ldgm9, x)), 1e-9
+            result = inverse_Psi_threshold(ldgm9, x)
+        a = max(e for e, v in minimizations if v >= level - 1e-12 and e <= result)
+        b = min(e for e, v in minimizations if v < level - 1e-12 and e >= result)
+        assert b - a <= tol
+        assert result == 0.5 * (a + b)
+
+    def test_table_entries_are_inverse_thresholds(self, ldgm9):
+        for x, e in inverse_psi_table(ldgm9)[:2]:
+            assert inverse_Psi_threshold(ldgm9, x) == e
+
+    def test_table_empty_when_not_proper(self):
+        psys = ldgm_system("x^6", "x^3")  # no degree-1 checks
+        assert not psys.proper
+        assert inverse_psi_table(psys) == []
+
+    @pytest.mark.parametrize("family, eps", [
+        ("ldpc8", 0.65), ("ldpc8", 0.8), ("ldgm9", 0.3), ("ldgm9", 0.8),
+    ])
+    def test_envelope_slope(self, ldpc8, ldgm9, family, eps):
+        # away from the minimizer jumps (0.6219 and 0.5074) Psi is smooth
+        # and its slope is the eps-partial of U_s at the minimizer
+        psys = {"ldpc8": ldpc8, "ldgm9": ldgm9}[family]
+        d = 1e-5
+        central = (Psi(psys, eps + d) - Psi(psys, eps - d)) / (2 * d)
+        slope = float(psys.u_eps(x_bar_star(psys, eps), eps))
+        assert slope < 0.0
+        assert abs(central - slope) <= 1e-6 * abs(slope)
 
 
 class TestReport:

@@ -1,7 +1,7 @@
 """The benchmark's per-layer tracer, bench/spans.py, hooks library functions
 and reads their arguments by name (minimize_potential's grid_n among them),
 so a renamed function or parameter would zero its metrics without failing
-a benchmark run. These counts pin what it sees on two small analyses."""
+a benchmark run. These counts pin what it sees on three small analyses."""
 
 import importlib.util
 from pathlib import Path
@@ -20,15 +20,18 @@ def load_tracer():
     return mod.Tracer
 
 
+def ldpc8():
+    return ldpc_system(DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
+                       DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
+
+
 def test_tracer_counts_analysis_layers():
-    ldpc8 = ldpc_system(DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
-                        DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
     ex1 = example1_system()
     tracer = load_tracer()()
     with tracer:
         # looked up inside the block, where the tracer has rebound them
         maxsat.potential.potential_report(ex1)
-        maxsat.thresholds.map_exit_curve(ldpc8, [0.5, 0.7])
+        maxsat.thresholds.map_exit_curve(ldpc8(), [0.5, 0.7])
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
     # one 1e4-point minimization for the report; two curve points and 18
     # bisection steps of the jump near 0.622, each a 3000-point one
@@ -36,3 +39,15 @@ def test_tracer_counts_analysis_layers():
     assert metrics["potential.grid_points"] == 10**4 + 20 * 3000
     assert metrics["potential.fp_scans_per_report"] == 1.0
     assert metrics["thresholds.xbar_evals"] == 20
+
+
+def test_tracer_counts_threshold_search():
+    tracer = load_tracer()()
+    with tracer:
+        maxsat.thresholds.threshold_report(ldpc8())
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    # eps_c's envelope search: Psi at 0 and at eps_stab, five Newton
+    # steps, the closing step and the two cross-check minimizations, each
+    # on 1e4 points; no other threshold minimizes
+    assert metrics["potential.minimize_calls"] == 10
+    assert metrics["potential.grid_points"] == 10 * 10**4
