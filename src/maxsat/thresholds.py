@@ -327,20 +327,21 @@ def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
     (envelope theorem), so one minimization gives both the value and the
     slope. Where Psi is concave, as on the erasure families, whose U_s is
     concave in eps for fixed x (affine on ldpc and gldpc), these steps
-    approach the root from above and never overshoot it. A step is replaced by a bisection when it
-    leaves (a, b] or is longer than half the shortest step before it. Once
-    the Newton step is below tol / 2 the search evaluates tol / 2 below
-    the Newton root instead, which closes the bracket if the root is
-    right, and takes no Newton step after that. So at most about
-    log2((b - a) / tol) steps of each kind are taken. It returns the
-    midpoint once b - a <= tol, as bisect_sup does.
+    approach the root from above and never overshoot it. A step is
+    replaced by a bisection when it leaves (a, b] or is longer than half
+    the shortest step before it. Once the Newton step is below tol / 2 the
+    search evaluates tol / 2 below the Newton root instead, which closes
+    the bracket if the root is right, and takes no Newton step after that.
+    So at most about log2((b - a) / tol) steps of each kind are taken. It
+    returns the midpoint once b - a <= tol, as bisect_sup does, or once
+    a and b are adjacent floats, for a tol below their spacing.
     """
     goal = level - 1e-12
     last = b - a
     while b - a > tol:
         slope = float(psys.u_eps(res_b.x_upper, b))
         root = b + (goal - res_b.value) / slope if slope < 0.0 else math.nan
-        if a < root <= b and b - root <= 0.5 * last:
+        if last > 0.0 and a < root <= b and b - root <= 0.5 * last:
             if b - root < 0.5 * tol:
                 # closing step; should it miss, only bisection follows
                 e, last = root - 0.5 * tol, 0.0
@@ -349,6 +350,10 @@ def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
         else:
             e = 0.5 * (a + b)
             last = min(last, b - e)
+        if not a < e < b:
+            e = 0.5 * (a + b)
+            if not a < e < b:
+                break
         res = minimize_us_at(psys, e)
         if res.value >= goal:
             a = e

@@ -195,6 +195,28 @@ class TestThresholds:
         assert "tol must be finite and > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tol_below_float_spacing_terminates(self, tmp_path, monkeypatch):
+        # 1e-17 is below the float spacing near eps_c (1.1e-16), so the
+        # envelope search has to stop on adjacent floats, not at b - a <= tol
+        import maxsat.thresholds as thr
+        real, calls = thr.minimize_us_at, []
+
+        def capped(*a, **k):
+            calls.append(None)
+            assert len(calls) <= 100, "the envelope search does not stop"
+            return real(*a, **k)
+
+        monkeypatch.setattr(thr, "minimize_us_at", capped)
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1,
+                         "system": {"type": "ldpc",
+                                    "lambda": "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20",
+                                    "rho": "0.6 x^4 + 0.4 x^12"},
+                         "command": {"tol": 1e-17}})
+        out = tmp_path / "t.json"
+        assert main(["thresholds", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["eps_c"] == pytest.approx(0.62192946106121, abs=1e-9)
+
     def test_gldpc_report(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         {"schema": 1, "system": {"type": "gldpc", "n": 31, "t": 4}})

@@ -157,14 +157,6 @@ def test_random_profiles_stability_and_threshold_order(case):
         assert abs(rep.eps_c - rep.eps_maxwell) <= 1e-8
 
 
-@st.composite
-def ldpc_draw(draw):
-    """family_draw's ldpc profiles."""
-    top = draw(st.integers(2, 8))
-    L = draw(node_profile([draw(st.integers(1, 8))]))
-    return ldpc_system(L, draw(node_profile([top])))
-
-
 def bisected_eps_c(psys, tol):
     """sup{eps : Psi(eps) >= -1e-12} by plain bisection of [0, eps_max]
     to tol, capped by eps_stab as eps_c is."""
@@ -180,9 +172,10 @@ def bisected_eps_c(psys, tol):
     return min(0.5 * (lo + hi), eps_stab(psys, tol))
 
 
-# bit degree-1 draws have no zero fixed point, and eps_c is undefined
+# ldgm draws and bit degree-1 draws have no zero fixed point, and eps_c
+# is undefined; isi's U_s is not affine in eps, unlike ldpc's
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(psys=ldpc_draw())
+@given(psys=family_draw())
 def test_random_profiles_eps_c_matches_bisection(psys):
     tol = 1e-9
     if not psys.zero_is_fixed_point:

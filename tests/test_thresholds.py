@@ -458,6 +458,8 @@ class TestEnvelopeSearch:
         real = thr.minimize_us_at
 
         def counting(psys, eps, *a, **k):
+            # a cap, so that a search that does not stop fails, not hangs
+            assert len(calls) < 200, "the envelope search does not stop"
             res = real(psys, eps, *a, **k)
             calls.append((eps, res.value))
             return res
@@ -476,6 +478,12 @@ class TestEnvelopeSearch:
                 "gldpc63": gldpc_system(GldpcParams(63, 5))}[family]
         assert abs(eps_c(psys) - anchor) <= 1e-9
         assert len(minimizations) <= 12
+
+    def test_tol_below_float_spacing_terminates(self, minimizations, ldpc8):
+        # 1e-17 is below the float spacing near eps_c (1.1e-16): the
+        # search stops once its bracket ends are adjacent floats
+        assert abs(eps_c(ldpc8, 1e-17) - 0.62192946106121) <= 1e-9
+        assert len(minimizations) <= 40
 
     @pytest.mark.parametrize("family", ["ldpc8", "gldpc31"])
     def test_report_count(self, minimizations, ldpc8, gldpc31, family):

@@ -51,3 +51,7 @@ def test_tracer_counts_threshold_search():
     # on 1e4 points; no other threshold minimizes
     assert metrics["potential.minimize_calls"] == 10
     assert metrics["potential.grid_points"] == 10 * 10**4
+    # psi_evals counts calls of Psi, which the search does not make, so it
+    # reads 0 on working code; moving the count to minimize_us_at
+    # (ROADMAP item 5) has to change this pin on purpose
+    assert metrics["thresholds.psi_evals"] == 0
