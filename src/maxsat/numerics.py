@@ -157,10 +157,26 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
                 tol: float = 1e-12) -> float:
-    """Bisection root of fn on [lo, hi]; requires a sign change (or a zero
-    endpoint). Deterministic midpoint splitting; returns the final midpoint.
+    """Root of fn on [lo, hi] by Brent's method (zeroin: R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4); requires
+    a sign change, and returns a zero endpoint as it is.
+
+    The bracket [b, c] keeps a sign change, with b the end of smaller |fn|.
+    Each step is an inverse quadratic or secant step from b, replaced by
+    the bisection step when it falls outside the inner three quarters of
+    the bracket or shrinks the steps too slowly, and lengthened to at
+    least half the stopping width, so every probe lies strictly inside the
+    bracket. It stops once the half-width |c - b| / 2 is at most
+    2 eps |b| + tol / 2, i.e. on a bracket about tol wide, or a few ulps
+    wide for a tol below the float spacing at the root, and returns b. On
+    smooth roots that takes about 5 evaluations from a 1e-4 cell to 1e-12,
+    where bisection takes 30; it never needs more than about the square
+    of bisection's count. Deterministic: equal inputs give equal outputs.
     """
     _check_tol(tol)
     if not lo <= hi:
@@ -173,18 +189,41 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0.0:
         raise DomainError(f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        fm = float(fn(mid))
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0.0:
-            hi = mid
+    # a is the previous iterate, d the last step and e the one before it
+    a, fa, b, fb = lo, flo, hi, fhi
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        width = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= width or fb == 0.0:
+            return b
+        if abs(e) >= width and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(width * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > width else math.copysign(width, m)
+        fb = float(fn(b))
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def bisect_sup(pred: Callable[[float], bool], lo: float, hi: float,

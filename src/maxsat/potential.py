@@ -52,6 +52,8 @@ __all__ = [
 
 #: two minimizers are tied when their potential values differ by less
 VALUE_TOL = 1e-10
+#: U's rounding level, in ulps of x_max * y_max (minimize_potential)
+ROUNDING_ULPS = 64.0
 # golden refinements of grid minima stop at this width in x
 _X_TOL = 1e-12
 
@@ -122,7 +124,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     # resolved grid-local minima: a decrease on the left beyond the
     # rounding level picks one entry per flat bottom and keeps rounding
     # noise from spawning refinements
-    noise = 64.0 * np.finfo(float).eps * float(x_max) * float(y_max)
+    noise = ROUNDING_ULPS * np.finfo(float).eps * float(x_max) * float(y_max)
     mid = us[1:-1]
     local = np.flatnonzero((mid < us[:-2] - noise) & (mid <= us[2:] + noise)) + 1
     # only near-minimal grid minima are worth refining: anything farther

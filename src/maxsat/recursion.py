@@ -617,10 +617,11 @@ def translate_system(sys: ScalarSystem, x_tilde: float) -> ScalarSystem:
 def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
     """Scan x - h(x) on a grid_n-point grid of [0, x_max] for roots.
 
-    Sign changes are refined by bisection to 1e-12; local minima of |x - h(x)|
-    below 1e-9 that do not bracket a sign change (grazing roots) are
-    refined by golden section. Returns the roots sorted and deduplicated;
-    a ScalarSystem's fixed points are fixed_points_of(sys.h, sys.x_max).
+    Sign changes are refined by Brent's method (bisect_root) to a 1e-12
+    bracket; local minima of |x - h(x)| below 1e-9 that do not bracket a
+    sign change (grazing roots) are refined by golden section. Returns the
+    roots sorted and deduplicated; a ScalarSystem's fixed points are
+    fixed_points_of(sys.h, sys.x_max).
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ThresholdUndefinedError
 from .numerics import bisect_root, bisect_sup
-from .potential import MinimizeResult, minimize_potential
+from .potential import ROUNDING_ULPS, MinimizeResult, minimize_potential
 from .recursion import (ANALYSIS_GRID_N, ScalarSystem, antiderivative_error, make_system,
                         tabulated_integral)
 
@@ -289,6 +289,11 @@ def eps_single(psys: ParamSystem, tol: float = 1e-9) -> float:
     just above 0 for larger eps; the grid's first point, 1e-9, cannot see
     that crossing through rounding noise at a continuous transition.
     """
+    return _eps_single(psys, tol, lambda: eps_stab(psys, tol))
+
+
+def _eps_single(psys: ParamSystem, tol: float, stab: Callable[[], float]) -> float:
+    """eps_single, with stab() giving eps_stab when it is needed."""
     xs = np.linspace(_X_TINY, psys.x_max, ANALYSIS_GRID_N)
 
     def pred(e: float) -> bool:
@@ -297,13 +302,13 @@ def eps_single(psys: ParamSystem, tol: float = 1e-9) -> float:
     if not pred(0.0):
         raise ThresholdUndefinedError("h(x; 0) >= x somewhere; single-system threshold undefined")
     es = bisect_sup(pred, 0.0, psys.eps_max, tol)
-    return min(es, eps_stab(psys, tol)) if psys.zero_is_fixed_point else es
+    return min(es, stab()) if psys.zero_is_fixed_point else es
 
 
 def eps_stab(psys: ParamSystem, tol: float = 1e-9) -> float:
     """Stability threshold of the zero fixed point: the root of
-    h'(0; eps) = f_x(g(0; eps); eps) g_x(0; eps) = 1, or eps_max when the
-    slope stays below 1."""
+    h'(0; eps) = f_x(g(0; eps); eps) g_x(0; eps) = 1, found to tol by
+    Brent's method (bisect_root), or eps_max when the slope stays below 1."""
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError("0 is not a fixed point; stability threshold undefined")
 
@@ -318,9 +323,10 @@ def eps_stab(psys: ParamSystem, tol: float = 1e-9) -> float:
 
 
 def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
-                  res_b: MinimizeResult, tol: float) -> float:
+                  res_b: MinimizeResult, tol: float) -> tuple:
     """sup{eps in [a, b] : Psi(eps) >= level - 1e-12}, for a predicate that
-    holds at a and fails at b, where res_b = minimize_us_at(psys, b).
+    holds at a and fails at b, where res_b = minimize_us_at(psys, b); and
+    minimize_us_at at the failing end of the final bracket.
 
     Each step is a Newton step on Psi = level - 1e-12 from the failing end,
     with the envelope's slope there, u_eps at the largest minimizer
@@ -359,7 +365,7 @@ def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
             a = e
         else:
             b, res_b = e, res
-    return 0.5 * (a + b)
+    return 0.5 * (a + b), res_b
 
 
 def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
@@ -376,20 +382,35 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     (eps - eps_stab)^3, so Psi(eps_stab) is within the -1e-12 margin and
     eps_stab is returned after two minimizations, with no minimizer jump
     to cross-check.
+
+    The cross-check minimizes at eps_c +- max(10 tol, delta), where delta is
+    the eps offset over which Psi, with slope u_eps at the minimizer,
+    moves by minimize_potential's rounding level (ROUNDING_ULPS ulps of
+    x_max * y_max). So a tol near the float spacing does not put both
+    probes inside rounding noise. delta is 3e-14 to 4e-13 on the shipped
+    families, so at the default tol the window is 10 tol.
     """
+    return _eps_c(psys, tol, lambda: eps_stab(psys, tol))
+
+
+def _eps_c(psys: ParamSystem, tol: float, stab: Callable[[], float]) -> float:
+    """eps_c, with stab() giving eps_stab."""
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError(
             "0 is not a fixed point for all eps; use inverse_Psi_threshold instead")
 
     if not minimize_us_at(psys, 0.0).value >= -1e-12:
         raise ThresholdUndefinedError("potential already negative at eps = 0")
-    stab = eps_stab(psys, tol)
-    res_stab = minimize_us_at(psys, stab)
+    e_stab = stab()
+    res_stab = minimize_us_at(psys, e_stab)
     if res_stab.value >= -1e-12:
-        return stab
-    ec = _envelope_sup(psys, 0.0, 0.0, stab, res_stab, tol)
-    lo = max(ec - 10 * tol, 0.0)
-    hi = min(ec + 10 * tol, psys.eps_max)
+        return e_stab
+    ec, res_b = _envelope_sup(psys, 0.0, 0.0, e_stab, res_stab, tol)
+    noise = ROUNDING_ULPS * np.finfo(float).eps * psys.x_max * float(psys.g(psys.x_max, ec))
+    slope = abs(float(psys.u_eps(res_b.x_upper, ec)))
+    half = max(10 * tol, noise / slope) if slope > 0.0 else 10 * tol
+    lo = max(ec - half, 0.0)
+    hi = min(ec + half, psys.eps_max)
     res_lo = minimize_us_at(psys, lo)
     res_hi = minimize_us_at(psys, hi)
     if not (res_lo.value >= -1e-12 and res_lo.x_lower <= 1e-6
@@ -507,15 +528,17 @@ def maxwell_threshold(psys: ParamSystem) -> float:
     returned, as eps_c returns the sup of its predicate.
 
     The grid and tolerances are fixed: each sign change of Q on the
-    ANALYSIS_GRID_N-point grid of a domain interval is bisected to 1e-12 in
-    x, eps(x) there is bisected to 1e-12 unless the family has a closed
-    form, and the stability candidate is eps_stab's root to its default
-    1e-9."""
-    return _maxwell(psys)[0]
+    ANALYSIS_GRID_N-point grid of a domain interval is found by Brent's
+    method (bisect_root) to a 1e-12 bracket in x, eps(x) there is bisected
+    to 1e-12 unless the family has a closed form, and the stability
+    candidate is eps_stab's root to its default 1e-9 (threshold_report's
+    tol in a report)."""
+    return _maxwell(psys, lambda: eps_stab(psys))[0]
 
 
-def _maxwell(psys: ParamSystem) -> tuple:
-    """maxwell_threshold and the note saying which rule gave it."""
+def _maxwell(psys: ParamSystem, stab: Callable[[], float]) -> tuple:
+    """maxwell_threshold and the note saying which rule gave it, with
+    stab() giving the stability candidate."""
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys)
@@ -523,7 +546,7 @@ def _maxwell(psys: ParamSystem) -> tuple:
     candidates: list[float] = []
     q_positive = True
     if touches_zero:
-        candidates.append(eps_stab(psys))
+        candidates.append(stab())
     for lo, hi in intervals:
         xs = np.linspace(lo, hi, ANALYSIS_GRID_N)
         q = np.asarray(Q_of_x(psys, xs), dtype=float)
@@ -653,7 +676,7 @@ def _inverse_psi(psys: ParamSystem, x: float, ends: tuple) -> float:
                           f"[{res_hi.value:.6g}, {res_lo.value:.6g}]")
     if res_hi.value >= target - 1e-12:
         return psys.eps_max
-    return _envelope_sup(psys, target, 0.0, psys.eps_max, res_hi, _INVERSE_PSI_TOL)
+    return _envelope_sup(psys, target, 0.0, psys.eps_max, res_hi, _INVERSE_PSI_TOL)[0]
 
 
 def inverse_Psi_threshold(psys: ParamSystem, x: float) -> float:
@@ -696,10 +719,11 @@ class ThresholdReport:
 
 def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
-    raising. eps_single and eps_stab are bisected to tol and eps_c is
-    found to tol by a safeguarded Newton search on the envelope (eps_c);
-    eps_maxwell keeps maxwell_threshold's fixed tolerances (its roots of Q
-    are bisected to 1e-12 in x) whatever tol is."""
+    raising. eps_single is bisected to tol, eps_stab is found to tol by
+    Brent's method and eps_c by a safeguarded Newton search on the
+    envelope (eps_c). eps_stab is found once and read by the other three,
+    so eps_maxwell's stability candidate carries tol too; its roots of Q
+    keep maxwell_threshold's fixed 1e-12 bracket in x whatever tol is."""
     values = {}
     notes = []
 
@@ -712,11 +736,15 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
             values[name] = None
             notes.append((name, f"undefined: {exc}"))
 
-    attempt("eps_single", lambda: (eps_single(psys, tol),
+    # eps_stab is found once; a raised ThresholdUndefinedError is not
+    # cached, but raising costs at most two slopes
+    stab = cache(lambda: eps_stab(psys, tol))
+    attempt("eps_single", lambda: (_eps_single(psys, tol, stab),
                                    "bisection on h(x;eps)<x over a 1e4 grid"))
-    attempt("eps_stab", lambda: (eps_stab(psys, tol), "root of h'(0;eps)=1"))
-    attempt("eps_c", lambda: (eps_c(psys, tol), "safeguarded Newton on min_x U_s(x;eps) >= 0"))
-    attempt("eps_maxwell", lambda: _maxwell(psys))
+    attempt("eps_stab", lambda: (stab(), "root of h'(0;eps)=1"))
+    attempt("eps_c", lambda: (_eps_c(psys, tol, stab),
+                              "safeguarded Newton on min_x U_s(x;eps) >= 0"))
+    attempt("eps_maxwell", lambda: _maxwell(psys, stab))
 
     return ThresholdReport(values["eps_single"], values["eps_stab"],
                            values["eps_c"], values["eps_maxwell"], tuple(notes))

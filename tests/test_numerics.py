@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +135,123 @@ class TestSolvers:
         with pytest.raises(ConstructionError):
             IterationConfig(tol=tol)
         assert calls == []
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def monotone_root_problem(draw):
+    """A strictly monotone function with a sign change on [lo, hi]: an
+    expanded cubic a (x - r)^3 + b (x - r) or exp(k x) - c, either sign.
+    Returns (fn, 40-digit root, lo, hi, noise), where noise bounds how far
+    rounding in fn can move its sign change away from the root."""
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    if draw(st.booleans()):
+        a, b = draw(st.floats(0.0, 2.0)), draw(st.floats(0.1, 2.0))
+        r = draw(st.floats(-1.0, 1.0))
+        coeffs = (-a * r**3 - b * r, 3 * a * r * r + b, -3 * a * r, a)
+
+        def fn(x):
+            return sign * (((coeffs[3] * x + coeffs[2]) * x + coeffs[1]) * x + coeffs[0])
+
+        with mp.workdps(40):
+            root = mp.findroot(lambda t: mp.polyval([mp.mpf(c) for c in coeffs[::-1]], t),
+                               (r - 1.0, r + 1.0), solver="anderson")
+        # Horner's rounding, over the slope's lower bound b
+        scale = sum(abs(c) * 3.0**i for i, c in enumerate(coeffs))
+        noise = 8 * _EPS * scale / b
+    else:
+        k, c = draw(st.floats(0.1, 5.0)), draw(st.floats(0.1, 10.0))
+
+        def fn(x):
+            return sign * (math.exp(k * x) - c)
+
+        with mp.workdps(40):
+            root = mp.log(mp.mpf(c)) / mp.mpf(k)
+        # a few ulps of c, over the slope k c at the root
+        noise = 8 * _EPS / k
+    root = float(root)
+    lo = root - draw(st.floats(1e-3, 1.0))
+    hi = root + draw(st.floats(1e-3, 1.0))
+    return fn, root, lo, hi, noise
+
+
+def probed(fn, cap=10**4):
+    """fn, and the list of (x, fn(x)) it appends every evaluation to; more
+    than cap evaluations fail the test instead of hanging it."""
+    probes = []
+
+    def wrapped(x):
+        assert len(probes) < cap, "the search does not stop"
+        y = fn(x)
+        probes.append((x, y))
+        return y
+
+    return wrapped, probes
+
+
+class TestBrentRoot:
+    """bisect_root is Brent's zeroin: its properties on random monotone
+    functions against 40-digit roots."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(problem=monotone_root_problem(), tol=st.floats(1e-12, 1e-3))
+    def test_within_tol_of_the_root(self, problem, tol):
+        fn, root, lo, hi, noise = problem
+        x = bisect_root(fn, lo, hi, tol)
+        # the final bracket is at most tol + 4 eps |x| wide
+        assert abs(x - root) <= tol + 4 * _EPS * abs(x) + noise
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(problem=monotone_root_problem(), tol=st.sampled_from((1e-300, 1e-12, 1e-6)))
+    def test_every_probe_inside_the_bracket(self, problem, tol):
+        fn, _, lo, hi, _ = problem
+        f, probes = probed(fn)
+        x = bisect_root(f, lo, hi, tol)
+        assert probes[:2] == [(lo, fn(lo)), (hi, fn(hi))]
+        # the tightest sign change so far; fn is monotone, so it is the
+        # bracket of every earlier probe
+        below, above = (lo, hi) if fn(lo) < 0.0 else (hi, lo)
+        for t, y in probes[2:]:
+            assert min(below, above) < t < max(below, above)
+            if y == 0.0:
+                below = above = t
+            elif y < 0.0:
+                below = t
+            else:
+                above = t
+        # the result is the bracket end of smaller |fn|, or an exact zero,
+        # which ends the search
+        assert x in (below, above)
+        assert abs(fn(x)) <= min(abs(fn(below)), abs(fn(above)))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(problem=monotone_root_problem())
+    def test_tol_below_float_spacing_terminates(self, problem):
+        # the stopping width keeps 2 eps |b|, so the bracket ends a few ulps
+        # wide instead of looping on adjacent floats
+        fn, root, lo, hi, noise = problem
+        f, probes = probed(fn, cap=100)
+        x = bisect_root(f, lo, hi, 1e-300)
+        assert abs(x - root) <= 4 * _EPS * abs(x) + noise
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(r=st.floats(-1.0, 1.0), width=st.floats(1e-9, 1.0), tol=st.floats(1e-300, 1.0))
+    def test_zero_endpoints_returned_as_they_are(self, r, width, tol):
+        f, probes = probed(lambda x: x - r)
+        assert bisect_root(f, r, r + width, tol) == r
+        assert bisect_root(f, r - width, r, tol) == r
+        assert bisect_root(f, r, r, tol) == r
+        # the two ends at most, and nothing after them
+        assert len(probes) <= 6
+
+    def test_smooth_root_takes_few_evaluations(self):
+        # a 1e-4 cell refined to 1e-12 costs bisection 30 evaluations
+        f, probes = probed(lambda x: x * x - 2.0)
+        x = bisect_root(f, 1.4142, 1.4143, 1e-12)
+        assert abs(x - math.sqrt(2.0)) <= 1e-12
+        assert len(probes) <= 8
 
 
 def test_gauss_hermite_total_weight():

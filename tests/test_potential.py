@@ -376,25 +376,32 @@ class TestGoldenRefinement:
         # U is flat to ~1e-17 where g ~ 1: refining every near-minimal
         # grid-local minimum, noise included, hits the 256 cap here and
         # gives this same result
-        res = minimize_us_at(gldpc_system(GldpcParams(63, 5)), 0.3)
+        psys = gldpc_system(GldpcParams(63, 5))
+        res = minimize_us_at(psys, 0.3)
         assert len(golden_calls) <= 2
         assert res == MinimizeResult(
-            x_lower=0.2999977400254311, x_upper=0.29999834406349357,
+            x_lower=0.2999977400254311, x_upper=0.2999983440637072,
             value=-0.07063499680216825,
-            minimizers=(0.2999977400254311, 0.29999834406349357),
-            fixed_points=(0.0, 0.04556898344153523, 0.29999834406349357))
+            minimizers=(0.2999977400254311, 0.2999983440637072),
+            fixed_points=(0.0, 0.04556898344161849, 0.2999983440637072))
+        # the pinned roots are fixed points to a few ulps, independently of
+        # the root finder that produced them
+        for x in res.fixed_points:
+            assert abs(x - float(psys.h(x, 0.3))) <= 1e-15
 
     def test_resolved_basins_still_refined(self, golden_calls, ex2):
-        assert minimize_Us(ex2).minimizers == (0.05605843561542298,)
+        assert minimize_Us(ex2).minimizers == (0.056058435615294035,)
+        assert abs(0.056058435615294035 - ex2.h(0.056058435615294035)) <= 1e-15
         assert len(golden_calls) >= 1
         golden_calls.clear()
         ldpc8 = ldpc_system(
             DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
             DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
         # the golden candidate is the larger minimizer (the flat-minimum
-        # tie of the fixed point 0.9599847891150486 and its basin's search)
-        assert minimize_us_at(ldpc8, 0.96).minimizers == (0.9599847891150486,
+        # tie of the fixed point 0.9599847891147899 and its basin's search)
+        assert minimize_us_at(ldpc8, 0.96).minimizers == (0.9599847891147899,
                                                           0.9599855473906065)
+        assert abs(0.9599847891147899 - float(ldpc8.h(0.9599847891147899, 0.96))) <= 1e-15
         assert len(golden_calls) >= 1
 
     @pytest.mark.parametrize("n, t", [(31, 4), (63, 5)])

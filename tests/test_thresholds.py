@@ -485,6 +485,20 @@ class TestEnvelopeSearch:
         assert abs(eps_c(ldpc8, 1e-17) - 0.62192946106121) <= 1e-9
         assert len(minimizations) <= 40
 
+    def test_cross_check_window_clears_rounding(self, minimizations, ldpc8):
+        # the last two minimizations are the cross-check: eps_c +- 10 tol at
+        # the default tol, and at 1e-17 the offset, about 4.0e-13 on ldpc8,
+        # over which Psi (slope about -0.035) moves by minimize_potential's
+        # rounding level of 64 ulps; +-1e-16 reads rounding noise there
+        ec = eps_c(ldpc8)
+        assert [e for e, _ in minimizations[-2:]] == [ec - 10 * 1e-9, ec + 10 * 1e-9]
+        minimizations.clear()
+        ec = eps_c(ldpc8, 1e-17)
+        (lo, v_lo), (hi, v_hi) = minimizations[-2:]
+        assert 3e-13 < ec - lo < 5e-13 and 3e-13 < hi - ec < 5e-13
+        assert v_lo >= -1e-12
+        assert v_hi < -1e-12 - 64 * np.finfo(float).eps
+
     @pytest.mark.parametrize("family", ["ldpc8", "gldpc31"])
     def test_report_count(self, minimizations, ldpc8, gldpc31, family):
         threshold_report({"ldpc8": ldpc8, "gldpc31": gldpc31}[family])
@@ -596,6 +610,37 @@ class TestReport:
     def test_maxwell_note_at_a_root(self, ldpc8):
         notes = dict(threshold_report(ldpc8).notes)
         assert notes["eps_maxwell"] == "min eps(x) over roots of the fixed-point potential"
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    def test_eps_stab_found_once_at_the_report_tol(self, monkeypatch, ldpc8, tol):
+        # eps_single, eps_c and the Maxwell boundary candidate read the
+        # report's one eps_stab, so that candidate carries the report's tol
+        import maxsat.thresholds as thr
+        calls, real = [], thr.eps_stab
+
+        def counting(psys, t=1e-9):
+            calls.append(t)
+            return real(psys, t)
+
+        monkeypatch.setattr(thr, "eps_stab", counting)
+        threshold_report(ldpc8, tol)
+        assert calls == [tol]
+
+    @pytest.mark.parametrize("family", ["ldpc8", "gldpc31", "ldgm9"])
+    def test_matches_the_single_thresholds(self, ldpc8, gldpc31, ldgm9, family):
+        # at the default tol sharing eps_stab changes no value or note
+        psys = {"ldpc8": ldpc8, "gldpc31": gldpc31, "ldgm9": ldgm9}[family]
+        rep = threshold_report(psys)
+        notes = dict(rep.notes)
+        for name, fn in (("eps_single", eps_single), ("eps_stab", eps_stab),
+                         ("eps_c", eps_c), ("eps_maxwell", maxwell_threshold)):
+            try:
+                want = fn(psys)
+            except ThresholdUndefinedError as exc:
+                assert getattr(rep, name) is None
+                assert notes[name] == f"undefined: {exc}"
+            else:
+                assert getattr(rep, name) == want
 
     def test_ldgm_report_tags_undefined(self, ldgm9):
         rep = threshold_report(ldgm9)
