@@ -23,7 +23,6 @@ __all__ = [
     "Polynomial",
     "parse_polynomial",
     "bisect_root",
-    "bisect_sup",
     "golden_min",
     "gauss_hermite",
 ]
@@ -224,29 +223,6 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-
-
-def bisect_sup(pred: Callable[[float], bool], lo: float, hi: float,
-               tol: float = 1e-9) -> float:
-    """Supremum of {t : pred(t)} for a predicate that is true on [lo, t*) and
-    false after. pred(lo) must hold; returns hi if pred(hi) holds.
-    """
-    _check_tol(tol)
-    if not lo <= hi:
-        raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    if not pred(lo):
-        raise DomainError("bisect_sup: predicate false at the lower end")
-    if pred(hi):
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -617,11 +617,12 @@ def translate_system(sys: ScalarSystem, x_tilde: float) -> ScalarSystem:
 def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
     """Scan x - h(x) on a grid_n-point grid of [0, x_max] for roots.
 
-    Sign changes are refined by Brent's method (bisect_root) to a 1e-12
-    bracket; local minima of |x - h(x)| below 1e-9 that do not bracket a
-    sign change (grazing roots) are refined by golden section. Returns the
-    roots sorted and deduplicated; a ScalarSystem's fixed points are
-    fixed_points_of(sys.h, sys.x_max).
+    Sign changes are refined by Brent's method (bisect_root) to a bracket
+    of 1e-12 times the cell's upper end, which bounds the root, so a root
+    near 0 keeps its significant digits; local minima of |x - h(x)| below
+    1e-9 that do not bracket a sign change (grazing roots) are refined by
+    golden section. Returns the roots sorted and deduplicated; a
+    ScalarSystem's fixed points are fixed_points_of(sys.h, sys.x_max).
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
@@ -635,7 +636,8 @@ def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
     found = [float(x) for x in xs[d == 0.0]]
     prod = d[:-1] * d[1:]
     for i in np.where(prod < 0.0)[0]:
-        found.append(bisect_root(dfun, float(xs[i]), float(xs[i + 1]), tol=1e-12))
+        hi = float(xs[i + 1])
+        found.append(bisect_root(dfun, float(xs[i]), hi, tol=1e-12 * hi))
 
     crossing_cells = set(np.where(prod <= 0.0)[0])
     absd = np.abs(d)

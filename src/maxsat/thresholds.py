@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConstructionError, DomainError, ThresholdUndefinedError
-from .numerics import bisect_root, bisect_sup
+from .numerics import _check_tol, bisect_root
 from .potential import ROUNDING_ULPS, MinimizeResult, minimize_potential
 from .recursion import (ANALYSIS_GRID_N, ScalarSystem, antiderivative_error, make_system,
                         tabulated_integral)
@@ -68,9 +68,11 @@ _CURVE_GRID_N = 3000
 _JUMP_SCAN_STEP = 1e-3
 _JUMP_SIZE = 0.01
 _JUMP_EPS_TOL = 1e-6
-# Widths in eps of eps(x)'s bisection and of inverse_Psi_threshold's
-# envelope search, and the trapezoid samples of psi_integral over [0, eps].
+# Widths in eps of eps(x)'s bisection, of eps_stab's root bracket and of
+# inverse_Psi_threshold's envelope search, and the trapezoid samples of
+# psi_integral over [0, eps].
 _EPS_OF_X_TOL = 1e-12
+_EPS_STAB_TOL = 1e-12
 _INVERSE_PSI_TOL = 1e-9
 _PSI_SAMPLES = 1000
 
@@ -280,35 +282,36 @@ def x_lower_star(psys: ParamSystem, eps: float) -> float:
 _X_TINY = 1e-9
 
 
-def eps_single(psys: ParamSystem, tol: float = 1e-9) -> float:
+def eps_single(psys: ParamSystem) -> float:
     """Largest eps below which the uncoupled recursion converges to zero:
-    sup{eps : h(x; eps) < x on (0, x_max]}, located by bisection over a
-    predicate on the ANALYSIS_GRID_N-point grid of [1e-9, x_max].
+    sup{eps : h(x; eps) < x on (0, x_max]}, read off the fixed-point curve
+    as the minimum of eps(x) (eps_of_x, to 1e-12) over the points of the
+    ANALYSIS_GRID_N-point grid of [1e-9, x_max] where h(x; eps_max) >= x,
+    or eps_max where there are none. Since f and g are non-decreasing in
+    eps, h(x; eps) < x at a grid point exactly for eps < eps(x), so this
+    is the supremum of the predicate on the grid.
 
     When 0 is a fixed point the result is at most eps_stab, since h > x
     just above 0 for larger eps; the grid's first point, 1e-9, cannot see
-    that crossing through rounding noise at a continuous transition.
+    that crossing through rounding noise at a continuous transition. When
+    0 is not a fixed point that first point sets the value instead: on an
+    ldgm family with lam(x) = x^5, h(0; eps) = eps^5 > 0, so the supremum
+    on (0, x_max] is 0, but the grid gives eps(1e-9), about
+    (1e-9)^(1/5) = 0.0158.
     """
-    return _eps_single(psys, tol, lambda: eps_stab(psys, tol))
-
-
-def _eps_single(psys: ParamSystem, tol: float, stab: Callable[[], float]) -> float:
-    """eps_single, with stab() giving eps_stab when it is needed."""
     xs = np.linspace(_X_TINY, psys.x_max, ANALYSIS_GRID_N)
-
-    def pred(e: float) -> bool:
-        return bool(np.all(np.asarray(psys.h(xs, e), dtype=float) < xs))
-
-    if not pred(0.0):
+    if not np.all(np.asarray(psys.h(xs, 0.0), dtype=float) < xs):
         raise ThresholdUndefinedError("h(x; 0) >= x somewhere; single-system threshold undefined")
-    es = bisect_sup(pred, 0.0, psys.eps_max, tol)
-    return min(es, stab()) if psys.zero_is_fixed_point else es
+    xs = xs[np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs]
+    es = float(np.min(eps_of_x(psys, xs))) if xs.size else psys.eps_max
+    return min(es, eps_stab(psys)) if psys.zero_is_fixed_point else es
 
 
-def eps_stab(psys: ParamSystem, tol: float = 1e-9) -> float:
+def eps_stab(psys: ParamSystem) -> float:
     """Stability threshold of the zero fixed point: the root of
-    h'(0; eps) = f_x(g(0; eps); eps) g_x(0; eps) = 1, found to tol by
-    Brent's method (bisect_root), or eps_max when the slope stays below 1."""
+    h'(0; eps) = f_x(g(0; eps); eps) g_x(0; eps) = 1, found to a 1e-12
+    bracket by Brent's method (bisect_root), or eps_max when the slope
+    stays below 1."""
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError("0 is not a fixed point; stability threshold undefined")
 
@@ -319,7 +322,7 @@ def eps_stab(psys: ParamSystem, tol: float = 1e-9) -> float:
         return psys.eps_max
     if slope(0.0) >= 1.0:
         raise ThresholdUndefinedError("0 unstable already at eps = 0")
-    return bisect_root(lambda e: slope(e) - 1.0, 0.0, psys.eps_max, tol)
+    return bisect_root(lambda e: slope(e) - 1.0, 0.0, psys.eps_max, _EPS_STAB_TOL)
 
 
 def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
@@ -339,7 +342,7 @@ def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
     search evaluates tol / 2 below the Newton root instead, which closes
     the bracket if the root is right, and takes no Newton step after that.
     So at most about log2((b - a) / tol) steps of each kind are taken. It
-    returns the midpoint once b - a <= tol, as bisect_sup does, or once
+    returns the midpoint once b - a <= tol, as a bisection does, or once
     a and b are adjacent floats, for a tol below their spacing.
     """
     goal = level - 1e-12
@@ -389,19 +392,18 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     x_max * y_max). So a tol near the float spacing does not put both
     probes inside rounding noise. delta is 3e-14 to 4e-13 on the shipped
     families, so at the default tol the window is 10 tol.
+
+    tol must be finite and > 0 (DomainError, raised before any search);
+    eps_stab keeps its own fixed 1e-12 bracket whatever tol is.
     """
-    return _eps_c(psys, tol, lambda: eps_stab(psys, tol))
-
-
-def _eps_c(psys: ParamSystem, tol: float, stab: Callable[[], float]) -> float:
-    """eps_c, with stab() giving eps_stab."""
+    _check_tol(tol)
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError(
             "0 is not a fixed point for all eps; use inverse_Psi_threshold instead")
 
     if not minimize_us_at(psys, 0.0).value >= -1e-12:
         raise ThresholdUndefinedError("potential already negative at eps = 0")
-    e_stab = stab()
+    e_stab = eps_stab(psys)
     res_stab = minimize_us_at(psys, e_stab)
     if res_stab.value >= -1e-12:
         return e_stab
@@ -421,12 +423,17 @@ def _eps_c(psys: ParamSystem, tol: float, stab: Callable[[], float]) -> float:
     return ec
 
 
+def _in_fixed_point_domain(psys: ParamSystem, xs: np.ndarray) -> np.ndarray:
+    """Mask of the xs that support a fixed point for some eps in
+    [0, eps_max]: h(x; 0) <= x <= h(x; eps_max), to 1e-12."""
+    return ((np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12)
+            & (np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12))
+
+
 def _eps_bracket_check(psys: ParamSystem, xs: np.ndarray) -> None:
-    lo_ok = np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12
-    hi_ok = np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12
-    if not (np.all(lo_ok) and np.all(hi_ok)):
-        bad = xs[~(lo_ok & hi_ok)]
-        raise DomainError(f"x not in the fixed-point domain: {bad[:4]}...")
+    ok = _in_fixed_point_domain(psys, xs)
+    if not np.all(ok):
+        raise DomainError(f"x not in the fixed-point domain: {xs[~ok][:4]}...")
 
 
 def eps_of_x(psys: ParamSystem, x):
@@ -502,8 +509,7 @@ def xf_intervals(psys: ParamSystem):
     domain extends down to the first grid cell above 0.
     """
     xs = np.linspace(0.0, psys.x_max, ANALYSIS_GRID_N)[1:]
-    mask = ((np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12)
-            & (np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12))
+    mask = _in_fixed_point_domain(psys, xs)
     intervals = []
     start = None
     for i, ok in enumerate(mask):
@@ -531,14 +537,12 @@ def maxwell_threshold(psys: ParamSystem) -> float:
     ANALYSIS_GRID_N-point grid of a domain interval is found by Brent's
     method (bisect_root) to a 1e-12 bracket in x, eps(x) there is bisected
     to 1e-12 unless the family has a closed form, and the stability
-    candidate is eps_stab's root to its default 1e-9 (threshold_report's
-    tol in a report)."""
-    return _maxwell(psys, lambda: eps_stab(psys))[0]
+    candidate is eps_stab's root, also to a 1e-12 bracket."""
+    return _maxwell(psys)[0]
 
 
-def _maxwell(psys: ParamSystem, stab: Callable[[], float]) -> tuple:
-    """maxwell_threshold and the note saying which rule gave it, with
-    stab() giving the stability candidate."""
+def _maxwell(psys: ParamSystem) -> tuple:
+    """maxwell_threshold and the note saying which rule gave it."""
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys)
@@ -546,7 +550,7 @@ def _maxwell(psys: ParamSystem, stab: Callable[[], float]) -> tuple:
     candidates: list[float] = []
     q_positive = True
     if touches_zero:
-        candidates.append(stab())
+        candidates.append(eps_stab(psys))
     for lo, hi in intervals:
         xs = np.linspace(lo, hi, ANALYSIS_GRID_N)
         q = np.asarray(Q_of_x(psys, xs), dtype=float)
@@ -719,11 +723,12 @@ class ThresholdReport:
 
 def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
-    raising. eps_single is bisected to tol, eps_stab is found to tol by
-    Brent's method and eps_c by a safeguarded Newton search on the
-    envelope (eps_c). eps_stab is found once and read by the other three,
-    so eps_maxwell's stability candidate carries tol too; its roots of Q
-    keep maxwell_threshold's fixed 1e-12 bracket in x whatever tol is."""
+    raising. tol governs eps_c only, found by a safeguarded Newton search
+    on the envelope (eps_c), and must be finite and > 0 (DomainError,
+    raised before any threshold is computed). eps_single is the minimum of
+    eps(x) on a 1e4 grid, eps_stab a root by Brent's method, and the
+    Maxwell roots of Q are found in x, all to fixed 1e-12 brackets."""
+    _check_tol(tol)
     values = {}
     notes = []
 
@@ -736,15 +741,11 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
             values[name] = None
             notes.append((name, f"undefined: {exc}"))
 
-    # eps_stab is found once; a raised ThresholdUndefinedError is not
-    # cached, but raising costs at most two slopes
-    stab = cache(lambda: eps_stab(psys, tol))
-    attempt("eps_single", lambda: (_eps_single(psys, tol, stab),
-                                   "bisection on h(x;eps)<x over a 1e4 grid"))
-    attempt("eps_stab", lambda: (stab(), "root of h'(0;eps)=1"))
-    attempt("eps_c", lambda: (_eps_c(psys, tol, stab),
+    attempt("eps_single", lambda: (eps_single(psys), "min of eps(x) over a 1e4 grid"))
+    attempt("eps_stab", lambda: (eps_stab(psys), "root of h'(0;eps)=1"))
+    attempt("eps_c", lambda: (eps_c(psys, tol),
                               "safeguarded Newton on min_x U_s(x;eps) >= 0"))
-    attempt("eps_maxwell", lambda: _maxwell(psys, stab))
+    attempt("eps_maxwell", lambda: _maxwell(psys))
 
     return ThresholdReport(values["eps_single"], values["eps_stab"],
                            values["eps_c"], values["eps_maxwell"], tuple(notes))

@@ -24,7 +24,7 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
-from maxsat.thresholds import Psi, eps_c, eps_stab, threshold_report
+from maxsat.thresholds import Psi, eps_c, eps_single, eps_stab, threshold_report
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -169,7 +169,7 @@ def bisected_eps_c(psys, tol):
             lo = mid
         else:
             hi = mid
-    return min(0.5 * (lo + hi), eps_stab(psys, tol))
+    return min(0.5 * (lo + hi), eps_stab(psys))
 
 
 # ldgm draws and bit degree-1 draws have no zero fixed point, and eps_c
@@ -183,6 +183,50 @@ def test_random_profiles_eps_c_matches_bisection(psys):
             eps_c(psys, tol)
         return
     assert abs(eps_c(psys, tol) - bisected_eps_c(psys, tol)) <= 2 * tol
+
+
+def bisected_eps_single(psys):
+    """sup{eps : h(x; eps) < x at every point of eps_single's grid} by
+    plain bisection of [0, eps_max] to 1e-12 over that predicate, capped by
+    eps_stab when 0 is a fixed point, as eps_single is."""
+    xs = np.linspace(1e-9, psys.x_max, 10**4)
+
+    def below(e):
+        return bool(np.all(np.asarray(psys.h(xs, e), dtype=float) < xs))
+
+    if not below(0.0):
+        return None
+    lo, hi = 0.0, psys.eps_max
+    if below(hi):
+        lo = hi
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    es = 0.5 * (lo + hi)
+    return min(es, eps_stab(psys)) if psys.zero_is_fixed_point else es
+
+
+def assert_eps_single_matches_bisection(psys):
+    oracle = bisected_eps_single(psys)
+    if oracle is None:
+        with pytest.raises(ThresholdUndefinedError):
+            eps_single(psys)
+    else:
+        assert abs(eps_single(psys) - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_eps_single_matches_bisection(family):
+    assert_eps_single_matches_bisection(FAMILIES[family]())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(psys=family_draw())
+def test_random_profiles_eps_single_matches_bisection(psys):
+    assert_eps_single_matches_bisection(psys)
 
 
 @st.composite

@@ -11,7 +11,6 @@ from maxsat.errors import ConstructionError, DomainError
 from maxsat.numerics import (
     Polynomial,
     bisect_root,
-    bisect_sup,
     gauss_hermite,
     golden_min,
     parse_polynomial,
@@ -102,10 +101,6 @@ class TestSolvers:
         with pytest.raises(DomainError):
             bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
-    def test_bisect_sup(self):
-        s = bisect_sup(lambda t: t < 0.37, 0.0, 1.0, 1e-10)
-        assert abs(s - 0.37) <= 1e-9
-
     def test_golden_min_parabola(self):
         x = golden_min(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-10)
         assert abs(x - 0.3) <= 1e-9
@@ -128,8 +123,6 @@ class TestSolvers:
 
         with pytest.raises(DomainError):
             bisect_root(probe, 0.0, 1.0, tol)
-        with pytest.raises(DomainError):
-            bisect_sup(lambda t: probe(t) < 0.0, 0.0, 1.0, tol)
         with pytest.raises(DomainError):
             golden_min(lambda t: probe(t) ** 2, 0.0, 1.0, tol)
         with pytest.raises(ConstructionError):

@@ -8,11 +8,13 @@ import mpmath as mp
 import pytest
 
 from maxsat.potential import potential_report
+from maxsat.recursion import fixed_points_of
 from maxsat.systems import (
     DegreeDistribution,
     GldpcParams,
     example2_system,
     gldpc_system,
+    ldgm_system,
     ldpc_system,
 )
 from maxsat.thresholds import eps_c, eps_stab, maxwell_threshold
@@ -24,6 +26,7 @@ D = mp.mpf
 LAMBDA8 = [(D("0.2"), 1), (D("0.25"), 2), (D("0.1"), 6), (D("0.45"), 20)]
 RHO8 = [(D("0.6"), 4), (D("0.4"), 12)]
 R_EX2 = [(D(2) / 15, 1), (D(1) / 15, 2), (D(7) / 15, 3), (D(1) / 3, 4)]
+RHO9 = [(D(2) / 45, 0), (D(2) / 45, 1), (D(7) / 15, 2), (D(4) / 9, 3)]
 
 
 def poly(p, x):
@@ -144,3 +147,17 @@ def test_example2_gap_and_minimizer():
     # the golden candidate merges with the bisected fixed point, which is
     # kept; bisection resolves it to 1e-12
     assert abs(rep.x_upper_star - x_upper) <= 1e-12
+
+
+def test_fixed_point_near_zero_keeps_its_digits():
+    # ldgm9 at eps = 0.04: h(x) = (1 - (1 - eps) rho(1 - x))^5, whose one
+    # fixed point lies near eps^5 = 1.024e-7, in the grid's first cell; an
+    # absolute 1e-12 bracket left it 3e-7 off relative
+    eps = D("0.04")
+    root = mp.findroot(lambda x: x - (1 - (1 - eps) * poly(RHO9, 1 - x)) ** 5,
+                       (D("1e-8"), D("1e-6")), solver="anderson")
+    assert mp.nstr(root, 19) == "1.024029081661664838e-7"
+    psys = ldgm_system("x^6", DegreeDistribution.from_edge("2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3"))
+    s = psys.at_eps(0.04)
+    (x,) = fixed_points_of(s.h, s.x_max)
+    assert abs(x - root) <= 1e-12 * root

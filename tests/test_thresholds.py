@@ -188,6 +188,21 @@ class TestSingleAndStability:
 
 
 class TestCoupledThreshold:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan, np.inf])
+    @pytest.mark.parametrize("fn", [eps_c, threshold_report], ids=["eps_c", "report"])
+    def test_tol_checked_before_any_search(self, gldpc31, fn, tol):
+        # a NaN tol used to end in an IndexError from minimize_potential
+        # and an infinite one to return 0.5; the family is not evaluated
+        calls = []
+
+        def f(y, e):
+            calls.append(None)
+            return gldpc31.f(y, e)
+
+        with pytest.raises(DomainError, match="tol must be finite and > 0"):
+            fn(dataclasses.replace(gldpc31, f=f), tol)
+        assert calls == []
+
     def test_dual_route_agreement(self, ldpc8):
         ec = eps_c(ldpc8)
         mx = maxwell_threshold(ldpc8)
@@ -611,24 +626,9 @@ class TestReport:
         notes = dict(threshold_report(ldpc8).notes)
         assert notes["eps_maxwell"] == "min eps(x) over roots of the fixed-point potential"
 
-    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
-    def test_eps_stab_found_once_at_the_report_tol(self, monkeypatch, ldpc8, tol):
-        # eps_single, eps_c and the Maxwell boundary candidate read the
-        # report's one eps_stab, so that candidate carries the report's tol
-        import maxsat.thresholds as thr
-        calls, real = [], thr.eps_stab
-
-        def counting(psys, t=1e-9):
-            calls.append(t)
-            return real(psys, t)
-
-        monkeypatch.setattr(thr, "eps_stab", counting)
-        threshold_report(ldpc8, tol)
-        assert calls == [tol]
-
     @pytest.mark.parametrize("family", ["ldpc8", "gldpc31", "ldgm9"])
     def test_matches_the_single_thresholds(self, ldpc8, gldpc31, ldgm9, family):
-        # at the default tol sharing eps_stab changes no value or note
+        # at the default tol the report gives each threshold's own value
         psys = {"ldpc8": ldpc8, "gldpc31": gldpc31, "ldgm9": ldgm9}[family]
         rep = threshold_report(psys)
         notes = dict(rep.notes)

@@ -51,10 +51,12 @@ def test_tracer_counts_threshold_search():
     # on 1e4 points; no other threshold minimizes
     assert metrics["potential.minimize_calls"] == 10
     assert metrics["potential.grid_points"] == 10 * 10**4
-    # 109 probes of bisect_root (Brent's method) on 21 roots and 32 of
-    # eps_single's bisect_sup; a return to bisection reads about 740 and a
-    # renamed bisect_root, which the tracer no longer sees, 32
-    assert metrics["numerics.bisect_evals"] == 141
+    # 125 probes of bisect_root (Brent's method) on 24 roots: 107 on the 19
+    # fixed points of eps_c's minimizations, 3 on each of the four eps_stab
+    # roots (eps_single, eps_stab, eps_c and the Maxwell candidate each find
+    # it) and 6 on the root of Q; a return to bisection reads about 770 and
+    # a renamed bisect_root, which the tracer no longer sees, 0
+    assert metrics["numerics.bisect_evals"] == 125
     # psi_evals counts calls of Psi, which the search does not make, so it
     # reads 0 on working code; moving the count to minimize_us_at
     # (ROADMAP item 5) has to change this pin on purpose
