@@ -149,9 +149,9 @@ def hessian_within_K(system, spec: CouplingSpec, rng, n: int) -> bool:
 
 
 def psi_matches_integral(psys, eps_values) -> bool:
-    """The envelope Psi(eps) equals the integral of its slope from 0 to eps
-    to 1e-4 at each eps."""
-    return all(abs(Psi(psys, e) - psi_integral(psys, e)) <= 1e-4 for e in eps_values)
+    """The envelope Psi(eps) equals psi_integral, the integral of its slope
+    along the MAP curve from 0 to eps, to 1e-6 at each eps."""
+    return all(abs(Psi(psys, e) - psi_integral(psys, e)) <= 1e-6 for e in eps_values)
 
 
 def q_matches_ebp_integral(cases) -> bool:

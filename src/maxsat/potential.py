@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, UnsupportedOperationError
+from .errors import ShapeError, UnsupportedOperationError
 from .numerics import golden_min
 from .recursion import (
     ANALYSIS_GRID_N,
@@ -210,22 +210,20 @@ def K_fg_bound(sys: ScalarSystem) -> float:
     return gpp * sys.x_max + gp + fp * gp * gp
 
 
-def _gap(sys: ScalarSystem, res: MinimizeResult, delta_offset: float) -> float:
-    if delta_offset < 0:
-        raise DomainError("delta_offset must be >= 0")
+def _gap(sys: ScalarSystem, res: MinimizeResult) -> float:
     xbar = res.x_upper
     base = float(U_s(sys, xbar))
     # refinement noise: a fixed point within 1e-9 of the minimizer is the
     # minimizer itself, not a point strictly above it
-    cut = xbar + max(delta_offset, 1e-9)
+    cut = xbar + 1e-9
     gaps = [float(U_s(sys, x)) - base for x in res.fixed_points if x > cut]
     return min(gaps) if gaps else math.inf
 
 
-def energy_gap_delta(sys: ScalarSystem, delta_offset: float = 0.0) -> float:
+def energy_gap_delta(sys: ScalarSystem) -> float:
     """Minimum of U_s(x) - U_s(x_upper*) over fixed points x > x_upper* +
-    delta_offset; +inf when that set is empty."""
-    return _gap(sys, minimize_Us(sys), delta_offset)
+    1e-9; +inf when that set is empty."""
+    return _gap(sys, minimize_Us(sys))
 
 
 def _w0(sys: ScalarSystem, delta: float, k_fg: Optional[float] = None) -> float:
@@ -239,11 +237,11 @@ def _w0(sys: ScalarSystem, delta: float, k_fg: Optional[float] = None) -> float:
     return k * sys.x_max**2 / (2.0 * delta)
 
 
-def w0_bound(sys: ScalarSystem, delta_offset: float = 0.0) -> float:
+def w0_bound(sys: ScalarSystem) -> float:
     """Coupling width beyond which the coupled fixed point collapses:
     K * x_max^2 / (2 Delta). Returns +inf when Delta = 0 and 0 when
     Delta = +inf (the bound is vacuous with no fixed point above)."""
-    return _w0(sys, energy_gap_delta(sys, delta_offset))
+    return _w0(sys, energy_gap_delta(sys))
 
 
 class FiniteWCondition(enum.Enum):
@@ -297,10 +295,10 @@ class PotentialReport:
     w0: float
 
 
-def potential_report(sys: ScalarSystem, delta_offset: float = 0.0) -> PotentialReport:
+def potential_report(sys: ScalarSystem) -> PotentialReport:
     """Bundle the minimizer set, energy gap, Hessian constant, and w0."""
     res = minimize_Us(sys)
-    delta = _gap(sys, res, delta_offset)
+    delta = _gap(sys, res)
     k = K_fg_bound(sys)
     return PotentialReport(res.x_lower, res.x_upper, res.value, res.minimizers,
                            delta, k, _w0(sys, delta, k))

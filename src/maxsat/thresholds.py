@@ -60,21 +60,19 @@ __all__ = [
 ]
 
 
-# Minimizer grid of the MAP curve, its jumps and psi_integral; the other
-# analyses minimize on ANALYSIS_GRID_N points.
+# Minimizer grid of the MAP curve and its jumps, which psi_integral
+# integrates; the other analyses minimize on ANALYSIS_GRID_N points.
 _CURVE_GRID_N = 3000
-# Jumps of the largest minimizer: psi_integral's eps scan step, the smallest
-# jump, and the eps width each jump is bisected to.
+# Jumps of the largest minimizer: the longest eps step of psi_integral's
+# curve, the smallest jump, and the eps width each jump is bisected to.
 _JUMP_SCAN_STEP = 1e-3
 _JUMP_SIZE = 0.01
 _JUMP_EPS_TOL = 1e-6
 # Widths in eps of eps(x)'s bisection, of eps_stab's root bracket and of
-# inverse_Psi_threshold's envelope search, and the trapezoid samples of
-# psi_integral over [0, eps].
+# inverse_Psi_threshold's envelope search.
 _EPS_OF_X_TOL = 1e-12
 _EPS_STAB_TOL = 1e-12
 _INVERSE_PSI_TOL = 1e-9
-_PSI_SAMPLES = 1000
 
 
 def _grid(psys: ParamSystem):
@@ -568,20 +566,19 @@ def _maxwell(psys: ParamSystem) -> tuple:
     return min(candidates), "min eps(x) over roots of the fixed-point potential"
 
 
-def psi_exit(psys: ParamSystem, eps: float, grid_n: int = ANALYSIS_GRID_N) -> float:
-    """Derivative of the potential envelope:
-    -G_eps(x*; eps) - F_eps(g(x*; eps); eps) at the largest minimizer x*."""
-    xb = x_bar_star(psys, eps, grid_n)
-    return -(float(psys.G_eps(xb, eps))
-             + float(psys.F_eps(psys.g(xb, eps), eps)))
+def psi_exit(psys: ParamSystem, eps: float) -> float:
+    """Derivative of the potential envelope Psi: u_eps at the largest
+    minimizer x* (envelope theorem), the slope _envelope_sup steps with. At
+    a fixed point x* = h(x*) it is -G_eps(x*; eps) - F_eps(g(x*; eps); eps)."""
+    return float(psys.u_eps(x_bar_star(psys, eps), eps))
 
 
 def _refine_jumps(psys: ParamSystem, es, xbars) -> list:
     """Bisect every step above 0.01 between adjacent entries of xbars (the
     largest minimizer at es) down to 1e-6 in eps, with the minimizer on the
-    _CURVE_GRID_N-point grid; returns the midpoints. The minimizer is carried
-    at both bracket ends, so the final test for a genuine discontinuity
-    costs no further minimization."""
+    _CURVE_GRID_N-point grid; returns the midpoints, at most one per cell of
+    es and in order. The minimizer is carried at both bracket ends, so the
+    final test for a genuine discontinuity costs no further minimization."""
     jumps = []
     for i in range(len(es) - 1):
         if abs(xbars[i + 1] - xbars[i]) > _JUMP_SIZE:
@@ -603,26 +600,22 @@ def _refine_jumps(psys: ParamSystem, es, xbars) -> list:
 
 
 def psi_integral(psys: ParamSystem, eps: float) -> float:
-    """Trapezoid integral of the envelope derivative from 0 to eps, split at
-    minimizer jumps so the integrand is smooth on each piece: about 1000
-    samples over [0, eps], at least 8 a piece, with the minimizer on the
-    _CURVE_GRID_N-point grid. The jumps are map_exit_curve's on an eps grid
-    of [0, eps] with steps of at most 1e-3."""
+    """Integral of the envelope derivative from 0 to eps: the trapezoid rule
+    on the slopes u_eps at the x_stars of map_exit_curve over an eps grid of
+    [0, eps] with steps of at most 1e-3. A cell holding a jump j is split
+    there, so the slope is not averaged across it: [e_i, j] takes the slope
+    at e_i and [j, e_(i+1)] the slope at e_(i+1)."""
     if eps <= 0.0:
         return 0.0
     n = max(int(math.ceil(eps / _JUMP_SCAN_STEP)) + 1, 2)
-    jumps = map_exit_curve(psys, np.linspace(0.0, eps, n)).jumps
-    cuts = [0.0] + [j for j in jumps if 0.0 < j < eps] + [eps]
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b - a <= 0:
-            continue
-        m = max(int(round(_PSI_SAMPLES * (b - a) / eps)), 8)
-        shrink = min(1e-9, (b - a) * 1e-6)
-        es = np.linspace(a + shrink, b - shrink, m)
-        vals = np.array([psi_exit(psys, float(e), _CURVE_GRID_N) for e in es])
-        total += float(np.trapezoid(vals, es))
-    return total
+    curve = map_exit_curve(psys, np.linspace(0.0, eps, n))
+    es = curve.eps
+    slopes = np.asarray(psys.u_eps(curve.x_stars, es), dtype=float)
+    cells = 0.5 * (slopes[:-1] + slopes[1:]) * np.diff(es)
+    for j in curve.jumps:
+        i = int(np.searchsorted(es, j)) - 1
+        cells[i] = slopes[i] * (j - es[i]) + slopes[i + 1] * (es[i + 1] - j)
+    return float(np.sum(cells))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,11 @@ def gldpc31():
 
 
 @pytest.fixture(scope="module")
+def gldpc63():
+    return gldpc_system(GldpcParams(63, 5))
+
+
+@pytest.fixture(scope="module")
 def isi36():
     return isi_system("x^3", "x^6")
 
@@ -107,8 +112,8 @@ class TestEnvelope:
         # -G_eps - F_eps(g(.)) because the x-slope term vanishes
         for e in (0.64, 0.66, 0.7):
             xb = x_bar_star(ldpc8, e)
-            direct = float(ldpc8.u_eps(xb, e))
-            assert direct == pytest.approx(psi_exit(ldpc8, e), abs=1e-9)
+            reduced = -float(ldpc8.G_eps(xb, e) + ldpc8.F_eps(ldpc8.g(xb, e), e))
+            assert psi_exit(ldpc8, e) == pytest.approx(reduced, abs=1e-9)
 
     def test_x_bar_positive_above_threshold(self, ldpc8):
         assert x_bar_star(ldpc8, 0.64) > 0.1
@@ -373,6 +378,17 @@ class TestMaxwell:
 class TestEnvelopeIntegral:
     def test_matches_envelope_on_grid(self, ldpc8):
         assert psi_matches_integral(ldpc8, (0.63, 0.65, 0.68))
+
+    # every point but ldgm9 at 0.5 lies past a minimizer jump, where the
+    # slope steps inside one 1e-3 cell of the curve
+    @pytest.mark.parametrize("which, eps_values", [
+        ("ldgm9", (0.5, 0.9)),
+        ("isi36", (0.65, 0.7, 0.8)),
+        ("gldpc31", (0.5,)),
+        ("gldpc63", (0.4,)),
+    ])
+    def test_matches_envelope_across_jumps(self, request, which, eps_values):
+        assert psi_matches_integral(request.getfixturevalue(which), eps_values)
 
     def test_psi_exit_ldpc_formula(self, ldpc8):
         # for this family the envelope slope is -L(1-rho(1-x*))/L'(1)

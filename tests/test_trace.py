@@ -61,3 +61,16 @@ def test_tracer_counts_threshold_search():
     # reads 0 on working code; moving the count to minimize_us_at
     # (ROADMAP item 5) has to change this pin on purpose
     assert metrics["thresholds.psi_evals"] == 0
+
+
+def test_tracer_counts_envelope_integral():
+    tracer = load_tracer()()
+    with tracer:
+        maxsat.thresholds.psi_integral(ldpc8(), 0.66)
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    # 661 points of the MAP curve, 1e-3 apart, plus the 10 bisection steps
+    # of the jump near 0.622, each one 3000-point minimization; the slopes
+    # are read off the curve, so a second sampling pass would show here
+    assert metrics["potential.minimize_calls"] == 671
+    assert metrics["thresholds.xbar_evals"] == 671
+    assert metrics["potential.grid_points"] == 671 * 3000
