@@ -53,6 +53,7 @@ from .systems import (
     pathological_system,
 )
 from .thresholds import (
+    coupled_sweep,
     ebp_curve,
     inverse_psi_table,
     map_exit_curve,
@@ -351,14 +352,14 @@ def cmd_exit_curves(cfg: dict, args) -> int:
     if "sc" in series:
         spec = CouplingSpec(_number(params, "N", int), _number(params, "w", int))
         itcfg = IterationConfig(max_iters=_number(params, "max_iters", int, default=10**6))
-        for e in np.linspace(eps_lo, eps_hi, sc_eps_n):
-            try:
-                run = coupled_fixed_point(built.at_eps(float(e)), spec, itcfg)
-                worst = run.profile.max
-            except NonConvergenceError as exc:
-                worst = exc.last.max
+        es = np.linspace(eps_lo, eps_hi, sc_eps_n).tolist()
+        for e, res in zip(es, coupled_sweep(built, es, spec, itcfg)):
+            if isinstance(res, NonConvergenceError):
+                worst = res.last.max
                 code = 3
-            rows.append(("sc-finite", float(e), float(built.exit_value(worst, float(e)))))
+            else:
+                worst = res.profile.max
+            rows.append(("sc-finite", e, float(built.exit_value(worst, e))))
     _write_text(_csv_text(_meta(cfg), ["series", "eps", "exit"], rows), params.get("out"))
     return code
 

@@ -8,13 +8,17 @@ averages over a width-w window with an implicit zero boundary:
 
     x_i <- sum_j A_ji f( sum_k A_jk g(x_k) ),   A_jk = 1/w for 0 <= k-j < w.
 
-From the all-x_max start the iterates are symmetric about the midpoint,
-and the modified recursion copies the midpoint value over the right half.
-So coupled_fixed_point and modified_coupled_fixed_point iterate only the
-cells up to the midpoint and rebuild the right half as the mirror image or
-the pinned tail: plain profiles are exactly symmetric, and modified ones
-bit-equal to the full-chain iteration. coupled_step, apply_A, apply_At and
-copy_midpoint_tail act on the full chain and serve as the reference.
+From the all-x_max start, or any mirror-symmetric one, the iterates are
+symmetric about the midpoint, and the modified recursion copies the
+midpoint value over the right half. So coupled_fixed_point and
+modified_coupled_fixed_point iterate only the cells up to the midpoint and
+rebuild the right half as the mirror image or the pinned tail: plain
+profiles are exactly symmetric, and modified ones bit-equal to the
+full-chain iteration. coupled_step, apply_A, apply_At and
+copy_midpoint_tail act on the full chain and serve as the reference. All
+of them average with one window-mean kernel (_WindowMean), which sums
+every window in the same order wherever it lies; the runs allocate its
+buffers once, not once per step.
 
 Every callable attached to a system is elementwise: f, g, F and G return
 the shape of their argument (a scalar or a numpy array), while f_prime,
@@ -190,16 +194,25 @@ def _clamp(values, lo, hi, what: str = "value"):
     """values clipped to [lo, hi], as a float for a scalar; raises
     DomainError beyond _CLAMP_TOL outside. Values already in range come
     back without a copy, so callers must not write to the result. A NaN
-    passes and forces the clip, whose output keeps it."""
-    arr = np.asarray(values, dtype=float)
-    top = float(arr.max(initial=-np.inf))
-    bottom = float(arr.min(initial=np.inf))
+    passes and forces the clip, whose output keeps it. A scalar is compared
+    as a Python float, and an array's extremes are two ufunc reductions."""
+    arr = None if isinstance(values, float) else np.asarray(values, dtype=float)
+    scalar = arr is None or not arr.ndim
+    if scalar:
+        top = bottom = float(values)
+    elif arr.size:
+        top, bottom = np.maximum.reduce(arr, None), np.minimum.reduce(arr, None)
+    else:
+        return arr
     over, under = top - hi, lo - bottom
     if over > _CLAMP_TOL or under > _CLAMP_TOL:
         raise DomainError(f"{what} escapes [{lo}, {hi}] by {max(over, under):.3e}")
+    if scalar:
+        # a NaN fails both comparisons and comes back as it is
+        return float(lo) if top < lo else float(hi) if top > hi else top
     if not (lo <= bottom and top <= hi):
         arr = np.clip(arr, lo, hi)
-    return float(arr) if arr.ndim == 0 else arr
+    return arr
 
 
 def _fd_derivative(fn, lo, hi, step=1e-7):
@@ -434,8 +447,44 @@ def uncoupled_fixed_point(sys: ScalarSystem, x0: float,
     )
 
 
-def _kernel(w: int) -> np.ndarray:
-    return np.full(w, 1.0 / w)
+def _shifted_views(buf: np.ndarray, n: int) -> np.ndarray:
+    """Row k is buf[k:k + n]: numpy's sliding_window_view of the contiguous
+    buf, built by the ndarray constructor at a twentieth of its cost."""
+    return np.ndarray((buf.shape[0] - n + 1, n), float, buf, 0, (buf.strides[0],) * 2)
+
+
+class _WindowMean:
+    """Window means of width w over a chain of n cells, into buffers made
+    once.
+
+    mean(v), n - w + 1 cells, is A v, and adjoint(u, out), n cells, is A^T u
+    with the zero boundary. Each multiplies by 1/w into a buffer (the
+    adjoint's padded with w - 1 zeros on each side) and adds its w shifted
+    views with one np.add.reduce, row after row, so a window is summed from
+    its first cell to its last wherever it lies: a shorter buffer holding
+    the same window gets the same bits. (A lone window, n = w, may be
+    summed pairwise; the half chain of _run_coupled has one only where the
+    full chain is that window.) mean returns its own buffer, which the next
+    call overwrites.
+    """
+
+    def __init__(self, n: int, w: int):
+        m = n - w + 1
+        self.scale = 1.0 / w
+        self.scaled = np.empty(n)
+        self.windows = _shifted_views(self.scaled, m)
+        self.z = np.empty(m)
+        padded = np.zeros(n + w - 1)
+        self.padded_mid = padded[w - 1:w - 1 + m]
+        self.padded_windows = _shifted_views(padded, n)
+
+    def mean(self, v) -> np.ndarray:
+        np.multiply(v, self.scale, out=self.scaled)
+        return np.add.reduce(self.windows, axis=0, out=self.z)
+
+    def adjoint(self, u, out: np.ndarray) -> np.ndarray:
+        np.multiply(u, self.scale, out=self.padded_mid)
+        return np.add.reduce(self.padded_windows, axis=0, out=out)
 
 
 def apply_A(spec: CouplingSpec, v) -> np.ndarray:
@@ -443,7 +492,7 @@ def apply_A(spec: CouplingSpec, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (spec.M,):
         raise ShapeError(f"apply_A expects length M={spec.M}, got {v.shape}")
-    return np.convolve(v, _kernel(spec.w), mode="valid")
+    return _WindowMean(spec.M, spec.w).mean(v)
 
 
 def apply_At(spec: CouplingSpec, u) -> np.ndarray:
@@ -451,21 +500,22 @@ def apply_At(spec: CouplingSpec, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (spec.N,):
         raise ShapeError(f"apply_At expects length N={spec.N}, got {u.shape}")
-    return np.convolve(u, _kernel(spec.w), mode="full")
+    return _WindowMean(spec.M, spec.w).adjoint(u, np.empty(spec.M))
 
 
-def _coupled_step_values(sys: ScalarSystem, x: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    y = np.asarray(sys.g(x), dtype=float)
-    z = np.convolve(y, kern, mode="valid")
-    z = _clamp(z, 0.0, sys.y_max, "averaged g-value")
-    u = np.asarray(sys.f(z), dtype=float)
-    return np.convolve(u, kern, mode="full")
+def _coupled_step_into(sys: ScalarSystem, x: np.ndarray, win: _WindowMean,
+                       out: np.ndarray) -> np.ndarray:
+    """One coupled step of the chain x, whose length win was built for,
+    written to out."""
+    z = _clamp(win.mean(sys.g(x)), 0.0, sys.y_max, "averaged g-value")
+    return win.adjoint(sys.f(z), out)
 
 
 def coupled_step(sys: ScalarSystem, profile: CoupledProfile) -> CoupledProfile:
     """One synchronous update of the coupled recursion."""
     x = _clamp(profile.values, 0.0, sys.x_max, "profile")
-    out = _coupled_step_values(sys, x, _kernel(profile.spec.w))
+    M = profile.spec.M
+    out = _coupled_step_into(sys, x, _WindowMean(M, profile.spec.w), np.empty(M))
     return CoupledProfile(out, profile.spec)
 
 
@@ -482,28 +532,28 @@ def copy_midpoint_tail(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_right(buf: np.ndarray, M: int, pin_tail: bool) -> None:
-    """Fill buf[H:] from buf[:H], H = midpoint_index(M) + 1, in place, so that
-    buf holds the first len(buf) cells of a length-M chain that is the mirror
-    image of itself about the midpoint or, with pin_tail, constant past it."""
+def _tail_views(buf: np.ndarray, M: int, pin_tail: bool) -> tuple:
+    """(dst, src), views of buf such that np.copyto(dst, src) fills buf[H:]
+    from buf[:H], H = midpoint_index(M) + 1, so that buf holds the first
+    len(buf) cells of a length-M chain that is the mirror image of itself
+    about the midpoint or, with pin_tail, constant past it."""
     H = midpoint_index(M) + 1
-    if pin_tail:
-        buf[H:] = buf[H - 1]
-    else:
-        buf[H:] = buf[M - buf.shape[0]:M - H][::-1]
+    src = buf[H - 1:H] if pin_tail else buf[M - buf.shape[0]:M - H][::-1]
+    return buf[H:], src
 
 
 def _unfold(left: np.ndarray, M: int, pin_tail: bool) -> np.ndarray:
     """The length-M profile whose cells 0..midpoint_index(M) are left."""
     out = np.empty(M)
     out[:left.shape[0]] = left
-    _fill_right(out, M, pin_tail)
+    np.copyto(*_tail_views(out, M, pin_tail))
     return out
 
 
 def _run_coupled(sys: ScalarSystem, spec: CouplingSpec, cfg: IterationConfig,
-                 pin_tail: bool) -> CoupledRun:
-    """Iterate cells 0..i0 = midpoint_index(M) of the chain from x_max.
+                 pin_tail: bool, start: Optional[np.ndarray] = None) -> CoupledRun:
+    """Iterate cells 0..i0 = midpoint_index(M) of the chain from start, or
+    from x_max.
 
     New cell i reads x up to i + w - 1, so the state lives in the first H
     cells of a buffer of E = min(M, H + w - 1) cells, H = i0 + 1, and the
@@ -512,47 +562,75 @@ def _run_coupled(sys: ScalarSystem, spec: CouplingSpec, cfg: IterationConfig,
     symmetric, or with x_{i0} for the modified one, whose tail is pinned.
     The first H cells of the step are then those of the same step on the
     full chain (bit for bit when the tail is pinned, since that extension
-    is exact), and so is the step size, the max-abs change over them. The
-    step maps E cells to E cells, so its output is the next buffer.
+    is exact and both sum each window in the same order, _WindowMean), and
+    so is the step size, the max-abs change over them. The step maps E
+    cells to E cells, so two buffers of E cells take turns as state and
+    output; they, their views and the kernel's buffers are made once per
+    run.
     """
     M = spec.M
     H = midpoint_index(M) + 1
-    kern = _kernel(spec.w)
-    x = np.full(min(M, H + spec.w - 1), sys.x_max)
+    E = min(M, H + spec.w - 1)
+    win = _WindowMean(E, spec.w)
+    xs = (np.empty(E), np.empty(E))
+    heads = tuple(x[:H] for x in xs)
+    tails = tuple(_tail_views(x, M, pin_tail) for x in xs)
+    heads[0][...] = sys.x_max if start is None else start[:H]
     diff = np.empty(H)
-    trajectory = [_unfold(x[:H], M, pin_tail)] if cfg.record_trajectory else None
+    trajectory = [_unfold(heads[0], M, pin_tail)] if cfg.record_trajectory else None
+    cur = 0
     for it in range(1, cfg.max_iters + 1):
-        _fill_right(x, M, pin_tail)
-        xn = _coupled_step_values(sys, x, kern)
-        np.subtract(xn[:H], x[:H], out=diff)
+        nxt = 1 - cur
+        np.copyto(*tails[cur])
+        _coupled_step_into(sys, xs[cur], win, xs[nxt])
+        np.subtract(heads[nxt], heads[cur], out=diff)
         np.abs(diff, out=diff)
-        step = float(diff.max())
-        x = xn
+        step = float(np.maximum.reduce(diff))
+        cur = nxt
         if trajectory is not None:
-            trajectory.append(_unfold(x[:H], M, pin_tail))
+            trajectory.append(_unfold(heads[cur], M, pin_tail))
         if step <= cfg.tol:
-            return CoupledRun(CoupledProfile(_unfold(x[:H], M, pin_tail), spec), it,
+            return CoupledRun(CoupledProfile(_unfold(heads[cur], M, pin_tail), spec), it,
                               step, trajectory)
     raise NonConvergenceError(
         f"coupled recursion did not converge in {cfg.max_iters} iterations",
-        last=CoupledProfile(_unfold(x[:H], M, pin_tail), spec), iters=cfg.max_iters,
+        last=CoupledProfile(_unfold(heads[cur], M, pin_tail), spec), iters=cfg.max_iters,
         residual=step,
     )
 
 
 def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
-                        cfg: IterationConfig = IterationConfig()) -> CoupledRun:
-    """Run the coupled recursion from the all-x_max start to its fixed point.
+                        cfg: IterationConfig = IterationConfig(),
+                        start=None) -> CoupledRun:
+    """Run the coupled recursion to its fixed point, from start (a length-M
+    profile, exactly mirror-symmetric, in [0, x_max]) or from x_max.
 
     Only cells 0..midpoint_index(M) are iterated, the right half being their
     mirror image (_run_coupled), so the returned profile and every
     trajectory entry are exactly symmetric. Iterating coupled_step on the
     full chain gives the same profiles to rounding (a few 1e-15 on chains of
-    hundreds of cells: np.convolve sums each window in a fixed order, so the
-    full chain is symmetric only to rounding) and, in practice, the same
+    hundreds of cells: each window is summed in a fixed order, so the full
+    chain is symmetric only to rounding) and, in practice, the same
     iteration count.
+
+    The step is monotone, so a start s with x* <= s <= x_max is squeezed
+    between x* and the iterates from x_max and converges to the same x*.
+    Where f and g are non-decreasing in a parameter, as
+    validate_param_system requires, the fixed point at a larger parameter
+    is such a start, and so is any iterate of a run there from x_max or
+    from such a start (thresholds.coupled_sweep).
+    Raises ShapeError for a start of the wrong length and DomainError for
+    one that is not symmetric or leaves [0, x_max].
     """
-    return _run_coupled(sys, spec, cfg, pin_tail=False)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (spec.M,):
+            raise ShapeError(f"start has shape {start.shape}, need ({spec.M},)")
+        if not np.array_equal(start, start[::-1]):
+            raise DomainError("start is not mirror-symmetric about the chain's midpoint")
+        if not np.all((start >= 0.0) & (start <= sys.x_max)):
+            raise DomainError(f"start leaves [0, {sys.x_max}]")
+    return _run_coupled(sys, spec, cfg, pin_tail=False, start=start)
 
 
 def modified_coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,

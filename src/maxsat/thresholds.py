@@ -25,11 +25,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, ThresholdUndefinedError
+from . import recursion
+from .errors import (ConstructionError, DomainError, NonConvergenceError,
+                     ThresholdUndefinedError)
 from .numerics import _check_tol, bisect_root
 from .potential import ROUNDING_ULPS, MinimizeResult, minimize_potential
-from .recursion import (ANALYSIS_GRID_N, ScalarSystem, antiderivative_error, make_system,
-                        tabulated_integral)
+from .recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig, ScalarSystem,
+                        antiderivative_error, make_system, tabulated_integral)
 
 __all__ = [
     "ParamSystem",
@@ -53,6 +55,7 @@ __all__ = [
     "ebp_curve",
     "MapExitCurve",
     "map_exit_curve",
+    "coupled_sweep",
     "inverse_Psi_threshold",
     "inverse_psi_table",
     "ThresholdReport",
@@ -287,7 +290,9 @@ def eps_single(psys: ParamSystem) -> float:
     ANALYSIS_GRID_N-point grid of [1e-9, x_max] where h(x; eps_max) >= x,
     or eps_max where there are none. Since f and g are non-decreasing in
     eps, h(x; eps) < x at a grid point exactly for eps < eps(x), so this
-    is the supremum of the predicate on the grid.
+    is the supremum of the predicate on the grid. Without a closed form,
+    the bisection drops every lane that cannot hold the minimum
+    (_bisect_eps).
 
     When 0 is a fixed point the result is at most eps_stab, since h > x
     just above 0 for larger eps; the grid's first point, 1e-9, cannot see
@@ -301,7 +306,12 @@ def eps_single(psys: ParamSystem) -> float:
     if not np.all(np.asarray(psys.h(xs, 0.0), dtype=float) < xs):
         raise ThresholdUndefinedError("h(x; 0) >= x somewhere; single-system threshold undefined")
     xs = xs[np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs]
-    es = float(np.min(eps_of_x(psys, xs))) if xs.size else psys.eps_max
+    if not xs.size:
+        es = psys.eps_max
+    elif psys.eps_of_x_closed is not None:
+        es = float(np.min(eps_of_x(psys, xs)))
+    else:
+        es = _bisect_eps(psys, xs, lowest=True)
     return min(es, eps_stab(psys)) if psys.zero_is_fixed_point else es
 
 
@@ -449,15 +459,31 @@ def eps_of_x(psys: ParamSystem, x):
         out = np.clip(out, 0.0, psys.eps_max)
     else:
         _eps_bracket_check(psys, flat)
-        lo = np.zeros_like(flat)
-        hi = np.full_like(flat, psys.eps_max)
-        while float(np.max(hi - lo)) > _EPS_OF_X_TOL:
-            mid = 0.5 * (lo + hi)
-            above = np.asarray(psys.h(flat, mid), dtype=float) >= flat
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        out = 0.5 * (lo + hi)
+        out = _bisect_eps(psys, flat)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _bisect_eps(psys: ParamSystem, xs: np.ndarray, lowest: bool = False):
+    """eps(x) at each of xs (in the fixed-point domain) by one vector
+    bisection on eps to _EPS_OF_X_TOL. With lowest only the minimum is
+    wanted and returned: after each round every lane whose lower end lies
+    above the smallest upper end is dropped, since its value cannot be the
+    minimum. The lanes kept evolve as in the full bisection, and when
+    eps_max is a power of two (1 on every shipped family) all brackets are
+    exact dyadic intervals of one width, so the rounds, and the minimum,
+    are bit-equal to those of the full result."""
+    lo = np.zeros_like(xs)
+    hi = np.full_like(xs, psys.eps_max)
+    while float(np.max(hi - lo)) > _EPS_OF_X_TOL:
+        mid = 0.5 * (lo + hi)
+        above = np.asarray(psys.h(xs, mid), dtype=float) >= xs
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+        if lowest:
+            keep = lo <= np.min(hi)
+            xs, lo, hi = xs[keep], lo[keep], hi[keep]
+    out = 0.5 * (lo + hi)
+    return float(np.min(out)) if lowest else out
 
 
 def eps_prime_of_x(psys: ParamSystem, x: float) -> float:
@@ -662,6 +688,33 @@ def map_exit_curve(psys: ParamSystem, eps_grid) -> MapExitCurve:
                    for x, e in zip(xbars, es)])
     jumps = _refine_jumps(psys, es, xbars)
     return MapExitCurve(es, ex, xbars, tuple(jumps))
+
+
+def coupled_sweep(psys: ParamSystem, eps_values, spec: CouplingSpec,
+                  cfg: IterationConfig = IterationConfig()) -> list:
+    """Coupled runs of the slices at eps_values, one CoupledRun or
+    NonConvergenceError per eps, in input order.
+
+    The runs go from the largest eps down, each started from the previous
+    run's profile, or from its last iterate where it hit the iteration
+    cap; the first starts from x_max. validate_param_system requires f and
+    g non-decreasing in eps, so for eps < eps' the fixed point x*(eps) lies
+    below every iterate from x_max at eps', and the run from such a start
+    converges to x*(eps) as the run from x_max does (coupled_fixed_point).
+    """
+    eps = [float(e) for e in eps_values]
+    out = [None] * len(eps)
+    start = None
+    for i in sorted(range(len(eps)), key=lambda i: -eps[i]):
+        try:
+            # looked up on the module, so a patched recursion.coupled_fixed_point
+            # sees every run
+            out[i] = recursion.coupled_fixed_point(psys.at_eps(eps[i]), spec, cfg, start)
+            start = out[i].profile.values
+        except NonConvergenceError as exc:
+            out[i] = exc
+            start = exc.last.values
+    return out
 
 
 def _inverse_psi(psys: ParamSystem, x: float, ends: tuple) -> float:

@@ -8,6 +8,8 @@ iterates, and their thresholds computed from these callables match
 coefficient oracles and stay ordered.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
-from maxsat.thresholds import Psi, eps_c, eps_single, eps_stab, threshold_report
+from maxsat.thresholds import Psi, eps_c, eps_of_x, eps_single, eps_stab, threshold_report
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -227,6 +229,23 @@ def test_eps_single_matches_bisection(family):
 @given(psys=family_draw())
 def test_random_profiles_eps_single_matches_bisection(psys):
     assert_eps_single_matches_bisection(psys)
+
+
+# eps_single drops the bisection lanes that cannot hold the minimum; with
+# the closed form removed every draw takes that route, and the value must
+# be the minimum of the full eps_of_x bisection on the same grid points
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(psys=family_draw())
+def test_random_profiles_eps_single_equals_unpruned_minimum(psys):
+    bisected = dataclasses.replace(psys, eps_of_x_closed=None)
+    xs = np.linspace(1e-9, psys.x_max, 10**4)
+    if not np.all(np.asarray(psys.h(xs, 0.0), dtype=float) < xs):
+        return  # undefined, as the comparison with the plain bisection checks
+    xs = xs[np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs]
+    ref = float(np.min(eps_of_x(bisected, xs))) if xs.size else psys.eps_max
+    if psys.zero_is_fixed_point:
+        ref = min(ref, eps_stab(psys))
+    assert eps_single(bisected) == ref
 
 
 @st.composite

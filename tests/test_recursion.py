@@ -305,6 +305,19 @@ class TestHalfChain:
             assert np.array_equal(ours, theirs)
         assert np.array_equal(run.profile.values, ref[-1])
 
+    @pytest.mark.parametrize("w", [12, 16])
+    def test_wide_windows_share_the_kernel(self, w):
+        # the cases above stop at w = 11; from 12 cells on np.convolve sums
+        # a window through BLAS in yet another order, and the bit-equality
+        # still holds because coupled_step and the run share one kernel
+        s = _CHAINS["ldgm9"][0]().at_eps(0.5)
+        spec = CouplingSpec(60, w)
+        run = modified_coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True))
+        iters, ref = full_chain_run(s, spec, pin_tail=True)
+        assert run.iters == iters
+        for ours, theirs in zip(run.trajectory, ref):
+            assert np.array_equal(ours, theirs)
+
     def test_full_chain_iterates_are_symmetric_and_unimodal(self):
         # includes M = 1, where the rising part up to the midpoint is empty
         assert coupled_symmetric_unimodal(
@@ -338,6 +351,20 @@ class TestHalfChain:
         assert exc.value.last == xs[3]
         assert exc.value.residual == abs(xs[3] - xs[2]) > 1e-12
 
+    @pytest.mark.parametrize("fixed_point", [coupled_fixed_point, modified_coupled_fixed_point])
+    def test_overshooting_g_raises_from_run_and_step(self, fixed_point):
+        # g overshoots y_max = g(1) by 1e-6 inside the domain; the window
+        # means carry it past the clamp's slack, in the run's shared kernel
+        # as in coupled_step
+        s = make_system(f=lambda y: 0.5 * y, g=lambda x: np.where(x < 1.0, 1.0 + 1e-6, 1.0),
+                        x_max=1.0, F=lambda y: 0.25 * y * y, G=lambda x: x, validate=False)
+        spec = CouplingSpec(20, 4)
+        message = r"^averaged g-value escapes \[0\.0, 1\.0\] by 1\.000e-06$"
+        with pytest.raises(DomainError, match=message):
+            fixed_point(s, spec)
+        with pytest.raises(DomainError, match=message):
+            coupled_step(s, CoupledProfile(np.full(spec.M, 0.5), spec))
+
     def test_clamp_guards_the_run(self):
         # f overshoots x_max, so the second step averages g-values up to
         # 2 y_max; without validation nothing stops the system being built
@@ -346,6 +373,41 @@ class TestHalfChain:
         for fixed_point in (coupled_fixed_point, modified_coupled_fixed_point):
             with pytest.raises(DomainError, match="averaged g-value escapes"):
                 fixed_point(s, CouplingSpec(12, 3))
+
+
+class TestStartProfile:
+    """coupled_fixed_point from a given start: the monotone step squeezes
+    any start between the fixed point and x_max onto the fixed point."""
+
+    def test_start_at_fixed_point_stops_at_once(self):
+        s, spec = example1_system(), CouplingSpec(16, 3)
+        run = coupled_fixed_point(s, spec)
+        again = coupled_fixed_point(s, spec, start=run.profile.values)
+        assert again.iters == 1
+        assert np.max(np.abs(again.profile.values - run.profile.values)) <= 1e-12
+
+    def test_start_between_fixed_point_and_x_max(self):
+        s, spec = example1_system(), CouplingSpec(16, 3)
+        cold = coupled_fixed_point(s, spec)
+        start = 0.5 * (cold.profile.values + s.x_max)
+        warm = coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True), start)
+        assert np.array_equal(warm.trajectory[0], start)
+        assert warm.iters <= cold.iters
+        assert np.max(np.abs(warm.profile.values - cold.profile.values)) <= 1e-10
+
+    @pytest.mark.parametrize("bad,error", [
+        (lambda v: v[:-1], ShapeError),
+        (lambda v: np.concatenate([v, v]), ShapeError),
+        (lambda v: v + np.linspace(0.0, 1e-3, v.size), DomainError),
+        (lambda v: np.where(np.arange(v.size) == 0, 0.5, v), DomainError),
+        (lambda v: v + 1e-6, DomainError),
+        (lambda v: v - 2.0, DomainError),
+        (lambda v: np.full(v.size, np.nan), DomainError),
+    ], ids=["short", "long", "tilted", "one_cell", "above_x_max", "negative", "nan"])
+    def test_bad_start_raises(self, bad, error):
+        s, spec = example1_system(), CouplingSpec(16, 3)
+        with pytest.raises(error):
+            coupled_fixed_point(s, spec, start=bad(np.full(spec.M, s.x_max)))
 
 
 class TestTranslate:
@@ -474,10 +536,28 @@ class TestClamp:
         assert np.isnan(out[0]) and out[1:].tolist() == [1.0, 0.25]
 
     @pytest.mark.parametrize("v,expected", [(0.25, 0.25), (np.float64(1.0 + 1e-12), 1.0),
-                                            (np.array(-1e-12), 0.0)])
+                                            (np.array(-1e-12), 0.0), (-1e-12, 0.0),
+                                            (1.0 + 5e-10, 1.0), (-0.0, -0.0)])
     def test_scalar_returns_float(self, v, expected):
         out = _clamp(v, 0.0, 1.0)
         assert type(out) is float and out == expected
+        assert math.copysign(1.0, out) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("bad", [1.0 + 2e-9, -2e-9, np.float64(-2e-9), np.array(1.0 + 2e-9)])
+    def test_scalar_beyond_slack_raises(self, bad):
+        with pytest.raises(DomainError, match=r"^x escapes \[0\.0, 1\.0\] by 2\.000e-09$"):
+            _clamp(bad, 0.0, 1.0, "x")
+
+    @pytest.mark.parametrize("v", [math.nan, np.float64(math.nan), np.array(math.nan)])
+    def test_scalar_nan_passes(self, v):
+        out = _clamp(v, 0.0, 1.0)
+        assert type(out) is float and math.isnan(out)
+
+    def test_array_keeps_shape_and_empty_passes(self):
+        v = np.array([[0.5, 1.0 + 1e-12], [-1e-12, 0.25]])
+        assert _clamp(v, 0.0, 1.0).tolist() == [[0.5, 1.0], [0.0, 0.25]]
+        empty = np.empty((0, 3))
+        assert _clamp(empty, 0.0, 1.0).shape == (0, 3)
 
 
 class TestTabulatedAntiderivative:

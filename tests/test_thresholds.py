@@ -3,9 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from maxsat.errors import ConstructionError, DomainError, ThresholdUndefinedError
+from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
+                           ThresholdUndefinedError)
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
-from maxsat.recursion import CouplingSpec, IterationConfig, coupled_fixed_point
+from maxsat.recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig,
+                              coupled_fixed_point)
 from maxsat.systems import (
     DegreeDistribution,
     GldpcParams,
@@ -19,6 +21,7 @@ from maxsat.thresholds import (
     Psi,
     Q_integral_check,
     Q_of_x,
+    coupled_sweep,
     ebp_curve,
     eps_c,
     eps_of_x,
@@ -175,6 +178,19 @@ class TestSingleAndStability:
             F_eps=lambda x, e: 0.0 * x + 0.0 * e,
             eps_of_x_closed=None)
         assert eps_single(frozen) == frozen.eps_max
+
+    @pytest.mark.parametrize("family", ["ldgm9", "isi36"])
+    def test_eps_single_equals_unpruned_minimum(self, request, family):
+        # families without a closed-form eps(x): the pruned bisection keeps
+        # the minimum of eps_of_x over the same grid points, bit for bit
+        psys = request.getfixturevalue(family)
+        assert psys.eps_of_x_closed is None
+        xs = np.linspace(1e-9, psys.x_max, ANALYSIS_GRID_N)
+        xs = xs[np.asarray(psys.h(xs, psys.eps_max)) >= xs]
+        ref = float(np.min(eps_of_x(psys, xs)))
+        if psys.zero_is_fixed_point:
+            ref = min(ref, eps_stab(psys))
+        assert eps_single(psys) == ref
 
     def test_eps_stab_closed_form(self, ldpc8):
         # oracle: eps lam'(0) rho'(1) = 1 with lam'(0) = 0.2, rho'(1) = 7.2
@@ -429,6 +445,65 @@ class TestExitCurves:
         direct, integral = Q_integral_check(ldpc8, 1e-4, x2)
         assert abs(integral) <= 1e-4
         assert abs(direct) <= 1e-4
+
+
+def _cold_run(psys, e, spec, cfg=IterationConfig()):
+    try:
+        return coupled_fixed_point(psys.at_eps(e), spec, cfg)
+    except NonConvergenceError as exc:
+        return exc
+
+
+def _values(res):
+    return res.last.values if isinstance(res, NonConvergenceError) else res.profile.values
+
+
+class TestCoupledSweep:
+    """coupled_sweep runs eps downward, each run started from the previous
+    profile; f and g non-decreasing in eps make that start an upper bound
+    of the next fixed point, so the sweep lands where cold runs from x_max
+    land."""
+
+    SPEC = CouplingSpec(40, 4)
+
+    @pytest.mark.parametrize("family,lo,hi", [("ldpc8", 0.55, 0.65), ("ldgm9", 0.45, 0.55),
+                                              ("isi36", 0.6, 0.75), ("gldpc31", 0.2, 0.3)])
+    def test_matches_cold_runs_in_fewer_iterations(self, request, family, lo, hi):
+        psys = request.getfixturevalue(family)
+        es = np.linspace(lo, hi, 5).tolist()
+        sweep = coupled_sweep(psys, es, self.SPEC)
+        cold = [_cold_run(psys, e, self.SPEC) for e in es]
+        assert all(not isinstance(r, NonConvergenceError) for r in sweep + cold)
+        for warm, ref in zip(sweep, cold):
+            assert np.max(np.abs(warm.profile.values - ref.profile.values)) <= 1e-10
+            assert np.array_equal(warm.profile.values, warm.profile.values[::-1])
+        assert sum(r.iters for r in sweep) <= sum(r.iters for r in cold)
+        # the largest eps starts from x_max, as a cold run does
+        assert sweep[-1].iters == cold[-1].iters
+
+    def test_decoded_top_decodes_the_rest_at_once(self, ldpc8):
+        es = [0.52, 0.54, 0.56, 0.58]
+        sweep = coupled_sweep(ldpc8, es, self.SPEC)
+        assert sweep[-1].profile.max <= 1e-9
+        assert all(r.iters <= 2 for r in sweep[:-1])
+
+    def test_results_in_input_order(self, ldgm9):
+        es = [0.5, 0.46, 0.54]
+        sweep = coupled_sweep(ldgm9, es, self.SPEC)
+        for e, res in zip(es, sweep):
+            ref = _cold_run(ldgm9, e, self.SPEC)
+            assert np.max(np.abs(res.profile.values - ref.profile.values)) <= 1e-10
+
+    def test_capped_run_seeds_the_next(self, ldpc8):
+        capped = IterationConfig(max_iters=100)
+        es = [0.5, 0.65]
+        low, top = coupled_sweep(ldpc8, es, self.SPEC, capped)
+        assert isinstance(top, NonConvergenceError) and top.iters == 100
+        assert np.array_equal(_values(top), _values(_cold_run(ldpc8, 0.65, self.SPEC, capped)))
+        seeded = coupled_fixed_point(ldpc8.at_eps(0.5), self.SPEC, capped, start=_values(top))
+        assert low.iters == seeded.iters
+        assert np.array_equal(low.profile.values, seeded.profile.values)
+        assert low.iters < _cold_run(ldpc8, 0.5, self.SPEC, capped).iters
 
 
 class TestInverseEnvelope:

@@ -1,13 +1,18 @@
 """The benchmark's per-layer tracer, bench/spans.py, hooks library functions
 and reads their arguments by name (minimize_potential's grid_n among them),
 so a renamed function or parameter would zero its metrics without failing
-a benchmark run. These counts pin what it sees on three small analyses."""
+a benchmark run. These counts pin what it sees on three small analyses and
+one coupled sweep."""
 
 import importlib.util
+import json
 from pathlib import Path
 
+import maxsat.cli
 import maxsat.potential
 import maxsat.thresholds
+from maxsat.errors import NonConvergenceError
+from maxsat.recursion import CouplingSpec
 from maxsat.systems import DegreeDistribution, example1_system, ldpc_system
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -74,3 +79,24 @@ def test_tracer_counts_envelope_integral():
     assert metrics["potential.minimize_calls"] == 671
     assert metrics["thresholds.xbar_evals"] == 671
     assert metrics["potential.grid_points"] == 671 * 3000
+
+
+def test_tracer_counts_sweep_iterations(tmp_path):
+    # the exit-curves sc series runs coupled_sweep, which calls
+    # coupled_fixed_point once per eps; the tracer counts each run's
+    # iterations, so a sweep whose runs it does not see reads 0
+    system = {"type": "ldpc", "lambda": "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20",
+              "rho": "0.6 x^4 + 0.4 x^12"}
+    command = {"series": ["sc"], "eps_lo": 0.6, "eps_hi": 0.65, "sc_eps_n": 2,
+               "N": 40, "w": 4}
+    cfg = tmp_path / "sc.json"
+    cfg.write_text(json.dumps({"schema": 1, "system": system, "command": command}))
+    tracer = load_tracer()()
+    with tracer:
+        assert maxsat.cli.main(["exit-curves", "--config", str(cfg),
+                                "--out", str(tmp_path / "sc.csv")]) == 0
+    metrics = {name: value for name, (value, _) in tracer.metrics().items()}
+    _, psys = maxsat.cli.build_system(system)
+    sweep = maxsat.thresholds.coupled_sweep(psys, [0.6, 0.65], CouplingSpec(40, 4))
+    assert not any(isinstance(r, NonConvergenceError) for r in sweep)
+    assert metrics["recursion.coupled_iters"] == sum(r.iters for r in sweep) > 0
