@@ -23,6 +23,7 @@ import hashlib
 import io
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,13 +220,22 @@ def _write_text(text: str, out) -> None:
 
 
 def _csv_text(meta: dict, header: list, rows) -> str:
+    """Metadata lines, the header and one line per row tuple, with floats
+    as _fmt writes them ('%.17g' % v is format(v, '.17g')) and anything
+    else as str writes it. Each row is one % formatting, by a format made
+    once per sequence of value types."""
     buf = io.StringIO()
     for k, v in meta.items():
         buf.write(f"# {k}={v}\r\n")
     buf.write(",".join(header) + "\r\n")
+    formats = {}
     for row in rows:
-        buf.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-        buf.write("\r\n")
+        types = tuple(map(type, row))
+        fmt = formats.get(types)
+        if fmt is None:
+            fmt = formats[types] = ",".join(
+                "%.17g" if issubclass(t, float) else "%s" for t in types) + "\r\n"
+        buf.write(fmt % tuple(row))
     return buf.getvalue()
 
 
@@ -391,7 +401,11 @@ _COMMANDS = {
 }
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused, since
+    parsing leaves it unchanged; building its five subparsers costs about
+    twenty parses."""
     p = argparse.ArgumentParser(prog="maxsat", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

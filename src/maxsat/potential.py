@@ -27,6 +27,7 @@ from .recursion import (
     ANALYSIS_GRID_N,
     CouplingSpec,
     ScalarSystem,
+    _analysis_grid,
     apply_A,
     apply_At,
     fixed_points_of,
@@ -102,14 +103,15 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     [0, x_max], where g is increasing with g(x_max) = y_max and f maps
     into [0, x_max].
 
-    Scans a grid_n-point grid, golden-refines the grid-local minima the
-    grid resolves to 1e-12 in x, and seeds the candidate set with all fixed
-    points of h on the same grid (every interior local minimum of the
-    potential is one, so narrow basins between grid nodes are still found)
-    plus both endpoints. A grid-local minimum is
-    resolved when it lies below its left neighbour by more than the
-    rounding level of U and not above its right neighbour by more than
-    that level. The level is 64 ulps of x_max * y_max: each of x g(x),
+    Scans the grid_n-point grid of [0, x_max] that fixed_points_of scans
+    too (built once per (x_max, grid_n) and shared read-only),
+    golden-refines the grid-local minima the grid resolves to 1e-12 in x,
+    and seeds the candidate set with all fixed points of h on that grid
+    (every interior local minimum of the potential is one, so narrow
+    basins between grid nodes are still found) plus both endpoints. A
+    grid-local minimum is resolved when it lies below its left neighbour
+    by more than the rounding level of U and not above its right
+    neighbour by more than that level. The level is 64 ulps of x_max * y_max: each of x g(x),
     G(x) and F(g(x)) lies in [0, x_max * y_max], so U carries the rounding
     of terms that size even where U itself is much smaller. Where U is
     flat to that level (g near 1 on the gldpc codes) the grid shows only
@@ -117,7 +119,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     candidates whose value is within VALUE_TOL of the best; of two within
     1e-9 of each other the fixed point is kept.
     """
-    xs = np.linspace(0.0, x_max, int(grid_n))
+    xs = _analysis_grid(float(x_max), int(grid_n))
     us = np.asarray(u_vec(xs), dtype=float)
 
     cands = [0.0, float(x_max)]
@@ -133,10 +135,9 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     # through the fixed-point seeds below (all local minima are fixed
     # points). Plateau jitter on flat stretches is excluded the same way.
     refine_margin = 1e-6
-    grid_min = float(np.min(us))
-    local = [i for i in local if us[i] <= grid_min + refine_margin]
-    local.sort(key=lambda i: us[i])
-    for i in local[:256]:
+    local = local[us[local] <= float(np.min(us)) + refine_margin]
+    local = local[np.argsort(us[local], kind="stable")]
+    for i in local[:256].tolist():
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
                                 float(xs[i + 1]), _X_TOL))
     fixed_points = tuple(fixed_points_of(h_vec, x_max, grid_n))

@@ -24,14 +24,15 @@ Every callable attached to a system is elementwise: f, g, F and G return
 the shape of their argument (a scalar or a numpy array), while f_prime,
 g_prime and g_second may return any value that broadcasts to it, so a
 constant derivative is written as a float. validate_system checks the
-shapes of f and g.
+shapes of f and g. The slices of a family (thresholds.ParamSystem.at_eps)
+also give a Python float the bits of the same x inside an array.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -692,6 +693,16 @@ def translate_system(sys: ScalarSystem, x_tilde: float) -> ScalarSystem:
     )
 
 
+@lru_cache(maxsize=32)
+def _analysis_grid(x_max: float, n: int) -> np.ndarray:
+    """np.linspace(0.0, x_max, n), built once per (x_max, n) and shared
+    read-only by every scan of [0, x_max] (fixed_points_of and
+    potential.minimize_potential)."""
+    xs = np.linspace(0.0, x_max, n)
+    xs.flags.writeable = False
+    return xs
+
+
 def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
     """Scan x - h(x) on a grid_n-point grid of [0, x_max] for roots.
 
@@ -704,28 +715,29 @@ def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
-    xs = np.linspace(0.0, x_max, int(grid_n))
+    xs = _analysis_grid(float(x_max), int(grid_n))
     d = np.asarray(h(xs), dtype=float)
     d = xs - d
 
     def dfun(x):
         return float(x - h(x))
 
-    found = [float(x) for x in xs[d == 0.0]]
+    found = xs[d == 0.0].tolist()
     prod = d[:-1] * d[1:]
-    for i in np.where(prod < 0.0)[0]:
+    for i in np.flatnonzero(prod < 0.0).tolist():
         hi = float(xs[i + 1])
         found.append(bisect_root(dfun, float(xs[i]), hi, tol=1e-12 * hi))
 
-    crossing_cells = set(np.where(prod <= 0.0)[0])
+    # grazing roots: interior local minima of |d| in (0, _TANGENT_TOL).
+    # The interior slice is masked by one comparison, whose few hits are
+    # tested one by one; its entry k is grid point k + 1
     absd = np.abs(d)
-    interior = np.arange(1, len(xs) - 1)
-    local_min = interior[(absd[interior] <= absd[interior - 1])
-                         & (absd[interior] <= absd[interior + 1])
-                         & (absd[interior] < _TANGENT_TOL)
-                         & (absd[interior] > 0.0)]
-    for i in local_min:
-        if (i - 1) in crossing_cells or i in crossing_cells:
+    for i in (np.flatnonzero(absd[1:-1] < _TANGENT_TOL) + 1).tolist():
+        v = absd[i]
+        # not a local minimum, or a cell on either side with a sign change
+        # or a zero, which is bisected
+        if (not (0.0 < v <= absd[i - 1] and v <= absd[i + 1])
+                or prod[i - 1] <= 0.0 or prod[i] <= 0.0):
             continue
         x = golden_min(lambda t: abs(dfun(t)), float(xs[i - 1]), float(xs[i + 1]), 1e-12)
         if abs(dfun(x)) < _TANGENT_TOL:

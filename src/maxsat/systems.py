@@ -13,11 +13,16 @@ Erasure-decoding families over a channel parameter eps:
 plus a compressed-sensing state-evolution pair built from a prior's mmse
 curve, and three fixed demo systems (two decodable families frozen at one
 parameter and a pathological potential with minima accumulating at 0).
+
+The families' callables keep the elementwise contract of
+maxsat.thresholds, float lane included: a Python float x gives the bits of
+the same x inside an array, and stays a Python float on the way.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -218,6 +223,12 @@ class GldpcParams:
         return 1.0 - self.t * math.log2(self.n + 1) / self.n
 
 
+def _float_power(b: float, m: int) -> float:
+    """b ** m for a Python float b, rounded as numpy's ** rounds each entry
+    of an array."""
+    return float(np.power(b, float(m)))
+
+
 def _bch_transfer(n: int, t: int):
     """Bounded-distance decoder transfer g(x) = I_x(t, n-t) and derivatives.
 
@@ -237,6 +248,13 @@ def _bch_transfer(n: int, t: int):
     /, so a Python float and an array element take the same operations and
     round the same. An array is split by a mask only when it holds points
     on both sides of 1/2.
+
+    g', g'' and G raise x and 1-x to fixed powers, an array by ** and a
+    Python float by np.power (_float_power), which rounds as the array
+    does; the float's own ** calls the C library's pow, which differs from
+    it in the last bit at a few per cent of points. So they too give a
+    Python float the bits of the same x in an array, and stay Python
+    floats on the way instead of passing through 0-d arrays.
     """
     combs = [float(math.comb(n - 1, i)) for i in range(n)]
     # Horner coefficients from the top degree down: C(n-1, n-1..t) in r
@@ -284,21 +302,30 @@ def _bch_transfer(n: int, t: int):
         out[~below] = horner(1.0 - xh, xh, high)
         return out
 
+    def lane(x):
+        """x and the power to raise it by: a Python float stays one and is
+        raised by np.power, which rounds as an array's ** does (a float's
+        own ** calls the C library's pow and does not); anything else is an
+        array raised by **."""
+        if isinstance(x, float):
+            return x, _float_power
+        return np.asarray(x, dtype=float), operator.pow
+
+    def done(out):
+        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+
     def g_prime(x):
-        arr = np.asarray(x, dtype=float)
-        out = inv_beta * arr ** (t - 1) * (1.0 - arr) ** (n - t - 1)
-        return float(out) if arr.ndim == 0 else out
+        z, pw = lane(x)
+        return done(inv_beta * pw(z, t - 1) * pw(1.0 - z, n - t - 1))
 
     def g_second(x):
-        arr = np.asarray(x, dtype=float)
-        out = inv_beta * ((t - 1) * arr ** (t - 2) * (1.0 - arr) ** (n - t - 1)
-                          - (n - t - 1) * arr ** (t - 1) * (1.0 - arr) ** (n - t - 2))
-        return float(out) if arr.ndim == 0 else out
+        z, pw = lane(x)
+        return done(inv_beta * ((t - 1) * pw(z, t - 2) * pw(1.0 - z, n - t - 1)
+                                - (n - t - 1) * pw(z, t - 1) * pw(1.0 - z, n - t - 2)))
 
     def G(x):
-        arr = np.asarray(x, dtype=float)
-        out = (arr - t / n) * g(arr) + inv_beta / n * arr ** t * (1.0 - arr) ** (n - t)
-        return float(out) if arr.ndim == 0 else out
+        z, pw = lane(x)
+        return done((z - t / n) * g(z) + inv_beta / n * pw(z, t) * pw(1.0 - z, n - t))
 
     return g, g_prime, g_second, G, inv_beta
 
@@ -316,6 +343,11 @@ def gldpc_system(params: GldpcParams) -> ParamSystem:
     xpk = (t - 1) / (n - 2)
     gp_sup = float(g_prime(xpk))
 
+    def exit_fn(x, e):
+        # g * g, not g ** 2, which on a float rounds differently (dec_phi)
+        gx = g(x)
+        return gx * gx
+
     psys = ParamSystem(
         f=lambda x, e: e * x,
         g=lambda x, e: g(x),
@@ -328,7 +360,7 @@ def gldpc_system(params: GldpcParams) -> ParamSystem:
         G=lambda x, e: G(x),
         F_eps=lambda x, e: 0.5 * x * x,
         G_eps=lambda x, e: 0.0,
-        exit_fn=lambda x, e: g(x) ** 2,
+        exit_fn=exit_fn,
         eps_of_x_closed=lambda x: x / g(x),
         trial_entropy=lambda x: 2.0 * G(x) - x * g(x),
         trial_entropy_prime=lambda x: g(x) - x * g_prime(x),
@@ -348,17 +380,21 @@ def dec_phi(x, eps):
     satisfies phi(x;0) = 0 and phi(1;1) = 1 and is non-decreasing in both
     arguments on [0, 1]^2.
     """
-    # eps * eps, not eps**2: a float's pow and numpy's array square round
-    # differently for some eps, so a scalar eps would not match its lane
-    return 4.0 * eps * eps / (2.0 - (1.0 - eps) * x) ** 2
+    # products, not powers: a float's ** calls the C library's pow, which
+    # rounds differently from numpy's array square and power at some
+    # points, so a float would not match its lane; a product rounds alike
+    d = 2.0 - (1.0 - eps) * x
+    return 4.0 * eps * eps / (d * d)
 
 
 def _dec_phi_x(x, eps):
-    return 8.0 * eps * eps * (1.0 - eps) / (2.0 - (1.0 - eps) * x) ** 3
+    d = 2.0 - (1.0 - eps) * x
+    return 8.0 * eps * eps * (1.0 - eps) / (d * d * d)
 
 
 def _dec_phi_eps(x, eps):
-    return 8.0 * eps * (2.0 - x) / (2.0 - (1.0 - eps) * x) ** 3
+    d = 2.0 - (1.0 - eps) * x
+    return 8.0 * eps * (2.0 - x) / (d * d * d)
 
 
 def _dec_Phi(z, eps):
@@ -367,7 +403,8 @@ def _dec_Phi(z, eps):
 
 
 def _dec_Phi_eps(z, eps):
-    return 2.0 * eps * z * (4.0 - 2.0 * z + eps * z) / (2.0 - (1.0 - eps) * z) ** 2
+    d = 2.0 - (1.0 - eps) * z
+    return 2.0 * eps * z * (4.0 - 2.0 * z + eps * z) / (d * d)
 
 
 def isi_system(L: Union[DegreeDistribution, PolyLike],
@@ -379,10 +416,14 @@ def isi_system(L: Union[DegreeDistribution, PolyLike],
     partials and antiderivative.
     """
     lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
+
+    def f_x(x, e):
+        lx = lam(x)
+        return _dec_phi_x(Ln(x), e) * Lp1 * (lx * lx) + dec_phi(Ln(x), e) * lam_p(x)
+
     psys = ParamSystem(
         f=lambda x, e: dec_phi(Ln(x), e) * lam(x),
-        f_x=lambda x, e: (_dec_phi_x(Ln(x), e) * Lp1 * lam(x) ** 2
-                          + dec_phi(Ln(x), e) * lam_p(x)),
+        f_x=f_x,
         f_eps=lambda x, e: _dec_phi_eps(Ln(x), e) * lam(x),
         F=lambda x, e: _dec_Phi(Ln(x), e) / Lp1,
         F_eps=lambda x, e: _dec_Phi_eps(Ln(x), e) / Lp1,

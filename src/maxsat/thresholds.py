@@ -13,7 +13,13 @@ f_prime, g_prime, g_second) may return any value that broadcasts to S,
 so an identically constant partial is written as a float, e.g.
 ``g_eps=lambda x, e: 0.0``. Only the validators broadcast or check shapes;
 x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values
-at once.
+at once. A Python float x with a float eps gives a float (or a partial's
+constant) with the bits of the same x inside an array: the scalar probes
+of a search take the rounding of the grid they refine, and eps_of_x
+bisects a float on floats (_bisect_eps). A float's ** calls the C
+library's pow, which rounds differently from numpy's array power and
+square at a few per cent of points, so the shipped families write
+squares and cubes as products and raise a float by np.power.
 """
 
 from __future__ import annotations
@@ -31,7 +37,8 @@ from .errors import (ConstructionError, DomainError, NonConvergenceError,
 from .numerics import _check_tol, bisect_root
 from .potential import ROUNDING_ULPS, MinimizeResult, minimize_potential
 from .recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig, ScalarSystem,
-                        antiderivative_error, make_system, tabulated_integral)
+                        _analysis_grid, antiderivative_error, make_system,
+                        tabulated_integral)
 
 __all__ = [
     "ParamSystem",
@@ -447,7 +454,8 @@ def _eps_bracket_check(psys: ParamSystem, xs: np.ndarray) -> None:
 def eps_of_x(psys: ParamSystem, x):
     """Smallest parameter supporting a fixed point at x (unique when
     proper), elementwise: the family's closed form, or else a bisection on
-    eps to 1e-12. A scalar x gives a float, an array its shape."""
+    eps to 1e-12. A scalar x gives a float, an array its shape; a Python
+    float is bisected on floats, with the bits of its lane in an array."""
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr).astype(float)
     if np.any(flat <= 0.0) or np.any(flat > psys.x_max):
@@ -459,11 +467,13 @@ def eps_of_x(psys: ParamSystem, x):
         out = np.clip(out, 0.0, psys.eps_max)
     else:
         _eps_bracket_check(psys, flat)
+        if isinstance(x, float):
+            return _bisect_eps(psys, x)
         out = _bisect_eps(psys, flat)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _bisect_eps(psys: ParamSystem, xs: np.ndarray, lowest: bool = False):
+def _bisect_eps(psys: ParamSystem, xs, lowest: bool = False):
     """eps(x) at each of xs (in the fixed-point domain) by one vector
     bisection on eps to _EPS_OF_X_TOL. With lowest only the minimum is
     wanted and returned: after each round every lane whose lower end lies
@@ -471,7 +481,21 @@ def _bisect_eps(psys: ParamSystem, xs: np.ndarray, lowest: bool = False):
     minimum. The lanes kept evolve as in the full bisection, and when
     eps_max is a power of two (1 on every shipped family) all brackets are
     exact dyadic intervals of one width, so the rounds, and the minimum,
-    are bit-equal to those of the full result."""
+    are bit-equal to those of the full result.
+
+    A Python float xs is bisected on floats. The callables give a float
+    the bits of its lane (module docstring), so it takes the rounds, and
+    returns the value, of a one-lane array, without an array operation
+    per round."""
+    if isinstance(xs, float):
+        lo, hi = 0.0, psys.eps_max
+        while hi - lo > _EPS_OF_X_TOL:
+            mid = 0.5 * (lo + hi)
+            if psys.h(xs, mid) >= xs:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
     lo = np.zeros_like(xs)
     hi = np.full_like(xs, psys.eps_max)
     while float(np.max(hi - lo)) > _EPS_OF_X_TOL:
@@ -532,18 +556,12 @@ def xf_intervals(psys: ParamSystem):
     Returns (intervals, touches_zero) where touches_zero reports whether the
     domain extends down to the first grid cell above 0.
     """
-    xs = np.linspace(0.0, psys.x_max, ANALYSIS_GRID_N)[1:]
+    xs = _analysis_grid(float(psys.x_max), ANALYSIS_GRID_N)[1:]
     mask = _in_fixed_point_domain(psys, xs)
-    intervals = []
-    start = None
-    for i, ok in enumerate(mask):
-        if ok and start is None:
-            start = i
-        elif not ok and start is not None:
-            intervals.append((float(xs[start]), float(xs[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(xs[start]), float(xs[-1])))
+    # where the mask, padded with False on both sides, flips: the even
+    # flips start a run of True and each odd one lies just past its end
+    edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
+    intervals = list(zip(xs[edges[::2]].tolist(), xs[edges[1::2] - 1].tolist()))
     touches_zero = bool(intervals and intervals[0][0] <= float(xs[1]))
     return intervals, touches_zero
 

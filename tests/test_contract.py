@@ -2,13 +2,16 @@
 
 x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values in
 one call: maps return (K, M), partials broadcast to it, and row k equals
-the call with the scalar eps[k, 0] bit for bit. On random degree profiles
-the families also keep potential descent and symmetric, unimodal coupled
-iterates, and their thresholds computed from these callables match
-coefficient oracles and stay ordered.
+the call with the scalar eps[k, 0] bit for bit. A Python float x with a
+float eps gives a Python float, equal bit for bit to the entry of the same
+x in the array. On random degree profiles the families also keep
+potential descent and symmetric, unimodal coupled iterates, and their
+thresholds computed from these callables match coefficient oracles and
+stay ordered.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +29,8 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
-from maxsat.thresholds import Psi, eps_c, eps_of_x, eps_single, eps_stab, threshold_report
+from maxsat.thresholds import (Psi, eps_c, eps_of_x, eps_single, eps_stab, threshold_report,
+                               xf_intervals)
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -35,6 +39,8 @@ EX9_RHO = "2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3"
 MAPS = ("f", "g", "F", "G", "exit_fn", "h", "u", "exit_value")
 PARTIALS = ("f_x", "g_x", "g_xx", "f_eps", "g_eps", "F_eps", "G_eps",
             "h_x", "h_eps", "u_eps")
+# callables of x alone, where a family has them
+X_ONLY = ("eps_of_x_closed", "trial_entropy", "trial_entropy_prime")
 
 FAMILIES = {
     "ldpc8": lambda: ldpc_system(DegreeDistribution.from_edge(EX8_LAMBDA),
@@ -73,9 +79,33 @@ def assert_lane_contract(psys, X, E):
             assert np.array_equal(out[k], row), (name, k)
 
 
+def assert_scalar_lane(psys, X, E):
+    """Every callable at each Python float x (and the lane's float eps)
+    gives a float equal bit for bit to the entry of x in the array call."""
+    calls = [(name, getattr(psys, name)) for name in MAPS + PARTIALS]
+    calls += [(name, (lambda fn: lambda x, e: fn(x))(getattr(psys, name)))
+              for name in X_ONLY if getattr(psys, name) is not None]
+    for name, fn in calls:
+        for k in range(X.shape[0]):
+            e = float(E[k, 0])
+            # x = 0 is left out of the x-only callables: eps(x) is x / 0 there
+            xs = X[k, 1:] if name in X_ONLY else X[k]
+            row = np.broadcast_to(np.asarray(fn(xs, e), dtype=float), xs.shape)
+            for x, want in zip(xs.tolist(), row.tolist()):
+                got = fn(x, e)
+                assert isinstance(got, float), (name, x, e, type(got))
+                assert got == want or (got != got and want != want), (name, x, e, got, want)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want), (name, x, e)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_lane_contract(family):
     assert_lane_contract(FAMILIES[family](), *lanes())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_scalar_lane(family):
+    assert_scalar_lane(FAMILIES[family](), *lanes(K=8, M=1000))
 
 
 @st.composite
@@ -116,6 +146,59 @@ def test_random_profiles_keep_contract_and_descent(psys, eps):
     assert_lane_contract(psys, *lanes(K=4, M=20))
     s = psys.at_eps(eps, validate=True)
     assert potential_descent([s], np.random.default_rng(0), 200)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(psys=family_draw())
+def test_random_profiles_keep_scalar_lane(psys):
+    assert_scalar_lane(psys, *lanes(K=4, M=50))
+
+
+# a float x is bisected on floats, an array lane by lane; the two must
+# agree bit for bit wherever eps(x) is defined
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(psys=family_draw(), u=st.floats(0.0, 1.0))
+def test_random_profiles_float_eps_of_x_matches_its_lane(psys, u):
+    bisected = dataclasses.replace(psys, eps_of_x_closed=None)
+    xs = np.linspace(1e-3, psys.x_max, 200)
+    ok = ((np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12)
+          & (np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12))
+    if not ok.any():
+        return
+    x = float(xs[ok][int(u * (ok.sum() - 1))])
+    got = eps_of_x(bisected, x)
+    assert isinstance(got, float)
+    assert got == float(eps_of_x(bisected, np.array([x]))[0])
+
+
+@st.composite
+def gldpc_draw(draw):
+    n = draw(st.sampled_from([15, 31, 63]))
+    return gldpc_system(GldpcParams(n, draw(st.integers(2, (n - 1) // 2))))
+
+
+def looped_xf_intervals(psys):
+    """xf_intervals by a plain loop over the fixed-point-domain mask of the
+    10^4-point grid of (0, x_max]."""
+    xs = np.linspace(0.0, psys.x_max, 10**4)[1:]
+    mask = ((np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12)
+            & (np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12))
+    intervals, start = [], None
+    for i, ok in enumerate(mask):
+        if ok and start is None:
+            start = i
+        elif not ok and start is not None:
+            intervals.append((float(xs[start]), float(xs[i - 1])))
+            start = None
+    if start is not None:
+        intervals.append((float(xs[start]), float(xs[-1])))
+    return intervals, bool(intervals and intervals[0][0] <= float(xs[1]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(psys=st.one_of(family_draw(), gldpc_draw()))
+def test_random_profiles_xf_intervals_match_loop(psys):
+    assert xf_intervals(psys) == looped_xf_intervals(psys)
 
 
 @st.composite
@@ -246,12 +329,6 @@ def test_random_profiles_eps_single_equals_unpruned_minimum(psys):
     if psys.zero_is_fixed_point:
         ref = min(ref, eps_stab(psys))
     assert eps_single(bisected) == ref
-
-
-@st.composite
-def gldpc_draw(draw):
-    n = draw(st.sampled_from([15, 31, 63]))
-    return gldpc_system(GldpcParams(n, draw(st.integers(2, (n - 1) // 2))))
 
 
 # from the all-x_max start every coupled iterate is symmetric and

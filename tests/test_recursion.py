@@ -14,9 +14,11 @@ from maxsat.errors import (
 from maxsat.invariants import coupled_symmetric_unimodal
 from maxsat.numerics import Polynomial
 from maxsat.recursion import (
+    ANALYSIS_GRID_N,
     CoupledProfile,
     CouplingSpec,
     IterationConfig,
+    _analysis_grid,
     _clamp,
     apply_A,
     apply_At,
@@ -31,7 +33,7 @@ from maxsat.recursion import (
     uncoupled_fixed_point,
     uncoupled_step,
 )
-from maxsat.potential import U_s
+from maxsat.potential import U_s, minimize_potential
 from maxsat.systems import (
     CsParams,
     DegreeDistribution,
@@ -484,6 +486,48 @@ class TestEnumerate:
         assert pts[0] == 0.0
         assert len(pts) == 2
         assert pts[1] == pytest.approx(0.5, abs=1e-4)
+
+    @pytest.mark.parametrize("grid_n", [11, ANALYSIS_GRID_N])
+    def test_tangent_roots_in_first_and_last_interior_cells(self, grid_n):
+        # x - h(x) = (x - r1)^2 (x - r2)^2 grazes zero 1e-6 past the grid's
+        # second point and 1e-6 before its second-to-last, so the only
+        # local minima of |x - h| below 1e-9 sit at indices 1 and
+        # grid_n - 2, the ends of the scan's slices, and no cell changes sign
+        xs = np.linspace(0.0, 1.0, grid_n)
+        r1, r2 = xs[1] + 1e-6, xs[-2] - 1e-6
+
+        def h(x):
+            return x - (x - r1) ** 2 * (x - r2) ** 2
+
+        pts = fixed_points_of(h, 1.0, grid_n)
+        assert len(pts) == 2
+        assert pts[0] == pytest.approx(r1, abs=1e-5)
+        assert pts[1] == pytest.approx(r2, abs=1e-5)
+        assert all(abs(x - h(x)) < 1e-9 for x in pts)
+
+    @pytest.mark.parametrize("x_max, grid_n", [(1.0, ANALYSIS_GRID_N), (0.75, 1234)])
+    def test_shared_grid_is_a_read_only_linspace(self, x_max, grid_n):
+        xs = _analysis_grid(x_max, grid_n)
+        assert xs.tobytes() == np.linspace(0.0, x_max, grid_n).tobytes()
+        assert _analysis_grid(x_max, grid_n) is xs
+        with pytest.raises(ValueError):
+            xs[1] = 0.5
+        assert xs[1] == x_max / (grid_n - 1)
+
+    def test_potential_and_fixed_point_scans_share_the_grid(self):
+        s = example1_system()
+        seen = []
+
+        def on_grid(fn):
+            def wrapped(x):
+                if np.ndim(x) and len(x) == ANALYSIS_GRID_N:
+                    seen.append(x)
+                return fn(x)
+            return wrapped
+
+        minimize_potential(on_grid(lambda x: U_s(s, x)), on_grid(s.h), s.x_max, s.y_max)
+        assert len(seen) == 2
+        assert all(x is _analysis_grid(s.x_max, ANALYSIS_GRID_N) for x in seen)
 
 
 def test_make_system_rejects_decreasing_g():
