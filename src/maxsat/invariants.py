@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .potential import (
+    ROUNDING_ULPS,
     FiniteWCondition,
     K_fg_bound,
     U_c,
@@ -56,13 +57,16 @@ __all__ = [
 
 def potential_descent(systems, rng, n: int) -> bool:
     """U_s(h(x)) <= U_s(x) + 1e-12 at n uniform points of [0, x_max] per
-    system, strictly wherever h moves x by more than 1e-9."""
+    system, and strictly where the Bregman term bounding the decrease, of
+    size |h(x) - x| |g(h(x)) - g(x)| / 2, exceeds ROUNDING_ULPS ulps of
+    x_max y_max (minimize_potential's rounding level of U)."""
     for s in systems:
         xs = rng.uniform(0.0, s.x_max, n)
         hx = np.asarray(s.h(xs), dtype=float)
         du = np.asarray(U_s(s, hx)) - np.asarray(U_s(s, xs))
-        moved = np.abs(hx - xs) > 1e-9
-        if not (np.all(du <= 1e-12) and np.all(du[moved] < 0.0)):
+        bregman = 0.5 * np.abs(hx - xs) * np.abs(np.asarray(s.g(hx)) - np.asarray(s.g(xs)))
+        level = ROUNDING_ULPS * np.finfo(float).eps * s.x_max * s.y_max
+        if not (np.all(du <= 1e-12) and np.all(du[bregman > level] < 0.0)):
             return False
     return True
 

@@ -148,7 +148,6 @@ class CouplingSpec:
 class IterationConfig:
     tol: float = 1e-12
     max_iters: int = 10**6
-    record_trajectory: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:
@@ -181,14 +180,12 @@ class CoupledProfile:
 
 @dataclass(frozen=True)
 class CoupledRun:
-    """A converged coupled run: the final profile, the iteration count, the
-    residual (the last step's max-abs change, at most the tolerance) and,
-    when recorded, the iterates from the start on, each of length M."""
+    """A converged coupled run: the final profile, the iteration count and
+    the residual (the last step's max-abs change, at most the tolerance)."""
 
     profile: CoupledProfile
     iters: int
     residual: float
-    trajectory: Optional[list] = None
 
 
 def _clamp(values, lo, hi, what: str = "value"):
@@ -578,7 +575,6 @@ def _run_coupled(sys: ScalarSystem, spec: CouplingSpec, cfg: IterationConfig,
     tails = tuple(_tail_views(x, M, pin_tail) for x in xs)
     heads[0][...] = sys.x_max if start is None else start[:H]
     diff = np.empty(H)
-    trajectory = [_unfold(heads[0], M, pin_tail)] if cfg.record_trajectory else None
     cur = 0
     for it in range(1, cfg.max_iters + 1):
         nxt = 1 - cur
@@ -588,11 +584,8 @@ def _run_coupled(sys: ScalarSystem, spec: CouplingSpec, cfg: IterationConfig,
         np.abs(diff, out=diff)
         step = float(np.maximum.reduce(diff))
         cur = nxt
-        if trajectory is not None:
-            trajectory.append(_unfold(heads[cur], M, pin_tail))
         if step <= cfg.tol:
-            return CoupledRun(CoupledProfile(_unfold(heads[cur], M, pin_tail), spec), it,
-                              step, trajectory)
+            return CoupledRun(CoupledProfile(_unfold(heads[cur], M, pin_tail), spec), it, step)
     raise NonConvergenceError(
         f"coupled recursion did not converge in {cfg.max_iters} iterations",
         last=CoupledProfile(_unfold(heads[cur], M, pin_tail), spec), iters=cfg.max_iters,
@@ -607,12 +600,11 @@ def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
     profile, exactly mirror-symmetric, in [0, x_max]) or from x_max.
 
     Only cells 0..midpoint_index(M) are iterated, the right half being their
-    mirror image (_run_coupled), so the returned profile and every
-    trajectory entry are exactly symmetric. Iterating coupled_step on the
-    full chain gives the same profiles to rounding (a few 1e-15 on chains of
-    hundreds of cells: each window is summed in a fixed order, so the full
-    chain is symmetric only to rounding) and, in practice, the same
-    iteration count.
+    mirror image (_run_coupled), so every profile it returns or raises with
+    is exactly symmetric. Iterating coupled_step on the full chain gives
+    the same profiles to rounding (a few 1e-15 on chains of hundreds of
+    cells: each window is summed in a fixed order, so the full chain is
+    symmetric only to rounding) and, in practice, the same iteration count.
 
     The step is monotone, so a start s with x* <= s <= x_max is squeezed
     between x* and the iterates from x_max and converges to the same x*.

@@ -254,7 +254,9 @@ def _bch_transfer(n: int, t: int):
     does; the float's own ** calls the C library's pow, which differs from
     it in the last bit at a few per cent of points. So they too give a
     Python float the bits of the same x in an array, and stay Python
-    floats on the way instead of passing through 0-d arrays.
+    floats on the way instead of passing through 0-d arrays. A numpy
+    scalar or 0-d array is taken as the Python float it holds, by g and by
+    them.
     """
     combs = [float(math.comb(n - 1, i)) for i in range(n)]
     # Horner coefficients from the top degree down: C(n-1, n-1..t) in r
@@ -288,9 +290,11 @@ def _bch_transfer(n: int, t: int):
         return acc * power(den, n - 1)
 
     def g(x):
-        if isinstance(x, float):
+        if type(x) is float:
             return horner(x, 1.0 - x, low) if x <= 0.5 else horner(1.0 - x, x, high)
         arr = np.asarray(x, dtype=float)
+        if not arr.ndim:
+            return g(float(arr))
         below = arr <= 0.5
         if below.all():
             return horner(arr, 1.0 - arr, low)
@@ -303,29 +307,28 @@ def _bch_transfer(n: int, t: int):
         return out
 
     def lane(x):
-        """x and the power to raise it by: a Python float stays one and is
-        raised by np.power, which rounds as an array's ** does (a float's
-        own ** calls the C library's pow and does not); anything else is an
-        array raised by **."""
-        if isinstance(x, float):
+        """x and the power to raise it by: a Python float stays one, and a
+        numpy scalar or 0-d array becomes one, raised by np.power, which
+        rounds as an array's ** does (a float's own ** calls the C
+        library's pow and does not); anything else is an array raised by
+        **."""
+        if type(x) is float:
             return x, _float_power
-        return np.asarray(x, dtype=float), operator.pow
-
-    def done(out):
-        return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+        arr = np.asarray(x, dtype=float)
+        return (arr, operator.pow) if arr.ndim else (float(arr), _float_power)
 
     def g_prime(x):
         z, pw = lane(x)
-        return done(inv_beta * pw(z, t - 1) * pw(1.0 - z, n - t - 1))
+        return inv_beta * pw(z, t - 1) * pw(1.0 - z, n - t - 1)
 
     def g_second(x):
         z, pw = lane(x)
-        return done(inv_beta * ((t - 1) * pw(z, t - 2) * pw(1.0 - z, n - t - 1)
-                                - (n - t - 1) * pw(z, t - 1) * pw(1.0 - z, n - t - 2)))
+        return inv_beta * ((t - 1) * pw(z, t - 2) * pw(1.0 - z, n - t - 1)
+                           - (n - t - 1) * pw(z, t - 1) * pw(1.0 - z, n - t - 2))
 
     def G(x):
         z, pw = lane(x)
-        return done((z - t / n) * g(z) + inv_beta / n * pw(z, t) * pw(1.0 - z, n - t))
+        return (z - t / n) * g(z) + inv_beta / n * pw(z, t) * pw(1.0 - z, n - t)
 
     return g, g_prime, g_second, G, inv_beta
 

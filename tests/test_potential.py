@@ -1,5 +1,6 @@
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -29,9 +30,10 @@ from maxsat.potential import (
     w0_bound,
 )
 from maxsat.recursion import (
+    CoupledProfile,
     CouplingSpec,
-    IterationConfig,
     coupled_fixed_point,
+    coupled_step,
     fixed_points_of,
     make_system,
 )
@@ -44,6 +46,7 @@ from maxsat.systems import (
     example1_system,
     example2_system,
     gldpc_system,
+    ldgm_system,
     ldpc_system,
     pathological_system,
 )
@@ -119,6 +122,23 @@ class TestSingleSystemPotential:
 
     def test_descent_along_recursion(self, ex1, ex2, path):
         assert potential_descent((ex1, ex2, path), np.random.default_rng(4), 1000)
+
+    def test_descent_below_rounding_need_not_be_strict(self):
+        # g' is tiny near x = 1: h moves x = 0.99721 by 5.6e-4, but the
+        # Bregman term is 4.3e-19 against a rounding level of 1.4e-14, and
+        # U comes out 1.1e-16 higher
+        s = ldgm_system("x^2", "0.5 x + 0.5 x^6").at_eps(0.984375, validate=True)
+        draws = types.SimpleNamespace(uniform=lambda lo, hi, n: np.array([0.99721]))
+        assert potential_descent([s], draws, 1)
+
+    def test_planted_ascent_fails(self):
+        # h halves x and F is planted so that U = -1e-13 x: U rises by
+        # 5e-14 x, inside the 1e-12 slack but above the rounding level,
+        # where the Bregman term x^2 / 8 asks for strict descent
+        s = make_system(f=lambda y: 0.5 * y, g=lambda x: 1.0 * x, x_max=1.0,
+                        F=lambda y: 0.5 * y * y + 1e-13 * y, G=lambda x: 0.5 * x * x,
+                        validate=False)
+        assert not potential_descent([s], np.random.default_rng(5), 200)
 
 
 class TestHalfIteration:
@@ -208,9 +228,14 @@ class TestCoupledPotential:
             assert hessian_within_K(s, CouplingSpec(6, 3), rng, 50)
 
     def test_descent_along_coupled_recursion(self, ex1):
+        # a property of the recursion: coupled_step on the full chain, for
+        # as many steps as coupled_fixed_point takes to converge
         spec = CouplingSpec(16, 4)
-        run = coupled_fixed_point(ex1, spec, IterationConfig(record_trajectory=True))
-        vals = [U_c(ex1, spec, v) for v in run.trajectory]
+        prof = CoupledProfile(np.full(spec.M, ex1.x_max), spec)
+        vals = [U_c(ex1, spec, prof.values)]
+        for _ in range(coupled_fixed_point(ex1, spec).iters):
+            prof = coupled_step(ex1, prof)
+            vals.append(U_c(ex1, spec, prof.values))
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_shift_inequality(self, ex1, ex2):

@@ -73,6 +73,35 @@ def brute_force_step(sys_, spec, x):
     return out
 
 
+def full_chain_run(sys_, spec, pin_tail, tol=1e-12, cap=10**5):
+    """The coupled recursion iterated with coupled_step on the whole chain:
+    (iterations, iterates from the all-x_max start on)."""
+    x = np.full(spec.M, sys_.x_max)
+    traj = [x]
+    for it in range(1, cap + 1):
+        xn = coupled_step(sys_, CoupledProfile(x, spec)).values
+        if pin_tail:
+            xn = copy_midpoint_tail(xn)
+        step = np.max(np.abs(xn - x))
+        x = xn
+        traj.append(x)
+        if step <= tol:
+            return it, traj
+    raise AssertionError(f"full-chain reference did not converge in {cap} iterations")
+
+
+def iterate(fixed_point, sys_, spec, k, **start):
+    """Iterate k of a fixed_point run (from start=..., if given): a run
+    capped at k iterations raises NonConvergenceError with it as last, or
+    converges at it."""
+    try:
+        run = fixed_point(sys_, spec, IterationConfig(max_iters=k), **start)
+    except NonConvergenceError as exc:
+        return exc.last.values
+    assert run.iters == k
+    return run.profile.values
+
+
 class TestUncoupled:
     def test_step_values(self):
         s = example1_system()
@@ -193,14 +222,13 @@ class TestCoupledFixedPoint:
         assert run.profile.max <= 1e-6
 
     def test_iterates_monotone_symmetric_unimodal(self):
-        s = example1_system()
-        run = coupled_fixed_point(s, CouplingSpec(16, 3),
-                                  IterationConfig(record_trajectory=True))
-        traj = run.trajectory
-        assert len(traj) == run.iters + 1
+        # properties of the recursion, checked on the full-chain reference
+        # (TestHalfChain matches the run's iterates to it)
+        s, spec = example1_system(), CouplingSpec(16, 3)
+        _, traj = full_chain_run(s, spec, pin_tail=False)
         for prev, cur in zip(traj, traj[1:]):
             assert np.all(cur <= prev + 1e-15)
-        assert coupled_symmetric_unimodal([(s, CouplingSpec(16, 3))])
+        assert coupled_symmetric_unimodal([(s, spec)])
 
     def test_nonconvergence_carries_profile(self):
         s = example1_system()
@@ -225,32 +253,18 @@ class TestModifiedRecursion:
     def test_dominates_plain_recursion(self):
         s = example1_system()
         spec = CouplingSpec(9, 2)
-        kcfg = IterationConfig(record_trajectory=True, max_iters=10**5)
+        kcfg = IterationConfig(max_iters=10**5)
         plain = coupled_fixed_point(s, spec, kcfg)
         mod = modified_coupled_fixed_point(s, spec, kcfg)
         assert np.all(mod.profile.values >= plain.profile.values - 1e-12)
-        for a, b in zip(plain.trajectory, mod.trajectory):
+        # iterate by iterate on the full-chain references
+        _, plain_ref = full_chain_run(s, spec, pin_tail=False)
+        _, mod_ref = full_chain_run(s, spec, pin_tail=True)
+        for a, b in zip(plain_ref, mod_ref):
             assert np.all(b >= a - 1e-12)
         # modified iterates are non-decreasing along the chain
-        for v in mod.trajectory:
+        for v in mod_ref:
             assert np.min(np.diff(v)) >= -1e-12
-
-
-def full_chain_run(sys_, spec, pin_tail, tol=1e-12, cap=10**5):
-    """The coupled recursion iterated with coupled_step on the whole chain:
-    (iterations, iterates from the all-x_max start on)."""
-    x = np.full(spec.M, sys_.x_max)
-    traj = [x]
-    for it in range(1, cap + 1):
-        xn = coupled_step(sys_, CoupledProfile(x, spec)).values
-        if pin_tail:
-            xn = copy_midpoint_tail(xn)
-        step = np.max(np.abs(xn - x))
-        x = xn
-        traj.append(x)
-        if step <= tol:
-            return it, traj
-    raise AssertionError(f"full-chain reference did not converge in {cap} iterations")
 
 
 # odd and even M, w > N, and chains so short that the half-chain buffer of
@@ -276,36 +290,45 @@ def _half_chain_case(case):
 _CASES = _EX1_SPECS + list(_CHAINS)
 
 
+def assert_iterates_match(fixed_point, sys_, spec, every):
+    """fixed_point stops after as many iterations as the full-chain
+    reference, and its iterates are those of the reference: within 1e-13
+    and exactly symmetric for the plain run, bit for bit for the modified
+    one. every checks each iterate; otherwise, since each is read off a
+    run capped there, iterates 1-20, two consecutive ones mid-run (either
+    buffer of the run as state) and the last two."""
+    pin_tail = fixed_point is modified_coupled_fixed_point
+    iters, ref = full_chain_run(sys_, spec, pin_tail)
+    assert fixed_point(sys_, spec).iters == iters
+    mid = iters // 2
+    ks = range(1, iters + 1) if every else sorted(
+        {*range(1, min(iters, 20) + 1), mid, mid + 1, iters - 1, iters} - {0})
+    for k in ks:
+        ours = iterate(fixed_point, sys_, spec, k)
+        assert ours.shape == (spec.M,)
+        if pin_tail:
+            assert np.array_equal(ours, ref[k]), k
+        else:
+            assert np.max(np.abs(ours - ref[k])) <= 1e-13, k
+            assert np.array_equal(ours, ours[::-1]), k
+
+
 class TestHalfChain:
     """coupled_fixed_point and modified_coupled_fixed_point iterate only the
     cells up to the midpoint; the full chain under coupled_step is the
-    reference."""
+    reference. Every iterate is compared on the example-1 specs, a sample
+    on the long chains."""
 
     @pytest.mark.parametrize("case", _CASES, ids=str)
     def test_plain_run_matches_full_chain(self, case):
         s, spec = _half_chain_case(case)
-        run = coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True))
-        iters, ref = full_chain_run(s, spec, pin_tail=False)
-        assert run.iters == iters
-        assert len(run.trajectory) == iters + 1
-        for ours, theirs in zip(run.trajectory, ref):
-            assert ours.shape == (spec.M,)
-            assert np.max(np.abs(ours - theirs)) <= 1e-13
-            assert np.array_equal(ours, ours[::-1])
-        assert np.array_equal(run.profile.values, run.profile.values[::-1])
-        assert np.array_equal(run.profile.values, run.trajectory[-1])
+        assert_iterates_match(coupled_fixed_point, s, spec, every=case not in _CHAINS)
 
     @pytest.mark.parametrize("case", _CASES, ids=str)
     def test_modified_run_is_bit_equal_to_full_chain(self, case):
         s, spec = _half_chain_case(case)
-        run = modified_coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True))
-        iters, ref = full_chain_run(s, spec, pin_tail=True)
-        assert run.iters == iters
-        assert len(run.trajectory) == iters + 1
-        for ours, theirs in zip(run.trajectory, ref):
-            assert ours.shape == (spec.M,)
-            assert np.array_equal(ours, theirs)
-        assert np.array_equal(run.profile.values, ref[-1])
+        assert_iterates_match(modified_coupled_fixed_point, s, spec,
+                              every=case not in _CHAINS)
 
     @pytest.mark.parametrize("w", [12, 16])
     def test_wide_windows_share_the_kernel(self, w):
@@ -313,12 +336,7 @@ class TestHalfChain:
         # a window through BLAS in yet another order, and the bit-equality
         # still holds because coupled_step and the run share one kernel
         s = _CHAINS["ldgm9"][0]().at_eps(0.5)
-        spec = CouplingSpec(60, w)
-        run = modified_coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True))
-        iters, ref = full_chain_run(s, spec, pin_tail=True)
-        assert run.iters == iters
-        for ours, theirs in zip(run.trajectory, ref):
-            assert np.array_equal(ours, theirs)
+        assert_iterates_match(modified_coupled_fixed_point, s, CouplingSpec(60, w), every=False)
 
     def test_full_chain_iterates_are_symmetric_and_unimodal(self):
         # includes M = 1, where the rising part up to the midpoint is empty
@@ -328,10 +346,10 @@ class TestHalfChain:
     @pytest.mark.parametrize("fixed_point", [coupled_fixed_point, modified_coupled_fixed_point])
     def test_residual_is_the_last_step(self, fixed_point):
         s, spec = example1_system(), CouplingSpec(16, 3)
-        cfg = IterationConfig(record_trajectory=True)
-        run = fixed_point(s, spec, cfg)
-        last_step = np.max(np.abs(run.trajectory[-1] - run.trajectory[-2]))
-        assert run.residual == last_step <= cfg.tol
+        run = fixed_point(s, spec)
+        before = iterate(fixed_point, s, spec, run.iters - 1)
+        last_step = np.max(np.abs(run.profile.values - before))
+        assert run.residual == last_step <= IterationConfig().tol
         capped = IterationConfig(max_iters=20)
         with pytest.raises(NonConvergenceError) as exc:
             fixed_point(s, spec, capped)
@@ -392,8 +410,10 @@ class TestStartProfile:
         s, spec = example1_system(), CouplingSpec(16, 3)
         cold = coupled_fixed_point(s, spec)
         start = 0.5 * (cold.profile.values + s.x_max)
-        warm = coupled_fixed_point(s, spec, IterationConfig(record_trajectory=True), start)
-        assert np.array_equal(warm.trajectory[0], start)
+        warm = coupled_fixed_point(s, spec, start=start)
+        first = iterate(coupled_fixed_point, s, spec, 1, start=start)
+        ref = coupled_step(s, CoupledProfile(start, spec)).values
+        assert np.max(np.abs(first - ref)) <= 1e-13
         assert warm.iters <= cold.iters
         assert np.max(np.abs(warm.profile.values - cold.profile.values)) <= 1e-10
 

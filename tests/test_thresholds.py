@@ -7,7 +7,7 @@ from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
                            ThresholdUndefinedError)
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
 from maxsat.recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig,
-                              coupled_fixed_point)
+                              coupled_fixed_point, modified_coupled_fixed_point)
 from maxsat.systems import (
     DegreeDistribution,
     GldpcParams,
@@ -155,6 +155,39 @@ def test_validate_rejects_wrong_antiderivative(ldpc8, name, wrong, match):
     bad = dataclasses.replace(ldpc8, **{name: wrong(getattr(ldpc8, name))})
     with pytest.raises(ConstructionError, match=match):
         validate_param_system(bad)
+
+
+def linear_family(**planted):
+    """f = eps x and g = x with exact antiderivatives and partials, which
+    validate_param_system accepts, with the planted callables in place."""
+    fields = dict(
+        f=lambda x, e: e * x, g=lambda x, e: 1.0 * x,
+        f_x=lambda x, e: e, g_x=lambda x, e: 1.0, g_xx=lambda x, e: 0.0,
+        f_eps=lambda x, e: x, g_eps=lambda x, e: 0.0,
+        F=lambda x, e: 0.5 * e * x * x, G=lambda x, e: 0.5 * x * x,
+        F_eps=lambda x, e: 0.5 * x * x, G_eps=lambda x, e: 0.0, name="linear")
+    return ParamSystem(**{**fields, **planted})
+
+
+@pytest.mark.parametrize("message,planted", [
+    ("g decreasing in x", dict(g=lambda x, e: x - 0.75 * x * x,
+                               G=lambda x, e: 0.5 * x * x - 0.25 * x ** 3)),
+    ("f decreasing in x", dict(f=lambda x, e: e * (1.0 - x),
+                               F=lambda x, e: e * (x - 0.5 * x * x))),
+    ("g decreasing in eps", dict(g=lambda x, e: (1.0 - 0.5 * e) * x,
+                                 G=lambda x, e: (0.5 - 0.25 * e) * x * x)),
+    ("f decreasing in eps", dict(f=lambda x, e: (1.0 - e) * x,
+                                 F=lambda x, e: 0.5 * (1.0 - e) * x * x)),
+    ("F_eps or G_eps negative", dict(G_eps=lambda x, e: -0.1)),
+    ("F_eps or G_eps decreasing in x", dict(G_eps=lambda x, e: 1.0 - x)),
+], ids=["g_x", "f_x", "g_eps", "f_eps", "negative", "decreasing"])
+def test_validate_rejects_each_monotonicity_defect(message, planted):
+    # each planted family breaks one check and keeps every other, so the
+    # error carries that one message (the eps-partials are not checked
+    # against f and g, so they stay as they were)
+    validate_param_system(linear_family())
+    with pytest.raises(ConstructionError, match=rf"^family linear: {message}$"):
+        validate_param_system(linear_family(**planted))
 
 
 class TestSingleAndStability:
@@ -779,3 +812,21 @@ class TestSandwich:
             m = run.profile.max
             assert m <= res.x_upper + 0.01
             assert m >= res.x_lower - 0.01
+
+    @pytest.mark.parametrize("fixed_point", [coupled_fixed_point, modified_coupled_fixed_point],
+                             ids=["plain", "modified"])
+    @pytest.mark.parametrize("which,eps_list", [("ldpc8", (0.63, 0.65, 0.70)),
+                                                ("ldgm9", (0.55, 0.6))], ids=["ldpc8", "ldgm9"])
+    def test_midpoint_saturates_from_below(self, which, eps_list, fixed_point, request):
+        # the half of Maxwell saturation that holds at 1e-7: on N = 200 the
+        # midpoint never passes x_bar_star, meets it for w <= 5 (gaps from
+        # -4.6e-8 to +3.1e-12) and falls further below as w grows (to
+        # -1.1e-3 at w = 17)
+        psys = request.getfixturevalue(which)
+        for e in eps_list:
+            xb, s = x_bar_star(psys, e), psys.at_eps(e)
+            gaps = [fixed_point(s, CouplingSpec(200, w)).profile.midpoint - xb
+                    for w in (2, 3, 5, 17)]
+            assert max(gaps) <= 1e-11, gaps
+            assert all(abs(gap) <= 1e-7 for gap in gaps[:3]), gaps
+            assert all(b <= a + 1e-11 for a, b in zip(gaps, gaps[1:])), gaps
