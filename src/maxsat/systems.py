@@ -11,8 +11,9 @@ Erasure-decoding families over a channel parameter eps:
                   (phi = dec_phi)
 
 plus a compressed-sensing state-evolution pair built from a prior's mmse
-curve, and three fixed demo systems (two decodable families frozen at one
-parameter and a pathological potential with minima accumulating at 0).
+curve, and three fixed demo systems (slices of the LDPC and LDGM families
+at one parameter, and a pathological potential with minima accumulating
+at 0).
 
 The families' callables keep the elementwise contract of
 maxsat.thresholds, float lane included: a Python float x gives the bits of
@@ -575,54 +576,17 @@ def cs_system(params: CsParams, use_closed_form_F: bool = False) -> ScalarSystem
 
 
 def example1_system() -> ScalarSystem:
-    """Quadratic demo pair f(y) = 0.97 y^2, g(x) = 1 - (1-x)^2 on [0, 1].
-
-    Equals the erasure-decoding slice of the (3,3)-regular code family at
-    parameter 0.97; everything is closed-form, including the derivative
-    suprema (1.94, 2, 2).
-    """
-    return make_system(
-        f=lambda y: 0.97 * y * y,
-        g=lambda x: 1.0 - (1.0 - x) ** 2,
-        x_max=1.0,
-        f_prime=lambda y: 1.94 * y,
-        g_prime=lambda x: 2.0 * (1.0 - x),
-        g_second=lambda x: -2.0,
-        F=lambda y: (97.0 / 300.0) * y**3,
-        G=lambda x: x + ((1.0 - x) ** 3 - 1.0) / 3.0,
-        f_prime_sup=1.94,
-        g_prime_sup=2.0,
-        g_second_sup=2.0,
-        name="example1",
-    )
-
-
-_EX2_R = Polynomial((0.0, 2.0 / 15.0, 1.0 / 15.0, 7.0 / 15.0, 1.0 / 3.0))
-_EX2_RP1 = 3.0
+    """Quadratic demo pair f(y) = 0.97 y^2, g(x) = 1 - (1-x)^2 on [0, 1]:
+    the slice of the (3,3)-regular LDPC family at eps = 0.97."""
+    return ldpc_system("x^3", "x^3").at_eps(0.97, validate=True)
 
 
 def example2_system() -> ScalarSystem:
-    """Quintic demo pair f(y) = y^5 with the generator-code check side
-    frozen at parameter 1/2: g(x) = 1 - rho(1-x)/2 for the degree profile
+    """Quintic demo pair f(y) = y^5, g(x) = 1 - rho(1-x)/2 on [0, 1]: the
+    slice at eps = 1/2 of the LDGM family with L = x^6 and check profile
     R = 2/15 x + 1/15 x^2 + 7/15 x^3 + 1/3 x^4."""
-    rho = Polynomial(tuple(c / _EX2_RP1 for c in _EX2_R.derivative().coeffs))
-    rho_p = rho.derivative()
-    rho_pp = rho_p.derivative()
-    y_max = 1.0 - 0.5 * float(rho(0.0))
-    return make_system(
-        f=lambda y: y**5,
-        g=lambda x: 1.0 - 0.5 * rho(1.0 - x),
-        x_max=1.0,
-        f_prime=lambda y: 5.0 * y**4,
-        g_prime=lambda x: 0.5 * rho_p(1.0 - x),
-        g_second=lambda x: -0.5 * rho_pp(1.0 - x),
-        F=lambda y: y**6 / 6.0,
-        G=lambda x: x - 0.5 * (1.0 - _EX2_R(1.0 - x)) / _EX2_RP1,
-        f_prime_sup=5.0 * y_max**4,
-        g_prime_sup=0.5 * float(rho_p(1.0)),
-        g_second_sup=0.5 * float(rho_pp(1.0)),
-        name="example2",
-    )
+    return ldgm_system("x^6", "2/15 x + 1/15 x^2 + 7/15 x^3 + 1/3 x^4").at_eps(
+        0.5, validate=True)
 
 
 def pathological_system() -> ScalarSystem:

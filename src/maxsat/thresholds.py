@@ -340,10 +340,10 @@ def eps_stab(psys: ParamSystem) -> float:
     return bisect_root(lambda e: slope(e) - 1.0, 0.0, psys.eps_max, _EPS_STAB_TOL)
 
 
-def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
+def _envelope_sup(psys: ParamSystem, level: float, b: float,
                   res_b: MinimizeResult, tol: float) -> tuple:
-    """sup{eps in [a, b] : Psi(eps) >= level - 1e-12}, for a predicate that
-    holds at a and fails at b, where res_b = minimize_us_at(psys, b); and
+    """sup{eps in [0, b] : Psi(eps) >= level - 1e-12}, for a predicate that
+    holds at 0 and fails at b, where res_b = minimize_us_at(psys, b); and
     minimize_us_at at the failing end of the final bracket.
 
     Each step is a Newton step on Psi = level - 1e-12 from the failing end,
@@ -351,17 +351,18 @@ def _envelope_sup(psys: ParamSystem, level: float, a: float, b: float,
     (envelope theorem), so one minimization gives both the value and the
     slope. Where Psi is concave, as on the erasure families, whose U_s is
     concave in eps for fixed x (affine on ldpc and gldpc), these steps
-    approach the root from above and never overshoot it. A step is
-    replaced by a bisection when it leaves (a, b] or is longer than half
-    the shortest step before it. Once the Newton step is below tol / 2 the
-    search evaluates tol / 2 below the Newton root instead, which closes
-    the bracket if the root is right, and takes no Newton step after that.
-    So at most about log2((b - a) / tol) steps of each kind are taken. It
-    returns the midpoint once b - a <= tol, as a bisection does, or once
-    a and b are adjacent floats, for a tol below their spacing.
+    approach the root from above and never overshoot it. The bracket
+    [a, b] starts at [0, b]. A step is replaced by a bisection when it
+    leaves (a, b] or is longer than half the shortest step before it. Once
+    the Newton step is below tol / 2 the search evaluates tol / 2 below the
+    Newton root instead, which closes the bracket if the root is right, and
+    takes no Newton step after that. So at most about log2(b / tol) steps
+    of each kind are taken. It returns the midpoint once b - a <= tol, as a
+    bisection does, or once a and b are adjacent floats, for a tol below
+    their spacing.
     """
     goal = level - 1e-12
-    last = b - a
+    a, last = 0.0, b
     while b - a > tol:
         slope = float(psys.u_eps(res_b.x_upper, b))
         root = b + (goal - res_b.value) / slope if slope < 0.0 else math.nan
@@ -422,7 +423,7 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     res_stab = minimize_us_at(psys, e_stab)
     if res_stab.value >= -1e-12:
         return e_stab
-    ec, res_b = _envelope_sup(psys, 0.0, 0.0, e_stab, res_stab, tol)
+    ec, res_b = _envelope_sup(psys, 0.0, e_stab, res_stab, tol)
     noise = ROUNDING_ULPS * np.finfo(float).eps * psys.x_max * float(psys.g(psys.x_max, ec))
     slope = abs(float(psys.u_eps(res_b.x_upper, ec)))
     half = max(10 * tol, noise / slope) if slope > 0.0 else 10 * tol
@@ -702,8 +703,8 @@ def map_exit_curve(psys: ParamSystem, eps_grid) -> MapExitCurve:
     to 1e-6 between adjacent grid points (_refine_jumps)."""
     es = np.asarray(eps_grid, dtype=float)
     xbars = np.array([x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es])
-    ex = np.array([float(psys.exit_value(x, float(e)))
-                   for x, e in zip(xbars, es)])
+    # the fallback's constant partials may come back as a float
+    ex = np.broadcast_to(np.asarray(psys.exit_value(xbars, es), dtype=float), es.shape)
     jumps = _refine_jumps(psys, es, xbars)
     return MapExitCurve(es, ex, xbars, tuple(jumps))
 
@@ -744,7 +745,7 @@ def _inverse_psi(psys: ParamSystem, x: float, ends: tuple) -> float:
                           f"[{res_hi.value:.6g}, {res_lo.value:.6g}]")
     if res_hi.value >= target - 1e-12:
         return psys.eps_max
-    return _envelope_sup(psys, target, 0.0, psys.eps_max, res_hi, _INVERSE_PSI_TOL)[0]
+    return _envelope_sup(psys, target, psys.eps_max, res_hi, _INVERSE_PSI_TOL)[0]
 
 
 def inverse_Psi_threshold(psys: ParamSystem, x: float) -> float:

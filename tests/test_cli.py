@@ -457,3 +457,42 @@ class TestConfigErrors:
                         {"system": {"type": "cs", "prior": "laplace", "sigma2": 1e-4,
                                     "delta": 0.5}})
         assert main(["potential-curve", "--config", cfg]) == 2
+
+
+class TestSystemKeys:
+    def test_node_form_keys_match_edge_form(self, tmp_path):
+        # L = x^3 and R = x^6 are the node forms of lambda = x^2, rho = x^5;
+        # only the fingerprint of the system object differs
+        reports = []
+        for name, system in (("node", {"type": "ldpc", "L": "x^3", "R": "x^6"}),
+                             ("edge", LDPC)):
+            cfg = write_cfg(tmp_path, f"{name}.json", {"schema": 1, "system": system})
+            out = str(tmp_path / f"{name}.json.out")
+            assert main(["thresholds", "--config", cfg, "--out", out]) == 0
+            with open(out) as fh:
+                reports.append(json.load(fh))
+        assert reports[0].pop("fingerprint") != reports[1].pop("fingerprint")
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("system, message", [
+        ({"type": "ldpc", "lambda": "x^2", "L": "x^3", "rho": "x^5"},
+         "give either 'lambda' or 'L', not both"),
+        ({"type": "ldgm", "L": "x^6", "rho": "x^5", "R": "x^6"},
+         "give either 'rho' or 'R', not both"),
+        ({"type": "isi", "R": "x^6"}, "system needs 'lambda' or 'L'"),
+        ({"type": "ldpc", "lambda": "x^2"}, "system needs 'rho' or 'R'"),
+    ], ids=["both-lambda-L", "both-rho-R", "neither-lambda-L", "neither-rho-R"])
+    def test_degree_key_errors(self, tmp_path, capsys, system, message):
+        cfg = write_cfg(tmp_path, "c.json", {"schema": 1, "system": system})
+        assert main(["thresholds", "--config", cfg]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_stdout_without_out(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1, "system": EX1, "command": {"grid_n": 400}})
+        out = str(tmp_path / "curve.csv")
+        assert main(["potential-curve", "--config", cfg, "--out", out]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["potential-curve", "--config", cfg]) == 0
+        with open(out, newline="") as fh:
+            assert capsys.readouterr().out == fh.read()

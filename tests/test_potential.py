@@ -415,8 +415,10 @@ class TestGoldenRefinement:
             assert abs(x - float(psys.h(x, 0.3))) <= 1e-15
 
     def test_resolved_basins_still_refined(self, golden_calls, ex2):
-        assert minimize_Us(ex2).minimizers == (0.056058435615294035,)
-        assert abs(0.056058435615294035 - ex2.h(0.056058435615294035)) <= 1e-15
+        res = minimize_Us(ex2)
+        assert res.minimizers == (0.05605843561529403,)
+        assert res.fixed_points[0] == 0.05605843561529403
+        assert abs(0.05605843561529403 - ex2.h(0.05605843561529403)) <= 1e-15
         assert len(golden_calls) >= 1
         golden_calls.clear()
         ldpc8 = ldpc_system(

@@ -7,9 +7,9 @@ from scipy.integrate import quad
 from scipy.special import betainc as scipy_betainc
 from scipy.stats import beta as scipy_beta
 
-from maxsat.errors import ConstructionError, ThresholdUndefinedError
+from maxsat.errors import ConstructionError, DomainError, ThresholdUndefinedError
 from maxsat.invariants import gldpc_trial_entropy_signs
-from maxsat.potential import U_s, minimize_Us
+from maxsat.potential import K_fg_bound, U_s, minimize_Us
 from maxsat.recursion import uncoupled_fixed_point
 from maxsat.systems import (
     CsParams,
@@ -79,13 +79,17 @@ class TestDegreeDistribution:
 
 class TestLdpc:
     def test_33_regular_slice_matches_example1(self):
-        psys = ldpc_system("x^3", "x^3")
-        s097 = psys.at_eps(0.97)
-        ref = example1_system()
+        # example 1 is this slice; hold it to the paper's closed forms
+        s097 = example1_system()
+        assert s097.name == "ldpc@eps=0.97"
         xs = np.linspace(0, 1, 101)
-        assert np.max(np.abs(np.asarray(s097.f(xs)) - np.asarray(ref.f(xs)))) <= 1e-12
-        assert np.max(np.abs(np.asarray(s097.g(xs)) - np.asarray(ref.g(xs)))) <= 1e-12
-        assert np.max(np.abs(np.asarray(U_s(s097, xs)) - np.asarray(U_s(ref, xs)))) <= 1e-12
+        g = 1.0 - (1.0 - xs) ** 2
+        u = xs * g - (xs + ((1.0 - xs) ** 3 - 1.0) / 3.0) - (97.0 / 300.0) * g**3
+        for got, want in ((s097.f(xs), 0.97 * xs**2), (s097.g(xs), g), (U_s(s097, xs), u),
+                          (s097.f_prime(xs), 1.94 * xs), (s097.g_prime(xs), 2.0 * (1.0 - xs)),
+                          (s097.g_second(xs), -2.0)):
+            assert np.max(np.abs(np.asarray(got) - want)) <= 1e-14
+        assert (s097.f_prime_sup, s097.g_prime_sup, s097.g_second_sup) == (1.94, 2.0, 2.0)
 
     def test_rate_identity(self, ldpc8):
         lp1 = 1.0 / (0.2 / 2 + 0.25 / 3 + 0.1 / 7 + 0.45 / 21)
@@ -115,10 +119,23 @@ class TestLdpc:
 
 class TestLdgm:
     def test_example2_slice(self, ldgm9):
-        s = ldgm9.at_eps(0.5)
-        ref = example2_system()
+        # example 2 (node-form R) and the edge-form ldgm9 slice against the
+        # closed forms f = y^5, g = 1 - rho(1-x)/2, F = y^6/6 and
+        # G = x - (1 - R(1-x))/(2 R'(1)), R'(1) = 3
+        def rho(z):
+            return 2 / 45 + 2 / 45 * z + 7 / 15 * z**2 + 4 / 9 * z**3
+
+        def R(z):
+            return 2 / 15 * z + 1 / 15 * z**2 + 7 / 15 * z**3 + 1 / 3 * z**4
+
         xs = np.linspace(0, 1, 101)
-        assert np.max(np.abs(np.asarray(U_s(s, xs)) - np.asarray(U_s(ref, xs)))) <= 1e-14
+        g = 1.0 - 0.5 * rho(1.0 - xs)
+        u = xs * g - (xs - (1.0 - R(1.0 - xs)) / 6.0) - g**6 / 6.0
+        ex2 = example2_system()
+        assert ex2.name == "ldgm@eps=0.5"
+        for s in (ex2, ldgm9.at_eps(0.5)):
+            for got, want in ((s.f(xs), xs**5), (s.g(xs), g), (U_s(s, xs), u)):
+                assert np.max(np.abs(np.asarray(got) - want)) <= 1e-14
 
     def test_minimizer_near_005_at_half(self, ldgm9):
         res = minimize_Us(ldgm9.at_eps(0.5))
@@ -302,11 +319,51 @@ class TestCompressedSensing:
         ys = np.linspace(0.0, sys_.y_max, 200)
         assert np.min(np.diff(np.asarray(sys_.f(ys)))) >= -1e-12
 
+    def test_gaussian_derivatives(self):
+        # f(y) = v / (1 + v (1/s2 - y)) and g(x) = 1/s2 - 1/(s2 + x/delta):
+        # f' = v^2 / (1 + v (1/s2 - y))^2 through GaussianPrior.mmse_prime,
+        # and g'' against central differences of g'
+        v, s2, delta = 1.5, 0.25, 0.5
+        s = cs_system(CsParams(GaussianPrior(v), s2, delta))
+        ys = np.linspace(0.0, s.y_max, 21)
+        assert np.allclose(s.f_prime(ys), v**2 / (1.0 + v * (1.0 / s2 - ys)) ** 2,
+                           rtol=1e-14, atol=0.0)
+        step = 1e-6
+        fd = (s.f(ys[1:-1] + step) - s.f(ys[1:-1] - step)) / (2 * step)
+        assert np.allclose(fd, s.f_prime(ys[1:-1]), rtol=1e-7, atol=0.0)
+        xs = np.linspace(0.05, 0.95, 19) * s.x_max
+        fd = (s.g_prime(xs + step) - s.g_prime(xs - step)) / (2 * step)
+        assert np.allclose(fd, s.g_second(xs), rtol=1e-7, atol=0.0)
+        assert np.all(np.abs(s.g_second(xs)) <= s.g_second_sup)
+
+    def test_K_fg_bound(self):
+        # g' and g'' carry their suprema at x = 0; f' is grid-maximized, and
+        # rises in y, so its sup is at y_max, where 1/s2 - y = 1/(s2 + v/delta)
+        v, s2, delta = 1.5, 0.25, 0.5
+        s = cs_system(CsParams(GaussianPrior(v), s2, delta))
+        gp, gpp = 1.0 / (delta * s2**2), 2.0 / (delta**2 * s2**3)
+        fp = 1.01 * v**2 / (1.0 + v / (s2 + v / delta)) ** 2
+        assert (s.g_prime_sup, s.g_second_sup) == pytest.approx((gp, gpp), rel=1e-15)
+        assert K_fg_bound(s) == pytest.approx(gpp * v + gp + fp * gp * gp, rel=1e-12)
+
     def test_parameter_validation(self):
         with pytest.raises(ConstructionError):
             CsParams(GaussianPrior(1.0), -0.1, 0.5)
         with pytest.raises(ConstructionError):
             CsParams(GaussianPrior(1.0), 0.1, 0.0)
+        for variance in (0.0, -1.0):
+            with pytest.raises(ConstructionError, match="variance must be positive"):
+                GaussianPrior(variance)
+        for rho_s in (-0.1, 1.5):
+            with pytest.raises(ConstructionError, match=r"rho_s must lie in \[0, 1\]"):
+                TwoPointPrior(1.0, rho_s)
+        for snr in (-1.0, np.array([0.5, -1e-3])):
+            with pytest.raises(DomainError, match="snr must be >= 0"):
+                TwoPointPrior(1.0, 0.1).mmse(snr)
+        with pytest.raises(ConstructionError, match="degenerate prior"):
+            cs_system(CsParams(TwoPointPrior(0.0, 0.3), 0.1, 0.5))
+        with pytest.raises(ConstructionError, match="only available for the Gaussian prior"):
+            cs_system(CsParams(TwoPointPrior(1.0, 0.1), 0.1, 0.5), use_closed_form_F=True)
 
 
 class TestPathological:

@@ -7,7 +7,8 @@ from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
                            ThresholdUndefinedError)
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
 from maxsat.recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig,
-                              coupled_fixed_point, modified_coupled_fixed_point)
+                              coupled_fixed_point, fixed_points_of,
+                              modified_coupled_fixed_point)
 from maxsat.systems import (
     DegreeDistribution,
     GldpcParams,
@@ -34,6 +35,7 @@ from maxsat.thresholds import (
     maxwell_threshold,
     minimize_us_at,
     psi_exit,
+    psi_integral,
     threshold_report,
     validate_param_system,
     x_bar_star,
@@ -451,6 +453,9 @@ class TestEnvelopeIntegral:
     def test_zero_below_threshold(self, ldpc8):
         assert psi_exit(ldpc8, 0.3) == 0.0
 
+    def test_integral_to_zero_is_zero(self, ldpc8):
+        assert psi_integral(ldpc8, 0.0) == 0.0
+
 
 class TestExitCurves:
     def test_ldgm_jump_location(self, ldgm9):
@@ -469,6 +474,23 @@ class TestExitCurves:
             assert crv.eps[0] == pytest.approx(e, abs=1e-8)
             assert crv.exit_values[0] == pytest.approx(
                 float(ldpc8.exit_value(xb, e)), abs=1e-12)
+
+    @pytest.mark.parametrize("which", ["ldgm9", "isi36"])
+    def test_exit_value_fallback_is_minus_u_eps_at_fixed_points(self, request, which):
+        # without exit_fn, exit_value is G_eps + F_eps(g): at a fixed point
+        # the (x - f(g)) g_eps term of u_eps vanishes, so it is -u_eps.
+        # ldgm9 has a constant F_eps, isi a constant G_eps
+        psys = dataclasses.replace(request.getfixturevalue(which), exit_fn=None)
+        for e in (0.55, 0.8):
+            xs = fixed_points_of(lambda x: psys.h(x, e), psys.x_max)
+            assert xs
+            for x in xs:
+                assert float(psys.exit_value(x, e)) == pytest.approx(
+                    -float(psys.u_eps(x, e)), abs=1e-13)
+        es = np.linspace(0.3, 0.9, 7)
+        crv = map_exit_curve(psys, es)
+        assert crv.exit_values.tolist() == [float(psys.exit_value(x, float(e)))
+                                            for x, e in zip(crv.x_stars, es)]
 
     def test_ebp_area_balance_at_threshold(self, ldpc8):
         # tied minimizers at the coupled threshold bracket equal potential,
