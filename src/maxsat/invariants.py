@@ -21,14 +21,7 @@ from .potential import (
     check_finite_w_conditions,
     grad_Uc,
 )
-from .recursion import (
-    CoupledProfile,
-    CouplingSpec,
-    _WindowMean,
-    _clamp,
-    _coupled_step_into,
-    midpoint_index,
-)
+from .recursion import CoupledProfile, CouplingSpec, coupled_step, midpoint_index
 from .systems import (
     DegreeDistribution,
     GldpcParams,
@@ -76,17 +69,15 @@ def coupled_symmetric_unimodal(cases) -> bool:
     symmetric and non-decreasing up to the midpoint (both to 1e-12), for
     each (system, spec) pair. The iterates are coupled_step's on the full
     chain, since coupled_fixed_point iterates only the left half and is
-    symmetric by construction; each run makes one window-mean kernel and
-    two buffers, which take turns as state and output. A run stops once a
-    step is at most 1e-12 and raises NonConvergenceError after 1e5
-    iterations."""
+    symmetric by construction. A run stops once a step is at most 1e-12
+    and raises NonConvergenceError after 1e5 iterations."""
     tol, cap = 1e-12, 10**5
     for s, spec in cases:
         i0 = midpoint_index(spec.M)
-        win = _WindowMean(spec.M, spec.w)
-        v, out = np.full(spec.M, s.x_max), np.empty(spec.M)
+        prof = CoupledProfile(np.full(spec.M, s.x_max), spec)
         step, iters = np.inf, 0
         while True:
+            v = prof.values
             if not (np.max(np.abs(v - v[::-1])) <= 1e-12
                     and np.min(np.diff(v[:i0 + 1]), initial=0.0) >= -1e-12):
                 return False
@@ -95,10 +86,9 @@ def coupled_symmetric_unimodal(cases) -> bool:
             if iters == cap:
                 raise NonConvergenceError(
                     f"coupled recursion did not converge in {cap} iterations",
-                    last=CoupledProfile(v, spec), iters=cap, residual=step)
-            _coupled_step_into(s, _clamp(v, 0.0, s.x_max, "profile"), win, out)
-            step = float(np.max(np.abs(out - v)))
-            v, out = out, v
+                    last=prof, iters=cap, residual=step)
+            prof = coupled_step(s, prof)
+            step = float(np.max(np.abs(prof.values - v)))
             iters += 1
     return True
 

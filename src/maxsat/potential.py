@@ -108,7 +108,9 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     golden-refines the grid-local minima the grid resolves to 1e-12 in x,
     and seeds the candidate set with all fixed points of h on that grid
     (every interior local minimum of the potential is one, so narrow
-    basins between grid nodes are still found) plus both endpoints. A
+    basins between grid nodes are still found) plus each endpoint that is
+    a fixed point, to 1e-9 (U' = -h(0) g' <= 0 at 0 and >= 0 at x_max, so
+    no other endpoint is a minimizer, while on a flat U it may tie one). A
     grid-local minimum is resolved when it lies below its left neighbour
     by more than the rounding level of U and not above its right
     neighbour by more than that level. The level is 64 ulps of x_max * y_max: each of x g(x),
@@ -122,7 +124,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     xs = _analysis_grid(float(x_max), int(grid_n))
     us = np.asarray(u_vec(xs), dtype=float)
 
-    cands = [0.0, float(x_max)]
+    cands = [e for e in (0.0, float(x_max)) if abs(e - float(h_vec(e))) <= 1e-9]
     # resolved grid-local minima: a decrease on the left beyond the
     # rounding level picks one entry per flat bottom and keeps rounding
     # noise from spawning refinements

@@ -93,6 +93,14 @@ def _grid(psys: ParamSystem):
                        np.linspace(0.0, psys.eps_max, 9), indexing="ij")
 
 
+def _check_eps(psys: ParamSystem, eps) -> float:
+    """eps as a float; DomainError outside [0, eps_max] or for a NaN."""
+    e = float(eps)
+    if not 0.0 <= e <= psys.eps_max:
+        raise DomainError(f"eps={e} outside [0, {psys.eps_max}]")
+    return e
+
+
 @dataclass(frozen=True)
 class ParamSystem:
     """Family of scalar systems indexed by a parameter eps in [0, eps_max].
@@ -179,9 +187,7 @@ class ParamSystem:
 
     def at_eps(self, eps: float, validate: bool = False) -> ScalarSystem:
         """Freeze the parameter and return the scalar system slice."""
-        e = float(eps)
-        if not 0.0 <= e <= self.eps_max:
-            raise DomainError(f"eps={e} outside [0, {self.eps_max}]")
+        e = _check_eps(self, eps)
         return make_system(
             f=lambda y, _e=e: self.f(y, _e),
             g=lambda x, _e=e: self.g(x, _e),
@@ -266,8 +272,9 @@ def validate_param_system(psys: ParamSystem) -> None:
 
 def minimize_us_at(psys: ParamSystem, eps: float,
                    grid_n: int = ANALYSIS_GRID_N) -> MinimizeResult:
-    """Minimize the potential slice at one parameter value."""
-    e = float(eps)
+    """Minimize the potential slice at one parameter value in [0, eps_max]
+    (DomainError outside it or for a NaN)."""
+    e = _check_eps(psys, eps)
     return minimize_potential(lambda x: psys.u(x, e), lambda x: psys.h(x, e),
                               psys.x_max, float(psys.g(psys.x_max, e)), grid_n)
 
@@ -619,28 +626,27 @@ def psi_exit(psys: ParamSystem, eps: float) -> float:
 
 
 def _refine_jumps(psys: ParamSystem, es, xbars) -> list:
-    """Bisect every step above 0.01 between adjacent entries of xbars (the
-    largest minimizer at es) down to 1e-6 in eps, with the minimizer on the
-    _CURVE_GRID_N-point grid; returns the midpoints, at most one per cell of
-    es and in order. The minimizer is carried at both bracket ends, so the
-    final test for a genuine discontinuity costs no further minimization."""
+    """Bisect each cell of es while it is wider than 1e-6 in eps and the
+    largest minimizers at its ends (xbars, then _CURVE_GRID_N-point ones at
+    the midpoints) differ by more than 0.01; a midpoint more than 0.01 from
+    the left end becomes the right end. Returns the midpoints of the cells
+    that keep that gap, in order. The premise: x_bar_star does not decrease
+    in eps (Topkis's theorem where g does not depend on eps, as U_s' =
+    (x - h) g' then does not increase in eps; measured on ldgm), so a cell
+    whose ends differ by at most 0.01 holds no jump above 0.01."""
     jumps = []
     for i in range(len(es) - 1):
-        if abs(xbars[i + 1] - xbars[i]) > _JUMP_SIZE:
-            a, b = float(es[i]), float(es[i + 1])
-            x0 = xa = xbars[i]
-            xb = xbars[i + 1]
-            while b - a > _JUMP_EPS_TOL:
-                m = 0.5 * (a + b)
-                xm = x_bar_star(psys, m, _CURVE_GRID_N)
-                if abs(xm - x0) > _JUMP_SIZE:
-                    b, xb = m, xm
-                else:
-                    a, xa = m, xm
-            # a steep but continuous stretch shrinks to nothing under
-            # bisection; only a genuine discontinuity survives
-            if abs(xb - xa) > _JUMP_SIZE:
-                jumps.append(0.5 * (a + b))
+        a, b = float(es[i]), float(es[i + 1])
+        xa, xb = xbars[i], xbars[i + 1]
+        while b - a > _JUMP_EPS_TOL and abs(xb - xa) > _JUMP_SIZE:
+            m = 0.5 * (a + b)
+            xm = x_bar_star(psys, m, _CURVE_GRID_N)
+            if abs(xm - xa) > _JUMP_SIZE:
+                b, xb = m, xm
+            else:
+                a, xa = m, xm
+        if abs(xb - xa) > _JUMP_SIZE:
+            jumps.append(0.5 * (a + b))
     return jumps
 
 
@@ -649,8 +655,9 @@ def psi_integral(psys: ParamSystem, eps: float) -> float:
     on the slopes u_eps at the x_stars of map_exit_curve over an eps grid of
     [0, eps] with steps of at most 1e-3. A cell holding a jump j is split
     there, so the slope is not averaged across it: [e_i, j] takes the slope
-    at e_i and [j, e_(i+1)] the slope at e_(i+1)."""
-    if eps <= 0.0:
+    at e_i and [j, e_(i+1)] the slope at e_(i+1). DomainError for eps
+    outside [0, eps_max] or a NaN."""
+    if _check_eps(psys, eps) == 0.0:
         return 0.0
     n = max(int(math.ceil(eps / _JUMP_SCAN_STEP)) + 1, 2)
     curve = map_exit_curve(psys, np.linspace(0.0, eps, n))
@@ -671,7 +678,6 @@ class FixedPointCurve:
     eps: np.ndarray
     q: np.ndarray
     exit_values: np.ndarray
-    domain_Xf: tuple
 
 
 def ebp_curve(psys: ParamSystem, x_grid) -> FixedPointCurve:
@@ -686,7 +692,7 @@ def ebp_curve(psys: ParamSystem, x_grid) -> FixedPointCurve:
     eps = np.asarray(eps_of_x(psys, xs), dtype=float)
     q = np.asarray(psys.u(xs, eps), dtype=float)
     ex = np.asarray(psys.exit_value(xs, eps), dtype=float)
-    return FixedPointCurve(xs, eps, q, ex, tuple(intervals))
+    return FixedPointCurve(xs, eps, q, ex)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from maxsat.thresholds import (
     x_lower_star,
     xf_intervals,
 )
+from maxsat.thresholds import _CURVE_GRID_N, _JUMP_EPS_TOL, _JUMP_SIZE
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -500,6 +501,96 @@ class TestExitCurves:
         direct, integral = Q_integral_check(ldpc8, 1e-4, x2)
         assert abs(integral) <= 1e-4
         assert abs(direct) <= 1e-4
+
+
+def parent_refine_jumps(psys, es, xbars):
+    """The jump rule before the bracket test, kept to compare against: each
+    cell whose ends differ by more than 0.01 is bisected down to 1e-6 in
+    eps, every midpoint compared with the cell's first value."""
+    jumps = []
+    for i in range(len(es) - 1):
+        if abs(xbars[i + 1] - xbars[i]) > _JUMP_SIZE:
+            a, b = float(es[i]), float(es[i + 1])
+            x0 = xa = xbars[i]
+            xb = xbars[i + 1]
+            while b - a > _JUMP_EPS_TOL:
+                m = 0.5 * (a + b)
+                xm = x_bar_star(psys, m, _CURVE_GRID_N)
+                if abs(xm - x0) > _JUMP_SIZE:
+                    b, xb = m, xm
+                else:
+                    a, xa = m, xm
+            if abs(xb - xa) > _JUMP_SIZE:
+                jumps.append(0.5 * (a + b))
+    return jumps
+
+
+FAMILIES = ["ldpc8", "ldgm9", "isi36", "gldpc31", "gldpc63"]
+
+
+class TestMapJumps:
+    """map_exit_curve bisects a cell only while its ends differ by more
+    than the jump size, which is sound because the largest minimizer does
+    not decrease in eps."""
+
+    @pytest.fixture
+    def minimizations(self, monkeypatch):
+        import maxsat.thresholds as thr
+        calls = []
+        real = thr.minimize_us_at
+
+        def counting(psys, eps, *a, **k):
+            calls.append(eps)
+            return real(psys, eps, *a, **k)
+
+        monkeypatch.setattr(thr, "minimize_us_at", counting)
+        return calls
+
+    @pytest.mark.parametrize("which", FAMILIES)
+    def test_largest_minimizer_non_decreasing(self, request, which):
+        # the rule's premise, on the minimizer grid the rule bisects with
+        psys = request.getfixturevalue(which)
+        xs = [x_bar_star(psys, e, _CURVE_GRID_N) for e in np.linspace(0.0, psys.eps_max, 401)]
+        assert np.all(np.diff(xs) >= 0.0)
+
+    @pytest.mark.parametrize("which, jumps, searched", [
+        ("ldpc8", [0.6219, 0.7230], 70),
+        ("ldgm9", [0.5074], 80),
+        ("isi36", [0.6387], 80),
+        ("gldpc31", [0.2555], 80),
+        ("gldpc63", [0.1576], 80),
+    ])
+    def test_default_window(self, minimizations, request, which, jumps, searched):
+        # the CLI's default exit-curves window; the old rule spent 518, 14,
+        # 490, 462 and 308 minimizations on its jumps, and without the
+        # endpoint rule x_max tied the minimum at 1, 0, 2, 38 and 61 eps,
+        # each a phantom jump
+        psys = request.getfixturevalue(which)
+        es = np.linspace(0.0, psys.eps_max, 101)
+        crv = map_exit_curve(psys, es)
+        assert len(minimizations) <= len(es) + searched
+        assert crv.jumps == pytest.approx(jumps, abs=1e-4)
+        for x, e in zip(crv.x_stars, es):
+            assert x < psys.x_max or abs(float(psys.h(x, e)) - x) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_jumps_equal_parent_rule(self, request, seed):
+        rng = np.random.default_rng(7000 + seed)
+        psys = request.getfixturevalue(FAMILIES[seed % len(FAMILIES)])
+        lo = rng.uniform(0.0, 0.8 * psys.eps_max)
+        hi = min(lo + rng.uniform(0.1, 0.5) * psys.eps_max, psys.eps_max)
+        crv = map_exit_curve(psys, np.linspace(lo, hi, int(rng.integers(5, 31))))
+        assert list(crv.jumps) == parent_refine_jumps(psys, crv.eps, crv.x_stars)
+
+    @pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("entry", [
+        minimize_us_at, Psi, x_bar_star, x_lower_star, psi_exit, psi_integral,
+        lambda psys, e: map_exit_curve(psys, [0.5, e]),
+    ], ids=["minimize_us_at", "Psi", "x_bar_star", "x_lower_star", "psi_exit",
+            "psi_integral", "map_exit_curve"])
+    def test_eps_outside_the_family_raises(self, ldpc8, entry, eps):
+        with pytest.raises(DomainError):
+            entry(ldpc8, eps)
 
 
 def _cold_run(psys, e, spec, cfg=IterationConfig()):
