@@ -57,6 +57,8 @@ VALUE_TOL = 1e-10
 ROUNDING_ULPS = 64.0
 # golden refinements of grid minima stop at this width in x
 _X_TOL = 1e-12
+# width of the window above x_upper* that check_finite_w_conditions reads
+_DESCENT_WINDOW = 1e-3
 
 
 def U_s(sys: ScalarSystem, x):
@@ -254,16 +256,16 @@ class FiniteWCondition(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def check_finite_w_conditions(sys: ScalarSystem, gamma: float = 1e-3) -> FiniteWCondition:
+def check_finite_w_conditions(sys: ScalarSystem) -> FiniteWCondition:
     """Classify whether a finite coupling width provably suffices at the
     potential minimizer x_upper*.
 
     Checks, in order: a tie-guard (a multi-valued minimizer set means the
     gap vanishes and nothing can be concluded), the derivative condition
     h'(0) < 1 when the minimizer is the origin, strict descent h(x) < x on
-    (x_upper*, x_upper* + gamma], and finally isolation of x_upper* in the
-    enumerated fixed-point set. Analyticity-style arguments are not
-    decidable numerically and fall through to UNKNOWN.
+    (x_upper*, x_upper* + 1e-3] (_DESCENT_WINDOW), and finally no
+    enumerated fixed point in that window. Analyticity-style arguments are
+    not decidable numerically and fall through to UNKNOWN.
     """
     res = minimize_Us(sys)
     if res.x_upper - res.x_lower > 1e-6:
@@ -275,14 +277,14 @@ def check_finite_w_conditions(sys: ScalarSystem, gamma: float = 1e-3) -> FiniteW
         if slope < 1.0 - 1e-9:
             return FiniteWCondition.FINITE_BY_STABILITY
 
-    hi = min(xbar + gamma, sys.x_max)
+    hi = min(xbar + _DESCENT_WINDOW, sys.x_max)
     if hi > xbar:
         xs = np.linspace(xbar, hi, 1001)[1:]
         if np.all(np.asarray(sys.h(xs), dtype=float) < xs):
             return FiniteWCondition.FINITE_BY_STRICT_DESCENT
 
     above = [x for x in res.fixed_points if x > xbar + 1e-9]
-    if not above or min(above) > xbar + gamma:
+    if not above or min(above) > xbar + _DESCENT_WINDOW:
         return FiniteWCondition.FINITE_BY_GAP
     return FiniteWCondition.UNKNOWN
 

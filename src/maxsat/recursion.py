@@ -54,7 +54,6 @@ __all__ = [
     "IterationConfig",
     "make_system",
     "tabulated_integral",
-    "antiderivative_error",
     "validate_system",
     "uncoupled_step",
     "uncoupled_fixed_point",
@@ -355,66 +354,81 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
     return sys
 
 
-def antiderivative_error(anti, fn, hi) -> float:
-    """Largest error of central differences of anti against fn at 19 points
-    of [0.05 hi, 0.95 hi], relative to |fn| with a floor of 1e-3. hi is a
-    scalar, or a column with one row per lane. Both validators accept an
-    error of at most 1e-5; a NaN is returned as NaN."""
-    pts = np.linspace(0.05, 0.95, 19) * hi
-    step = 1e-6 * hi
-    fd = (np.asarray(anti(pts + step)) - np.asarray(anti(pts - step))) / (2 * step)
-    ref = np.asarray(fn(pts), dtype=float)
-    return float(np.max(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-3), initial=0.0))
+def _lane_problems(label, f, g, g_prime, F, G, x_max, lanes, n, strict=None) -> list:
+    """The checks of a slice, on K lanes at once; returns the messages of
+    the failed ones.
 
+    Each callable takes (x, p), x of shape (K', n) with row k on lane k's
+    domain and p the matching rows of lanes, the (K, 1) column of the
+    lanes' parameters. On n-point grids of [0, x_max] and [0, y_max], y_max
+    = g(x_max) per lane: f and g return the grid's shape and are finite
+    (else ConstructionError at once), f is non-decreasing from [0, y_max]
+    into [0, x_max], g non-decreasing from [0, x_max] into [0, y_max] with
+    g' > 0 at the interior points of lanes[:strict], and F and G are
+    finite with F' = f and G' = g by central differences at 19 points of
+    [0.05, 0.95] of the range, to 1e-5 relative to |f| or |g| floored at
+    1e-3 (F on the lanes with y_max > 0). A NaN fails every comparison."""
 
-def validate_system(sys: ScalarSystem) -> None:
-    """Grid checks of the system invariants; raises ConstructionError.
-
-    Every comparison is written so that a NaN fails it."""
-    label = f"system {sys.name or '<anonymous>'}: "
-    if not 0.0 < sys.x_max < np.inf:
-        raise ConstructionError(label + f"x_max must be positive and finite, got {sys.x_max}")
-    xs = np.linspace(0.0, sys.x_max, _GRID_N)
-    ys = np.linspace(0.0, sys.y_max, _GRID_N)
-    gx = np.asarray(sys.g(xs), dtype=float)
-    fy = np.asarray(sys.f(ys), dtype=float)
-    for name, vals in (("f", fy), ("g", gx)):
-        if vals.shape != xs.shape:
+    def samples(name, fn, grid):
+        vals = np.asarray(fn(grid, lanes), dtype=float)
+        if vals.shape != grid.shape:
             raise ConstructionError(label + f"{name} returns shape {vals.shape} "
-                                    f"on a grid of shape {xs.shape}")
-    if not (np.all(np.isfinite(gx)) and np.all(np.isfinite(fy))):
-        # y_max = g(x_max) is among the samples, and F and G are not
-        # worth checking (a tabulated one cannot even be built)
-        raise ConstructionError(label + "f or g is not finite on its grid")
+                                    f"on a grid of shape {grid.shape}")
+        if not np.all(np.isfinite(vals)):
+            # a tabulated F or G could not even be built
+            raise ConstructionError(label + f"{name} is not finite on its grid")
+        return vals
+
+    xs = np.tile(np.linspace(0.0, x_max, n), (len(lanes), 1))
+    gx = samples("g", g, xs)
+    y_max = gx[:, -1]
+    ys = np.linspace(0.0, y_max, n, axis=1)
+    fy = samples("f", f, ys)
 
     problems = []
-    if not abs(sys.y_max - float(sys.g(sys.x_max))) <= 1e-12:
-        problems.append("y_max != g(x_max)")
     if not np.min(np.diff(fy)) >= -1e-9:
         problems.append("f is decreasing somewhere on [0, y_max]")
     if not np.min(np.diff(gx)) >= -1e-9:
         problems.append("g is decreasing somewhere on [0, x_max]")
     # strict increase via the analytic slope, whose zeros may only sit at
     # the domain endpoints
-    if not np.min(np.asarray(sys.g_prime(xs[1:-1]), dtype=float)) > 0.0:
+    if not np.min(np.asarray(g_prime(xs[:strict, 1:-1], lanes[:strict]), dtype=float)) > 0.0:
         problems.append("g' is not positive on the interior of [0, x_max]")
-    if not (np.min(fy) >= -_CLAMP_TOL and np.max(fy) <= sys.x_max + _CLAMP_TOL):
+    if not (np.min(fy) >= -_CLAMP_TOL and np.max(fy) <= x_max + _CLAMP_TOL):
         problems.append("f does not map [0, y_max] into [0, x_max]")
-    if not (np.min(gx) >= -_CLAMP_TOL and np.max(gx) <= sys.y_max + _CLAMP_TOL):
+    if not (np.min(gx) >= -_CLAMP_TOL and np.all(gx <= y_max[:, None] + _CLAMP_TOL)):
         problems.append("g does not map [0, x_max] into [0, y_max]")
 
-    # F and G finite on the grids, F' = f and G' = g
-    def check_anti(anti, fn, grid, name):
-        if not np.all(np.isfinite(np.asarray(anti(grid), dtype=float))):
+    for name, anti, fn, grid in (("F", F, f, ys), ("G", G, g, xs)):
+        keep = grid[:, -1] > 0.0
+        if not np.any(keep):
+            continue
+        p, hi = lanes[keep], grid[keep, -1:]
+        if not np.all(np.isfinite(np.asarray(anti(grid[keep], p), dtype=float))):
             problems.append(f"{name} is not finite on its grid")
-        err = antiderivative_error(anti, fn, grid[-1])
+        pts, step = np.linspace(0.05, 0.95, 19) * hi, 1e-6 * hi
+        fd = (np.asarray(anti(pts + step, p)) - np.asarray(anti(pts - step, p))) / (2 * step)
+        ref = np.asarray(fn(pts, p), dtype=float)
+        err = float(np.max(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-3)))
         if not err <= 1e-5:
             problems.append(f"{name}' vs {name.lower()} mismatch: max rel err {err:.2e}")
+    return problems
 
-    if sys.y_max > 0:
-        check_anti(sys.F, sys.f, ys, "F")
-    check_anti(sys.G, sys.g, xs, "G")
 
+def validate_system(sys: ScalarSystem) -> None:
+    """Grid checks of the system invariants; raises ConstructionError.
+
+    x_max > 0 finite and y_max = g(x_max), to 1e-12, are checked first, as
+    the grids are built on them; then the checks of a slice (_lane_problems)
+    on one lane of _GRID_N points."""
+    label = f"system {sys.name or '<anonymous>'}: "
+    if not 0.0 < sys.x_max < np.inf:
+        raise ConstructionError(label + f"x_max must be positive and finite, got {sys.x_max}")
+    if not abs(sys.y_max - float(sys.g(sys.x_max))) <= 1e-12:
+        raise ConstructionError(label + "y_max != g(x_max)")
+    f, g, g_prime, F, G = (lambda x, _, fn=fn: fn(x)
+                           for fn in (sys.f, sys.g, sys.g_prime, sys.F, sys.G))
+    problems = _lane_problems(label, f, g, g_prime, F, G, sys.x_max, np.zeros((1, 1)), _GRID_N)
     if problems:
         raise ConstructionError(label + "; ".join(problems))
 

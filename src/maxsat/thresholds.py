@@ -33,12 +33,11 @@ import numpy as np
 
 from . import recursion
 from .errors import (ConstructionError, DomainError, NonConvergenceError,
-                     ThresholdUndefinedError)
+                     NumericError, ThresholdUndefinedError)
 from .numerics import _check_tol, bisect_root
 from .potential import ROUNDING_ULPS, MinimizeResult, minimize_potential
 from .recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig, ScalarSystem,
-                        _analysis_grid, antiderivative_error, make_system,
-                        tabulated_integral)
+                        _analysis_grid, make_system, tabulated_integral)
 
 __all__ = [
     "ParamSystem",
@@ -206,65 +205,38 @@ class ParamSystem:
 
 
 def validate_param_system(psys: ParamSystem) -> None:
-    """Grid admissibility checks for a family; raises ConstructionError.
+    """Grid admissibility checks for a family; raises one ConstructionError
+    listing every failure.
 
-    On the 201 x 9 grid of [0, x_max] x [0, eps_max] (_grid): f and g
-    non-decreasing in x and eps, g_x > 0 at interior points, F_eps and
-    G_eps non-negative and non-decreasing in x, and on each eps lane
-    F_x = f on [0, g(x_max; eps)] and G_x = g on [0, x_max] by central
-    differences, as in validate_system (antiderivative_error). Non-finite
-    samples of f, g, F_eps, G_eps, or of h_eps on the interior x > 0,
-    eps > 0, fail, and so does a NaN slope. proper and
+    Each of the 9 eps lanes of the 201 x 9 grid of [0, x_max] x
+    [0, eps_max] (_grid) must pass the checks of a slice, the ones
+    validate_system runs on one lane (recursion._lane_problems), except
+    that g_x may vanish on the eps = eps_max lane (e.g. a fully erased
+    channel). Across the lanes, on the grid itself: f and g non-decreasing
+    in eps, F_eps and G_eps finite, non-negative and non-decreasing in x,
+    and h_eps finite on the interior x > 0, eps > 0. proper and
     zero_is_fixed_point are measured on the same grid, not checked.
     """
-    problems = []
     X, E = _grid(psys)
-
     label = f"family {psys.name or '<anonymous>'}: "
-    gx = np.asarray(psys.g(X, E), dtype=float)
-    fx = np.asarray(psys.f(X, E), dtype=float)
-    for name, vals in (("f", fx), ("g", gx)):
-        if vals.shape != X.shape:
-            raise ConstructionError(label + f"{name} returns shape {vals.shape} "
-                                    f"on a grid of shape {X.shape}")
+    problems = recursion._lane_problems(label, psys.f, psys.g, psys.g_x, psys.F, psys.G,
+                                        psys.x_max, E[0][:, None], X.shape[0], strict=-1)
+
     # a constant partial may come back as a float
     fe = np.broadcast_to(np.asarray(psys.F_eps(X, E), dtype=float), X.shape)
     ge = np.broadcast_to(np.asarray(psys.G_eps(X, E), dtype=float), X.shape)
     he = np.asarray(psys.h_eps(X[1:, 1:], E[1:, 1:]), dtype=float)
-    # NaN passes every `<` test below, so non-finite samples fail first
-    for name, vals in (("f", fx), ("g", gx), ("F_eps", fe), ("G_eps", ge), ("h_eps", he)):
+    for name, vals in (("F_eps", fe), ("G_eps", ge), ("h_eps", he)):
         if not np.all(np.isfinite(vals)):
-            raise ConstructionError(label + f"{name} is not finite on the grid")
-
-    if np.min(np.diff(gx, axis=0)) < -1e-9:
-        problems.append("g decreasing in x")
-    # strict increase via the analytic slope at interior points; the slope
-    # may vanish at the x-endpoints and exactly at eps_max (e.g. a fully
-    # erased channel), so those are excluded
-    gxp = np.asarray(psys.g_x(X[1:-1, :-1], E[1:-1, :-1]), dtype=float)
-    if not np.min(gxp) > 0.0:
-        problems.append("g' not positive on the interior grid")
-    if np.min(np.diff(fx, axis=0)) < -1e-9:
-        problems.append("f decreasing in x")
-    if np.min(np.diff(gx, axis=1)) < -1e-9:
-        problems.append("g decreasing in eps")
-    if np.min(np.diff(fx, axis=1)) < -1e-9:
-        problems.append("f decreasing in eps")
-
+            problems.append(f"{name} is not finite on the grid")
+    for name, fn in (("g", psys.g), ("f", psys.f)):
+        if not np.min(np.diff(np.asarray(fn(X, E), dtype=float), axis=1)) >= -1e-9:
+            problems.append(f"{name} decreasing in eps")
+    # a NaN of F_eps or G_eps passes these two, having failed above
     if np.min(fe) < -1e-9 or np.min(ge) < -1e-9:
         problems.append("F_eps or G_eps negative")
     if np.min(np.diff(fe, axis=0)) < -1e-9 or np.min(np.diff(ge, axis=0)) < -1e-9:
         problems.append("F_eps or G_eps decreasing in x")
-
-    # F_x = f and G_x = g on each eps lane; F only where its y-range
-    # [0, g(x_max; eps)] is not empty
-    es, y_hi = E[0][:, None], gx[-1][:, None]
-    keep = y_hi[:, 0] > 0.0
-    for name, anti, fn, hi, lane in (("F", psys.F, psys.f, y_hi[keep], es[keep]),
-                                     ("G", psys.G, psys.g, np.full_like(es, psys.x_max), es)):
-        err = antiderivative_error(lambda y: anti(y, lane), lambda y: fn(y, lane), hi)
-        if not err <= 1e-5:
-            problems.append(f"{name}_x vs {name.lower()} mismatch: max rel err {err:.2e}")
 
     if problems:
         raise ConstructionError(label + "; ".join(problems))
@@ -626,27 +598,29 @@ def psi_exit(psys: ParamSystem, eps: float) -> float:
 
 
 def _refine_jumps(psys: ParamSystem, es, xbars) -> list:
-    """Bisect each cell of es while it is wider than 1e-6 in eps and the
-    largest minimizers at its ends (xbars, then _CURVE_GRID_N-point ones at
-    the midpoints) differ by more than 0.01; a midpoint more than 0.01 from
-    the left end becomes the right end. Returns the midpoints of the cells
-    that keep that gap, in order. The premise: x_bar_star does not decrease
-    in eps (Topkis's theorem where g does not depend on eps, as U_s' =
-    (x - h) g' then does not increase in eps; measured on ldgm), so a cell
-    whose ends differ by at most 0.01 holds no jump above 0.01."""
+    """Bisect every cell of es, and every half of one, whose ends' largest
+    minimizers (xbars, then _CURVE_GRID_N-point ones at the midpoints)
+    differ by more than 0.01 until it is 1e-6 wide in eps; returns, in
+    order, the midpoints of the cells that keep that gap. The premise:
+    x_bar_star does not decrease in eps (Topkis's theorem where g does not
+    depend on eps, as U_s' = (x - h) g' then does not increase in eps;
+    measured on ldgm), so a cell whose ends differ by at most 0.01 holds
+    no jump above 0.01, while a continuous rise ahead of a jump hides
+    none."""
     jumps = []
-    for i in range(len(es) - 1):
-        a, b = float(es[i]), float(es[i + 1])
-        xa, xb = xbars[i], xbars[i + 1]
-        while b - a > _JUMP_EPS_TOL and abs(xb - xa) > _JUMP_SIZE:
-            m = 0.5 * (a + b)
-            xm = x_bar_star(psys, m, _CURVE_GRID_N)
-            if abs(xm - xa) > _JUMP_SIZE:
-                b, xb = m, xm
-            else:
-                a, xa = m, xm
-        if abs(xb - xa) > _JUMP_SIZE:
-            jumps.append(0.5 * (a + b))
+    # a stack with each left half on top: cells come off in eps order
+    cells = [(float(es[i]), float(es[i + 1]), xbars[i], xbars[i + 1])
+             for i in reversed(range(len(es) - 1))]
+    while cells:
+        a, b, xa, xb = cells.pop()
+        if not abs(xb - xa) > _JUMP_SIZE:
+            continue
+        m = 0.5 * (a + b)
+        if b - a <= _JUMP_EPS_TOL:
+            jumps.append(m)
+            continue
+        xm = x_bar_star(psys, m, _CURVE_GRID_N)
+        cells += [(m, b, xm, xb), (a, m, xa, xm)]
     return jumps
 
 
@@ -655,8 +629,8 @@ def psi_integral(psys: ParamSystem, eps: float) -> float:
     on the slopes u_eps at the x_stars of map_exit_curve over an eps grid of
     [0, eps] with steps of at most 1e-3. A cell holding a jump j is split
     there, so the slope is not averaged across it: [e_i, j] takes the slope
-    at e_i and [j, e_(i+1)] the slope at e_(i+1). DomainError for eps
-    outside [0, eps_max] or a NaN."""
+    at e_i and [j, e_(i+1)] the slope at e_(i+1); NumericError for a cell
+    holding two jumps. DomainError for eps outside [0, eps_max] or a NaN."""
     if _check_eps(psys, eps) == 0.0:
         return 0.0
     n = max(int(math.ceil(eps / _JUMP_SCAN_STEP)) + 1, 2)
@@ -664,8 +638,11 @@ def psi_integral(psys: ParamSystem, eps: float) -> float:
     es = curve.eps
     slopes = np.asarray(psys.u_eps(curve.x_stars, es), dtype=float)
     cells = 0.5 * (slopes[:-1] + slopes[1:]) * np.diff(es)
-    for j in curve.jumps:
-        i = int(np.searchsorted(es, j)) - 1
+    where = (np.searchsorted(es, curve.jumps) - 1).tolist()
+    if len(set(where)) < len(where):
+        raise NumericError(f"two jumps of the largest minimizer in one cell of "
+                           f"psi_integral's grid of [0, {eps}]")
+    for i, j in zip(where, curve.jumps):
         cells[i] = slopes[i] * (j - es[i]) + slopes[i + 1] * (es[i + 1] - j)
     return float(np.sum(cells))
 
@@ -706,8 +683,11 @@ class MapExitCurve:
 def map_exit_curve(psys: ParamSystem, eps_grid) -> MapExitCurve:
     """EXIT functional at the largest potential minimizer, found on the
     _CURVE_GRID_N-point grid, over an eps-grid, with jumps above 0.01 located
-    to 1e-6 between adjacent grid points (_refine_jumps)."""
+    to 1e-6 between adjacent grid points (_refine_jumps). DomainError for a
+    grid that decreases anywhere."""
     es = np.asarray(eps_grid, dtype=float)
+    if np.any(np.diff(es) < 0.0):
+        raise DomainError("map_exit_curve needs an eps grid in ascending order")
     xbars = np.array([x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es])
     # the fallback's constant partials may come back as a float
     ex = np.broadcast_to(np.asarray(psys.exit_value(xbars, es), dtype=float), es.shape)

@@ -432,6 +432,37 @@ class TestConfigErrors:
         p.write_text("{nope")
         assert main(["potential-curve", "--config", str(p)]) == 2
 
+    def test_unreadable_config(self, tmp_path, capsys):
+        # a directory cannot be read as a file
+        assert main(["thresholds", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1]", "config must be a JSON object"),
+        ('{"system": {"type": "example", "id": 1}, "command": 3}', '"command" must be an object'),
+        ('{"system": {"type": "example", "id": 1}, "command": {"format": "xml"}}',
+         "unknown format 'xml'"),
+    ], ids=["not-an-object", "command-not-an-object", "format"])
+    def test_config_shape_errors(self, tmp_path, capsys, text, message):
+        p = tmp_path / "c.json"
+        p.write_text(text)
+        assert main(["potential-curve", "--config", str(p)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_unknown_injected_bug(self, capsys):
+        assert main(["verify", "--inject-bug", "flipped-sign"]) == 2
+        assert capsys.readouterr().err == "config error: unknown injected bug 'flipped-sign'\n"
+
+    def test_numeric_error_exits_3(self, tmp_path, capsys):
+        # at sigma2 = 1e-10 the two-point f is too steep for the tabulated
+        # antiderivative to reach its error bound
+        cfg = write_cfg(tmp_path, "c.json", {"system": {
+            "type": "cs", "prior": "two_point", "sigma2": 1e-10, "delta": 0.3}})
+        out = tmp_path / "curve.csv"
+        assert main(["potential-curve", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric error: antiderivative table: ")
+        assert not out.exists()
+
     def test_bad_degree_distribution(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json",
                         {"system": {"type": "ldpc", "lambda": "0.9 x",

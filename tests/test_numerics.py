@@ -91,6 +91,10 @@ class TestPolynomial:
         with pytest.raises(DomainError):
             parse_polynomial(bad)
 
+    def test_parse_rejects_exponent_without_variable(self):
+        with pytest.raises(DomainError, match=r"^exponent without variable in term ' 2\^3'$"):
+            parse_polynomial("x + 2^3")
+
 
 class TestSolvers:
     def test_bisect_root_sqrt2(self):
@@ -100,6 +104,11 @@ class TestSolvers:
     def test_bisect_root_needs_bracket(self):
         with pytest.raises(DomainError):
             bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("solver", [bisect_root, golden_min])
+    def test_reversed_bracket_rejected(self, solver):
+        with pytest.raises(DomainError, match=r"^invalid bracket \[1\.0, 0\.0\]$"):
+            solver(lambda x: x - 0.5, 1.0, 0.0)
 
     def test_golden_min_parabola(self):
         x = golden_min(lambda t: (t - 0.3) ** 2, 0.0, 1.0, 1e-10)

@@ -1,4 +1,3 @@
-import functools
 import math
 import types
 
@@ -6,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from maxsat.errors import UnsupportedOperationError
+from maxsat.errors import ShapeError, UnsupportedOperationError
 from maxsat.invariants import (
     gradient_matches_fd,
     hessian_within_K,
@@ -205,6 +204,11 @@ class TestMinimize:
 
 
 class TestCoupledPotential:
+    @pytest.mark.parametrize("fn", [U_c, grad_Uc])
+    def test_profile_length_must_be_M(self, ex1, fn):
+        with pytest.raises(ShapeError, match=r"^profile length \(5,\) does not match M=11$"):
+            fn(ex1, CouplingSpec(9, 3), np.zeros(5))
+
     def test_constant_vector_identity(self, ex1):
         assert uc_on_constant_profiles(ex1, CouplingSpec(9, 3), np.random.default_rng(6), 30)
 
@@ -270,6 +274,12 @@ class TestConstants:
                         f_prime_sup=1.0, g_prime_sup=1.0, g_second_sup=0.0)
         assert K_fg_bound(s) == 2.0
 
+    def test_K_needs_g_second(self, ex1):
+        bare = make_system(f=ex1.f, g=ex1.g, x_max=1.0, F=ex1.F, G=ex1.G)
+        with pytest.raises(UnsupportedOperationError,
+                           match="^K_fg_bound needs g'' or a closed-form sup$"):
+            K_fg_bound(bare)
+
     def test_grid_fallback_inflates(self, ex1):
         bare = make_system(f=ex1.f, g=ex1.g, x_max=1.0, f_prime=ex1.f_prime,
                            g_prime=ex1.g_prime, g_second=ex1.g_second,
@@ -320,6 +330,12 @@ def test_report_on_tabulated_two_point_system():
     assert abs(float(U_s(s, s.x_max)) - direct(s.x_max)) <= 1e-8
 
 
+def sqrt_system():
+    return make_system(f=np.sqrt, g=lambda x: 1.0 * x, x_max=1.0,
+                       g_prime=lambda x: 1.0 + 0.0 * x,
+                       F=lambda y: (2.0 / 3.0) * y**1.5, G=lambda x: 0.5 * x * x)
+
+
 class TestFiniteWConditions:
     def test_example1_stability(self, ex1):
         assert check_finite_w_conditions(ex1) is FiniteWCondition.FINITE_BY_STABILITY
@@ -335,9 +351,7 @@ class TestFiniteWConditions:
         # h(x) = sqrt(x): fixed points 0 and 1, U_s = x^2/2 - (2/3) x^(3/2)
         # is minimal only at x_max = 1, so the descent window above the
         # minimizer is empty and no fixed point lies above it
-        s = make_system(f=np.sqrt, g=lambda x: 1.0 * x, x_max=1.0,
-                        g_prime=lambda x: 1.0 + 0.0 * x,
-                        F=lambda y: (2.0 / 3.0) * y**1.5, G=lambda x: 0.5 * x * x)
+        s = sqrt_system()
         assert minimize_Us(s).minimizers == (1.0,)
         assert check_finite_w_conditions(s) is FiniteWCondition.FINITE_BY_GAP
 
@@ -361,11 +375,15 @@ class TestSingleScan:
 
     @pytest.mark.parametrize("fn", [
         potential_report, energy_gap_delta, check_finite_w_conditions, w0_bound,
-        # gamma = 1 gets past strict descent to the fixed-point isolation test
-        functools.partial(check_finite_w_conditions, gamma=1.0),
     ])
     def test_one_scan_per_analysis(self, scans, ex2, fn):
         fn(ex2)
+        assert len(scans) == 1
+
+    def test_one_scan_through_the_isolation_test(self, scans):
+        # h(x) = sqrt(x) has an empty descent window above its minimizer
+        # x_max, so the classification reads the fixed points
+        assert check_finite_w_conditions(sqrt_system()) is FiniteWCondition.FINITE_BY_GAP
         assert len(scans) == 1
 
     def test_minimize_keeps_fixed_points(self, ex2):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from maxsat.recursion import (
     translate_system,
     uncoupled_fixed_point,
     uncoupled_step,
+    validate_system,
 )
 from maxsat.potential import U_s, minimize_potential
 from maxsat.systems import (
@@ -179,6 +181,12 @@ class TestCouplingOperators:
             CouplingSpec(0, 2)
         with pytest.raises(ConstructionError):
             IterationConfig(tol=-1.0)
+        with pytest.raises(ConstructionError, match="^max_iters must be >= 1$"):
+            IterationConfig(max_iters=0)
+
+    def test_profile_length_must_be_M(self):
+        with pytest.raises(ShapeError, match=r"^profile length \(4,\) does not match M=3$"):
+            CoupledProfile(np.zeros(4), CouplingSpec(2, 2))
 
 
 class TestCoupledStep:
@@ -568,6 +576,14 @@ def test_make_system_rejects_decreasing_g():
 def test_make_system_fails_closed(kwargs, match):
     with pytest.raises(ConstructionError, match=match):
         make_system(**kwargs)
+
+
+def test_validate_system_checks_y_max():
+    # y_max must be g(x_max), which make_system sets and a replaced field
+    # need not keep
+    bad = dataclasses.replace(example1_system(), y_max=1.5)
+    with pytest.raises(ConstructionError, match=r"^system ldpc@eps=0\.97: y_max != g\(x_max\)$"):
+        validate_system(bad)
 
 
 def test_make_system_fd_and_quadrature_fallbacks():

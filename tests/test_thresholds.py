@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
-                           ThresholdUndefinedError)
+                           NumericError, ThresholdUndefinedError)
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
 from maxsat.recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig,
                               coupled_fixed_point, fixed_points_of,
@@ -136,7 +137,7 @@ def test_validate_rejects_constant_map(gldpc31, name):
 
 @pytest.mark.parametrize("name,match", [
     ("f", "f is not finite"), ("g", "g is not finite"), ("F_eps", "F_eps is not finite"),
-    ("G_eps", "G_eps is not finite"), ("g_x", "g' not positive"),
+    ("G_eps", "G_eps is not finite"), ("g_x", "g' is not positive"),
     ("g_eps", "h_eps is not finite"),
 ], ids=["f", "g", "F_eps", "G_eps", "g_x", "g_eps"])
 def test_validate_rejects_nan_samples(ldpc8, name, match):
@@ -150,8 +151,8 @@ def test_validate_rejects_nan_samples(ldpc8, name, match):
 
 
 @pytest.mark.parametrize("name,wrong,match", [
-    ("F", lambda F: lambda x, e: 1.5 * F(x, e), "F_x vs f"),
-    ("G", lambda G: lambda x, e: G(x, e) + 0.1 * x * x, "G_x vs g"),
+    ("F", lambda F: lambda x, e: 1.5 * F(x, e), "F' vs f"),
+    ("G", lambda G: lambda x, e: G(x, e) + 0.1 * x * x, "G' vs g"),
 ], ids=["F", "G"])
 def test_validate_rejects_wrong_antiderivative(ldpc8, name, wrong, match):
     # either one alone moves eps_c from 0.62193 to 0.4146 (F) or 0.2318 (G)
@@ -172,11 +173,17 @@ def linear_family(**planted):
     return ParamSystem(**{**fields, **planted})
 
 
+# g dips on (1/6, 1/2) and rises to its maximum g(1) = 1, so it stays in
+# [0, g(x_max)]; f falls in x and stays in [0, x_max]
+G_DIPS = ("g is decreasing somewhere on [0, x_max]",
+          dict(g=lambda x, e: x * (1.0 - 2.0 * x) ** 2,
+               G=lambda x, e: 0.5 * x * x - 4.0 / 3.0 * x ** 3 + x ** 4))
+F_FALLS = ("f is decreasing somewhere on [0, y_max]",
+           dict(f=lambda x, e: e * (1.0 - x), F=lambda x, e: e * (x - 0.5 * x * x)))
+
+
 @pytest.mark.parametrize("message,planted", [
-    ("g decreasing in x", dict(g=lambda x, e: x - 0.75 * x * x,
-                               G=lambda x, e: 0.5 * x * x - 0.25 * x ** 3)),
-    ("f decreasing in x", dict(f=lambda x, e: e * (1.0 - x),
-                               F=lambda x, e: e * (x - 0.5 * x * x))),
+    G_DIPS, F_FALLS,
     ("g decreasing in eps", dict(g=lambda x, e: (1.0 - 0.5 * e) * x,
                                  G=lambda x, e: (0.5 - 0.25 * e) * x * x)),
     ("f decreasing in eps", dict(f=lambda x, e: (1.0 - e) * x,
@@ -189,8 +196,48 @@ def test_validate_rejects_each_monotonicity_defect(message, planted):
     # error carries that one message (the eps-partials are not checked
     # against f and g, so they stay as they were)
     validate_param_system(linear_family())
-    with pytest.raises(ConstructionError, match=rf"^family linear: {message}$"):
+    with pytest.raises(ConstructionError, match=rf"^family linear: {re.escape(message)}$"):
         validate_param_system(linear_family(**planted))
+
+
+def _nan_where(fn):
+    """fn with NaN on the middle of [0, 1], so every lane's grid, and
+    x_max, where validate_system reads y_max, keep finite values too."""
+    return lambda x, e: np.where(np.abs(x - 0.5) < 0.25, np.nan, fn(x, e))
+
+
+@pytest.mark.parametrize("message,planted", [
+    ("f is not finite on its grid", dict(f=_nan_where(lambda x, e: e * x))),
+    ("g is not finite on its grid", dict(g=_nan_where(lambda x, e: 1.0 * x))),
+    F_FALLS, G_DIPS,
+    ("g' is not positive on the interior of [0, x_max]", dict(g_x=lambda x, e: 0.0)),
+    # f = 1.5 eps x with its partials: the slices past eps = 2/3 leave
+    # [0, x_max], and so did coupled runs of a family admitted without it
+    ("f does not map [0, y_max] into [0, x_max]",
+     dict(f=lambda x, e: 1.5 * e * x, f_x=lambda x, e: 1.5 * e, f_eps=lambda x, e: 1.5 * x,
+          F=lambda x, e: 0.75 * e * x * x, F_eps=lambda x, e: 0.75 * x * x)),
+    # non-decreasing, but g(0) < 0
+    ("g does not map [0, x_max] into [0, y_max]", dict(g=lambda x, e: x - 0.1,
+                                                       G=lambda x, e: 0.5 * x * x - 0.1 * x)),
+    ("F is not finite on its grid; F' vs f mismatch: max rel err nan",
+     dict(F=_nan_where(lambda x, e: 0.5 * e * x * x))),
+    ("G is not finite on its grid; G' vs g mismatch: max rel err nan",
+     dict(G=_nan_where(lambda x, e: 0.5 * x * x))),
+    ("F' vs f mismatch: max rel err 5.00e-01", dict(F=lambda x, e: 0.75 * e * x * x)),
+    ("G' vs g mismatch: max rel err 2.00e-01", dict(G=lambda x, e: 0.6 * x * x)),
+], ids=["f-nan", "g-nan", "f-decreasing", "g-decreasing", "g_x",
+        "f-range", "g-range", "F-nan", "G-nan", "F", "G"])
+def test_both_validators_share_each_slice_check(message, planted):
+    # the planted defect shows on the eps = 1 lane of the family and on
+    # its slice there, and both validators report it, and it alone, in
+    # the same words (test_validate_rejects_constant_map and
+    # test_make_system_fails_closed reach the shape checks of each)
+    family = linear_family(**planted)
+    with pytest.raises(ConstructionError, match=rf"^family linear: {re.escape(message)}$"):
+        validate_param_system(family)
+    with pytest.raises(ConstructionError,
+                       match=rf"^system linear@eps=1: {re.escape(message)}$"):
+        family.at_eps(1.0, validate=True)
 
 
 class TestSingleAndStability:
@@ -238,6 +285,22 @@ class TestSingleAndStability:
     def test_eps_stab_undefined_for_ldgm(self, ldgm9):
         with pytest.raises(ThresholdUndefinedError):
             eps_stab(ldgm9)
+
+    def test_unstable_zero_at_eps_0(self):
+        # h = (2 + eps) x: 0 is a fixed point, unstable already at eps = 0
+        psys = linear_family(f=lambda x, e: (2.0 + e) * x, f_x=lambda x, e: 2.0 + e,
+                             F=lambda x, e: (1.0 + 0.5 * e) * x * x)
+        with pytest.raises(ThresholdUndefinedError, match="^0 unstable already at eps = 0$"):
+            eps_stab(psys)
+
+    def test_potential_negative_at_eps_0(self, ldpc8):
+        # ldpc8 on eps in [0.9, 1], past its Maxwell threshold 0.6219
+        late = dataclasses.replace(ldpc8, **{
+            name: (lambda fn: lambda x, e: fn(x, 0.9 + 0.1 * e))(getattr(ldpc8, name))
+            for name in ("f", "f_x", "F")})
+        with pytest.raises(ThresholdUndefinedError,
+                           match="^potential already negative at eps = 0$"):
+            eps_c(late)
 
     def test_no_degree_two_bits_means_stab_one(self):
         psys = ldpc_system("x^3", "x^3")  # lam'(0) = 0
@@ -334,6 +397,17 @@ class TestFixedPointCurve:
         with pytest.raises(DomainError):
             eps_of_x(generic, 0.005)
 
+    @pytest.mark.parametrize("x", [0.0, 1.5])
+    def test_eps_of_x_needs_x_in_the_domain(self, ldpc8, x):
+        with pytest.raises(DomainError, match=r"^eps_of_x needs x in \(0, x_max\]$"):
+            eps_of_x(ldpc8, x)
+
+    def test_eps_prime_needs_positive_h_eps(self, ldpc8):
+        flat = dataclasses.replace(ldpc8, f_eps=lambda x, e: 0.0)
+        with pytest.raises(DomainError,
+                           match="^h_eps <= 0: the family is not proper at this point$"):
+            eps_prime_of_x(flat, 0.5)
+
     def test_eps_of_x_identity_on_minimizers(self, ldpc8):
         for e in (0.64, 0.68, 0.75):
             xb = x_bar_star(ldpc8, e)
@@ -376,6 +450,10 @@ class TestFixedPointCurve:
     def test_q_integral_degenerate_interval(self, ldpc8):
         d, i = Q_integral_check(ldpc8, 0.4, 0.4)
         assert d == 0.0 and i == 0.0
+
+    def test_q_integral_rejects_reversed_interval(self, ldpc8):
+        with pytest.raises(DomainError, match="^need x1 <= x2$"):
+            Q_integral_check(ldpc8, 0.5, 0.4)
 
     def test_q_integral_rejects_interval_outside_domain(self, gldpc31):
         with pytest.raises(DomainError):
@@ -423,6 +501,13 @@ class TestMaxwell:
         with pytest.raises(ThresholdUndefinedError, match="0 is not a fixed point"):
             maxwell_threshold(ldgm9)
 
+    def test_no_root_of_a_negative_Q(self, gldpc31):
+        # G shifted up by 1 puts Q = x g / 2 - G below 0 on the whole
+        # fixed-point domain, which does not reach 0 on gldpc
+        shifted = dataclasses.replace(gldpc31, G=lambda x, e: gldpc31.G(x, e) + 1.0)
+        with pytest.raises(ThresholdUndefinedError, match="^fixed-point potential has no root$"):
+            maxwell_threshold(shifted)
+
     def test_isi_dual_route(self, isi36):
         assert abs(eps_c(isi36) - maxwell_threshold(isi36)) <= 1e-6
 
@@ -456,6 +541,19 @@ class TestEnvelopeIntegral:
 
     def test_integral_to_zero_is_zero(self, ldpc8):
         assert psi_integral(ldpc8, 0.0) == 0.0
+
+    def test_two_jumps_in_one_cell_raise(self, ldpc8, monkeypatch):
+        # the slope between two jumps of one 1e-3 cell is not on the curve
+        import maxsat.thresholds as thr
+        real = thr.map_exit_curve
+
+        def two_jumps(psys, es):
+            crv = real(psys, es)
+            return dataclasses.replace(crv, jumps=(crv.jumps[0], crv.jumps[0] + 1e-5))
+
+        monkeypatch.setattr(thr, "map_exit_curve", two_jumps)
+        with pytest.raises(NumericError, match="^two jumps of the largest minimizer in one cell"):
+            psi_integral(ldpc8, 0.63)
 
 
 class TestExitCurves:
@@ -503,7 +601,7 @@ class TestExitCurves:
         assert abs(direct) <= 1e-4
 
 
-def parent_refine_jumps(psys, es, xbars):
+def one_path_refine_jumps(psys, es, xbars):
     """The jump rule before the bracket test, kept to compare against: each
     cell whose ends differ by more than 0.01 is bisected down to 1e-6 in
     eps, every midpoint compared with the cell's first value."""
@@ -575,12 +673,35 @@ class TestMapJumps:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_jumps_equal_parent_rule(self, request, seed):
+        # the one-path rule's jumps, bit for bit, and any other jump it
+        # lost (seed 0 holds ldpc8's jump near 0.7230, which it misses) is
+        # one: the largest minimizers 1e-6 apart across it differ by over 0.01
         rng = np.random.default_rng(7000 + seed)
         psys = request.getfixturevalue(FAMILIES[seed % len(FAMILIES)])
         lo = rng.uniform(0.0, 0.8 * psys.eps_max)
         hi = min(lo + rng.uniform(0.1, 0.5) * psys.eps_max, psys.eps_max)
         crv = map_exit_curve(psys, np.linspace(lo, hi, int(rng.integers(5, 31))))
-        assert list(crv.jumps) == parent_refine_jumps(psys, crv.eps, crv.x_stars)
+        assert set(one_path_refine_jumps(psys, crv.eps, crv.x_stars)) <= set(crv.jumps)
+        for j in crv.jumps:
+            step = 0.5 * _JUMP_EPS_TOL
+            rise = (x_bar_star(psys, j + step, _CURVE_GRID_N)
+                    - x_bar_star(psys, j - step, _CURVE_GRID_N))
+            assert rise > _JUMP_SIZE
+
+    @pytest.mark.parametrize("which, jumps", [("ldpc8", [0.6219, 0.7230]),
+                                              ("ldgm9", [0.5074])])
+    def test_rise_before_a_jump_keeps_it(self, request, which, jumps):
+        # on 5 points of [0.377, 0.808] x_bar_star rises continuously by
+        # more than 0.01 ahead of ldpc8's jump near 0.7230 (0.2249 at
+        # 0.7003, 0.2622 at 0.7229, 0.6771 at 0.7231), and of ldgm9's near
+        # 0.5074; a bracket that closed to the left of the rise lost both
+        psys = request.getfixturevalue(which)
+        crv = map_exit_curve(psys, np.linspace(0.377, 0.808, 5))
+        assert crv.jumps == pytest.approx(jumps, abs=1e-4)
+
+    def test_descending_grid_raises(self, ldpc8):
+        with pytest.raises(DomainError, match="^map_exit_curve needs an eps grid in ascending order$"):
+            map_exit_curve(ldpc8, np.linspace(1.0, 0.0, 21))
 
     @pytest.mark.parametrize("eps", [-0.1, 1.5, float("nan")])
     @pytest.mark.parametrize("entry", [

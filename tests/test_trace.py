@@ -38,12 +38,14 @@ def test_tracer_counts_analysis_layers():
         maxsat.potential.potential_report(ex1)
         maxsat.thresholds.map_exit_curve(ldpc8(), [0.5, 0.7])
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    # one 1e4-point minimization for the report; two curve points and 18
-    # bisection steps of the jump near 0.622, each a 3000-point one
-    assert metrics["potential.minimize_calls"] == 21
-    assert metrics["potential.grid_points"] == 10**4 + 20 * 3000
+    # one 1e4-point minimization for the report; two curve points, 18
+    # bisection steps of the jump near 0.622 and 13 of the sub-cells of the
+    # continuous rise above it (0.10 to 0.22), searched until each rises by
+    # at most 0.01, each a 3000-point one
+    assert metrics["potential.minimize_calls"] == 34
+    assert metrics["potential.grid_points"] == 10**4 + 33 * 3000
     assert metrics["potential.fp_scans_per_report"] == 1.0
-    assert metrics["thresholds.xbar_evals"] == 20
+    assert metrics["thresholds.xbar_evals"] == 33
 
 
 def test_tracer_counts_threshold_search():
