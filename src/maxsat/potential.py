@@ -21,10 +21,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ShapeError, UnsupportedOperationError
+from .errors import UnsupportedOperationError
 from .numerics import golden_min
 from .recursion import (
     ANALYSIS_GRID_N,
+    CoupledProfile,
     CouplingSpec,
     ScalarSystem,
     _analysis_grid,
@@ -169,16 +170,9 @@ def minimize_Us(sys: ScalarSystem) -> MinimizeResult:
     return minimize_potential(lambda x: U_s(sys, x), sys.h, sys.x_max, sys.y_max)
 
 
-def _check_profile(spec: CouplingSpec, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (spec.M,):
-        raise ShapeError(f"profile length {arr.shape} does not match M={spec.M}")
-    return arr
-
-
 def U_c(sys: ScalarSystem, spec: CouplingSpec, values) -> float:
     """Coupled potential sum_i (g(x_i) x_i - G(x_i)) - sum_j F([A g(x)]_j)."""
-    x = _check_profile(spec, values)
+    x = CoupledProfile(values, spec).values
     gx = np.asarray(sys.g(x), dtype=float)
     z = apply_A(spec, gx)
     return float(np.sum(gx * x - np.asarray(sys.G(x), dtype=float))
@@ -187,7 +181,7 @@ def U_c(sys: ScalarSystem, spec: CouplingSpec, values) -> float:
 
 def grad_Uc(sys: ScalarSystem, spec: CouplingSpec, values) -> np.ndarray:
     """Gradient of U_c: entry k is g'(x_k) (x_k - [A^T f(A g(x))]_k)."""
-    x = _check_profile(spec, values)
+    x = CoupledProfile(values, spec).values
     gx = np.asarray(sys.g(x), dtype=float)
     hx = apply_At(spec, np.asarray(sys.f(apply_A(spec, gx)), dtype=float))
     return np.asarray(sys.g_prime(x), dtype=float) * (x - hx)

@@ -354,9 +354,9 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
     return sys
 
 
-def _lane_problems(label, f, g, g_prime, F, G, x_max, lanes, n, strict=None) -> list:
+def _lane_problems(label, f, g, g_prime, F, G, x_max, lanes, n, strict=None):
     """The checks of a slice, on K lanes at once; returns the messages of
-    the failed ones.
+    the failed ones and g on the lanes' x-grids, of shape (K, n).
 
     Each callable takes (x, p), x of shape (K', n) with row k on lane k's
     domain and p the matching rows of lanes, the (K, 1) column of the
@@ -412,7 +412,7 @@ def _lane_problems(label, f, g, g_prime, F, G, x_max, lanes, n, strict=None) -> 
         err = float(np.max(np.abs(fd - ref) / np.maximum(np.abs(ref), 1e-3)))
         if not err <= 1e-5:
             problems.append(f"{name}' vs {name.lower()} mismatch: max rel err {err:.2e}")
-    return problems
+    return problems, gx
 
 
 def validate_system(sys: ScalarSystem) -> None:
@@ -428,7 +428,8 @@ def validate_system(sys: ScalarSystem) -> None:
         raise ConstructionError(label + "y_max != g(x_max)")
     f, g, g_prime, F, G = (lambda x, _, fn=fn: fn(x)
                            for fn in (sys.f, sys.g, sys.g_prime, sys.F, sys.G))
-    problems = _lane_problems(label, f, g, g_prime, F, G, sys.x_max, np.zeros((1, 1)), _GRID_N)
+    problems, _ = _lane_problems(label, f, g, g_prime, F, G, sys.x_max, np.zeros((1, 1)),
+                                 _GRID_N)
     if problems:
         raise ConstructionError(label + "; ".join(problems))
 

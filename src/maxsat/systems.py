@@ -17,13 +17,14 @@ at 0).
 
 The families' callables keep the elementwise contract of
 maxsat.thresholds, float lane included: a Python float x gives the bits of
-the same x inside an array, and stays a Python float on the way.
+the same x inside an array, and stays a Python float on the way. They use
+only +, -, * and / (products, Horner sums, repeated squaring), which round
+a float as they round an array entry; a float's own ** does not.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -224,12 +225,6 @@ class GldpcParams:
         return 1.0 - self.t * math.log2(self.n + 1) / self.n
 
 
-def _float_power(b: float, m: int) -> float:
-    """b ** m for a Python float b, rounded as numpy's ** rounds each entry
-    of an array."""
-    return float(np.power(b, float(m)))
-
-
 def _bch_transfer(n: int, t: int):
     """Bounded-distance decoder transfer g(x) = I_x(t, n-t) and derivatives.
 
@@ -244,20 +239,16 @@ def _bch_transfer(n: int, t: int):
     each and the powers r^i, s^k and the leading factor carry O(n) of them,
     so the relative error is O(n u)
     (3.1e-15 on (31,4), 2.7e-14 on (255,12) against mpmath's betainc at
-    40 digits). g(0) = 0 and g(1) = 1 exactly. The powers (1-x)^(n-1) and
-    x^(n-1) are taken by repeated squaring, and g uses nothing but *, + and
-    /, so a Python float and an array element take the same operations and
-    round the same. An array is split by a mask only when it holds points
-    on both sides of 1/2.
+    40 digits). g(0) = 0 and g(1) = 1 exactly. An array is split by a mask
+    only when it holds points on both sides of 1/2.
 
-    g', g'' and G raise x and 1-x to fixed powers, an array by ** and a
-    Python float by np.power (_float_power), which rounds as the array
-    does; the float's own ** calls the C library's pow, which differs from
-    it in the last bit at a few per cent of points. So they too give a
-    Python float the bits of the same x in an array, and stay Python
-    floats on the way instead of passing through 0-d arrays. A numpy
-    scalar or 0-d array is taken as the Python float it holds, by g and by
-    them.
+    g', g'' and G are the Beta(t, n-t) density, its derivative and
+    (x - t/n) g(x) + x^t (1-x)^(n-t) / (n B(t, n-t)). In g and in them
+    every power is taken by one routine, repeated squaring (power), so
+    they use only +, -, * and /: a Python float and an array element take
+    the same operations and round the same, the float-lane rule of
+    maxsat.thresholds. A numpy scalar or 0-d array is taken as the Python
+    float it holds (lane).
     """
     combs = [float(math.comb(n - 1, i)) for i in range(n)]
     # Horner coefficients from the top degree down: C(n-1, n-1..t) in r
@@ -290,46 +281,41 @@ def _bch_transfer(n: int, t: int):
             acc *= z
         return acc * power(den, n - 1)
 
+    def lane(x):
+        # a Python float stays one, a numpy scalar or 0-d array becomes the
+        # float it holds, and anything else is a float array
+        if type(x) is float:
+            return x
+        arr = np.asarray(x, dtype=float)
+        return arr if arr.ndim else float(arr)
+
     def g(x):
+        x = lane(x)
         if type(x) is float:
             return horner(x, 1.0 - x, low) if x <= 0.5 else horner(1.0 - x, x, high)
-        arr = np.asarray(x, dtype=float)
-        if not arr.ndim:
-            return g(float(arr))
-        below = arr <= 0.5
+        below = x <= 0.5
         if below.all():
-            return horner(arr, 1.0 - arr, low)
+            return horner(x, 1.0 - x, low)
         if not below.any():
-            return horner(1.0 - arr, arr, high)
-        out = np.empty_like(arr)
-        xl, xh = arr[below], arr[~below]
+            return horner(1.0 - x, x, high)
+        out = np.empty_like(x)
+        xl, xh = x[below], x[~below]
         out[below] = horner(xl, 1.0 - xl, low)
         out[~below] = horner(1.0 - xh, xh, high)
         return out
 
-    def lane(x):
-        """x and the power to raise it by: a Python float stays one, and a
-        numpy scalar or 0-d array becomes one, raised by np.power, which
-        rounds as an array's ** does (a float's own ** calls the C
-        library's pow and does not); anything else is an array raised by
-        **."""
-        if type(x) is float:
-            return x, _float_power
-        arr = np.asarray(x, dtype=float)
-        return (arr, operator.pow) if arr.ndim else (float(arr), _float_power)
-
     def g_prime(x):
-        z, pw = lane(x)
-        return inv_beta * pw(z, t - 1) * pw(1.0 - z, n - t - 1)
+        z = lane(x)
+        return inv_beta * power(z, t - 1) * power(1.0 - z, n - t - 1)
 
     def g_second(x):
-        z, pw = lane(x)
-        return inv_beta * ((t - 1) * pw(z, t - 2) * pw(1.0 - z, n - t - 1)
-                           - (n - t - 1) * pw(z, t - 1) * pw(1.0 - z, n - t - 2))
+        z = lane(x)
+        return inv_beta * ((t - 1) * power(z, t - 2) * power(1.0 - z, n - t - 1)
+                           - (n - t - 1) * power(z, t - 1) * power(1.0 - z, n - t - 2))
 
     def G(x):
-        z, pw = lane(x)
-        return (z - t / n) * g(z) + inv_beta / n * pw(z, t) * pw(1.0 - z, n - t)
+        z = lane(x)
+        return (z - t / n) * g(z) + inv_beta / n * power(z, t) * power(1.0 - z, n - t)
 
     return g, g_prime, g_second, G, inv_beta
 
@@ -348,7 +334,7 @@ def gldpc_system(params: GldpcParams) -> ParamSystem:
     gp_sup = float(g_prime(xpk))
 
     def exit_fn(x, e):
-        # g * g, not g ** 2, which on a float rounds differently (dec_phi)
+        # g * g, not g ** 2: the float-lane rule of the module docstring
         gx = g(x)
         return gx * gx
 
@@ -384,9 +370,7 @@ def dec_phi(x, eps):
     satisfies phi(x;0) = 0 and phi(1;1) = 1 and is non-decreasing in both
     arguments on [0, 1]^2.
     """
-    # products, not powers: a float's ** calls the C library's pow, which
-    # rounds differently from numpy's array square and power at some
-    # points, so a float would not match its lane; a product rounds alike
+    # products, not powers: the float-lane rule of the module docstring
     d = 2.0 - (1.0 - eps) * x
     return 4.0 * eps * eps / (d * d)
 

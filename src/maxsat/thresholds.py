@@ -16,10 +16,11 @@ x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values
 at once. A Python float x with a float eps gives a float (or a partial's
 constant) with the bits of the same x inside an array: the scalar probes
 of a search take the rounding of the grid they refine, and eps_of_x
-bisects a float on floats (_bisect_eps). A float's ** calls the C
-library's pow, which rounds differently from numpy's array power and
-square at a few per cent of points, so the shipped families write
-squares and cubes as products and raise a float by np.power.
+bisects a float on floats (_bisect_eps). The shipped families' callables
+use only +, -, * and / (products, Horner sums, repeated squaring), which
+round a float as they round an array entry; a float's own ** calls the C
+library's pow, which differs from numpy's array power and square in the
+last bit at a few per cent of points.
 """
 
 from __future__ import annotations
@@ -219,8 +220,8 @@ def validate_param_system(psys: ParamSystem) -> None:
     """
     X, E = _grid(psys)
     label = f"family {psys.name or '<anonymous>'}: "
-    problems = recursion._lane_problems(label, psys.f, psys.g, psys.g_x, psys.F, psys.G,
-                                        psys.x_max, E[0][:, None], X.shape[0], strict=-1)
+    problems, gx = recursion._lane_problems(label, psys.f, psys.g, psys.g_x, psys.F, psys.G,
+                                            psys.x_max, E[0][:, None], X.shape[0], strict=-1)
 
     # a constant partial may come back as a float
     fe = np.broadcast_to(np.asarray(psys.F_eps(X, E), dtype=float), X.shape)
@@ -229,9 +230,12 @@ def validate_param_system(psys: ParamSystem) -> None:
     for name, vals in (("F_eps", fe), ("G_eps", ge), ("h_eps", he)):
         if not np.all(np.isfinite(vals)):
             problems.append(f"{name} is not finite on the grid")
-    for name, fn in (("g", psys.g), ("f", psys.f)):
-        if not np.min(np.diff(np.asarray(fn(X, E), dtype=float), axis=1)) >= -1e-9:
-            problems.append(f"{name} decreasing in eps")
+    # the lanes' g samples are g(X, E) transposed; f is sampled on each
+    # lane's own y-grid there, so it is evaluated once more on X
+    if not np.min(np.diff(gx, axis=0)) >= -1e-9:
+        problems.append("g decreasing in eps")
+    if not np.min(np.diff(np.asarray(psys.f(X, E), dtype=float), axis=1)) >= -1e-9:
+        problems.append("f decreasing in eps")
     # a NaN of F_eps or G_eps passes these two, having failed above
     if np.min(fe) < -1e-9 or np.min(ge) < -1e-9:
         problems.append("F_eps or G_eps negative")
@@ -735,10 +739,17 @@ def _inverse_psi(psys: ParamSystem, x: float, ends: tuple) -> float:
 
 
 def inverse_Psi_threshold(psys: ParamSystem, x: float) -> float:
-    """Parameter below which the largest minimizer stays at or below x,
-    computed as the eps where the envelope equals Q(x), to 1e-9 by
-    _envelope_sup's safeguarded Newton search between 0 and eps_max.
-    Needs a strictly decreasing envelope (proper family)."""
+    """The eps where the envelope equals Q(x), to 1e-9 by _envelope_sup's
+    safeguarded Newton search between 0 and eps_max. Needs a strictly
+    decreasing envelope (proper family).
+
+    It bounds the largest minimizer only for an x on the MAP curve, x =
+    x_bar_star(eps) for some eps: then the largest minimizer stays at or
+    below x for parameters below the result. For an x inside a jump of
+    the MAP curve it is not the jump's parameter: on ldgm with L = x^6,
+    rho = 2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3, x_bar_star jumps from 0.063
+    to 0.857 between eps = 0.5074 and 0.5075, yet x = 0.1, 0.2 and 0.3
+    give 0.5126, 0.5177 and 0.5091."""
     if not psys.proper:
         raise ThresholdUndefinedError("inverse envelope threshold needs a proper family")
     ends = minimize_us_at(psys, 0.0), minimize_us_at(psys, psys.eps_max)

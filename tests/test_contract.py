@@ -4,7 +4,8 @@ x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values in
 one call: maps return (K, M), partials broadcast to it, and row k equals
 the call with the scalar eps[k, 0] bit for bit. A Python float x with a
 float eps gives a Python float, equal bit for bit to the entry of the same
-x in the array, and so does x as a 0-d array, up to the kind of scalar.
+x in the array, and so does x as a 0-d array or a numpy scalar, up to
+the kind of scalar.
 On random degree profiles the families also keep potential descent and
 symmetric, unimodal coupled iterates, and their thresholds computed from
 these callables match coefficient oracles and stay ordered.
@@ -82,7 +83,8 @@ def assert_lane_contract(psys, X, E):
 def assert_scalar_lane(psys, X, E):
     """Every callable at each Python float x (and the lane's float eps)
     gives a float equal bit for bit to the entry of x in the array call,
-    and at x as a 0-d array a scalar with the same bits."""
+    and at x as a 0-d array or a numpy scalar a scalar with the same
+    bits."""
     calls = [(name, getattr(psys, name)) for name in MAPS + PARTIALS]
     calls += [(name, (lambda fn: lambda x, e: fn(x))(getattr(psys, name)))
               for name in X_ONLY if getattr(psys, name) is not None]
@@ -95,9 +97,9 @@ def assert_scalar_lane(psys, X, E):
             for x, want in zip(xs.tolist(), row.tolist()):
                 got = fn(x, e)
                 assert isinstance(got, float), (name, x, e, type(got))
-                got_0d = fn(np.asarray(x), e)
-                assert np.shape(got_0d) == (), (name, x, e)
-                for out in (got, float(got_0d)):
+                got_0d, got_np = fn(np.asarray(x), e), fn(np.float64(x), e)
+                assert np.shape(got_0d) == () and np.shape(got_np) == (), (name, x, e)
+                for out in (got, float(got_0d), float(got_np)):
                     assert out == want or (out != out and want != want), (name, x, e, out, want)
                     assert math.copysign(1.0, out) == math.copysign(1.0, want), (name, x, e)
 

@@ -197,17 +197,30 @@ class TestGldpc:
         assert np.max(np.abs(arr - ref) / np.where(ref > 0.0, ref, 1.0)) <= 1e-13
         assert g(0.0, 0.0) == 0.0 and g(1.0, 0.0) == 1.0
 
-    @pytest.mark.parametrize("n,t", [(31, 4), (63, 5)])
+    @pytest.mark.parametrize("n,t", [(31, 4), (63, 5), (127, 9), (255, 12)])
     def test_derivatives_match_beta_density(self, n, t):
-        # g = I_x(t, n-t), so g' is the Beta(t, n-t) density
-        psys = gldpc_system(GldpcParams(n, t))
+        # g = I_x(t, n-t), so g' is the Beta(t, n-t) density, and
+        # G = int_0^x g = x I_x(t, n-t) - (t/n) I_x(t+1, n-t); the transfer
+        # itself, since gldpc_system rejects (255, 12), whose g' underflows
+        # to 0 near x = 1
+        from maxsat.systems import _bch_transfer
+        _, g_x, g_xx, G, _ = _bch_transfer(n, t)
         xs = np.linspace(0.0, 1.0, 101)
         ref = scipy_beta.pdf(xs, t, n - t)
-        assert np.max(np.abs(np.asarray(psys.g_x(xs, 0.0)) - ref)) <= 1e-12 * np.max(ref)
-        xs, h = xs[1:-1], 1e-6
-        fd = (np.asarray(psys.g_x(xs + h, 0.0)) - np.asarray(psys.g_x(xs - h, 0.0))) / (2 * h)
-        gxx = np.asarray(psys.g_xx(xs, 0.0))
-        assert np.max(np.abs(fd - gxx)) <= 1e-8 * np.max(np.abs(gxx))
+        assert np.max(np.abs(np.asarray(g_x(xs)) - ref)) <= 1e-12 * np.max(ref)
+        with mp.workdps(40):
+            inv_beta = 1 / mp.beta(t, n - t)
+            refs = []
+            for x in map(mp.mpf, xs.tolist()):
+                dens = inv_beta * x ** (t - 2) * (1 - x) ** (n - t - 2)
+                refs.append([dens * x * (1 - x), dens * ((t - 1) * (1 - x) - (n - t - 1) * x),
+                             x * mp.betainc(t, n - t, 0, x, regularized=True)
+                             - mp.mpf(t) / n * mp.betainc(t + 1, n - t, 0, x, regularized=True)])
+        ref_x, ref_xx, ref_G = (np.array([float(r[k]) for r in refs]) for k in range(3))
+        for fn, want in ((g_x, ref_x), (g_xx, ref_xx)):
+            got, big = np.asarray(fn(xs)), np.abs(want) > 1e-250
+            assert np.max(np.abs(got[big] - want[big]) / np.abs(want[big])) <= 1e-12
+        assert np.max(np.abs(np.asarray(G(xs)) - ref_G)) <= 1e-13
 
     def test_G_matches_quadrature(self, gldpc31):
         xs = np.linspace(0, 1, 100001)
