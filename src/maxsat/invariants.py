@@ -13,13 +13,13 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .potential import (
-    ROUNDING_ULPS,
     FiniteWCondition,
     K_fg_bound,
     U_c,
     U_s,
     check_finite_w_conditions,
     grad_Uc,
+    rounding_level,
 )
 from .recursion import CoupledProfile, CouplingSpec, coupled_step, midpoint_index
 from .systems import (
@@ -51,14 +51,14 @@ __all__ = [
 def potential_descent(systems, rng, n: int) -> bool:
     """U_s(h(x)) <= U_s(x) + 1e-12 at n uniform points of [0, x_max] per
     system, and strictly where the Bregman term bounding the decrease, of
-    size |h(x) - x| |g(h(x)) - g(x)| / 2, exceeds ROUNDING_ULPS ulps of
-    x_max y_max (minimize_potential's rounding level of U)."""
+    size |h(x) - x| |g(h(x)) - g(x)| / 2, exceeds minimize_potential's
+    rounding level of U (rounding_level)."""
     for s in systems:
         xs = rng.uniform(0.0, s.x_max, n)
         hx = np.asarray(s.h(xs), dtype=float)
         du = np.asarray(U_s(s, hx)) - np.asarray(U_s(s, xs))
         bregman = 0.5 * np.abs(hx - xs) * np.abs(np.asarray(s.g(hx)) - np.asarray(s.g(xs)))
-        level = ROUNDING_ULPS * np.finfo(float).eps * s.x_max * s.y_max
+        level = rounding_level(s.x_max, s.y_max)
         if not (np.all(du <= 1e-12) and np.all(du[bregman > level] < 0.0)):
             return False
     return True

@@ -41,6 +41,7 @@ __all__ = [
     "MinimizeResult",
     "minimize_Us",
     "minimize_potential",
+    "rounding_level",
     "U_c",
     "grad_Uc",
     "K_fg_bound",
@@ -60,6 +61,11 @@ ROUNDING_ULPS = 64.0
 _X_TOL = 1e-12
 # width of the window above x_upper* that check_finite_w_conditions reads
 _DESCENT_WINDOW = 1e-3
+
+
+def rounding_level(x_max, y_max):
+    """U's rounding level: ROUNDING_ULPS ulps of x_max * y_max."""
+    return ROUNDING_ULPS * np.finfo(float).eps * float(x_max) * float(y_max)
 
 
 def U_s(sys: ScalarSystem, x):
@@ -131,7 +137,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     # resolved grid-local minima: a decrease on the left beyond the
     # rounding level picks one entry per flat bottom and keeps rounding
     # noise from spawning refinements
-    noise = ROUNDING_ULPS * np.finfo(float).eps * float(x_max) * float(y_max)
+    noise = rounding_level(x_max, y_max)
     mid = us[1:-1]
     local = np.flatnonzero((mid < us[:-2] - noise) & (mid <= us[2:] + noise)) + 1
     # only near-minimal grid minima are worth refining: anything farther

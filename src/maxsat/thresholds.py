@@ -36,7 +36,7 @@ from . import recursion
 from .errors import (ConstructionError, DomainError, NonConvergenceError,
                      NumericError, ThresholdUndefinedError)
 from .numerics import _check_tol, bisect_root
-from .potential import ROUNDING_ULPS, MinimizeResult, minimize_potential
+from .potential import MinimizeResult, minimize_potential, rounding_level
 from .recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig, ScalarSystem,
                         _analysis_grid, make_system, tabulated_integral)
 
@@ -83,6 +83,7 @@ _JUMP_EPS_TOL = 1e-6
 _EPS_OF_X_TOL = 1e-12
 _EPS_STAB_TOL = 1e-12
 _INVERSE_PSI_TOL = 1e-9
+_X_TINY = 1e-9
 
 
 def _grid(psys: ParamSystem):
@@ -111,7 +112,8 @@ class ParamSystem:
     with eps), and ``zero_is_fixed_point``, |h(0; eps)| <= 1e-12 at its 9
     values of eps. Everything else about the zero state, such as its
     stability threshold, is computed from f_x and g_x; the optional
-    fields are closed forms and bounds.
+    fields are closed forms and bounds. The fixed-point curve is tabulated
+    once too (_fp_grid, _fp_curve).
 
     The callables are elementwise (module docstring): f, g, F, G and
     exit_fn return the shape of x, and each partial any value that
@@ -152,6 +154,24 @@ class ParamSystem:
         """|h(0; eps)| <= 1e-12 at the grid values of eps."""
         X, E = _grid(self)
         return bool(np.all(np.abs(np.asarray(self.h(X[0], E[0]), dtype=float)) <= 1e-12))
+
+    @cached_property
+    def _fp_grid(self) -> tuple:
+        """The analysis grid with its first point at _X_TINY, and h(x; 0)
+        and h(x; eps_max) on it."""
+        xs = np.concatenate(([_X_TINY], _analysis_grid(float(self.x_max), ANALYSIS_GRID_N)[1:]))
+        return xs, self.h(xs, 0.0), self.h(xs, self.eps_max)
+
+    @cached_property
+    def _fp_curve(self) -> tuple:
+        """eps(x) and Q(x) on _fp_grid where h(x; 0) <= x + 1e-12 and
+        h(x; eps_max) >= x, NaN elsewhere."""
+        xs, h0, hmax = self._fp_grid
+        eps, q = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
+        at = (h0 <= xs + 1e-12) & (hmax >= xs)
+        eps[at] = eps_of_x(self, xs[at])
+        q[at] = self.u(xs[at], eps[at])
+        return eps, q
 
     def h(self, x, eps):
         return self.f(self.g(x, eps), eps)
@@ -270,38 +290,25 @@ def x_lower_star(psys: ParamSystem, eps: float) -> float:
     return minimize_us_at(psys, eps).x_lower
 
 
-_X_TINY = 1e-9
-
-
 def eps_single(psys: ParamSystem) -> float:
     """Largest eps below which the uncoupled recursion converges to zero:
-    sup{eps : h(x; eps) < x on (0, x_max]}, read off the fixed-point curve
-    as the minimum of eps(x) (eps_of_x, to 1e-12) over the points of the
-    ANALYSIS_GRID_N-point grid of [1e-9, x_max] where h(x; eps_max) >= x,
-    or eps_max where there are none. Since f and g are non-decreasing in
-    eps, h(x; eps) < x at a grid point exactly for eps < eps(x), so this
-    is the supremum of the predicate on the grid. Without a closed form,
-    the bisection drops every lane that cannot hold the minimum
-    (_bisect_eps).
+    sup{eps : h(x; eps) < x on (0, x_max]}, as the minimum of the
+    fixed-point table's eps(x) (ParamSystem._fp_curve) over its points
+    where h(x; eps_max) >= x, or eps_max where there are none. Since f and
+    g are non-decreasing in eps, h(x; eps) < x at a grid point exactly for
+    eps < eps(x), so this is the supremum of the predicate on the grid.
 
     When 0 is a fixed point the result is at most eps_stab, since h > x
     just above 0 for larger eps; the grid's first point, 1e-9, cannot see
     that crossing through rounding noise at a continuous transition. When
     0 is not a fixed point that first point sets the value instead: on an
-    ldgm family with lam(x) = x^5, h(0; eps) = eps^5 > 0, so the supremum
-    on (0, x_max] is 0, but the grid gives eps(1e-9), about
-    (1e-9)^(1/5) = 0.0158.
+    ldgm family with lam(x) = x^5, h(0; eps) = eps^5 > 0 and the supremum
+    is 0, but the grid gives eps(1e-9), about (1e-9)^(1/5) = 0.0158.
     """
-    xs = np.linspace(_X_TINY, psys.x_max, ANALYSIS_GRID_N)
-    if not np.all(np.asarray(psys.h(xs, 0.0), dtype=float) < xs):
+    xs, h0, hmax = psys._fp_grid
+    if not np.all(h0 < xs):
         raise ThresholdUndefinedError("h(x; 0) >= x somewhere; single-system threshold undefined")
-    xs = xs[np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs]
-    if not xs.size:
-        es = psys.eps_max
-    elif psys.eps_of_x_closed is not None:
-        es = float(np.min(eps_of_x(psys, xs)))
-    else:
-        es = _bisect_eps(psys, xs, lowest=True)
+    es = float(np.min(psys._fp_curve[0][hmax >= xs], initial=psys.eps_max))
     return min(es, eps_stab(psys)) if psys.zero_is_fixed_point else es
 
 
@@ -387,10 +394,10 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
 
     The cross-check minimizes at eps_c +- max(10 tol, delta), where delta is
     the eps offset over which Psi, with slope u_eps at the minimizer,
-    moves by minimize_potential's rounding level (ROUNDING_ULPS ulps of
-    x_max * y_max). So a tol near the float spacing does not put both
-    probes inside rounding noise. delta is 3e-14 to 4e-13 on the shipped
-    families, so at the default tol the window is 10 tol.
+    moves by minimize_potential's rounding level (rounding_level). So a
+    tol near the float spacing does not put both probes inside rounding
+    noise. delta is 3e-14 to 4e-13 on the shipped families, so at the
+    default tol the window is 10 tol.
 
     tol must be finite and > 0 (DomainError, raised before any search);
     eps_stab keeps its own fixed 1e-12 bracket whatever tol is.
@@ -407,7 +414,7 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     if res_stab.value >= -1e-12:
         return e_stab
     ec, res_b = _envelope_sup(psys, 0.0, e_stab, res_stab, tol)
-    noise = ROUNDING_ULPS * np.finfo(float).eps * psys.x_max * float(psys.g(psys.x_max, ec))
+    noise = rounding_level(psys.x_max, float(psys.g(psys.x_max, ec)))
     slope = abs(float(psys.u_eps(res_b.x_upper, ec)))
     half = max(10 * tol, noise / slope) if slope > 0.0 else 10 * tol
     lo = max(ec - half, 0.0)
@@ -422,15 +429,14 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     return ec
 
 
-def _in_fixed_point_domain(psys: ParamSystem, xs: np.ndarray) -> np.ndarray:
+def _in_fixed_point_domain(xs: np.ndarray, h0: np.ndarray, hmax: np.ndarray) -> np.ndarray:
     """Mask of the xs that support a fixed point for some eps in
-    [0, eps_max]: h(x; 0) <= x <= h(x; eps_max), to 1e-12."""
-    return ((np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12)
-            & (np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12))
+    [0, eps_max]: h0 = h(x; 0) <= x <= hmax = h(x; eps_max), to 1e-12."""
+    return (h0 <= xs + 1e-12) & (hmax >= xs - 1e-12)
 
 
 def _eps_bracket_check(psys: ParamSystem, xs: np.ndarray) -> None:
-    ok = _in_fixed_point_domain(psys, xs)
+    ok = _in_fixed_point_domain(xs, psys.h(xs, 0.0), psys.h(xs, psys.eps_max))
     if not np.all(ok):
         raise DomainError(f"x not in the fixed-point domain: {xs[~ok][:4]}...")
 
@@ -457,41 +463,26 @@ def eps_of_x(psys: ParamSystem, x):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _bisect_eps(psys: ParamSystem, xs, lowest: bool = False):
+def _bisect_eps(psys: ParamSystem, xs):
     """eps(x) at each of xs (in the fixed-point domain) by one vector
-    bisection on eps to _EPS_OF_X_TOL. With lowest only the minimum is
-    wanted and returned: after each round every lane whose lower end lies
-    above the smallest upper end is dropped, since its value cannot be the
-    minimum. The lanes kept evolve as in the full bisection, and when
-    eps_max is a power of two (1 on every shipped family) all brackets are
-    exact dyadic intervals of one width, so the rounds, and the minimum,
-    are bit-equal to those of the full result.
-
-    A Python float xs is bisected on floats. The callables give a float
-    the bits of its lane (module docstring), so it takes the rounds, and
-    returns the value, of a one-lane array, without an array operation
-    per round."""
+    bisection on eps to _EPS_OF_X_TOL. A Python float xs is bisected on
+    floats. The callables give a float the bits of its lane (module
+    docstring), so it takes the rounds, and returns the value, of a
+    one-lane array, without an array operation per round."""
     if isinstance(xs, float):
         lo, hi = 0.0, psys.eps_max
         while hi - lo > _EPS_OF_X_TOL:
             mid = 0.5 * (lo + hi)
-            if psys.h(xs, mid) >= xs:
-                hi = mid
-            else:
-                lo = mid
+            lo, hi = (lo, mid) if psys.h(xs, mid) >= xs else (mid, hi)
         return 0.5 * (lo + hi)
     lo = np.zeros_like(xs)
     hi = np.full_like(xs, psys.eps_max)
-    while float(np.max(hi - lo)) > _EPS_OF_X_TOL:
+    while float(np.max(hi - lo, initial=0.0)) > _EPS_OF_X_TOL:
         mid = 0.5 * (lo + hi)
         above = np.asarray(psys.h(xs, mid), dtype=float) >= xs
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
-        if lowest:
-            keep = lo <= np.min(hi)
-            xs, lo, hi = xs[keep], lo[keep], hi[keep]
-    out = 0.5 * (lo + hi)
-    return float(np.min(out)) if lowest else out
+    return 0.5 * (lo + hi)
 
 
 def eps_prime_of_x(psys: ParamSystem, x: float) -> float:
@@ -535,19 +526,19 @@ def Q_integral_check(psys: ParamSystem, x1: float, x2: float):
 
 def xf_intervals(psys: ParamSystem):
     """Intervals of (0, x_max] that support a fixed point for some eps, on
-    the ANALYSIS_GRID_N-point grid of [0, x_max].
+    the ANALYSIS_GRID_N-point grid of [0, x_max], read off the fixed-point
+    table's h(x; 0) and h(x; eps_max) without building its eps(x).
 
     Returns (intervals, touches_zero) where touches_zero reports whether the
     domain extends down to the first grid cell above 0.
     """
-    xs = _analysis_grid(float(psys.x_max), ANALYSIS_GRID_N)[1:]
-    mask = _in_fixed_point_domain(psys, xs)
+    xs, h0, hmax = (a[1:] for a in psys._fp_grid)
+    mask = _in_fixed_point_domain(xs, h0, hmax)
     # where the mask, padded with False on both sides, flips: the even
     # flips start a run of True and each odd one lies just past its end
     edges = np.flatnonzero(np.diff(mask, prepend=False, append=False))
     intervals = list(zip(xs[edges[::2]].tolist(), xs[edges[1::2] - 1].tolist()))
-    touches_zero = bool(intervals and intervals[0][0] <= float(xs[1]))
-    return intervals, touches_zero
+    return intervals, bool(intervals and intervals[0][0] <= float(xs[1]))
 
 
 def maxwell_threshold(psys: ParamSystem) -> float:
@@ -559,11 +550,11 @@ def maxwell_threshold(psys: ParamSystem) -> float:
     empty, no fixed point undercuts the zero state up to eps_max, which is
     returned, as eps_c returns the sup of its predicate.
 
-    The grid and tolerances are fixed: each sign change of Q on the
-    ANALYSIS_GRID_N-point grid of a domain interval is found by Brent's
-    method (bisect_root) to a 1e-12 bracket in x, eps(x) there is bisected
-    to 1e-12 unless the family has a closed form, and the stability
-    candidate is eps_stab's root, also to a 1e-12 bracket."""
+    The grid and tolerances are fixed: each sign change of Q between the
+    fixed-point table's points (_fp_curve) in an interval of xf_intervals
+    is found by Brent's method (bisect_root) to a 1e-12 bracket in x,
+    eps(x) there is bisected to 1e-12 unless the family has a closed form,
+    and the stability candidate is eps_stab's root, also to a 1e-12 bracket."""
     return _maxwell(psys)[0]
 
 
@@ -572,21 +563,21 @@ def _maxwell(psys: ParamSystem) -> tuple:
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys)
+    xs = psys._fp_grid[0]
+    eps, q = psys._fp_curve
 
-    candidates: list[float] = []
+    candidates = [eps_stab(psys)] if touches_zero else []
     q_positive = True
-    if touches_zero:
-        candidates.append(eps_stab(psys))
     for lo, hi in intervals:
-        xs = np.linspace(lo, hi, ANALYSIS_GRID_N)
-        q = np.asarray(Q_of_x(psys, xs), dtype=float)
-        q_positive = q_positive and bool(np.all(q > 0.0))
-        for i in np.where(q[:-1] * q[1:] < 0.0)[0]:
+        # the interval's table points with a Q: h(x; eps_max) >= x there
+        at = np.flatnonzero((xs >= lo) & (xs <= hi) & ~np.isnan(q))
+        qs = q[at]
+        q_positive = q_positive and bool(np.all(qs > 0.0))
+        for k in np.flatnonzero(qs[:-1] * qs[1:] < 0.0).tolist():
             xr = bisect_root(lambda x: float(Q_of_x(psys, x)),
-                             float(xs[i]), float(xs[i + 1]), tol=1e-12)
+                             float(xs[at[k]]), float(xs[at[k + 1]]), tol=1e-12)
             candidates.append(eps_of_x(psys, xr))
-        for i in np.where(q == 0.0)[0]:
-            candidates.append(eps_of_x(psys, float(xs[i])))
+        candidates += eps[at[qs == 0.0]].tolist()
     if not candidates:
         if q_positive and psys.zero_is_fixed_point:
             return psys.eps_max, "eps_max: Q > 0 on the whole fixed-point domain"

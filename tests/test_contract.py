@@ -276,11 +276,19 @@ def test_random_profiles_eps_c_matches_bisection(psys):
     assert abs(eps_c(psys, tol) - bisected_eps_c(psys, tol)) <= 2 * tol
 
 
+def table_grid(psys):
+    """The fixed-point table's grid: the analysis grid with its first point
+    at 1e-9."""
+    xs = np.linspace(0.0, psys.x_max, 10**4)
+    xs[0] = 1e-9
+    return xs
+
+
 def bisected_eps_single(psys):
     """sup{eps : h(x; eps) < x at every point of eps_single's grid} by
     plain bisection of [0, eps_max] to 1e-12 over that predicate, capped by
     eps_stab when 0 is a fixed point, as eps_single is."""
-    xs = np.linspace(1e-9, psys.x_max, 10**4)
+    xs = table_grid(psys)
 
     def below(e):
         return bool(np.all(np.asarray(psys.h(xs, e), dtype=float) < xs))
@@ -320,14 +328,15 @@ def test_random_profiles_eps_single_matches_bisection(psys):
     assert_eps_single_matches_bisection(psys)
 
 
-# eps_single drops the bisection lanes that cannot hold the minimum; with
-# the closed form removed every draw takes that route, and the value must
-# be the minimum of the full eps_of_x bisection on the same grid points
+# eps_single is the minimum of the fixed-point table's eps column; with
+# the closed form removed every draw bisects, and the value must be the
+# minimum of eps_of_x over the table's points where h(x; eps_max) >= x,
+# within 1e-12 of the closed form's
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(psys=family_draw())
 def test_random_profiles_eps_single_equals_unpruned_minimum(psys):
     bisected = dataclasses.replace(psys, eps_of_x_closed=None)
-    xs = np.linspace(1e-9, psys.x_max, 10**4)
+    xs = table_grid(psys)
     if not np.all(np.asarray(psys.h(xs, 0.0), dtype=float) < xs):
         return  # undefined, as the comparison with the plain bisection checks
     xs = xs[np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs]
@@ -335,6 +344,7 @@ def test_random_profiles_eps_single_equals_unpruned_minimum(psys):
     if psys.zero_is_fixed_point:
         ref = min(ref, eps_stab(psys))
     assert eps_single(bisected) == ref
+    assert abs(eps_single(psys) - ref) <= 1e-12
 
 
 # from the all-x_max start every coupled iterate is symmetric and

@@ -1,11 +1,15 @@
 """High-precision references: values computed at 40 digits with mpmath
-from the closed forms of the systems, using none of the library's solvers,
-against what the library computes. Each comparison uses the tolerance the
-library routine states for itself.
+from the closed forms of the systems, or certified by exact root isolation
+(certified.py), using none of the library's solvers, against what the
+library computes. Each comparison uses the tolerance the library routine
+states for itself.
 """
 
 import mpmath as mp
 import pytest
+import sympy as sp
+
+import certified
 
 from maxsat.potential import potential_report
 from maxsat.recursion import fixed_points_of
@@ -17,7 +21,7 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
-from maxsat.thresholds import eps_c, eps_stab, maxwell_threshold
+from maxsat.thresholds import eps_c, eps_stab, maxwell_threshold, threshold_report
 
 mp.mp.dps = 40
 D = mp.mpf
@@ -123,6 +127,36 @@ def test_gldpc_thresholds(n, t, digits):
     psys = gldpc_system(GldpcParams(n, t))
     assert abs(maxwell_threshold(psys) - maxwell) <= 1e-12
     assert abs(eps_c(psys) - maxwell) <= 1e-9
+
+
+# ldpc8's certified thresholds, printed by `python tests/certified.py`,
+# which takes about 25 s for ldpc8
+LDPC8_CERTIFIED = {"eps_maxwell": 0.62192946106120966856,
+                   "eps_single": 0.61468580538383431884}
+
+
+def assert_certified_thresholds(psys, cert):
+    tol = 1e-9
+    rep = threshold_report(psys, tol)
+    assert abs(rep.eps_maxwell - float(cert["eps_maxwell"])) <= 2e-13
+    assert abs(rep.eps_c - float(cert["eps_maxwell"])) <= tol
+    # eps_single is a minimum over grid points, so it lies above the
+    # threshold, by about 1e-8 on a grid of spacing 1e-4
+    assert float(cert["eps_single"]) <= rep.eps_single <= float(cert["eps_single"]) + 5e-8
+    return rep
+
+
+def test_certified_ldpc8_thresholds(ldpc8):
+    rep = assert_certified_thresholds(ldpc8, LDPC8_CERTIFIED)
+    # 1 / (lambda'(0) rho'(1))
+    stab = 1 / (certified.LAMBDA8.diff().eval(0) * certified.RHO8.diff().eval(1))
+    assert stab == sp.Rational(25, 36)
+    assert abs(rep.eps_stab - float(stab)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, t", [(31, 4), (63, 5)])
+def test_certified_gldpc_thresholds(n, t):
+    assert_certified_thresholds(gldpc_system(GldpcParams(n, t)), certified.gldpc(n, t))
 
 
 def test_example2_gap_and_minimizer():

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from maxsat import thresholds
 from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
                            NumericError, ThresholdUndefinedError)
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
@@ -262,18 +263,54 @@ class TestSingleAndStability:
             eps_of_x_closed=None)
         assert eps_single(frozen) == frozen.eps_max
 
-    @pytest.mark.parametrize("family", ["ldgm9", "isi36"])
+    @pytest.mark.parametrize("family", ["ldgm9", "isi36", "ldpc8", "gldpc31"])
     def test_eps_single_equals_unpruned_minimum(self, request, family):
-        # families without a closed-form eps(x): the pruned bisection keeps
-        # the minimum of eps_of_x over the same grid points, bit for bit
+        # with eps(x) bisected, eps_single is the minimum of eps_of_x over
+        # the fixed-point table's points (the analysis grid with its first
+        # point at 1e-9) where h(x; eps_max) >= x, bit for bit; a closed
+        # form gives it to 1e-12
         psys = request.getfixturevalue(family)
-        assert psys.eps_of_x_closed is None
-        xs = np.linspace(1e-9, psys.x_max, ANALYSIS_GRID_N)
+        bisected = dataclasses.replace(psys, eps_of_x_closed=None)
+        xs = np.linspace(0.0, psys.x_max, ANALYSIS_GRID_N)
+        xs[0] = 1e-9
         xs = xs[np.asarray(psys.h(xs, psys.eps_max)) >= xs]
-        ref = float(np.min(eps_of_x(psys, xs)))
+        ref = float(np.min(eps_of_x(bisected, xs)))
         if psys.zero_is_fixed_point:
             ref = min(ref, eps_stab(psys))
-        assert eps_single(psys) == ref
+        assert eps_single(bisected) == ref
+        assert abs(eps_single(psys) - ref) <= 1e-12
+
+    def test_threshold_report_bisects_eps_once(self, monkeypatch):
+        # isi has no closed-form eps(x): eps_single and the Maxwell scan
+        # read one vector bisection, the fixed-point table's; Brent's
+        # refinements of Q's roots bisect floats
+        psys = isi_system("x^3", "x^6")
+        real, sizes = thresholds._bisect_eps, []
+
+        def counted(p, xs):
+            if not isinstance(xs, float):
+                sizes.append(len(xs))
+            return real(p, xs)
+
+        monkeypatch.setattr(thresholds, "_bisect_eps", counted)
+        rep = threshold_report(psys)
+        assert rep.eps_single is not None and rep.eps_maxwell is not None
+        assert len(sizes) == 1
+
+    @pytest.mark.parametrize("reader", [
+        xf_intervals, inverse_psi_table,
+        lambda psys: ebp_curve(psys, np.linspace(0.0, 1.0, 101))])
+    @pytest.mark.parametrize("build", [
+        lambda: ldpc_system(DegreeDistribution.from_edge(EX8_LAMBDA),
+                            DegreeDistribution.from_edge(EX8_RHO)),
+        lambda: ldgm_system("x^6", DegreeDistribution.from_edge(EX9_RHO))],
+        ids=["ldpc8", "ldgm9"])
+    def test_domain_readers_tabulate_no_eps(self, reader, build):
+        # the exit-curve and inverse-envelope paths need only the domain:
+        # h(x; 0) and h(x; eps_max) in the table, not its eps and Q columns
+        psys = build()
+        reader(psys)
+        assert "_fp_curve" not in vars(psys)
 
     def test_eps_stab_closed_form(self, ldpc8):
         # oracle: eps lam'(0) rho'(1) = 1 with lam'(0) = 0.2, rho'(1) = 7.2
