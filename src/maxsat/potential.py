@@ -29,6 +29,7 @@ from .recursion import (
     CouplingSpec,
     ScalarSystem,
     _analysis_grid,
+    _clamp,
     apply_A,
     apply_At,
     fixed_points_of,
@@ -107,7 +108,8 @@ class MinimizeResult:
 
 
 def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
-                       y_max: float, grid_n: int = ANALYSIS_GRID_N) -> MinimizeResult:
+                       y_max: float, grid_n: int = ANALYSIS_GRID_N,
+                       on_grid: Optional[Callable] = None) -> MinimizeResult:
     """Global minimum of a potential U = x g(x) - G(x) - F(g(x)) on
     [0, x_max], where g is increasing with g(x_max) = y_max and f maps
     into [0, x_max].
@@ -129,9 +131,14 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     noise, and that basin is left to its fixed point. Minimizers are all
     candidates whose value is within VALUE_TOL of the best; of two within
     1e-9 of each other the fixed point is kept.
+
+    on_grid, when given, maps the grid to (U, h) on it at once, so that
+    the two can share one evaluation of g; it must give the values u_vec
+    and h_vec give there. The refinements call u_vec and h_vec.
     """
     xs = _analysis_grid(float(x_max), int(grid_n))
-    us = np.asarray(u_vec(xs), dtype=float)
+    us, hs = on_grid(xs) if on_grid is not None else (u_vec(xs), None)
+    us = np.asarray(us, dtype=float)
 
     cands = [e for e in (0.0, float(x_max)) if abs(e - float(h_vec(e))) <= 1e-9]
     # resolved grid-local minima: a decrease on the left beyond the
@@ -151,7 +158,7 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     for i in local[:256].tolist():
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
                                 float(xs[i + 1]), _X_TOL))
-    fixed_points = tuple(fixed_points_of(h_vec, x_max, grid_n))
+    fixed_points = tuple(fixed_points_of(h_vec, x_max, grid_n, hs))
     cands.extend(fixed_points)
 
     cand_arr = np.asarray(sorted(set(cands)), dtype=float)
@@ -172,8 +179,14 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
 
 
 def minimize_Us(sys: ScalarSystem) -> MinimizeResult:
-    """Minimize the single-system potential over [0, x_max]."""
-    return minimize_potential(lambda x: U_s(sys, x), sys.h, sys.x_max, sys.y_max)
+    """Minimize the single-system potential over [0, x_max]; on the grid,
+    U_s and h share one evaluation of g."""
+    def on_grid(xs):
+        gx = sys.g(xs)
+        return xs * gx - sys.G(xs) - sys.F(gx), sys.f(_clamp(gx, 0.0, sys.y_max))
+
+    return minimize_potential(lambda x: U_s(sys, x), sys.h, sys.x_max, sys.y_max,
+                              on_grid=on_grid)
 
 
 def U_c(sys: ScalarSystem, spec: CouplingSpec, values) -> float:

@@ -520,7 +520,11 @@ def _coupled_step_into(sys: ScalarSystem, x: np.ndarray, win: _WindowMean,
                        out: np.ndarray) -> np.ndarray:
     """One coupled step of the chain x, whose length win was built for,
     written to out."""
-    z = _clamp(win.mean(sys.g(x)), 0.0, sys.y_max, "averaged g-value")
+    z = win.mean(sys.g(x))
+    # _clamp's test, without its scalar and empty cases: z is a non-empty
+    # array, and a NaN fails both comparisons and goes to _clamp
+    if not (np.minimum.reduce(z) >= 0.0 and np.maximum.reduce(z) <= sys.y_max):
+        z = _clamp(z, 0.0, sys.y_max, "averaged g-value")
     return win.adjoint(sys.f(z), out)
 
 
@@ -704,14 +708,18 @@ def translate_system(sys: ScalarSystem, x_tilde: float) -> ScalarSystem:
 def _analysis_grid(x_max: float, n: int) -> np.ndarray:
     """np.linspace(0.0, x_max, n), built once per (x_max, n) and shared
     read-only by every scan of [0, x_max] (fixed_points_of and
-    potential.minimize_potential)."""
-    xs = np.linspace(0.0, x_max, n)
+    potential.minimize_potential). It is a copy that owns its data:
+    linspace's own result is a view of a writeable array, through which it
+    could change. So nothing can write to it, and a callable may remember
+    a value computed on it (systems._bch_transfer)."""
+    xs = np.linspace(0.0, x_max, n).copy()
     xs.flags.writeable = False
     return xs
 
 
-def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
-    """Scan x - h(x) on a grid_n-point grid of [0, x_max] for roots.
+def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N, h_grid=None) -> list:
+    """Scan x - h(x) on a grid_n-point grid of [0, x_max] for roots; h_grid,
+    when given, is h on that grid, which the caller has already computed.
 
     Sign changes are refined by Brent's method (bisect_root) to a bracket
     of 1e-12 times the cell's upper end, which bounds the root, so a root
@@ -723,7 +731,7 @@ def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N) -> list:
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
     xs = _analysis_grid(float(x_max), int(grid_n))
-    d = np.asarray(h(xs), dtype=float)
+    d = np.asarray(h(xs) if h_grid is None else h_grid, dtype=float)
     d = xs - d
 
     def dfun(x):

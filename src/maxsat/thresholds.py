@@ -106,14 +106,17 @@ def _check_eps(psys: ParamSystem, eps) -> float:
 class ParamSystem:
     """Family of scalar systems indexed by a parameter eps in [0, eps_max].
 
-    Two structural facts the thresholds need are measured once per
+    Three structural facts the analyses need are measured once per
     instance on validate_param_system's 201 x 9 grid (_grid): ``proper``,
     h_eps > 0 on its interior x > 0, eps > 0 (the update grows strictly
-    with eps), and ``zero_is_fixed_point``, |h(0; eps)| <= 1e-12 at its 9
-    values of eps. Everything else about the zero state, such as its
+    with eps), ``zero_is_fixed_point``, |h(0; eps)| <= 1e-12 at its 9
+    values of eps, and ``eps_free_check_side``, g and G the same at every
+    eps there. Everything else about the zero state, such as its
     stability threshold, is computed from f_x and g_x; the optional
     fields are closed forms and bounds. The fixed-point curve is tabulated
-    once too (_fp_grid, _fp_curve).
+    once too (_fp_grid, _fp_curve), and so, on a family whose check side
+    is eps-free, are g and x g - G on each grid it is minimized on
+    (_check_side).
 
     The callables are elementwise (module docstring): f, g, F, G and
     exit_fn return the shape of x, and each partial any value that
@@ -154,6 +157,40 @@ class ParamSystem:
         """|h(0; eps)| <= 1e-12 at the grid values of eps."""
         X, E = _grid(self)
         return bool(np.all(np.abs(np.asarray(self.h(X[0], E[0]), dtype=float)) <= 1e-12))
+
+    @cached_property
+    def eps_free_check_side(self) -> bool:
+        """g and G do not depend on eps: g(X, E) and G(X, E) are bit-equal
+        across the grid's 9 eps columns, and g_eps and G_eps are 0 on it."""
+        X, E = _grid(self)
+        g, G, g_eps, G_eps = (np.asarray(fn(X, E), dtype=float)
+                              for fn in (self.g, self.G, self.g_eps, self.G_eps))
+        g, G = g.view(np.int64), G.view(np.int64)
+        return bool(np.all(g == g[:, :1]) and np.all(G == G[:, :1])
+                    and np.all(g_eps == 0.0) and np.all(G_eps == 0.0))
+
+    @cached_property
+    def _check_side_tables(self) -> dict:
+        """Grid size -> (g, x g - G) on that analysis grid, as read-only
+        arrays (_check_side)."""
+        return {}
+
+    def _check_side(self, xs: np.ndarray, eps: float) -> tuple:
+        """g(xs; eps) and xs g - G(xs; eps) on a shared analysis grid xs
+        (recursion._analysis_grid), the eps-free part of U_s as u computes
+        it. With eps_free_check_side both are tabulated once per grid size
+        and come back read-only for every eps."""
+        if not self.eps_free_check_side:
+            g = self.g(xs, eps)
+            return g, xs * g - self.G(xs, eps)
+        table = self._check_side_tables.get(xs.size)
+        if table is None:
+            g = np.asarray(self.g(xs, 0.0), dtype=float)
+            table = (g, xs * g - self.G(xs, 0.0))
+            for a in table:
+                a.flags.writeable = False
+            self._check_side_tables[xs.size] = table
+        return table
 
     @cached_property
     def _fp_grid(self) -> tuple:
@@ -269,10 +306,21 @@ def validate_param_system(psys: ParamSystem) -> None:
 def minimize_us_at(psys: ParamSystem, eps: float,
                    grid_n: int = ANALYSIS_GRID_N) -> MinimizeResult:
     """Minimize the potential slice at one parameter value in [0, eps_max]
-    (DomainError outside it or for a NaN)."""
+    (DomainError outside it or for a NaN).
+
+    On the grid, U_s and h share one evaluation of g, and a family with
+    eps_free_check_side reads g and x g - G from its tables (_check_side),
+    so each call evaluates only F and f there: U_s = (x g - G) - F(g; eps)
+    and h = f(g; eps), the operations and order of ParamSystem.u and h.
+    The scalar probes of the refinements call u and h."""
     e = _check_eps(psys, eps)
+
+    def on_grid(xs):
+        g, xg_G = psys._check_side(xs, e)
+        return xg_G - psys.F(g, e), psys.f(g, e)
+
     return minimize_potential(lambda x: psys.u(x, e), lambda x: psys.h(x, e),
-                              psys.x_max, float(psys.g(psys.x_max, e)), grid_n)
+                              psys.x_max, float(psys.g(psys.x_max, e)), grid_n, on_grid)
 
 
 def Psi(psys: ParamSystem, eps: float) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -25,10 +26,12 @@ from maxsat.potential import (
     energy_gap_delta,
     grad_Uc,
     minimize_Us,
+    minimize_potential,
     potential_report,
     w0_bound,
 )
 from maxsat.recursion import (
+    ANALYSIS_GRID_N,
     CoupledProfile,
     CouplingSpec,
     coupled_fixed_point,
@@ -394,6 +397,23 @@ class TestSingleScan:
         rep = potential_report(ex2)
         assert rep.w0 == w0_bound(ex2)
         assert rep.delta_gap == energy_gap_delta(ex2)
+
+    @pytest.mark.parametrize("build", [example1_system, example2_system])
+    def test_minimize_equals_per_call_route(self, build):
+        # U_s and h share one g on the grid; before, each evaluated its own
+        s = build()
+        assert minimize_Us(s) == minimize_potential(lambda x: U_s(s, x), s.h, s.x_max,
+                                                    s.y_max)
+
+    def test_one_g_per_grid_point(self, ex2):
+        sizes = []
+
+        def g(x):
+            sizes.append(np.size(x))
+            return ex2.g(x)
+
+        minimize_Us(dataclasses.replace(ex2, g=g))
+        assert sizes.count(ANALYSIS_GRID_N) == 1
 
 
 class TestGoldenRefinement:

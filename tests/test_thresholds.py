@@ -1101,3 +1101,85 @@ class TestSandwich:
             assert max(gaps) <= 1e-11, gaps
             assert all(abs(gap) <= 1e-7 for gap in gaps[:3]), gaps
             assert all(b <= a + 1e-11 for a, b in zip(gaps, gaps[1:])), gaps
+
+
+SHARED_EPS = {
+    "ldpc8": (0.55, 0.63, 0.8),
+    "ldgm9": (0.3, 0.5074, 0.7),
+    "isi36": (0.5, 0.6387, 0.8),
+    "gldpc31": (0.2, 0.2555, 0.5),
+    "gldpc63": (0.13, 0.1576, 0.4),
+}
+
+
+def per_call_route(psys, e, grid_n=ANALYSIS_GRID_N):
+    """minimize_us_at as it was before g was shared: U_s and h each
+    evaluate g on the grid, through ParamSystem.u and ParamSystem.h."""
+    return thresholds.minimize_potential(lambda x: psys.u(x, e), lambda x: psys.h(x, e),
+                                         psys.x_max, float(psys.g(psys.x_max, e)), grid_n)
+
+
+def grid_call_counts(psys, names, sizes=(ANALYSIS_GRID_N, _CURVE_GRID_N)):
+    """A copy of psys whose callables in names count their calls on
+    arguments of a grid's size, and the counts by name."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(x, e):
+            if np.size(x) in sizes:
+                counts[name] += 1
+            return fn(x, e)
+        return wrapper
+
+    return dataclasses.replace(
+        psys, **{n: counted(n, getattr(psys, n)) for n in names}), counts
+
+
+class TestSharedCheckSide:
+    """minimize_us_at evaluates g once per grid point, and a family whose
+    check side does not depend on eps tabulates g and x g - G once per
+    grid; every result stays bit-identical to the per-call route."""
+
+    @pytest.mark.parametrize("which, expected", [
+        ("ldpc8", True), ("isi36", True), ("gldpc31", True), ("gldpc63", True),
+        ("ldgm9", False)])
+    def test_measured_fact(self, request, which, expected):
+        assert request.getfixturevalue(which).eps_free_check_side is expected
+
+    @pytest.mark.parametrize("which", list(SHARED_EPS))
+    def test_minimizations_equal_per_call_route(self, request, which):
+        psys = request.getfixturevalue(which)
+        for e in SHARED_EPS[which]:
+            assert minimize_us_at(psys, e) == per_call_route(psys, e)
+            assert x_bar_star(psys, e, _CURVE_GRID_N) == \
+                per_call_route(psys, e, _CURVE_GRID_N).x_upper
+
+    @pytest.mark.parametrize("which", ["ldpc8", "isi36", "gldpc31"])
+    def test_eps_free_family_tabulates_once(self, request, which):
+        psys, counts = grid_call_counts(request.getfixturevalue(which), ("g", "G", "F", "f"))
+        es = SHARED_EPS[which]
+        for e in es:
+            minimize_us_at(psys, e)
+        assert counts == {"g": 1, "G": 1, "F": len(es), "f": len(es)}
+        for e in es:
+            x_bar_star(psys, e, _CURVE_GRID_N)
+        assert counts == {"g": 2, "G": 2, "F": 2 * len(es), "f": 2 * len(es)}
+
+    def test_ldgm_evaluates_g_once_per_minimization(self, ldgm9):
+        psys, counts = grid_call_counts(ldgm9, ("g", "G", "F", "f"))
+        es = SHARED_EPS["ldgm9"]
+        for e in es:
+            minimize_us_at(psys, e)
+        assert counts == dict.fromkeys(("g", "G", "F", "f"), len(es))
+
+    def test_tables_are_read_only(self):
+        psys = ldpc_system(DegreeDistribution.from_edge(EX8_LAMBDA),
+                           DegreeDistribution.from_edge(EX8_RHO))
+        minimize_us_at(psys, 0.6)
+        x_bar_star(psys, 0.6, _CURVE_GRID_N)
+        tables = psys._check_side_tables
+        assert sorted(tables) == [_CURVE_GRID_N, ANALYSIS_GRID_N]
+        for table in tables.values():
+            for a in table:
+                with pytest.raises(ValueError):
+                    a[0] = 1.0
