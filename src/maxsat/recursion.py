@@ -520,11 +520,7 @@ def _coupled_step_into(sys: ScalarSystem, x: np.ndarray, win: _WindowMean,
                        out: np.ndarray) -> np.ndarray:
     """One coupled step of the chain x, whose length win was built for,
     written to out."""
-    z = win.mean(sys.g(x))
-    # _clamp's test, without its scalar and empty cases: z is a non-empty
-    # array, and a NaN fails both comparisons and goes to _clamp
-    if not (np.minimum.reduce(z) >= 0.0 and np.maximum.reduce(z) <= sys.y_max):
-        z = _clamp(z, 0.0, sys.y_max, "averaged g-value")
+    z = _clamp(win.mean(sys.g(x)), 0.0, sys.y_max, "averaged g-value")
     return win.adjoint(sys.f(z), out)
 
 
@@ -708,11 +704,8 @@ def translate_system(sys: ScalarSystem, x_tilde: float) -> ScalarSystem:
 def _analysis_grid(x_max: float, n: int) -> np.ndarray:
     """np.linspace(0.0, x_max, n), built once per (x_max, n) and shared
     read-only by every scan of [0, x_max] (fixed_points_of and
-    potential.minimize_potential). It is a copy that owns its data:
-    linspace's own result is a view of a writeable array, through which it
-    could change. So nothing can write to it, and a callable may remember
-    a value computed on it (systems._bch_transfer)."""
-    xs = np.linspace(0.0, x_max, n).copy()
+    potential.minimize_potential)."""
+    xs = np.linspace(0.0, x_max, n)
     xs.flags.writeable = False
     return xs
 

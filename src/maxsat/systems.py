@@ -225,18 +225,6 @@ class GldpcParams:
         return 1.0 - self.t * math.log2(self.n + 1) / self.n
 
 
-def _immutable(x) -> bool:
-    """x is a Python float, or an array that neither it nor any array it
-    views into can write."""
-    if type(x) is float:
-        return True
-    while isinstance(x, np.ndarray):
-        if x.flags.writeable:
-            return False
-        x = x.base
-    return x is None
-
-
 def _bch_transfer(n: int, t: int):
     """Bounded-distance decoder transfer g(x) = I_x(t, n-t) and derivatives.
 
@@ -261,13 +249,6 @@ def _bch_transfer(n: int, t: int):
     the same operations and round the same, the float-lane rule of
     maxsat.thresholds. A numpy scalar or 0-d array is taken as the Python
     float it holds (lane).
-
-    g keeps its last immutable argument, a Python float or a read-only
-    array (_immutable), with its value, so that G, the trial entropy and
-    h reuse the g that U_s has just computed at the same object. A
-    writeable array is evaluated afresh on every call. A remembered array
-    value is made read-only and comes back as it is, as _clamp's output
-    does in maxsat.recursion: callers must not write to the result.
     """
     combs = [float(math.comb(n - 1, i)) for i in range(n)]
     # Horner coefficients from the top degree down: C(n-1, n-1..t) in r
@@ -308,38 +289,20 @@ def _bch_transfer(n: int, t: int):
         arr = np.asarray(x, dtype=float)
         return arr if arr.ndim else float(arr)
 
-    def transfer(x):
+    def g(x):
+        x = lane(x)
         if type(x) is float:
             return horner(x, 1.0 - x, low) if x <= 0.5 else horner(1.0 - x, x, high)
-        # a NaN fails both tests and goes through the mask
-        if not x.size or np.maximum.reduce(x, None) <= 0.5:
-            return horner(x, 1.0 - x, low)
-        if np.minimum.reduce(x, None) > 0.5:
-            return horner(1.0 - x, x, high)
         below = x <= 0.5
+        if below.all():
+            return horner(x, 1.0 - x, low)
+        if not below.any():
+            return horner(1.0 - x, x, high)
         out = np.empty_like(x)
         xl, xh = x[below], x[~below]
         out[below] = horner(xl, 1.0 - xl, low)
         out[~below] = horner(1.0 - xh, xh, high)
         return out
-
-    # the last immutable argument and its g, as one tuple, so that a reader
-    # never pairs one call's key with another's value; holding the key also
-    # keeps its id from being reused
-    memo = (None, None)
-
-    def g(x):
-        nonlocal memo
-        x = lane(x)
-        key, val = memo
-        if x is key:
-            return val
-        val = transfer(x)
-        if _immutable(x):
-            if type(val) is not float:
-                val.flags.writeable = False
-            memo = (x, val)
-        return val
 
     def g_prime(x):
         z = lane(x)

@@ -393,23 +393,6 @@ class TestHalfChain:
         with pytest.raises(DomainError, match=message):
             coupled_step(s, CoupledProfile(np.full(spec.M, 0.5), spec))
 
-    @pytest.mark.parametrize("top, seen_top", [(1.0 + 1e-10, 1.0), (np.nan, np.nan)])
-    def test_step_clips_slack_and_keeps_nan(self, top, seen_top):
-        # averaged g-values past y_max by less than the slack reach f
-        # clipped, and a NaN reaches it as it is, with no error
-        seen = []
-
-        def f(y):
-            seen.append(np.array(y))
-            return 0.5 * y
-
-        s = make_system(f=f, g=lambda x: np.where(x < 1.0, top, 1.0), x_max=1.0,
-                        F=lambda y: 0.25 * y * y, G=lambda x: x, validate=False)
-        spec = CouplingSpec(20, 4)
-        seen.clear()
-        coupled_step(s, CoupledProfile(np.full(spec.M, 0.5), spec))
-        np.testing.assert_array_equal(seen[-1], np.full(spec.N, seen_top))
-
     def test_clamp_guards_the_run(self):
         # f overshoots x_max, so the second step averages g-values up to
         # 2 y_max; without validation nothing stops the system being built

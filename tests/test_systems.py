@@ -248,93 +248,6 @@ class TestGldpc:
         with pytest.raises(ConstructionError):
             GldpcParams(31, 16)
 
-    @pytest.mark.parametrize("xs", [
-        np.linspace(0.0, 0.5, 21), np.linspace(0.5001, 1.0, 21),
-        np.linspace(0.0, 1.0, 12).reshape(3, 4), np.empty(0), np.array([np.nan, 0.2, 0.7])])
-    def test_transfer_branches_equal_scalar_lane(self, gldpc31, xs):
-        # all below 1/2, all above, straddling in 2-d, empty, and with a NaN
-        got = np.asarray(gldpc31.g(xs, 0.0))
-        want = np.array([gldpc31.g(x, 0.0) for x in xs.ravel().tolist()]).reshape(xs.shape)
-        assert got.shape == xs.shape and got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("n,t", [(31, 4), (63, 5)])
-    def test_memo_matches_fresh_evaluation(self, n, t):
-        # g remembers its last float or read-only array, which G, the trial
-        # entropy and h then reuse; a fresh transfer given writeable arrays
-        # never remembers, and every float and read-only route must match it
-        psys = gldpc_system(GldpcParams(n, t))
-        from maxsat.systems import _bch_transfer
-        fresh_g, _, _, fresh_G, _ = _bch_transfer(n, t)
-        xs = np.linspace(0.0, 1.0, 401)
-        want = {"g": fresh_g(xs.copy()), "G": fresh_G(xs.copy())}
-        want["trial_entropy"] = 2.0 * want["G"] - xs * want["g"]
-        floats = {k: [] for k in want}
-        for x in xs.tolist():
-            # U_s's order: g, then G at the same float; then the rest
-            floats["g"].append(psys.g(x, 0.0))
-            floats["G"].append(psys.G(x, 0.0))
-            floats["trial_entropy"].append(psys.trial_entropy(x))
-        ro = xs.copy()
-        ro.flags.writeable = False
-        arrays = {"g": psys.g(ro, 0.0), "G": psys.G(ro, 0.0),
-                  "trial_entropy": psys.trial_entropy(ro)}
-        for k, v in want.items():
-            assert np.array(floats[k]).tobytes() == v.tobytes(), k
-            assert np.asarray(arrays[k]).tobytes() == v.tobytes(), k
-        with pytest.raises(ValueError):
-            arrays["g"][0] = 1.0
-        # the shared analysis grid is immutable, so g is remembered on it
-        from maxsat.recursion import ANALYSIS_GRID_N, _analysis_grid
-        grid = _analysis_grid(1.0, ANALYSIS_GRID_N)
-        assert psys.g(grid, 0.0) is psys.g(grid, 0.0)
-
-    def test_memo_is_thread_safe(self):
-        # threads share g's memo: each must get its own argument's value
-        import sys
-        import threading
-        from maxsat.systems import _bch_transfer
-        g, *_ = _bch_transfer(31, 4)
-        fresh, *_ = _bch_transfer(31, 4)
-        inputs = [np.linspace(0.2 * k, 0.2 * k + 0.3, 64) for k in range(4)]
-        want = [fresh(a.copy()) for a in inputs]
-        for a in inputs:
-            a.flags.writeable = False
-        wrong = []
-
-        def work(k):
-            x = float(inputs[k][7])
-            for _ in range(300):
-                if g(inputs[k]).tobytes() != want[k].tobytes() or g(x) != want[k][7]:
-                    wrong.append(k)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(th.is_alive() for th in threads)
-        assert not wrong
-
-    def test_memo_skips_writeable_arrays(self):
-        from maxsat.systems import _bch_transfer
-        g, *_ = _bch_transfer(31, 4)
-        fresh, *_ = _bch_transfer(31, 4)
-        a = np.linspace(0.0, 1.0, 11)
-        g(a)
-        a *= 0.5
-        assert g(a).tobytes() == fresh(a.copy()).tobytes()
-        # a read-only view of a writeable array can change under it too
-        v = a[:]
-        v.flags.writeable = False
-        g(v)
-        a += 0.25
-        assert g(v).tobytes() == fresh(a.copy()).tobytes()
-
 
 class TestIsi:
     def test_shipped_phi_endpoints(self):
