@@ -57,12 +57,14 @@ class Polynomial:
         by x, coefficient added) pair per non-zero coefficient. A last pair
         adds 0.0 after the multiplications down to degree 0, as the dense
         rule does, which turns a -0.0 into 0.0. The first pair leaves out
-        the multiplication that makes the result array."""
-        terms = [(d, c) for d, c in enumerate(self.coeffs) if c != 0.0][::-1]
+        the multiplication that makes the result array. The coefficients
+        are 0-d arrays, which a ufunc takes with less overhead than a
+        Python float, and which round the same."""
+        terms = [(d, np.array(c)) for d, c in enumerate(self.coeffs) if c != 0.0][::-1]
         if not terms:
-            return 0.0, ()
+            return np.array(0.0), ()
         if terms[-1][0] > 0:
-            terms.append((0, 0.0))
+            terms.append((0, np.array(0.0)))
         gaps = [hi - lo for (hi, _), (lo, _) in zip(terms, terms[1:])]
         if gaps:
             gaps[0] -= 1
@@ -159,8 +161,29 @@ def _check_tol(tol: float) -> None:
 _EPS = float(np.finfo(float).eps)
 
 
-def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
-                tol: float = 1e-12) -> float:
+def _bracket_lanes(lo, hi, tol) -> tuple:
+    """A bracket per lane: lo and hi as equal-length 1-D float arrays and
+    tol, a float or one per lane, as an array of their length; DomainError
+    where a float bracket would raise one, before any evaluation."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise DomainError(f"bracket lanes need equal-length 1-D arrays, got shapes "
+                          f"{lo.shape} and {hi.shape}")
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
+    if not np.all((0.0 < tol) & (tol < math.inf)):
+        raise DomainError("tol must be finite and > 0 in every lane")
+    bad = np.flatnonzero(~(lo <= hi))
+    if bad.size:
+        raise DomainError(f"invalid bracket [{lo[bad[0]]}, {hi[bad[0]]}]")
+    return lo, hi, tol
+
+
+def _probe(fn, x: np.ndarray) -> np.ndarray:
+    """fn at one x per lane, as a float array of their shape."""
+    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
+
+
+def bisect_root(fn: Callable, lo, hi, tol=1e-12):
     """Root of fn on [lo, hi] by Brent's method (zeroin: R. P. Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4); requires
     a sign change, and returns a zero endpoint as it is.
@@ -176,7 +199,14 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
     smooth roots that takes about 5 evaluations from a 1e-4 cell to 1e-12,
     where bisection takes 30; it never needs more than about the square
     of bisection's count. Deterministic: equal inputs give equal outputs.
+
+    A float bracket is probed with floats. lo and hi may instead be
+    equal-length 1-D arrays, one bracket per lane, with tol a float or one
+    per lane: then the lanes run in lockstep (_brent_lanes) and an array
+    of roots comes back.
     """
+    if np.ndim(lo) or np.ndim(hi):
+        return _brent_lanes(fn, lo, hi, tol)
     _check_tol(tol)
     if not lo <= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
@@ -225,13 +255,84 @@ def bisect_root(fn: Callable[[float], float], lo: float, hi: float,
             d = e = b - a
 
 
+def _brent_lanes(fn: Callable, lo, hi, tol) -> np.ndarray:
+    """bisect_root on a bracket per lane, all lanes in lockstep.
+
+    Each lane takes the float iteration's operations, branches and
+    stopping rule, its branches chosen by np.where, so it returns the bits
+    the float call returns when fn gives an array entry the bits of the
+    same float call (the float-lane contract of maxsat.thresholds). Each
+    step makes one call of fn on an array holding one x per lane: fn keeps
+    its one-argument form, and a lane that has stopped repeats its last x,
+    whose value is not read. A lane with a zero endpoint returns it and
+    takes no step; DomainError if any lane has no sign change."""
+    lo, hi, tol = _bracket_lanes(lo, hi, tol)
+    flo, fhi = _probe(fn, lo), _probe(fn, hi)
+    bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & (flo * fhi > 0.0))
+    if bad.size:
+        i = bad[0]
+        raise DomainError(f"no sign change on [{lo[i]}, {hi[i]}]: "
+                          f"f(lo)={flo[i]}, f(hi)={fhi[i]}")
+    out = np.where(flo == 0.0, lo, hi)
+    x = hi.copy()
+    run = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
+    a, fa, b, fb, tol = lo[run], flo[run], hi[run], fhi[run], tol[run]
+    c, fc = a, fa
+    d = e = b - a
+    # the branches not taken may divide by zero
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while run.size:
+            swap = np.abs(fc) < np.abs(fb)
+            a, fa, b, fb, c, fc = (np.where(swap, b, a), np.where(swap, fb, fa),
+                                   np.where(swap, c, b), np.where(swap, fc, fb),
+                                   np.where(swap, b, c), np.where(swap, fb, fc))
+            width = 2.0 * _EPS * np.abs(b) + 0.5 * tol
+            m = 0.5 * (c - b)
+            stop = (np.abs(m) <= width) | (fb == 0.0)
+            if stop.any():
+                out[run[stop]] = b[stop]
+                go = ~stop
+                run, a, fa, b, fb, c, fc, d, e, tol, width, m = (
+                    v[go] for v in (run, a, fa, b, fb, c, fc, d, e, tol, width, m))
+                if not run.size:
+                    break
+            s = fb / fa
+            q, r = fa / fc, fb / fc
+            secant = a == c
+            p = np.where(secant, 2.0 * m * s,
+                         s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0)))
+            q = np.where(secant, 1.0 - s, (q - 1.0) * (r - 1.0) * (s - 1.0))
+            pos = p > 0.0
+            q, p = np.where(pos, -q, q), np.where(pos, p, -p)
+            # Python's min(u, v) is v only where v < u
+            u, v = 3.0 * m * q - np.abs(width * q), np.abs(e * q)
+            take = ((np.abs(e) >= width) & (np.abs(fa) > np.abs(fb))
+                    & (2.0 * p < np.where(v < u, v, u)))
+            e, d = np.where(take, d, m), np.where(take, p / q, m)
+            a, fa = b, fb
+            b = b + np.where(np.abs(d) > width, d, np.copysign(width, m))
+            x[run] = b
+            fb = _probe(fn, x)[run]
+            side = (fb > 0.0) == (fc > 0.0)
+            c, fc = np.where(side, a, c), np.where(side, fa, fc)
+            d, e = np.where(side, b - a, d), np.where(side, b - a, e)
+    return out
+
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_min(fn: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-12) -> float:
-    """Golden-section minimizer of a unimodal function on [lo, hi]."""
+def golden_min(fn: Callable, lo, hi, tol=1e-12):
+    """Golden-section minimizer of a unimodal function on [lo, hi], to a
+    bracket of at most tol; the midpoint of a bracket already that narrow.
+
+    A float bracket is probed with floats. lo and hi may instead be
+    equal-length 1-D arrays, one bracket per lane, with tol a float or one
+    per lane: then the lanes run in lockstep (_golden_lanes) and an array
+    of minimizers comes back."""
+    if np.ndim(lo) or np.ndim(hi):
+        return _golden_lanes(fn, lo, hi, tol)
     _check_tol(tol)
     if not lo <= hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
@@ -254,6 +355,58 @@ def golden_min(fn: Callable[[float], float], lo: float, hi: float,
             d = lo + _INV_PHI * dist
             yd = float(fn(d))
     return 0.5 * (lo + d) if yc < yd else 0.5 * (c + hi)
+
+
+def _golden_lanes(fn: Callable, lo, hi, tol) -> np.ndarray:
+    """golden_min on a bracket per lane, all lanes in lockstep.
+
+    Each lane takes the float iteration's operations, branches and step
+    count, the count from its own math.log, so it returns the bits the
+    float call returns when fn gives an array entry the bits of the same
+    float call. Each step makes one call of fn on an array holding one x
+    per lane, the new point of each lane still running; a lane that has
+    stopped, or never started because its bracket is within tol, repeats
+    its last x, whose value is not read."""
+    lo, hi, tol = _bracket_lanes(lo, hi, tol)
+    dist = hi - lo
+    out = 0.5 * (lo + hi)
+    run = np.flatnonzero(~(dist <= tol))
+    if not run.size:
+        return out
+    lo, hi, dist = lo[run], hi[run], dist[run]
+    # the probes after the first two, as golden_min counts them
+    steps = np.array([max(int(math.ceil(math.log(t / w) / math.log(_INV_PHI))) - 1, 0)
+                      for w, t in zip(dist.tolist(), tol[run].tolist())])
+    c = lo + _INV_PHI_SQ * dist
+    d = lo + _INV_PHI * dist
+    x = out.copy()
+    x[run] = c
+    yc = _probe(fn, x)[run]
+    x[run] = d
+    yd = _probe(fn, x)[run]
+    k = 0
+    while True:
+        stop = steps == k
+        if stop.any():
+            out[run[stop]] = np.where(yc[stop] < yd[stop], 0.5 * (lo[stop] + d[stop]),
+                                      0.5 * (c[stop] + hi[stop]))
+            go = ~stop
+            run, lo, hi, dist, c, d, yc, yd, steps = (
+                v[go] for v in (run, lo, hi, dist, c, d, yc, yd, steps))
+            if not run.size:
+                return out
+        # the left branch drops (d, hi] and keeps c as its new d, the
+        # right one drops [lo, c) and keeps d as its new c
+        left = yc < yd
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        dist = dist * _INV_PHI
+        kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
+        new = np.where(left, lo + _INV_PHI_SQ * dist, lo + _INV_PHI * dist)
+        x[run] = new
+        y_new = _probe(fn, x)[run]
+        c, yc = np.where(left, new, kept), np.where(left, y_new, y_kept)
+        d, yd = np.where(left, kept, new), np.where(left, y_kept, y_new)
+        k += 1
 
 
 @lru_cache(maxsize=8)

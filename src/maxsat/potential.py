@@ -30,6 +30,9 @@ from .recursion import (
     ScalarSystem,
     _analysis_grid,
     _clamp,
+    _fixed_points_lanes,
+    _hits,
+    _root_cells,
     apply_A,
     apply_At,
     fixed_points_of,
@@ -58,8 +61,16 @@ __all__ = [
 VALUE_TOL = 1e-10
 #: U's rounding level, in ulps of x_max * y_max (minimize_potential)
 ROUNDING_ULPS = 64.0
-# golden refinements of grid minima stop at this width in x
+# golden refinements of grid minima stop at this width in x; only grid
+# minima within _REFINE_MARGIN of the grid's minimum are refined, at most
+# _MAX_REFINEMENTS of them
 _X_TOL = 1e-12
+_REFINE_MARGIN = 1e-6
+_MAX_REFINEMENTS = 256
+# most lanes x grid points in one block of _minimize_lanes' scan: three
+# lanes of a 3000-point grid; blocks of up to 3e4 points measured no faster
+# and held more memory at once
+_BLOCK_POINTS = 10**4
 # width of the window above x_upper* that check_finite_w_conditions reads
 _DESCENT_WINDOW = 1e-3
 
@@ -134,35 +145,55 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
 
     on_grid, when given, maps the grid to (U, h) on it at once, so that
     the two can share one evaluation of g; it must give the values u_vec
-    and h_vec give there. The refinements call u_vec and h_vec.
+    and h_vec give there. The refinements call u_vec and h_vec with
+    floats. _minimize_lanes is the form for many slices at once.
     """
     xs = _analysis_grid(float(x_max), int(grid_n))
     us, hs = on_grid(xs) if on_grid is not None else (u_vec(xs), None)
     us = np.asarray(us, dtype=float)
 
     cands = [e for e in (0.0, float(x_max)) if abs(e - float(h_vec(e))) <= 1e-9]
-    # resolved grid-local minima: a decrease on the left beyond the
-    # rounding level picks one entry per flat bottom and keeps rounding
-    # noise from spawning refinements
-    noise = rounding_level(x_max, y_max)
-    mid = us[1:-1]
-    local = np.flatnonzero((mid < us[:-2] - noise) & (mid <= us[2:] + noise)) + 1
-    # only near-minimal grid minima are worth refining: anything farther
-    # than refine_margin above the grid minimum cannot become the global
-    # minimum, and basins the grid misses entirely are still reached
-    # through the fixed-point seeds below (all local minima are fixed
-    # points). Plateau jitter on flat stretches is excluded the same way.
-    refine_margin = 1e-6
-    local = local[us[local] <= float(np.min(us)) + refine_margin]
-    local = local[np.argsort(us[local], kind="stable")]
-    for i in local[:256].tolist():
+    _, local = _resolved_minima(us[None], rounding_level(x_max, y_max))
+    for i in local.tolist():
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
                                 float(xs[i + 1]), _X_TOL))
     fixed_points = tuple(fixed_points_of(h_vec, x_max, grid_n, hs))
     cands.extend(fixed_points)
 
     cand_arr = np.asarray(sorted(set(cands)), dtype=float)
-    vals = np.asarray(u_vec(cand_arr), dtype=float)
+    return _merge(cand_arr, np.asarray(u_vec(cand_arr), dtype=float), fixed_points)
+
+
+def _resolved_minima(us: np.ndarray, noise) -> tuple:
+    """(rows, i) of the grid-local minima minimize_potential refines, on
+    each row of us (shape (k, n)) with noise, U's rounding level, a float
+    or one per row (shape (k, 1)): each row's resolved ones, ordered by
+    value (ties by position), at most 256 of them."""
+    # resolved grid-local minima: a decrease on the left beyond the
+    # rounding level picks one entry per flat bottom and keeps rounding
+    # noise from spawning refinements
+    mid = us[:, 1:-1]
+    rows, cols = _hits((mid < us[:, :-2] - noise) & (mid <= us[:, 2:] + noise))
+    cols = cols + 1
+    vals = us[rows, cols]
+    # only near-minimal grid minima are worth refining: anything farther
+    # than _REFINE_MARGIN above the grid minimum cannot become the global
+    # minimum, and basins the grid misses entirely are still reached
+    # through the fixed-point seeds (all local minima are fixed points).
+    # Plateau jitter on flat stretches is excluded the same way.
+    near = vals <= np.min(us, axis=1)[rows] + _REFINE_MARGIN
+    rows, cols, vals = rows[near], cols[near], vals[near]
+    # lexsort is stable: a row's ties keep their grid order
+    order = np.lexsort((vals, rows))
+    rows, cols = rows[order], cols[order]
+    first = np.searchsorted(rows, rows)
+    keep = np.arange(rows.size) - first < _MAX_REFINEMENTS
+    return rows[keep], cols[keep]
+
+
+def _merge(cand_arr: np.ndarray, vals: np.ndarray, fixed_points: tuple) -> MinimizeResult:
+    """The minimizer set among the sorted distinct candidates cand_arr,
+    whose potential values are vals."""
     vmin = float(np.min(vals))
     bisected = set(fixed_points)
     mins: list[float] = []
@@ -176,6 +207,69 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
                 continue
             mins.append(float(x))
     return MinimizeResult(mins[0], mins[-1], vmin, tuple(mins), fixed_points)
+
+
+def _minimize_lanes(u: Callable, h: Callable, eps: np.ndarray, x_max: float,
+                    y_max: np.ndarray, grid_n: int, on_grid: Callable) -> list:
+    """minimize_potential at each lane parameter of eps (1-D), one
+    MinimizeResult per lane: lane k minimizes U = u(x, eps[k]), with
+    update h(x, eps[k]) and y_max[k] = g(x_max; eps[k]).
+
+    on_grid(xs, e) gives (U, h) on the grid for a column e (shape (k, 1))
+    of the lane parameters, both of shape (k, grid_n); the grid is scanned
+    in blocks of such rows of at most _BLOCK_POINTS points. All lanes'
+    resolved grid minima are then refined by one run of golden_min, all
+    their sign-change cells by one run of bisect_root
+    (recursion._fixed_points_lanes), and all their candidates valued by one
+    call of u; each lane's merge is minimize_potential's. The search lanes
+    take the float calls' steps, so where u and h give an array entry the
+    bits of the float call (the family contract of maxsat.thresholds) each
+    lane equals minimize_potential(lambda x: u(x, eps[k]), ...) bit for
+    bit."""
+    k = eps.size
+    if not k:
+        return []
+    xs = _analysis_grid(float(x_max), int(grid_n))
+    noise = np.array([rounding_level(x_max, y) for y in np.asarray(y_max).tolist()])
+    ends = (0.0, float(x_max))
+    fixed = [(np.abs(e - np.asarray(h(np.full(k, e), eps), dtype=float)) <= 1e-9).tolist()
+             for e in ends]
+    cands = [[e for e, ok in zip(ends, lane) if ok] for lane in zip(*fixed)]
+
+    block = max(1, _BLOCK_POINTS // xs.size)
+    minima, zeros, cells, graze = [], [], [], []
+    for s in range(0, k, block):
+        us, hs = on_grid(xs, eps[s:s + block, None])
+        rows, cols = _resolved_minima(np.asarray(us, dtype=float), noise[s:s + block, None])
+        minima.append((rows + s, cols))
+        d = xs - np.asarray(hs, dtype=float)
+        # a block's rows are freed before the next block is scanned
+        del us, hs
+        for found, (rows, where) in zip((zeros, cells, graze), _root_cells(xs, d)):
+            found.append((rows + s, where))
+        del d
+
+    def joined(parts):
+        return tuple(np.concatenate(a) for a in zip(*parts))
+
+    rows, cols = joined(minima)
+    if rows.size:
+        eps_rows = eps[rows]
+        refined = golden_min(lambda x: u(x, eps_rows), xs[cols - 1], xs[cols + 1], _X_TOL)
+        for r, x in zip(rows.tolist(), refined.tolist()):
+            cands[r].append(x)
+    fixed_points = [tuple(fp) for fp in _fixed_points_lanes(
+        lambda x, rows: x - h(x, eps[rows]), k, xs, joined(zeros), joined(cells),
+        joined(graze))]
+
+    cand_arrs = []
+    for c, fp in zip(cands, fixed_points):
+        c.extend(fp)
+        cand_arrs.append(np.asarray(sorted(set(c)), dtype=float))
+    sizes = [a.size for a in cand_arrs]
+    vals = np.asarray(u(np.concatenate(cand_arrs), np.repeat(eps, sizes)), dtype=float)
+    return [_merge(a, v, fp) for a, v, fp in
+            zip(cand_arrs, np.split(vals, np.cumsum(sizes)[:-1]), fixed_points)]
 
 
 def minimize_Us(sys: ScalarSystem) -> MinimizeResult:

@@ -483,7 +483,8 @@ class _WindowMean:
 
     def __init__(self, n: int, w: int):
         m = n - w + 1
-        self.scale = 1.0 / w
+        # a 0-d array: a ufunc takes it with less overhead than a float
+        self.scale = np.array(1.0 / w)
         self.scaled = np.empty(n)
         self.windows = _shifted_views(self.scaled, m)
         self.z = np.empty(m)
@@ -710,6 +711,46 @@ def _analysis_grid(x_max: float, n: int) -> np.ndarray:
     return xs
 
 
+def _hits(mask: np.ndarray) -> tuple:
+    """(rows, cols) of the True entries of a 2-D mask, row by row: what
+    np.nonzero gives, at a tenth of its cost on a few scattered hits."""
+    at, n = np.flatnonzero(mask), mask.shape[1]
+    return at // n, at % n
+
+
+def _root_cells(xs: np.ndarray, d: np.ndarray) -> tuple:
+    """Where fixed_points_of looks for roots, on each row of d = x - h(x)
+    (shape (k, n)) over the grid xs: (rows, x) of the grid points where d
+    is 0, (rows, i) of the cells [xs[i], xs[i + 1]] with a sign change, and
+    (rows, i) of the grazing points, interior local minima of |d| in
+    (0, _TANGENT_TOL) with neither neighbouring cell holding a sign change
+    or a zero, each searched on [xs[i - 1], xs[i + 1]]; all row by row, in
+    grid order."""
+    rows, cols = _hits(d == 0.0)
+    zeros = rows, xs[cols]
+    prod = d[:, :-1] * d[:, 1:]
+    cells = _hits(prod < 0.0)
+    # the interior is masked by one comparison, whose few hits are tested
+    rows, cols = _hits(np.abs(d[:, 1:-1]) < _TANGENT_TOL)
+    cols = cols + 1
+    v, left, right = (np.abs(d[rows, c]) for c in (cols, cols - 1, cols + 1))
+    graze = ((0.0 < v) & (v <= left) & (v <= right)
+             & ~(prod[rows, cols - 1] <= 0.0) & ~(prod[rows, cols] <= 0.0))
+    return zeros, cells, (rows[graze], cols[graze])
+
+
+def _distinct(found: list) -> list:
+    """found sorted, each root kept once: a root within 1e-9 of the one
+    kept before it is dropped."""
+    found.sort()
+    out: list[float] = []
+    for x in found:
+        if out and abs(x - out[-1]) <= 1e-9:
+            continue
+        out.append(x)
+    return out
+
+
 def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N, h_grid=None) -> list:
     """Scan x - h(x) on a grid_n-point grid of [0, x_max] for roots; h_grid,
     when given, is h on that grid, which the caller has already computed.
@@ -718,43 +759,54 @@ def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N, h_grid=None)
     of 1e-12 times the cell's upper end, which bounds the root, so a root
     near 0 keeps its significant digits; local minima of |x - h(x)| below
     1e-9 that do not bracket a sign change (grazing roots) are refined by
-    golden section. Returns the roots sorted and deduplicated; a
-    ScalarSystem's fixed points are fixed_points_of(sys.h, sys.x_max).
+    golden section. Both probe with floats. Returns the roots sorted and
+    deduplicated; a ScalarSystem's fixed points are
+    fixed_points_of(sys.h, sys.x_max). _fixed_points_lanes is the form for
+    many slices at once.
     """
     if grid_n < 2:
         raise DomainError("grid_n must be >= 2")
     xs = _analysis_grid(float(x_max), int(grid_n))
     d = np.asarray(h(xs) if h_grid is None else h_grid, dtype=float)
-    d = xs - d
+    (_, zeros), (_, cells), (_, graze) = _root_cells(xs, (xs - d)[None])
 
     def dfun(x):
         return float(x - h(x))
 
-    found = xs[d == 0.0].tolist()
-    prod = d[:-1] * d[1:]
-    for i in np.flatnonzero(prod < 0.0).tolist():
+    found = zeros.tolist()
+    for i in cells.tolist():
         hi = float(xs[i + 1])
         found.append(bisect_root(dfun, float(xs[i]), hi, tol=1e-12 * hi))
-
-    # grazing roots: interior local minima of |d| in (0, _TANGENT_TOL).
-    # The interior slice is masked by one comparison, whose few hits are
-    # tested one by one; its entry k is grid point k + 1
-    absd = np.abs(d)
-    for i in (np.flatnonzero(absd[1:-1] < _TANGENT_TOL) + 1).tolist():
-        v = absd[i]
-        # not a local minimum, or a cell on either side with a sign change
-        # or a zero, which is bisected
-        if (not (0.0 < v <= absd[i - 1] and v <= absd[i + 1])
-                or prod[i - 1] <= 0.0 or prod[i] <= 0.0):
-            continue
+    for i in graze.tolist():
         x = golden_min(lambda t: abs(dfun(t)), float(xs[i - 1]), float(xs[i + 1]), 1e-12)
         if abs(dfun(x)) < _TANGENT_TOL:
             found.append(x)
+    return _distinct(found)
 
-    found.sort()
-    out: list[float] = []
-    for x in found:
-        if out and abs(x - out[-1]) <= 1e-9:
-            continue
-        out.append(x)
-    return out
+
+def _fixed_points_lanes(dfun, k: int, xs: np.ndarray, zeros, cells, graze) -> list:
+    """fixed_points_of on k slices at once: the roots of each, given the
+    grid xs, _root_cells of their rows of x - h(x), and dfun(x, rows),
+    x - h(x) at each entry of x for the slice in that entry of rows. All
+    sign-change cells are refined
+    by one run of bisect_root on arrays of brackets and all grazing points
+    by one of golden_min, whose lanes take the steps of the float calls;
+    with dfun giving the bits of the float x - h(x), each slice gets the
+    list fixed_points_of gives it, bit for bit."""
+    found = [[] for _ in range(k)]
+    for r, x in zip(*(a.tolist() for a in zeros)):
+        found[r].append(x)
+    rows, cols = cells
+    if rows.size:
+        hi = xs[cols + 1]
+        roots = bisect_root(lambda x: dfun(x, rows), xs[cols], hi, 1e-12 * hi)
+        for r, x in zip(rows.tolist(), roots.tolist()):
+            found[r].append(x)
+    rows, cols = graze
+    if rows.size:
+        refined = golden_min(lambda t: np.abs(dfun(t, rows)), xs[cols - 1], xs[cols + 1],
+                             1e-12)
+        near = np.abs(dfun(refined, rows)) < _TANGENT_TOL
+        for r, x in zip(rows[near].tolist(), refined[near].tolist()):
+            found[r].append(x)
+    return [_distinct(f) for f in found]

@@ -255,16 +255,21 @@ def _bch_transfer(n: int, t: int):
     # followed by t zeros, and C(n-1, n-1-t..0) in s
     low = (combs[n - 1:t - 1:-1], t)
     high = (combs[n - 1 - t::-1], 0)
+    # the array lane's constants as 0-d arrays, which a ufunc takes with
+    # less overhead than a Python float, and which round the same
+    low_0d, high_0d = (([np.array(c) for c in top], zeros) for top, zeros in (low, high))
+    one_0d = np.array(1.0)
     inv_beta = math.exp(math.lgamma(n) - math.lgamma(t) - math.lgamma(n - t))
 
     def power(b, m):
-        out, sq = 1.0, b
+        # b^m, from the first factor on (1.0 * b is b, bit for bit)
+        out, sq = None, b
         while True:
             if m & 1:
-                out = out * sq
+                out = sq if out is None else out * sq
             m >>= 1
             if not m:
-                return out
+                return 1.0 if out is None else out
             sq = sq * sq
 
     def horner(num, den, coeffs):
@@ -295,13 +300,13 @@ def _bch_transfer(n: int, t: int):
             return horner(x, 1.0 - x, low) if x <= 0.5 else horner(1.0 - x, x, high)
         below = x <= 0.5
         if below.all():
-            return horner(x, 1.0 - x, low)
+            return horner(x, one_0d - x, low_0d)
         if not below.any():
-            return horner(1.0 - x, x, high)
+            return horner(one_0d - x, x, high_0d)
         out = np.empty_like(x)
         xl, xh = x[below], x[~below]
-        out[below] = horner(xl, 1.0 - xl, low)
-        out[~below] = horner(1.0 - xh, xh, high)
+        out[below] = horner(xl, one_0d - xl, low_0d)
+        out[~below] = horner(one_0d - xh, xh, high_0d)
         return out
 
     def g_prime(x):

@@ -36,7 +36,7 @@ from . import recursion
 from .errors import (ConstructionError, DomainError, NonConvergenceError,
                      NumericError, ThresholdUndefinedError)
 from .numerics import _check_tol, bisect_root
-from .potential import MinimizeResult, minimize_potential, rounding_level
+from .potential import MinimizeResult, _minimize_lanes, minimize_potential, rounding_level
 from .recursion import (ANALYSIS_GRID_N, CouplingSpec, IterationConfig, ScalarSystem,
                         _analysis_grid, make_system, tabulated_integral)
 
@@ -175,12 +175,15 @@ class ParamSystem:
         arrays (_check_side)."""
         return {}
 
-    def _check_side(self, xs: np.ndarray, eps: float) -> tuple:
+    def _check_side(self, xs: np.ndarray, eps) -> tuple:
         """g(xs; eps) and xs g - G(xs; eps) on a shared analysis grid xs
         (recursion._analysis_grid), the eps-free part of U_s as u computes
-        it. With eps_free_check_side both are tabulated once per grid size
-        and come back read-only for every eps."""
+        it, for a float eps or a column of them (shape (k, 1), one row
+        each). With eps_free_check_side both are tabulated once per grid
+        size and come back read-only, as one row for every eps."""
         if not self.eps_free_check_side:
+            if isinstance(eps, np.ndarray):
+                xs = np.broadcast_to(xs, (eps.shape[0], xs.size))
             g = self.g(xs, eps)
             return g, xs * g - self.G(xs, eps)
         table = self._check_side_tables.get(xs.size)
@@ -202,11 +205,14 @@ class ParamSystem:
     @cached_property
     def _fp_curve(self) -> tuple:
         """eps(x) and Q(x) on _fp_grid where h(x; 0) <= x + 1e-12 and
-        h(x; eps_max) >= x, NaN elsewhere."""
+        h(x; eps_max) >= x, NaN elsewhere. Those points lie in the
+        fixed-point domain, a stricter test than eps_of_x's own, so without
+        a closed form eps(x) is bisected directly."""
         xs, h0, hmax = self._fp_grid
         eps, q = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
         at = (h0 <= xs + 1e-12) & (hmax >= xs)
-        eps[at] = eps_of_x(self, xs[at])
+        closed = self.eps_of_x_closed is not None
+        eps[at] = eps_of_x(self, xs[at]) if closed else _bisect_eps(self, xs[at])
         q[at] = self.u(xs[at], eps[at])
         return eps, q
 
@@ -321,6 +327,24 @@ def minimize_us_at(psys: ParamSystem, eps: float,
 
     return minimize_potential(lambda x: psys.u(x, e), lambda x: psys.h(x, e),
                               psys.x_max, float(psys.g(psys.x_max, e)), grid_n, on_grid)
+
+
+def _minimize_us_lanes(psys: ParamSystem, es, grid_n: int) -> list:
+    """minimize_us_at at each eps of es, as one batch
+    (potential._minimize_lanes): the grid is scanned for blocks of eps at
+    once, rows of x of shape (k, grid_n) with eps of shape (k, 1), and the
+    refinements of all of them run as lanes. The family callables give an
+    array entry the bits of the float call, so each result equals
+    minimize_us_at's bit for bit."""
+    es = np.array([_check_eps(psys, e) for e in es], dtype=float)
+
+    def on_grid(xs, e):
+        g, xg_G = psys._check_side(xs, e)
+        g = np.broadcast_to(g, (e.shape[0], xs.size))
+        return xg_G - psys.F(g, e), psys.f(g, e)
+
+    y_max = psys.g(np.full(es.shape, float(psys.x_max)), es)
+    return _minimize_lanes(psys.u, psys.h, es, psys.x_max, y_max, grid_n, on_grid)
 
 
 def Psi(psys: ParamSystem, eps: float) -> float:
@@ -727,11 +751,18 @@ def map_exit_curve(psys: ParamSystem, eps_grid) -> MapExitCurve:
     """EXIT functional at the largest potential minimizer, found on the
     _CURVE_GRID_N-point grid, over an eps-grid, with jumps above 0.01 located
     to 1e-6 between adjacent grid points (_refine_jumps). DomainError for a
-    grid that decreases anywhere."""
+    grid that decreases anywhere.
+
+    The whole grid is minimized as one batch (_minimize_us_lanes), whose
+    golden and Brent searches run every eps as a lane of one lockstep run:
+    per eps they take the steps and give the bits of x_bar_star, in a few
+    hundred array calls of the family's callables for the whole grid. Each
+    bisection step of a jump is one minimization, x_bar_star with float
+    probes."""
     es = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(es) < 0.0):
         raise DomainError("map_exit_curve needs an eps grid in ascending order")
-    xbars = np.array([x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es])
+    xbars = np.array([r.x_upper for r in _minimize_us_lanes(psys, es, _CURVE_GRID_N)])
     # the fallback's constant partials may come back as a float
     ex = np.broadcast_to(np.asarray(psys.exit_value(xbars, es), dtype=float), es.shape)
     jumps = _refine_jumps(psys, es, xbars)

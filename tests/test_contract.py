@@ -5,7 +5,8 @@ one call: maps return (K, M), partials broadcast to it, and row k equals
 the call with the scalar eps[k, 0] bit for bit. A Python float x with a
 float eps gives a Python float, equal bit for bit to the entry of the same
 x in the array, and so does x as a 0-d array or a numpy scalar, up to
-the kind of scalar.
+the kind of scalar, and x and eps both of shape (L,) give entry l the
+bits of the call with their l-th entries.
 On random degree profiles the families also keep potential descent and
 symmetric, unimodal coupled iterates, and their thresholds computed from
 these callables match coefficient oracles and stay ordered.
@@ -104,9 +105,27 @@ def assert_scalar_lane(psys, X, E):
                     assert math.copysign(1.0, out) == math.copysign(1.0, want), (name, x, e)
 
 
+def assert_vector_lane(psys, X, E):
+    """Every map at x and eps both of shape (L,), one eps per entry, as the
+    batched searches of map_exit_curve call u and h: each entry equal bit
+    for bit to the call with that entry's floats."""
+    x, e = X.ravel(), np.repeat(E[:, 0], X.shape[1])
+    for name in MAPS:
+        fn = getattr(psys, name)
+        out = np.asarray(fn(x, e), dtype=float)
+        assert out.shape == x.shape, name
+        want = np.array([fn(a, b) for a, b in zip(x.tolist(), e.tolist())], dtype=float)
+        assert out.view(np.int64).tolist() == want.view(np.int64).tolist(), name
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_lane_contract(family):
     assert_lane_contract(FAMILIES[family](), *lanes())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_vector_lane(family):
+    assert_vector_lane(FAMILIES[family](), *lanes(K=8, M=100))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -256,6 +256,113 @@ class TestBrentRoot:
         assert len(probes) <= 8
 
 
+@st.composite
+def bracket_lanes(draw, root_inside: bool):
+    """Lanes of brackets with one problem each: (lo, hi, tol, r, k), where
+    the widths span 15 decades, and include 0 and widths at or below tol,
+    so lanes stop at different steps; with root_inside r lies in
+    [lo, hi], at either end in some lanes."""
+    n = draw(st.integers(1, 12))
+    lanes = []
+    for _ in range(n):
+        lo = draw(st.floats(-1.0, 1.0))
+        tol = draw(st.sampled_from((1e-300, 1e-12, 1e-9, 1e-4)))
+        width = draw(st.one_of(st.sampled_from((0.0, 0.5 * tol, tol)),
+                               st.floats(1e-15, 2.0)))
+        hi = lo + width
+        if root_inside:
+            frac = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
+            r = lo + frac * (hi - lo)
+        else:
+            r = draw(st.floats(-1.5, 2.5))
+        lanes.append((lo, hi, tol, r, draw(st.floats(0.1, 10.0))))
+    return [np.array(v) for v in zip(*lanes)]
+
+
+class TestLanes:
+    """Arrays of brackets run in lockstep, each lane bit for bit the float
+    call, with one call of fn per step: as many calls as the float call of
+    the lane that runs longest."""
+
+    @staticmethod
+    def solve_each(solver, fn, lo, hi, tol, params):
+        """The float calls, one lane at a time, and their largest count of
+        probes."""
+        out, most = [], 0
+        for lane in zip(lo.tolist(), hi.tolist(), tol.tolist(), *(p.tolist() for p in params)):
+            f, probes = probed(lambda x, lane=lane: fn(x, *lane[3:]))
+            out.append(solver(f, lane[0], lane[1], lane[2]))
+            most = max(most, len(probes))
+        return np.array(out), most
+
+    @staticmethod
+    def counted(fn):
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return fn(x)
+
+        return f, calls
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(lanes=bracket_lanes(root_inside=False))
+    def test_golden_lanes_are_float_calls(self, lanes):
+        lo, hi, tol, r, k = lanes
+
+        def fn(x, r, k):
+            # a cubic in x - r: unimodal on most brackets, not on all
+            t = x - r
+            return k * t * t + 0.3 * t * t * t
+
+        want, most = self.solve_each(golden_min, fn, lo, hi, tol, (r, k))
+        f, calls = self.counted(lambda x: fn(x, r, k))
+        got = golden_min(f, lo, hi, tol)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert len(calls) == most
+        assert all(shape == lo.shape for shape in calls)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(lanes=bracket_lanes(root_inside=True))
+    def test_brent_lanes_are_float_calls(self, lanes):
+        lo, hi, tol, r, k = lanes
+
+        def fn(x, r, k):
+            # increasing, with its root at r, an exact zero at an end
+            t = x - r
+            return t * (k + t * t)
+
+        want, most = self.solve_each(bisect_root, fn, lo, hi, tol, (r, k))
+        f, calls = self.counted(lambda x: fn(x, r, k))
+        got = bisect_root(f, lo, hi, tol)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert len(calls) == most
+        assert all(shape == lo.shape for shape in calls)
+
+    def test_one_tol_for_all_lanes(self):
+        lo, hi = np.array([1.0, 0.0]), np.array([2.0, 3.0])
+        got = bisect_root(lambda x: x * x - 2.0, lo, hi, 1e-12)
+        assert got.tolist() == [bisect_root(lambda x: x * x - 2.0, a, b, 1e-12)
+                                for a, b in zip(lo.tolist(), hi.tolist())]
+
+    @pytest.mark.parametrize("solver", [bisect_root, golden_min])
+    @pytest.mark.parametrize("lo, hi, tol", [
+        ([0.0, 0.0], [1.0], 1e-12),
+        ([[0.0]], [[1.0]], 1e-12),
+        ([0.0, 0.0], [1.0, 1.0], [1e-12, 0.0]),
+        ([0.0, 1.0], [1.0, 0.5], 1e-12),
+    ], ids=["lengths", "2-d", "tol", "reversed"])
+    def test_bad_lanes_rejected_before_any_call(self, solver, lo, hi, tol):
+        calls = []
+        with pytest.raises(DomainError):
+            solver(lambda x: calls.append(x) or x - 0.5, lo, hi, tol)
+        assert calls == []
+
+    def test_no_sign_change_in_a_lane(self):
+        with pytest.raises(DomainError, match=r"^no sign change on \[2\.0, 3\.0\]"):
+            bisect_root(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
+
+
 def test_gauss_hermite_total_weight():
     nodes, weights = gauss_hermite(61)
     assert len(nodes) == 61

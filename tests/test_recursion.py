@@ -21,6 +21,8 @@ from maxsat.recursion import (
     IterationConfig,
     _analysis_grid,
     _clamp,
+    _fixed_points_lanes,
+    _root_cells,
     apply_A,
     apply_At,
     copy_midpoint_tail,
@@ -532,6 +534,36 @@ class TestEnumerate:
         assert pts[0] == pytest.approx(r1, abs=1e-5)
         assert pts[1] == pytest.approx(r2, abs=1e-5)
         assert all(abs(x - h(x)) < 1e-9 for x in pts)
+
+    @pytest.mark.parametrize("grid_n", [11, 3000, ANALYSIS_GRID_N])
+    def test_lanes_equal_float_scans(self, grid_n):
+        # slices x - h = s (x - c)^2 (x - a): a sign change at a, an exact
+        # zero where a is a grid point, and a grazing root at c; the slices
+        # scanned and refined as lanes give each one fixed_points_of's list
+        xs = _analysis_grid(1.0, grid_n)
+        rng = np.random.default_rng(grid_n)
+        k = 12
+        a = rng.uniform(0.0, 1.0, k)
+        a[::4] = xs[rng.integers(0, grid_n, 3)]
+        c = rng.uniform(0.0, 1.0, k)
+        s = rng.uniform(0.01, 0.1, k) * rng.choice([-1.0, 1.0], k)
+
+        def h(x, rows):
+            return x - s[rows] * (x - c[rows]) * (x - c[rows]) * (x - a[rows])
+
+        def dfun(x, rows):
+            return x - h(x, rows)
+
+        d = xs - h(xs, np.arange(k)[:, None])
+        cells = _root_cells(xs, d)
+        got = _fixed_points_lanes(dfun, k, xs, *cells)
+        for j in range(k):
+            want = fixed_points_of(lambda x: h(x, j), 1.0, grid_n)
+            assert [v.hex() for v in got[j]] == [v.hex() for v in want], j
+        # each kind of root is there to be found, but the 11-point grid
+        # resolves no grazing root
+        zeros, changes, grazing = (rows.size for rows, _ in cells)
+        assert zeros and changes and (grazing or grid_n == 11)
 
     @pytest.mark.parametrize("x_max, grid_n", [(1.0, ANALYSIS_GRID_N), (0.75, 1234)])
     def test_shared_grid_is_a_read_only_linspace(self, x_max, grid_n):

@@ -699,11 +699,13 @@ class TestMapJumps:
         # the CLI's default exit-curves window; the old rule spent 518, 14,
         # 490, 462 and 308 minimizations on its jumps, and without the
         # endpoint rule x_max tied the minimum at 1, 0, 2, 38 and 61 eps,
-        # each a phantom jump
+        # each a phantom jump. The curve's own points are one batch, which
+        # does not call minimize_us_at, so every call counted is the jump
+        # search's
         psys = request.getfixturevalue(which)
         es = np.linspace(0.0, psys.eps_max, 101)
         crv = map_exit_curve(psys, es)
-        assert len(minimizations) <= len(es) + searched
+        assert len(minimizations) <= searched
         assert crv.jumps == pytest.approx(jumps, abs=1e-4)
         for x, e in zip(crv.x_stars, es):
             assert x < psys.x_max or abs(float(psys.h(x, e)) - x) <= 1e-9
@@ -749,6 +751,70 @@ class TestMapJumps:
     def test_eps_outside_the_family_raises(self, ldpc8, entry, eps):
         with pytest.raises(DomainError):
             entry(ldpc8, eps)
+
+
+def per_point_curve(psys, es):
+    """map_exit_curve as it was before its grid became one batch: an
+    x_bar_star per eps."""
+    es = np.asarray(es, dtype=float)
+    xbars = np.array([x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es])
+    ex = np.broadcast_to(np.asarray(psys.exit_value(xbars, es), dtype=float), es.shape)
+    return thresholds.MapExitCurve(es, ex, xbars, tuple(thresholds._refine_jumps(psys, es, xbars)))
+
+
+def assert_same_curve(got, want):
+    for name in ("eps", "exit_values", "x_stars"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape, name
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
+    assert got.jumps == want.jumps
+
+
+# the eps windows of the benchmark's analysis/exit pools (bench/refs.json)
+BENCH_EXIT_WINDOWS = [
+    ("ldgm9", 0.449623, 0.583999), ("ldgm9", 0.449993, 0.554709),
+    ("ldgm9", 0.454316, 0.585218), ("ldgm9", 0.467495, 0.53015),
+    ("ldpc8", 0.507631, 0.699056), ("ldpc8", 0.544223, 0.716394),
+    ("ldpc8", 0.594347, 0.662749), ("ldpc8", 0.581543, 0.691055),
+]
+
+
+class TestBatchedMapCurve:
+    """map_exit_curve minimizes its whole eps grid as one batch, whose
+    searches run as lanes taking the float calls' steps: its x_stars,
+    exit values and jumps equal those of an x_bar_star per eps, bit for
+    bit."""
+
+    @pytest.mark.parametrize("which", FAMILIES)
+    def test_default_window(self, request, which):
+        psys = request.getfixturevalue(which)
+        es = np.linspace(0.0, psys.eps_max, 101)
+        assert_same_curve(map_exit_curve(psys, es), per_point_curve(psys, es))
+
+    @pytest.mark.parametrize("which, lo, hi", BENCH_EXIT_WINDOWS)
+    def test_benchmark_window(self, request, which, lo, hi):
+        psys = request.getfixturevalue(which)
+        es = np.linspace(lo, hi, 101)
+        assert_same_curve(map_exit_curve(psys, es), per_point_curve(psys, es))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_window(self, request, seed):
+        rng = np.random.default_rng(8100 + seed)
+        psys = request.getfixturevalue(FAMILIES[seed % len(FAMILIES)])
+        n = [1, 2, int(rng.integers(3, 41))][seed % 3]
+        lo, hi = np.sort(rng.uniform(0.0, psys.eps_max, 2))
+        if seed == 9:
+            lo, hi = 0.0, psys.eps_max
+        es = np.linspace(lo, hi, n)
+        assert_same_curve(map_exit_curve(psys, es), per_point_curve(psys, es))
+
+    def test_empty_grid(self, ldpc8):
+        assert_same_curve(map_exit_curve(ldpc8, []), per_point_curve(ldpc8, []))
+
+    def test_envelope_integral(self, ldpc8, monkeypatch):
+        batched = psi_integral(ldpc8, 0.66)
+        monkeypatch.setattr(thresholds, "map_exit_curve", per_point_curve)
+        assert batched.hex() == psi_integral(ldpc8, 0.66).hex()
 
 
 def _cold_run(psys, e, spec, cfg=IterationConfig()):

@@ -38,14 +38,17 @@ def test_tracer_counts_analysis_layers():
         maxsat.potential.potential_report(ex1)
         maxsat.thresholds.map_exit_curve(ldpc8(), [0.5, 0.7])
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    # one 1e4-point minimization for the report; two curve points, 18
-    # bisection steps of the jump near 0.622 and 13 of the sub-cells of the
-    # continuous rise above it (0.10 to 0.22), searched until each rises by
-    # at most 0.01, each a 3000-point one
-    assert metrics["potential.minimize_calls"] == 34
-    assert metrics["potential.grid_points"] == 10**4 + 33 * 3000
+    # one 1e4-point minimization for the report, and 18 bisection steps of
+    # the jump near 0.622 and 13 of the sub-cells of the continuous rise
+    # above it (0.10 to 0.22), searched until each rises by at most 0.01,
+    # each a 3000-point x_bar_star. The two curve points are minimized as
+    # one batch by private helpers (thresholds._minimize_us_lanes), which
+    # the tracer does not see: a per-point loop reads 34, 10**4 + 33 * 3000
+    # and 33 here
+    assert metrics["potential.minimize_calls"] == 32
+    assert metrics["potential.grid_points"] == 10**4 + 31 * 3000
     assert metrics["potential.fp_scans_per_report"] == 1.0
-    assert metrics["thresholds.xbar_evals"] == 33
+    assert metrics["thresholds.xbar_evals"] == 31
 
 
 def test_tracer_counts_threshold_search():
@@ -75,12 +78,25 @@ def test_tracer_counts_envelope_integral():
     with tracer:
         maxsat.thresholds.psi_integral(ldpc8(), 0.66)
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    # 661 points of the MAP curve, 1e-3 apart, plus the 10 bisection steps
-    # of the jump near 0.622, each one 3000-point minimization; the slopes
-    # are read off the curve, so a second sampling pass would show here
-    assert metrics["potential.minimize_calls"] == 671
-    assert metrics["thresholds.xbar_evals"] == 671
-    assert metrics["potential.grid_points"] == 671 * 3000
+    # the 661 points of the MAP curve, 1e-3 apart, are one batch, which
+    # the tracer sees only through its searches; the 10 bisection steps of
+    # the jump near 0.622 are one 3000-point x_bar_star each. The slopes
+    # are read off the curve, so a second sampling pass would show here,
+    # and a per-point curve reads 671 minimizations
+    assert metrics["potential.minimize_calls"] == 10
+    assert metrics["thresholds.xbar_evals"] == 10
+    assert metrics["potential.grid_points"] == 10 * 3000
+    # a golden run on a 3000-point grid probes 2 + 42 times: 43 steps
+    # shrink its two cells, 2 / 2999, below 1e-12. One run covers the 39
+    # curve points whose grid resolves a minimum, in lockstep, and 7 of
+    # the 10 bisection steps resolve one each: 8 runs, where a per-point
+    # curve makes 46
+    assert metrics["numerics.golden_evals"] == 8 * 44
+    # one lockstep Brent run over the 92 sign-change cells of the curve
+    # probes 7 times, as often as its longest lane, and the bisection
+    # steps' 20 fixed points take 6 probes each but 2 that take 5; a
+    # per-point curve probes 668 times
+    assert metrics["numerics.bisect_evals"] == 7 + 18 * 6 + 2 * 5
 
 
 def test_tracer_counts_sweep_iterations(tmp_path):
