@@ -127,33 +127,42 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
 
     Scans the grid_n-point grid of [0, x_max] that fixed_points_of scans
     too (built once per (x_max, grid_n) and shared read-only),
-    golden-refines the grid-local minima the grid resolves to 1e-12 in x,
-    and seeds the candidate set with all fixed points of h on that grid
-    (every interior local minimum of the potential is one, so narrow
-    basins between grid nodes are still found) plus each endpoint that is
-    a fixed point, to 1e-9 (U' = -h(0) g' <= 0 at 0 and >= 0 at x_max, so
-    no other endpoint is a minimizer, while on a flat U it may tie one). A
-    grid-local minimum is resolved when it lies below its left neighbour
-    by more than the rounding level of U and not above its right
-    neighbour by more than that level. The level is 64 ulps of x_max * y_max: each of x g(x),
-    G(x) and F(g(x)) lies in [0, x_max * y_max], so U carries the rounding
-    of terms that size even where U itself is much smaller. Where U is
-    flat to that level (g near 1 on the gldpc codes) the grid shows only
-    noise, and that basin is left to its fixed point. Minimizers are all
-    candidates whose value is within VALUE_TOL of the best; of two within
-    1e-9 of each other the fixed point is kept.
+    golden-refines to 1e-12 in x the grid-local minima the grid resolves
+    and across which x - h(x) crosses zero upwards, and seeds the
+    candidate set with all fixed points of h on that grid (every interior
+    local minimum of the potential is one, so narrow basins between grid
+    nodes are still found) plus each endpoint that is a fixed point, to
+    1e-9 (U' = -h(0) g' <= 0 at 0 and >= 0 at x_max, so no other endpoint
+    is a minimizer, while on a flat U it may tie one).
+
+    A grid-local minimum is resolved when it lies below its left
+    neighbour by more than the rounding level of U and not above its
+    right neighbour by more than that level. The level is 64 ulps of
+    x_max * y_max: each of x g(x), G(x) and F(g(x)) lies in
+    [0, x_max * y_max], so U carries the rounding of terms that size even
+    where U itself is much smaller. Where U is flat to that level (g near
+    1 on the gldpc codes) the grid shows only noise, and that basin is
+    left to its fixed point. The crossing rule (_resolved_minima) follows
+    from U' = (x - h(x)) g'(x) with g' > 0: U has a local minimum only
+    where x - h(x) turns from <= 0 to >= 0, so a resolved grid minimum i
+    with d = x - h(x) on the grid is refined only if
+    d[i - 1] <= 0 <= d[i + 1]; any other is noise on a monotone stretch.
+    Minimizers are all candidates whose value is within VALUE_TOL of the
+    best; of two within 1e-9 of each other the fixed point is kept.
 
     on_grid, when given, maps the grid to (U, h) on it at once, so that
     the two can share one evaluation of g; it must give the values u_vec
-    and h_vec give there. The refinements call u_vec and h_vec with
-    floats. _minimize_lanes is the form for many slices at once.
+    and h_vec give there. Without it, h_vec is evaluated on the grid once,
+    for the crossing rule and fixed_points_of alike. The refinements call
+    u_vec and h_vec with floats. _minimize_lanes is the form for many
+    slices at once.
     """
     xs = _analysis_grid(float(x_max), int(grid_n))
-    us, hs = on_grid(xs) if on_grid is not None else (u_vec(xs), None)
-    us = np.asarray(us, dtype=float)
+    us, hs = on_grid(xs) if on_grid is not None else (u_vec(xs), h_vec(xs))
+    us, hs = np.asarray(us, dtype=float), np.asarray(hs, dtype=float)
 
     cands = [e for e in (0.0, float(x_max)) if abs(e - float(h_vec(e))) <= 1e-9]
-    _, local = _resolved_minima(us[None], rounding_level(x_max, y_max))
+    _, local = _resolved_minima(us[None], rounding_level(x_max, y_max), (xs - hs)[None])
     for i in local.tolist():
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
                                 float(xs[i + 1]), _X_TOL))
@@ -164,17 +173,24 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     return _merge(cand_arr, np.asarray(u_vec(cand_arr), dtype=float), fixed_points)
 
 
-def _resolved_minima(us: np.ndarray, noise) -> tuple:
+def _resolved_minima(us: np.ndarray, noise, d: np.ndarray) -> tuple:
     """(rows, i) of the grid-local minima minimize_potential refines, on
     each row of us (shape (k, n)) with noise, U's rounding level, a float
-    or one per row (shape (k, 1)): each row's resolved ones, ordered by
-    value (ties by position), at most 256 of them."""
+    or one per row (shape (k, 1)), and d, x - h(x) on the same grid (shape
+    (k, n)): each row's resolved ones across which x - h(x) crosses zero
+    upwards, d[i - 1] <= 0 <= d[i + 1], ordered by value (ties by
+    position), at most 256 of them. As U' = (x - h(x)) g'(x) with g' > 0,
+    U can turn from falling to rising only where x - h(x) does; a grid
+    minimum without that crossing is rounding noise on a monotone stretch,
+    whose golden search would end at no critical point."""
     # resolved grid-local minima: a decrease on the left beyond the
     # rounding level picks one entry per flat bottom and keeps rounding
     # noise from spawning refinements
     mid = us[:, 1:-1]
     rows, cols = _hits((mid < us[:, :-2] - noise) & (mid <= us[:, 2:] + noise))
     cols = cols + 1
+    crossing = (d[rows, cols - 1] <= 0.0) & (d[rows, cols + 1] >= 0.0)
+    rows, cols = rows[crossing], cols[crossing]
     vals = us[rows, cols]
     # only near-minimal grid minima are worth refining: anything farther
     # than _REFINE_MARGIN above the grid minimum cannot become the global
@@ -218,14 +234,16 @@ def _minimize_lanes(u: Callable, h: Callable, eps: np.ndarray, x_max: float,
     on_grid(xs, e) gives (U, h) on the grid for a column e (shape (k, 1))
     of the lane parameters, both of shape (k, grid_n); the grid is scanned
     in blocks of such rows of at most _BLOCK_POINTS points. All lanes'
-    resolved grid minima are then refined by one run of golden_min, all
-    their sign-change cells by one run of bisect_root
-    (recursion._fixed_points_lanes), and all their candidates valued by one
-    call of u; each lane's merge is minimize_potential's. The search lanes
-    take the float calls' steps, so where u and h give an array entry the
-    bits of the float call (the family contract of maxsat.thresholds) each
-    lane equals minimize_potential(lambda x: u(x, eps[k]), ...) bit for
-    bit."""
+    resolved grid minima across which x - h(x), with h the rows on_grid
+    gives, crosses zero upwards (the crossing rule of _resolved_minima:
+    U' = (x - h) g' with g' > 0, so U turns only there) are then refined
+    by one run of golden_min, all their sign-change cells by one run of
+    bisect_root (recursion._fixed_points_lanes), and all their candidates
+    valued by one call of u; each lane's merge is minimize_potential's.
+    The search lanes take the float calls' steps, so where u and h give an
+    array entry the bits of the float call (the family contract of
+    maxsat.thresholds) each lane equals
+    minimize_potential(lambda x: u(x, eps[k]), ...) bit for bit."""
     k = eps.size
     if not k:
         return []
@@ -240,9 +258,9 @@ def _minimize_lanes(u: Callable, h: Callable, eps: np.ndarray, x_max: float,
     minima, zeros, cells, graze = [], [], [], []
     for s in range(0, k, block):
         us, hs = on_grid(xs, eps[s:s + block, None])
-        rows, cols = _resolved_minima(np.asarray(us, dtype=float), noise[s:s + block, None])
-        minima.append((rows + s, cols))
         d = xs - np.asarray(hs, dtype=float)
+        rows, cols = _resolved_minima(np.asarray(us, dtype=float), noise[s:s + block, None], d)
+        minima.append((rows + s, cols))
         # a block's rows are freed before the next block is scanned
         del us, hs
         for found, (rows, where) in zip((zeros, cells, graze), _root_cells(xs, d)):

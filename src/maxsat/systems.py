@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -98,15 +99,15 @@ class DegreeDistribution:
         total = anti(1.0)
         return cls(Polynomial(tuple(c / total for c in anti.coeffs)))
 
-    @property
+    @cached_property
     def lp1(self) -> float:
         """Average node degree L'(1)."""
         return float(self.node.derivative()(1.0))
 
-    @property
+    @cached_property
     def edge(self) -> Polynomial:
-        d = self.node.derivative()
-        return Polynomial(tuple(c / self.lp1 for c in d.coeffs))
+        lp1 = self.lp1
+        return Polynomial(tuple(c / lp1 for c in self.node.derivative().coeffs))
 
 
 def _erasure_profiles(L: Union[DegreeDistribution, PolyLike],

@@ -116,7 +116,7 @@ class ParamSystem:
     fields are closed forms and bounds. The fixed-point curve is tabulated
     once too (_fp_grid, _fp_curve), and so, on a family whose check side
     is eps-free, are g and x g - G on each grid it is minimized on
-    (_check_side).
+    (_check_side), which the fixed-point table reads too (_fp_check_side).
 
     The callables are elementwise (module docstring): f, g, F, G and
     exit_fn return the shape of x, and each partial any value that
@@ -196,24 +196,50 @@ class ParamSystem:
         return table
 
     @cached_property
+    def _fp_check_side(self) -> Optional[tuple]:
+        """g and x g - G on _fp_grid's points for a family with
+        eps_free_check_side, None otherwise: the analysis grid's table
+        (_check_side) with its first point replaced by _X_TINY's own
+        values."""
+        if not self.eps_free_check_side:
+            return None
+        tiny = np.array([_X_TINY])
+        g_tiny = np.asarray(self.g(tiny, 0.0), dtype=float)
+        g, xg_G = self._check_side(_analysis_grid(float(self.x_max), ANALYSIS_GRID_N), 0.0)
+        return (np.concatenate((g_tiny, g[1:])),
+                np.concatenate((tiny * g_tiny - self.G(tiny, 0.0), xg_G[1:])))
+
+    @cached_property
     def _fp_grid(self) -> tuple:
         """The analysis grid with its first point at _X_TINY, and h(x; 0)
-        and h(x; eps_max) on it."""
+        and h(x; eps_max) on it; with _fp_check_side, as f(g; eps) of its
+        g, the operations of h."""
         xs = np.concatenate(([_X_TINY], _analysis_grid(float(self.x_max), ANALYSIS_GRID_N)[1:]))
-        return xs, self.h(xs, 0.0), self.h(xs, self.eps_max)
+        side = self._fp_check_side
+        if side is None:
+            return xs, self.h(xs, 0.0), self.h(xs, self.eps_max)
+        return xs, self.f(side[0], 0.0), self.f(side[0], self.eps_max)
 
     @cached_property
     def _fp_curve(self) -> tuple:
         """eps(x) and Q(x) on _fp_grid where h(x; 0) <= x + 1e-12 and
         h(x; eps_max) >= x, NaN elsewhere. Those points lie in the
         fixed-point domain, a stricter test than eps_of_x's own, so without
-        a closed form eps(x) is bisected directly."""
+        a closed form eps(x) is bisected directly. With _fp_check_side, the
+        bisection's rounds and Q read its g and x g - G: Q = (x g - G) -
+        F(g; eps(x)), the operations and order of u."""
         xs, h0, hmax = self._fp_grid
         eps, q = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
         at = (h0 <= xs + 1e-12) & (hmax >= xs)
-        closed = self.eps_of_x_closed is not None
-        eps[at] = eps_of_x(self, xs[at]) if closed else _bisect_eps(self, xs[at])
-        q[at] = self.u(xs[at], eps[at])
+        side = self._fp_check_side
+        if self.eps_of_x_closed is not None:
+            eps[at] = eps_of_x(self, xs[at])
+        else:
+            eps[at] = _bisect_eps(self, xs[at], None if side is None else side[0][at])
+        if side is None:
+            q[at] = self.u(xs[at], eps[at])
+        else:
+            q[at] = side[1][at] - self.F(side[0][at], eps[at])
         return eps, q
 
     def h(self, x, eps):
@@ -529,29 +555,36 @@ def eps_of_x(psys: ParamSystem, x):
         out = np.clip(out, 0.0, psys.eps_max)
     else:
         _eps_bracket_check(psys, flat)
+        xs = x if isinstance(x, float) else flat
+        out = _bisect_eps(psys, xs, psys.g(xs, 0.0) if psys.eps_free_check_side else None)
         if isinstance(x, float):
-            return _bisect_eps(psys, x)
-        out = _bisect_eps(psys, flat)
+            return out
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _bisect_eps(psys: ParamSystem, xs):
+def _bisect_eps(psys: ParamSystem, xs, g=None):
     """eps(x) at each of xs (in the fixed-point domain) by one vector
     bisection on eps to _EPS_OF_X_TOL. A Python float xs is bisected on
     floats. The callables give a float the bits of its lane (module
     docstring), so it takes the rounds, and returns the value, of a
-    one-lane array, without an array operation per round."""
+    one-lane array, without an array operation per round. g, for a family
+    with eps_free_check_side, is g(xs) (a float for a float xs): each
+    round then evaluates f(g; mid), the operations of h(xs; mid), without
+    g."""
+    def h(mid):
+        return psys.h(xs, mid) if g is None else psys.f(g, mid)
+
     if isinstance(xs, float):
         lo, hi = 0.0, psys.eps_max
         while hi - lo > _EPS_OF_X_TOL:
             mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if psys.h(xs, mid) >= xs else (mid, hi)
+            lo, hi = (lo, mid) if h(mid) >= xs else (mid, hi)
         return 0.5 * (lo + hi)
     lo = np.zeros_like(xs)
     hi = np.full_like(xs, psys.eps_max)
     while float(np.max(hi - lo, initial=0.0)) > _EPS_OF_X_TOL:
         mid = 0.5 * (lo + hi)
-        above = np.asarray(psys.h(xs, mid), dtype=float) >= xs
+        above = np.asarray(h(mid), dtype=float) >= xs
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
     return 0.5 * (lo + hi)

@@ -10,6 +10,11 @@ candidate checks the same way and gives the same bits:
 
 The last line counts the candidates that pass. The coupled candidates run
 to convergence near their thresholds, so a full pass takes a few minutes.
+Arguments, when given, are group-name prefixes, and only the groups that
+start with one of them run; the analysis pool alone takes seconds:
+
+    PYTHONPATH=src python tests/pool_outputs.py analysis/ > pool-a.txt
+
 Not collected by pytest.
 """
 
@@ -61,11 +66,13 @@ def digest(output) -> str:
     return h.hexdigest()
 
 
-def main() -> int:
+def main(prefixes) -> int:
     refs = plan.load_refs()
     passed = total = 0
+    names = [n for n in sorted(refs["groups"])
+             if not prefixes or n.startswith(tuple(prefixes))]
     with tempfile.TemporaryDirectory() as workdir:
-        for name in sorted(refs["groups"]):
+        for name in names:
             group = refs["groups"][name]
             for i, cand in enumerate(group["candidates"]):
                 job = {"id": total, "group": name, "kind": group["kind"],
@@ -87,4 +94,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from maxsat import thresholds
+from maxsat import potential, thresholds
 from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
                            NumericError, ThresholdUndefinedError)
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
@@ -287,10 +287,10 @@ class TestSingleAndStability:
         psys = isi_system("x^3", "x^6")
         real, sizes = thresholds._bisect_eps, []
 
-        def counted(p, xs):
+        def counted(p, xs, g=None):
             if not isinstance(xs, float):
                 sizes.append(len(xs))
-            return real(p, xs)
+            return real(p, xs, g)
 
         monkeypatch.setattr(thresholds, "_bisect_eps", counted)
         rep = threshold_report(psys)
@@ -1249,3 +1249,117 @@ class TestSharedCheckSide:
             for a in table:
                 with pytest.raises(ValueError):
                     a[0] = 1.0
+
+
+CROSSING_FAMILIES = ("ldpc8", "ldgm9", "isi36", "gldpc31", "gldpc63")
+
+
+def fresh_family(which):
+    """A fresh build of a fixture family, so its cached tables are its own."""
+    return {
+        "ldpc8": lambda: ldpc_system(DegreeDistribution.from_edge(EX8_LAMBDA),
+                                     DegreeDistribution.from_edge(EX8_RHO)),
+        "isi36": lambda: isi_system("x^3", "x^6"),
+        "gldpc31": lambda: gldpc_system(GldpcParams(31, 4)),
+        "gldpc63": lambda: gldpc_system(GldpcParams(63, 5)),
+    }[which]()
+
+
+def crosses_near(xs, d, x):
+    """x - h(x) (d on the grid xs) goes from <= 0 to >= 0 within the grid
+    points from the one below x's cell to the one above it: the bracket of
+    any golden refinement that can have ended at x."""
+    i = int(np.searchsorted(xs, x, side="right")) - 1
+    seg = d[max(i - 1, 0):min(i + 3, xs.size)]
+    return bool(np.any((np.minimum.accumulate(seg)[:-1] <= 0.0) & (seg[1:] >= 0.0)))
+
+
+class TestCrossingRule:
+    """minimize_potential golden-refines a resolved grid minimum only when
+    x - h(x) crosses zero upwards in its bracket, since U_s' = (x - h) g'
+    with g' > 0 turns only there; x_upper and value keep their bits."""
+
+    @pytest.mark.parametrize("which", ["gldpc31", "gldpc63"])
+    def test_threshold_report_golden_searches(self, monkeypatch, which):
+        # of gldpc(63,5)'s 48 searches before the rule, 41 started on the
+        # plateaus where g is about 1
+        psys = fresh_family(which)
+        real, calls = potential.golden_min, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(potential, "golden_min", counted)
+        threshold_report(psys)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("e", [0.5, 1.0])
+    def test_plateau_lists_only_fixed_points(self, gldpc63, e):
+        res = minimize_us_at(gldpc63, e)
+        assert res.minimizers == (res.x_upper,)
+        assert set(res.minimizers) <= set(res.fixed_points)
+
+    @pytest.mark.parametrize("which", CROSSING_FAMILIES)
+    def test_minimizers_are_critical(self, request, which):
+        psys = request.getfixturevalue(which)
+        xs = np.linspace(0.0, psys.x_max, ANALYSIS_GRID_N)
+        for e in np.linspace(0.0, psys.eps_max, 201).tolist():
+            d = xs - np.asarray(psys.h(xs, e), dtype=float)
+            for x in minimize_us_at(psys, e).minimizers:
+                assert abs(x - float(psys.h(x, e))) <= 1e-9 or crosses_near(xs, d, x), (e, x)
+
+    @pytest.mark.parametrize("which, e, x_upper, value", [
+        # minimize_us_at before the rule, which listed 2 to 30 minimizers here
+        ("ldpc8", 0.99, "0x1.fae145a084e5cp-1", "-0x1.0eb232d214ab8p-4"),
+        ("ldpc8", 1.0, "0x1.0000000000000p+0", "-0x1.17ab144ade478p-4"),
+        ("isi36", 0.99, "0x1.fade00d563bc4p-1", "-0x1.4b1c48cb8091ep-3"),
+        ("gldpc31", 0.6, "0x1.333332dbb0466p-1", "-0x1.5e2455eb2b19cp-3"),
+        ("gldpc31", 1.0, "0x1.0000000000000p+0", "-0x1.7bdef7bdef7bep-2"),
+        ("gldpc63", 0.38, "0x1.851eb80492b23p-2", "-0x1.c5291f684659ap-4"),
+        ("gldpc63", 1.0, "0x1.0000000000000p+0", "-0x1.aebaebaebaebcp-2"),
+    ])
+    def test_flat_slices_keep_their_bits(self, request, which, e, x_upper, value):
+        res = minimize_us_at(request.getfixturevalue(which), e)
+        assert (res.x_upper.hex(), res.value.hex()) == (x_upper, value)
+        assert res.minimizers == (res.x_upper,)
+
+
+class TestFixedPointTableReadsCheckSide:
+    """A family with eps_free_check_side builds its fixed-point table from
+    the g table (ParamSystem._fp_check_side): h, eps(x) and Q keep the
+    bits of h, the bisection without g, and u."""
+
+    @pytest.mark.parametrize("which", ["ldpc8", "isi36", "gldpc31", "gldpc63"])
+    def test_table_equals_per_call_route(self, which):
+        psys = fresh_family(which)
+        xs, h0, hmax = psys._fp_grid
+        eps, q = psys._fp_curve
+        assert psys._fp_check_side is not None
+        assert h0.tobytes() == np.asarray(psys.h(xs, 0.0), dtype=float).tobytes()
+        assert hmax.tobytes() == np.asarray(psys.h(xs, psys.eps_max), dtype=float).tobytes()
+        at = ~np.isnan(eps)
+        assert at.sum() > 1000
+        ref = eps_of_x(psys, xs[at]) if psys.eps_of_x_closed else \
+            thresholds._bisect_eps(psys, xs[at])
+        assert eps[at].tobytes() == ref.tobytes()
+        assert q[at].tobytes() == np.asarray(psys.u(xs[at], eps[at]), dtype=float).tobytes()
+
+    @pytest.mark.parametrize("which", ["ldpc8", "isi36", "gldpc31", "gldpc63"])
+    def test_bisection_with_g_equals_without(self, which):
+        psys = fresh_family(which)
+        xs, h0, hmax = psys._fp_grid
+        g = psys._fp_check_side[0]
+        at = np.flatnonzero((h0 <= xs + 1e-12) & (hmax >= xs))[::50]
+        assert thresholds._bisect_eps(psys, xs[at], g[at]).tobytes() == \
+            thresholds._bisect_eps(psys, xs[at]).tobytes()
+        for x, gx in zip(xs[at[::10]].tolist(), g[at[::10]].tolist()):
+            assert thresholds._bisect_eps(psys, x, gx).hex() == \
+                thresholds._bisect_eps(psys, x).hex()
+
+    def test_ldgm_table_evaluates_h(self):
+        psys = ldgm_system("x^6", DegreeDistribution.from_edge(EX9_RHO))
+        assert psys._fp_check_side is None
+        xs, h0, hmax = psys._fp_grid
+        assert h0.tobytes() == np.asarray(psys.h(xs, 0.0), dtype=float).tobytes()
+        assert hmax.tobytes() == np.asarray(psys.h(xs, psys.eps_max), dtype=float).tobytes()
