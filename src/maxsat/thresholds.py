@@ -6,14 +6,20 @@ A parameterized family supplies f(x; eps), g(x; eps), their x- and
 eps-partials, and antiderivatives F, G (in x, with F(0) = G(0) = 0) plus
 eps-partials of those.
 
-Every callable is elementwise. For x of shape S (a scalar has shape ())
-and eps broadcastable to S, the maps f, g, F, G and exit_fn return shape
-S; a partial (f_x, g_x, g_xx, f_eps, g_eps, F_eps, G_eps, and a slice's
-f_prime, g_prime, g_second) may return any value that broadcasts to S,
-so an identically constant partial is written as a float, e.g.
-``g_eps=lambda x, e: 0.0``. Only the validators broadcast or check shapes;
-x of shape (K, M) with eps of shape (K, 1) evaluates K parameter values
-at once. A Python float x with a float eps gives a float (or a partial's
+Every callable is elementwise, and x and eps broadcast against each
+other. For x of shape S (a scalar has shape ()) and eps broadcastable to
+S, the maps f, g, F, G and exit_fn return shape S; a partial (f_x, g_x,
+g_xx, f_eps, g_eps, F_eps, G_eps, and a slice's f_prime, g_prime,
+g_second) may return any value that broadcasts to S, so an identically
+constant partial is written as a float, e.g. ``g_eps=lambda x, e: 0.0``.
+Only the validators and the MAP batch broadcast or check shapes. x of
+shape (K, M) with eps of shape (K, 1) evaluates K parameter values at
+once, and so does the open grid of x of shape (M,) with eps of shape
+(K, 1), on which a map returns a value that broadcasts to (K, M) (g of an
+eps-free check side gives (M,)) and computes a factor of x alone once for
+all K rows (_minimize_us_lanes). An entry takes the same operations in
+the same order either way, so the open grid gives the bits of the mesh.
+A Python float x with a float eps gives a float (or a partial's
 constant) with the bits of the same x inside an array: the scalar probes
 of a search take the rounding of the grid they refine, and eps_of_x
 bisects a float on floats (_bisect_eps). The shipped families' callables
@@ -117,11 +123,16 @@ class ParamSystem:
     once too (_fp_grid, _fp_curve), and so, on a family whose check side
     is eps-free, are g and x g - G on each grid it is minimized on
     (_check_side), which the fixed-point table reads too (_fp_check_side).
+    Two thresholds that several analyses read are kept once found, each as
+    its value or the reason it is undefined (_settled): the stability
+    threshold (_stab) and the Maxwell threshold with its note (_maxwell).
 
     The callables are elementwise (module docstring): f, g, F, G and
-    exit_fn return the shape of x, and each partial any value that
-    broadcasts to it. Of the methods, h and u are maps, and so is
-    exit_value when exit_fn is given; h_x, h_eps and u_eps are partials.
+    exit_fn return the shape of x where eps broadcasts to it, and on an
+    open grid a value that broadcasts to the shape of the two together;
+    each partial returns any value that broadcasts to that shape. Of the
+    methods, h and u are maps, and so is exit_value when exit_fn is given;
+    h_x, h_eps and u_eps are partials.
     """
 
     f: Callable
@@ -179,12 +190,14 @@ class ParamSystem:
         """g(xs; eps) and xs g - G(xs; eps) on a shared analysis grid xs
         (recursion._analysis_grid), the eps-free part of U_s as u computes
         it, for a float eps or a column of them (shape (k, 1), one row
-        each). With eps_free_check_side both are tabulated once per grid
-        size and come back read-only, as one row for every eps."""
+        each). A column makes an open grid with xs, so that a factor of x
+        alone is computed once for all rows, and g comes back broadcast to
+        (k, xs.size). With eps_free_check_side both are tabulated once per
+        grid size and come back read-only, as one row for every eps."""
         if not self.eps_free_check_side:
-            if isinstance(eps, np.ndarray):
-                xs = np.broadcast_to(xs, (eps.shape[0], xs.size))
             g = self.g(xs, eps)
+            if isinstance(eps, np.ndarray):
+                g = np.broadcast_to(g, (eps.shape[0], xs.size))
             return g, xs * g - self.G(xs, eps)
         table = self._check_side_tables.get(xs.size)
         if table is None:
@@ -242,6 +255,17 @@ class ParamSystem:
             q[at] = side[1][at] - self.F(side[0][at], eps[at])
         return eps, q
 
+    @cached_property
+    def _stab(self) -> tuple:
+        """eps_stab's root, or the reason it is undefined (_settled)."""
+        return _settled(_stab_root, self)
+
+    @cached_property
+    def _maxwell(self) -> tuple:
+        """The Maxwell threshold and its note (_maxwell_rule), or the reason
+        it is undefined (_settled)."""
+        return _settled(_maxwell_rule, self)
+
     def h(self, x, eps):
         return self.f(self.g(x, eps), eps)
 
@@ -292,6 +316,24 @@ class ParamSystem:
             name=f"{self.name}@eps={e:g}" if self.name else f"@eps={e:g}",
             validate=validate,
         )
+
+
+def _settled(rule: Callable, psys: ParamSystem) -> tuple:
+    """(rule(psys), None), or (None, the reason) where it raises
+    ThresholdUndefinedError: a threshold kept once found (_held)."""
+    try:
+        return rule(psys), None
+    except ThresholdUndefinedError as exc:
+        return None, str(exc)
+
+
+def _held(settled: tuple):
+    """The value a _settled pair holds; ThresholdUndefinedError with its
+    reason where it holds none."""
+    value, reason = settled
+    if reason is not None:
+        raise ThresholdUndefinedError(reason)
+    return value
 
 
 def validate_param_system(psys: ParamSystem) -> None:
@@ -358,16 +400,19 @@ def minimize_us_at(psys: ParamSystem, eps: float,
 def _minimize_us_lanes(psys: ParamSystem, es, grid_n: int) -> list:
     """minimize_us_at at each eps of es, as one batch
     (potential._minimize_lanes): the grid is scanned for blocks of eps at
-    once, rows of x of shape (k, grid_n) with eps of shape (k, 1), and the
-    refinements of all of them run as lanes. The family callables give an
-    array entry the bits of the float call, so each result equals
-    minimize_us_at's bit for bit."""
+    once, as an open grid of x of shape (grid_n,) and eps of shape (k, 1),
+    so that a factor without eps (lam(g), L(g), rho(1 - x)) is computed
+    once per block, and the refinements of all of them run as lanes. Only
+    the results are broadcast to (k, grid_n). The family callables give an
+    array entry the bits of the float call, whatever the shapes, so each
+    result equals minimize_us_at's bit for bit."""
     es = np.array([_check_eps(psys, e) for e in es], dtype=float)
 
     def on_grid(xs, e):
         g, xg_G = psys._check_side(xs, e)
-        g = np.broadcast_to(g, (e.shape[0], xs.size))
-        return xg_G - psys.F(g, e), psys.f(g, e)
+        shape = (e.shape[0], xs.size)
+        return (np.broadcast_to(xg_G - psys.F(g, e), shape),
+                np.broadcast_to(psys.f(g, e), shape))
 
     y_max = psys.g(np.full(es.shape, float(psys.x_max)), es)
     return _minimize_lanes(psys.u, psys.h, es, psys.x_max, y_max, grid_n, on_grid)
@@ -414,7 +459,13 @@ def eps_stab(psys: ParamSystem) -> float:
     """Stability threshold of the zero fixed point: the root of
     h'(0; eps) = f_x(g(0; eps); eps) g_x(0; eps) = 1, found to a 1e-12
     bracket by Brent's method (bisect_root), or eps_max when the slope
-    stays below 1."""
+    stays below 1. It is found once per family (ParamSystem._stab), for
+    eps_single, eps_c and the Maxwell threshold too."""
+    return _held(psys._stab)
+
+
+def _stab_root(psys: ParamSystem) -> float:
+    """eps_stab, found anew."""
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError("0 is not a fixed point; stability threshold undefined")
 
@@ -429,10 +480,18 @@ def eps_stab(psys: ParamSystem) -> float:
 
 
 def _envelope_sup(psys: ParamSystem, level: float, b: float,
-                  res_b: MinimizeResult, tol: float) -> tuple:
+                  res_b: MinimizeResult, tol: float, guess: Optional[float] = None) -> tuple:
     """sup{eps in [0, b] : Psi(eps) >= level - 1e-12}, for a predicate that
     holds at 0 and fails at b, where res_b = minimize_us_at(psys, b); and
     minimize_us_at at the failing end of the final bracket.
+
+    A guess m of the supremum is certified first: the predicate is probed
+    at m - 0.4 tol and, where it holds there, at m + 0.4 tol, when both lie
+    inside (0, b) as distinct floats. Each probe narrows the bracket as any
+    probe does, so a guess within 0.4 tol of the supremum leaves a bracket
+    at most tol wide after two minimizations and no step is taken, while a
+    wrong one costs at most two and the search below goes on from the
+    narrowed bracket.
 
     Each step is a Newton step on Psi = level - 1e-12 from the failing end,
     with the envelope's slope there, u_eps at the largest minimizer
@@ -451,6 +510,13 @@ def _envelope_sup(psys: ParamSystem, level: float, b: float,
     """
     goal = level - 1e-12
     a, last = 0.0, b
+    if guess is not None and 0.0 < guess - 0.4 * tol < guess + 0.4 * tol < b:
+        for e in (guess - 0.4 * tol, guess + 0.4 * tol):
+            res = minimize_us_at(psys, e)
+            if res.value < goal:
+                b, res_b = e, res
+                break
+            a = e
     while b - a > tol:
         slope = float(psys.u_eps(res_b.x_upper, b))
         root = b + (goal - res_b.value) / slope if slope < 0.0 else math.nan
@@ -477,8 +543,17 @@ def _envelope_sup(psys: ParamSystem, level: float, b: float,
 
 def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     """Coupled (potential) threshold: sup{eps : min_x U_s(x; eps) >= 0},
-    found to tol by _envelope_sup's safeguarded Newton search on the
-    envelope with level 0, bracketed by 0 and eps_stab.
+    to tol, bracketed by 0 and eps_stab. On a proper family it equals the
+    Maxwell threshold, which the family keeps once found
+    (ParamSystem._maxwell), so where that is defined and below eps_stab
+    _envelope_sup certifies it with two minimizations, at eps_maxwell -+
+    0.4 tol, and the result is their midpoint; six minimizations in all,
+    with the two at 0 and eps_stab and the cross-check's two. Where the
+    certificate fails, or there is no Maxwell value to certify,
+    _envelope_sup's safeguarded Newton search on the envelope with level
+    0 finds the threshold, from the bracket the probes left. Called on its
+    own, eps_c thus builds the fixed-point table (ParamSystem._fp_curve)
+    that the Maxwell threshold is read from.
 
     Valid because the envelope is non-increasing and identically zero below
     the threshold when 0 stays a fixed point. Cross-checked against the
@@ -511,7 +586,9 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     res_stab = minimize_us_at(psys, e_stab)
     if res_stab.value >= -1e-12:
         return e_stab
-    ec, res_b = _envelope_sup(psys, 0.0, e_stab, res_stab, tol)
+    maxwell, undefined = psys._maxwell
+    guess = None if undefined is not None or maxwell[0] >= e_stab else maxwell[0]
+    ec, res_b = _envelope_sup(psys, 0.0, e_stab, res_stab, tol, guess)
     noise = rounding_level(psys.x_max, float(psys.g(psys.x_max, ec)))
     slope = abs(float(psys.u_eps(res_b.x_upper, ec)))
     half = max(10 * tol, noise / slope) if slope > 0.0 else 10 * tol
@@ -659,12 +736,15 @@ def maxwell_threshold(psys: ParamSystem) -> float:
     fixed-point table's points (_fp_curve) in an interval of xf_intervals
     is found by Brent's method (bisect_root) to a 1e-12 bracket in x,
     eps(x) there is bisected to 1e-12 unless the family has a closed form,
-    and the stability candidate is eps_stab's root, also to a 1e-12 bracket."""
-    return _maxwell(psys)[0]
+    and the stability candidate is eps_stab's root, also to a 1e-12 bracket.
+    It is found once per family (ParamSystem._maxwell), and eps_c certifies
+    its own value at it."""
+    return _held(psys._maxwell)[0]
 
 
-def _maxwell(psys: ParamSystem) -> tuple:
-    """maxwell_threshold and the note saying which rule gave it."""
+def _maxwell_rule(psys: ParamSystem) -> tuple:
+    """maxwell_threshold, found anew, and the note saying which rule gave
+    it."""
     if not psys.proper:
         raise ThresholdUndefinedError("Maxwell threshold needs a proper family")
     intervals, touches_zero = xf_intervals(psys)
@@ -888,9 +968,10 @@ class ThresholdReport:
 
 def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
-    raising. tol governs eps_c only, found by a safeguarded Newton search
-    on the envelope (eps_c), and must be finite and > 0 (DomainError,
-    raised before any threshold is computed). eps_single is the minimum of
+    raising. tol governs eps_c only, certified at the Maxwell threshold or
+    else found by a safeguarded Newton search on the envelope (eps_c), and
+    must be finite and > 0 (DomainError, raised before any threshold is
+    computed). eps_single is the minimum of
     eps(x) on a 1e4 grid, eps_stab a root by Brent's method, and the
     Maxwell roots of Q are found in x, all to fixed 1e-12 brackets."""
     _check_tol(tol)
@@ -909,8 +990,9 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     attempt("eps_single", lambda: (eps_single(psys), "min of eps(x) over a 1e4 grid"))
     attempt("eps_stab", lambda: (eps_stab(psys), "root of h'(0;eps)=1"))
     attempt("eps_c", lambda: (eps_c(psys, tol),
-                              "safeguarded Newton on min_x U_s(x;eps) >= 0"))
-    attempt("eps_maxwell", lambda: _maxwell(psys))
+                              "min_x U_s(x;eps) >= 0 probed at eps_maxwell -+ 0.4 tol, "
+                              "else by safeguarded Newton"))
+    attempt("eps_maxwell", lambda: _held(psys._maxwell))
 
     return ThresholdReport(values["eps_single"], values["eps_stab"],
                            values["eps_c"], values["eps_maxwell"], tuple(notes))

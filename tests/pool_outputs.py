@@ -15,6 +15,14 @@ start with one of them run; the analysis pool alone takes seconds:
 
     PYTHONPATH=src python tests/pool_outputs.py analysis/ > pool-a.txt
 
+With --deltas, each line lists instead, per key of the candidate's
+summary, its largest |value - reference| next to the key's bound from
+bench/jobs.py (relative to max(1, |reference|) where the bound is
+relative), so that a change can state which values moved, and by how
+much, within their bounds:
+
+    PYTHONPATH=src python tests/pool_outputs.py --deltas analysis/thresholds/
+
 Not collected by pytest.
 """
 
@@ -66,7 +74,29 @@ def digest(output) -> str:
     return h.hexdigest()
 
 
-def main(prefixes) -> int:
+def deltas(job: dict, output) -> str:
+    """key=largest |value - reference|/bound for each key of the job's
+    summary; "same" or "differs" for a key that is null or of another
+    length on one side."""
+    summary = jobs.summarize(job, output)
+    tols = jobs.TOLERANCES[job["kind"]]
+    parts = []
+    for key in sorted(set(job["ref"]) | set(summary)):
+        want, got = job["ref"].get(key), summary.get(key)
+        if want is None or got is None or len(want) != len(got):
+            same = want is None and got is None
+            parts.append(f"{key}={'same' if same else 'differs'}")
+            continue
+        tol = tols.get(key, tols.get("*"))
+        rel = isinstance(tol, (tuple, list))
+        errs = [0.0 if a == b else abs(a - b) / (max(1.0, abs(b)) if rel else 1.0)
+                for a, b in zip(got, want)]
+        parts.append(f"{key}={max(errs, default=0.0):.3g}/{tol[1] if rel else tol}"
+                     + ("rel" if rel else ""))
+    return " ".join(parts)
+
+
+def main(prefixes, show_deltas=False) -> int:
     refs = plan.load_refs()
     passed = total = 0
     names = [n for n in sorted(refs["groups"])
@@ -88,10 +118,12 @@ def main(prefixes) -> int:
                 errors = jobs.check(job, output)
                 passed += not errors
                 result = "ok" if not errors else f"FAIL {len(errors)}: {errors[0]}"
-                print(f"{name} {i} {result} {digest(output)}", flush=True)
+                tail = deltas(job, output) if show_deltas else digest(output)
+                print(f"{name} {i} {result} {tail}", flush=True)
     print(f"{passed} of {total} candidates pass")
     return 0 if passed == total else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    args = sys.argv[1:]
+    sys.exit(main([a for a in args if a != "--deltas"], "--deltas" in args))

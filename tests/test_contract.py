@@ -31,8 +31,8 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
-from maxsat.thresholds import (Psi, eps_c, eps_of_x, eps_single, eps_stab, threshold_report,
-                               xf_intervals)
+from maxsat.thresholds import (Psi, eps_c, eps_of_x, eps_single, eps_stab, map_exit_curve,
+                               threshold_report, xf_intervals)
 
 EX8_LAMBDA = "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"
 EX8_RHO = "0.6 x^4 + 0.4 x^12"
@@ -118,9 +118,50 @@ def assert_vector_lane(psys, X, E):
         assert out.view(np.int64).tolist() == want.view(np.int64).tolist(), name
 
 
+def assert_open_grid(psys, X, E):
+    """Every callable at x of shape (M,) with eps of shape (K, 1), the open
+    grid the MAP batch scans, broadcast to (K, M) equals the call on the
+    full mesh bit for bit."""
+    x = X[0]
+    mesh = np.broadcast_to(x, (E.shape[0], x.size))
+    for name in MAPS + PARTIALS:
+        fn = getattr(psys, name)
+        out = np.broadcast_to(np.asarray(fn(x, E), dtype=float), mesh.shape)
+        want = np.broadcast_to(np.asarray(fn(mesh, E), dtype=float), mesh.shape)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64)), name
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_lane_contract(family):
     assert_lane_contract(FAMILIES[family](), *lanes())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_open_grid(family):
+    assert_open_grid(FAMILIES[family](), *lanes(K=8, M=1000))
+
+
+@pytest.mark.parametrize("family, fields", [("ldpc8", ("f", "g", "F", "G")),
+                                            ("ldgm9", ("g", "G"))])
+def test_map_batch_passes_open_grids(family, fields):
+    # a 101-eps MAP curve evaluates each factor of x alone on a row, not
+    # on a (k, M) mesh: g and G on both families, and f and F too where g
+    # does not depend on eps; the jump bisection's probes are floats
+    psys, seen = FAMILIES[family](), []
+
+    def recorded(name, fn):
+        def call(x, e):
+            seen.append((name, np.ndim(x)))
+            return fn(x, e)
+        return call
+
+    psys = dataclasses.replace(psys, **{n: recorded(n, getattr(psys, n)) for n in fields})
+    # measured on validate_param_system's mesh, not part of the batch
+    assert psys.eps_free_check_side is (family == "ldpc8")
+    seen.clear()
+    map_exit_curve(psys, np.linspace(0.0, psys.eps_max, 101))
+    assert {name for name, _ in seen} == set(fields)
+    assert max(ndim for _, ndim in seen) == 1
 
 
 @pytest.mark.parametrize("family", FAMILIES)

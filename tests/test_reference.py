@@ -21,7 +21,8 @@ from maxsat.systems import (
     ldgm_system,
     ldpc_system,
 )
-from maxsat.thresholds import eps_c, eps_stab, maxwell_threshold, threshold_report
+from maxsat.errors import ThresholdUndefinedError
+from maxsat.thresholds import ParamSystem, eps_c, eps_stab, maxwell_threshold, threshold_report
 
 mp.mp.dps = 40
 D = mp.mpf
@@ -49,10 +50,15 @@ def roots_on_unit_interval(fn, n=1000):
             for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]) if fa * fb < 0]
 
 
-@pytest.fixture(scope="module")
-def ldpc8():
+def fresh_ldpc8():
+    """ldpc8 built anew, so that its kept thresholds are its own."""
     return ldpc_system(DegreeDistribution.from_edge("0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20"),
                        DegreeDistribution.from_edge("0.6 x^4 + 0.4 x^12"))
+
+
+@pytest.fixture(scope="module")
+def ldpc8():
+    return fresh_ldpc8()
 
 
 def ldpc8_maxwell_reference():
@@ -139,7 +145,9 @@ def assert_certified_thresholds(psys, cert):
     tol = 1e-9
     rep = threshold_report(psys, tol)
     assert abs(rep.eps_maxwell - float(cert["eps_maxwell"])) <= 2e-13
-    assert abs(rep.eps_c - float(cert["eps_maxwell"])) <= tol
+    # eps_c certifies the Maxwell threshold, so it meets that bound too,
+    # well inside tol; the Newton search alone landed 1.8e-10 to 2.5e-10 off
+    assert abs(rep.eps_c - float(cert["eps_maxwell"])) <= 2e-13
     # eps_single is a minimum over grid points, so it lies above the
     # threshold, by about 1e-8 on a grid of spacing 1e-4
     assert float(cert["eps_single"]) <= rep.eps_single <= float(cert["eps_single"]) + 5e-8
@@ -157,6 +165,66 @@ def test_certified_ldpc8_thresholds(ldpc8):
 @pytest.mark.parametrize("n, t", [(31, 4), (63, 5)])
 def test_certified_gldpc_thresholds(n, t):
     assert_certified_thresholds(gldpc_system(GldpcParams(n, t)), certified.gldpc(n, t))
+
+
+@pytest.fixture
+def minimizations(monkeypatch):
+    import maxsat.thresholds as thr
+    calls, real = [], thr.minimize_us_at
+
+    def counting(psys, eps, *a, **k):
+        calls.append(eps)
+        return real(psys, eps, *a, **k)
+
+    monkeypatch.setattr(thr, "minimize_us_at", counting)
+    return calls
+
+
+def test_eps_c_certificate_takes_six_minimizations(minimizations):
+    # Psi at 0 and eps_stab, the two probes at eps_maxwell -+ 0.4 tol and
+    # the cross-check's two; the midpoint of the probes is eps_maxwell
+    psys = fresh_ldpc8()
+    assert eps_c(psys) == maxwell_threshold(psys)
+    assert len(minimizations) == 6
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+def test_eps_c_recovers_from_a_wrong_maxwell_value(monkeypatch, minimizations, offset):
+    # a Maxwell value 1e-6 off fails its certificate, and the Newton search
+    # goes on from the bracket the probes left
+    psys = fresh_ldpc8()
+    (value, note), _ = psys._maxwell
+    monkeypatch.setitem(psys.__dict__, "_maxwell", ((value + offset, note), None))
+    tol = 1e-9
+    assert abs(eps_c(psys, tol) - float(LDPC8_CERTIFIED["eps_maxwell"])) <= tol
+    assert len(minimizations) > 6
+
+
+# ldpc8's eps_c by the Newton search alone, the value before eps_c
+# certified the Maxwell threshold
+LDPC8_NEWTON_EPS_C = 0.6219294608435273
+
+
+@pytest.mark.parametrize("kept", ["undefined", "at eps_stab"])
+def test_eps_c_without_a_maxwell_value_keeps_the_newton_bits(monkeypatch, kept):
+    # a Maxwell threshold that is undefined, or not below eps_stab, gives
+    # no value to certify
+    psys = fresh_ldpc8()
+    held = (None, "no root") if kept == "undefined" else ((eps_stab(psys), "rule"), None)
+    monkeypatch.setitem(psys.__dict__, "_maxwell", held)
+    assert eps_c(psys) == LDPC8_NEWTON_EPS_C
+
+
+def test_eps_c_of_a_family_that_is_not_proper_keeps_the_newton_bits():
+    # ldpc8's callables with f_eps = 0, so h_eps = 0 and the Maxwell
+    # threshold is undefined, while eps_c reads neither f_eps nor h_eps
+    ldpc8 = fresh_ldpc8()
+    names = ("f", "g", "f_x", "g_x", "g_xx", "g_eps", "F", "G", "F_eps", "G_eps")
+    psys = ParamSystem(**{n: getattr(ldpc8, n) for n in names}, f_eps=lambda x, e: 0.0)
+    assert not psys.proper
+    with pytest.raises(ThresholdUndefinedError):
+        maxwell_threshold(psys)
+    assert eps_c(psys) == LDPC8_NEWTON_EPS_C
 
 
 def test_example2_gap_and_minimizer():

@@ -911,7 +911,9 @@ class TestInverseEnvelope:
 
 class TestEnvelopeSearch:
     """eps_c and the inverse envelope thresholds come from a safeguarded
-    Newton search on Psi, whose slope is u_eps at the largest minimizer.
+    Newton search on Psi, whose slope is u_eps at the largest minimizer;
+    eps_c first probes around the Maxwell threshold, and where both probes
+    straddle it no Newton step follows.
     The counts are of minimize_us_at calls, a work count, not a clock;
     a 30-step bisection of [0, eps_max] made 35 per report, 33 for eps_c
     at a continuous transition and 184 for the ldgm9 table."""
@@ -1282,7 +1284,10 @@ class TestCrossingRule:
     @pytest.mark.parametrize("which", ["gldpc31", "gldpc63"])
     def test_threshold_report_golden_searches(self, monkeypatch, which):
         # of gldpc(63,5)'s 48 searches before the rule, 41 started on the
-        # plateaus where g is about 1
+        # plateaus where g is about 1. One search per minimization of eps_c
+        # near its threshold: the two probes that certify the Maxwell
+        # threshold and the two of the cross-check; a Newton search without
+        # the certificate makes seven
         psys = fresh_family(which)
         real, calls = potential.golden_min, []
 
@@ -1292,7 +1297,7 @@ class TestCrossingRule:
 
         monkeypatch.setattr(potential, "golden_min", counted)
         threshold_report(psys)
-        assert len(calls) == 7
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("e", [0.5, 1.0])
     def test_plateau_lists_only_fixed_points(self, gldpc63, e):

@@ -56,17 +56,19 @@ def test_tracer_counts_threshold_search():
     with tracer:
         maxsat.thresholds.threshold_report(ldpc8())
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
-    # eps_c's envelope search: Psi at 0 and at eps_stab, five Newton
-    # steps, the closing step and the two cross-check minimizations, each
-    # on 1e4 points; no other threshold minimizes
-    assert metrics["potential.minimize_calls"] == 10
-    assert metrics["potential.grid_points"] == 10 * 10**4
-    # 125 probes of bisect_root (Brent's method) on 24 roots: 107 on the 19
-    # fixed points of eps_c's minimizations, 3 on each of the four eps_stab
-    # roots (eps_single, eps_stab, eps_c and the Maxwell candidate each find
-    # it) and 6 on the root of Q; a return to bisection reads about 770 and
-    # a renamed bisect_root, which the tracer no longer sees, 0
-    assert metrics["numerics.bisect_evals"] == 125
+    # eps_c certifies the Maxwell threshold: Psi at 0 and at eps_stab, the
+    # two probes at eps_maxwell -+ 0.4 tol and the two cross-check
+    # minimizations, each on 1e4 points; no other threshold minimizes. A
+    # Newton search without the certificate reads 10
+    assert metrics["potential.minimize_calls"] == 6
+    assert metrics["potential.grid_points"] == 6 * 10**4
+    # 71 probes of bisect_root (Brent's method) on 19 roots: 62 on the 17
+    # fixed points of eps_c's minimizations, 3 on the eps_stab root, found
+    # once for eps_single, eps_stab, eps_c and the Maxwell candidate, and 6
+    # on the root of Q; finding eps_stab anew each time reads 9 more, a
+    # return to bisection about 430 and a renamed bisect_root, which the
+    # tracer no longer sees, 0
+    assert metrics["numerics.bisect_evals"] == 71
     # psi_evals counts calls of Psi, which the search does not make, so it
     # reads 0 on working code; moving the count to minimize_us_at
     # (ROADMAP item 5) has to change this pin on purpose
