@@ -3,7 +3,8 @@ nodes. The package's one quadrature, a piecewise-Chebyshev table, lives
 with the systems it integrates in :mod:`maxsat.recursion`.
 
 Everything here is stateless and deterministic: identical inputs give
-bit-identical outputs.
+bit-identical outputs. The solvers take float brackets; their lockstep
+forms (_brent_lanes, _golden_lanes) are private kernels of the MAP batch.
 """
 
 from __future__ import annotations
@@ -161,29 +162,14 @@ def _check_tol(tol: float) -> None:
 _EPS = float(np.finfo(float).eps)
 
 
-def _bracket_lanes(lo, hi, tol) -> tuple:
-    """A bracket per lane: lo and hi as equal-length 1-D float arrays and
-    tol, a float or one per lane, as an array of their length; DomainError
-    where a float bracket would raise one, before any evaluation."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.ndim != 1 or lo.shape != hi.shape:
-        raise DomainError(f"bracket lanes need equal-length 1-D arrays, got shapes "
-                          f"{lo.shape} and {hi.shape}")
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), lo.shape)
-    if not np.all((0.0 < tol) & (tol < math.inf)):
-        raise DomainError("tol must be finite and > 0 in every lane")
-    bad = np.flatnonzero(~(lo <= hi))
-    if bad.size:
-        raise DomainError(f"invalid bracket [{lo[bad[0]]}, {hi[bad[0]]}]")
-    return lo, hi, tol
+def _check_bracket(lo, hi, tol) -> None:
+    """DomainError unless lo <= hi are floats and tol is finite and > 0."""
+    if np.ndim(lo) or np.ndim(hi) or not lo <= hi:
+        raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    _check_tol(tol)
 
 
-def _probe(fn, x: np.ndarray) -> np.ndarray:
-    """fn at one x per lane, as a float array of their shape."""
-    return np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
-
-
-def bisect_root(fn: Callable, lo, hi, tol=1e-12):
+def bisect_root(fn: Callable, lo: float, hi: float, tol=1e-12) -> float:
     """Root of fn on [lo, hi] by Brent's method (zeroin: R. P. Brent,
     Algorithms for Minimization without Derivatives, 1973, ch. 4); requires
     a sign change, and returns a zero endpoint as it is.
@@ -200,16 +186,10 @@ def bisect_root(fn: Callable, lo, hi, tol=1e-12):
     where bisection takes 30; it never needs more than about the square
     of bisection's count. Deterministic: equal inputs give equal outputs.
 
-    A float bracket is probed with floats. lo and hi may instead be
-    equal-length 1-D arrays, one bracket per lane, with tol a float or one
-    per lane: then the lanes run in lockstep (_brent_lanes) and an array
-    of roots comes back.
+    lo and hi are floats, probed with floats; an array bracket raises
+    DomainError before any call of fn.
     """
-    if np.ndim(lo) or np.ndim(hi):
-        return _brent_lanes(fn, lo, hi, tol)
-    _check_tol(tol)
-    if not lo <= hi:
-        raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    _check_bracket(lo, hi, tol)
     flo = float(fn(lo))
     fhi = float(fn(hi))
     if flo == 0.0:
@@ -255,28 +235,22 @@ def bisect_root(fn: Callable, lo, hi, tol=1e-12):
             d = e = b - a
 
 
-def _brent_lanes(fn: Callable, lo, hi, tol) -> np.ndarray:
-    """bisect_root on a bracket per lane, all lanes in lockstep.
+def _brent_lanes(fn: Callable, lo, flo, hi, fhi, tol) -> np.ndarray:
+    """bisect_root on a cell per lane, all lanes in lockstep: lo, hi and
+    tol are 1-D float arrays, and flo and fhi fn's values at lo and hi, of
+    strictly opposite signs (a scan's cells, recursion._root_cells).
 
     Each lane takes the float iteration's operations, branches and
     stopping rule, its branches chosen by np.where, so it returns the bits
     the float call returns when fn gives an array entry the bits of the
-    same float call (the float-lane contract of maxsat.thresholds). Each
-    step makes one call of fn on an array holding one x per lane: fn keeps
-    its one-argument form, and a lane that has stopped repeats its last x,
-    whose value is not read. A lane with a zero endpoint returns it and
-    takes no step; DomainError if any lane has no sign change."""
-    lo, hi, tol = _bracket_lanes(lo, hi, tol)
-    flo, fhi = _probe(fn, lo), _probe(fn, hi)
-    bad = np.flatnonzero((flo != 0.0) & (fhi != 0.0) & (flo * fhi > 0.0))
-    if bad.size:
-        i = bad[0]
-        raise DomainError(f"no sign change on [{lo[i]}, {hi[i]}]: "
-                          f"f(lo)={flo[i]}, f(hi)={fhi[i]}")
-    out = np.where(flo == 0.0, lo, hi)
+    same float call (the float-lane contract of maxsat.thresholds) and flo
+    and fhi are those bits. Each step makes one call of fn on an array
+    holding one x per lane: fn keeps its one-argument form, and a lane
+    that has stopped repeats its last x, whose value is not read."""
+    out = np.empty_like(lo)
     x = hi.copy()
-    run = np.flatnonzero((flo != 0.0) & (fhi != 0.0))
-    a, fa, b, fb, tol = lo[run], flo[run], hi[run], fhi[run], tol[run]
+    run = np.arange(lo.size)
+    a, fa, b, fb = lo, flo, hi, fhi
     c, fc = a, fa
     d = e = b - a
     # the branches not taken may divide by zero
@@ -312,7 +286,7 @@ def _brent_lanes(fn: Callable, lo, hi, tol) -> np.ndarray:
             a, fa = b, fb
             b = b + np.where(np.abs(d) > width, d, np.copysign(width, m))
             x[run] = b
-            fb = _probe(fn, x)[run]
+            fb = fn(x)[run]
             side = (fb > 0.0) == (fc > 0.0)
             c, fc = np.where(side, a, c), np.where(side, fa, fc)
             d, e = np.where(side, b - a, d), np.where(side, b - a, e)
@@ -323,19 +297,13 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def golden_min(fn: Callable, lo, hi, tol=1e-12):
+def golden_min(fn: Callable, lo: float, hi: float, tol=1e-12) -> float:
     """Golden-section minimizer of a unimodal function on [lo, hi], to a
     bracket of at most tol; the midpoint of a bracket already that narrow.
 
-    A float bracket is probed with floats. lo and hi may instead be
-    equal-length 1-D arrays, one bracket per lane, with tol a float or one
-    per lane: then the lanes run in lockstep (_golden_lanes) and an array
-    of minimizers comes back."""
-    if np.ndim(lo) or np.ndim(hi):
-        return _golden_lanes(fn, lo, hi, tol)
-    _check_tol(tol)
-    if not lo <= hi:
-        raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    lo and hi are floats, probed with floats; an array bracket raises
+    DomainError before any call of fn."""
+    _check_bracket(lo, hi, tol)
     dist = hi - lo
     if dist <= tol:
         return 0.5 * (lo + hi)
@@ -357,36 +325,28 @@ def golden_min(fn: Callable, lo, hi, tol=1e-12):
     return 0.5 * (lo + d) if yc < yd else 0.5 * (c + hi)
 
 
-def _golden_lanes(fn: Callable, lo, hi, tol) -> np.ndarray:
-    """golden_min on a bracket per lane, all lanes in lockstep.
+def _golden_lanes(fn: Callable, lo, hi, tol: float) -> np.ndarray:
+    """golden_min on a bracket per lane, all lanes in lockstep: lo and hi
+    are 1-D float arrays (two cells of a scan's grid), each wider than tol.
 
     Each lane takes the float iteration's operations, branches and step
     count, the count from its own math.log, so it returns the bits the
     float call returns when fn gives an array entry the bits of the same
     float call. Each step makes one call of fn on an array holding one x
     per lane, the new point of each lane still running; a lane that has
-    stopped, or never started because its bracket is within tol, repeats
-    its last x, whose value is not read."""
-    lo, hi, tol = _bracket_lanes(lo, hi, tol)
+    stopped repeats its last x, whose value is not read."""
     dist = hi - lo
-    out = 0.5 * (lo + hi)
-    run = np.flatnonzero(~(dist <= tol))
-    if not run.size:
-        return out
-    lo, hi, dist = lo[run], hi[run], dist[run]
-    # the probes after the first two, as golden_min counts them
-    steps = np.array([max(int(math.ceil(math.log(t / w) / math.log(_INV_PHI))) - 1, 0)
-                      for w, t in zip(dist.tolist(), tol[run].tolist())])
+    # the probes left after the first two, as golden_min counts them
+    steps = np.array([max(int(math.ceil(math.log(tol / w) / math.log(_INV_PHI))) - 1, 0)
+                      for w in dist.tolist()])
     c = lo + _INV_PHI_SQ * dist
     d = lo + _INV_PHI * dist
-    x = out.copy()
-    x[run] = c
-    yc = _probe(fn, x)[run]
-    x[run] = d
-    yd = _probe(fn, x)[run]
-    k = 0
+    yc, yd = fn(c), fn(d)
+    out = np.empty_like(lo)
+    x = d.copy()
+    run = np.arange(lo.size)
     while True:
-        stop = steps == k
+        stop = steps == 0
         if stop.any():
             out[run[stop]] = np.where(yc[stop] < yd[stop], 0.5 * (lo[stop] + d[stop]),
                                       0.5 * (c[stop] + hi[stop]))
@@ -403,10 +363,10 @@ def _golden_lanes(fn: Callable, lo, hi, tol) -> np.ndarray:
         kept, y_kept = np.where(left, c, d), np.where(left, yc, yd)
         new = np.where(left, lo + _INV_PHI_SQ * dist, lo + _INV_PHI * dist)
         x[run] = new
-        y_new = _probe(fn, x)[run]
+        y_new = fn(x)[run]
         c, yc = np.where(left, new, kept), np.where(left, y_new, y_kept)
         d, yd = np.where(left, kept, new), np.where(left, y_kept, y_new)
-        k += 1
+        steps = steps - 1
 
 
 @lru_cache(maxsize=8)

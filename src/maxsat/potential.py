@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import UnsupportedOperationError
-from .numerics import golden_min
+from .errors import DomainError, UnsupportedOperationError
+from .numerics import _golden_lanes, golden_min
 from .recursion import (
     ANALYSIS_GRID_N,
     CoupledProfile,
@@ -153,15 +153,17 @@ def minimize_potential(u_vec: Callable, h_vec: Callable, x_max: float,
     on_grid, when given, maps the grid to (U, h) on it at once, so that
     the two can share one evaluation of g; it must give the values u_vec
     and h_vec give there. Without it, h_vec is evaluated on the grid once,
-    for the crossing rule and fixed_points_of alike. The refinements call
-    u_vec and h_vec with floats. _minimize_lanes is the form for many
-    slices at once.
+    for the endpoint test, the crossing rule and fixed_points_of alike.
+    The refinements call u_vec and h_vec with floats. _minimize_lanes is
+    the form for many slices at once. DomainError for grid_n < 2.
     """
+    if grid_n < 2:
+        raise DomainError("grid_n must be >= 2")
     xs = _analysis_grid(float(x_max), int(grid_n))
     us, hs = on_grid(xs) if on_grid is not None else (u_vec(xs), h_vec(xs))
     us, hs = np.asarray(us, dtype=float), np.asarray(hs, dtype=float)
 
-    cands = [e for e in (0.0, float(x_max)) if abs(e - float(h_vec(e))) <= 1e-9]
+    cands = [float(xs[i]) for i in (0, -1) if abs(xs[i] - hs[i]) <= 1e-9]
     _, local = _resolved_minima(us[None], rounding_level(x_max, y_max), (xs - hs)[None])
     for i in local.tolist():
         cands.append(golden_min(lambda t: float(u_vec(t)), float(xs[i - 1]),
@@ -233,15 +235,16 @@ def _minimize_lanes(u: Callable, h: Callable, eps: np.ndarray, x_max: float,
 
     on_grid(xs, e) gives (U, h) on the grid for a column e (shape (k, 1))
     of the lane parameters, both of shape (k, grid_n); the grid is scanned
-    in blocks of such rows of at most _BLOCK_POINTS points. All lanes'
-    resolved grid minima across which x - h(x), with h the rows on_grid
-    gives, crosses zero upwards (the crossing rule of _resolved_minima:
-    U' = (x - h) g' with g' > 0, so U turns only there) are then refined
-    by one run of golden_min, all their sign-change cells by one run of
-    bisect_root (recursion._fixed_points_lanes), and all their candidates
-    valued by one call of u; each lane's merge is minimize_potential's.
-    The search lanes take the float calls' steps, so where u and h give an
-    array entry the bits of the float call (the family contract of
+    in blocks of such rows of at most _BLOCK_POINTS points. Its rows of
+    d = x - h(x) say whether 0 and x_max are fixed points (d[:, 0] and
+    d[:, -1], to 1e-9). All lanes' resolved grid minima across which d
+    crosses zero upwards (the crossing rule of _resolved_minima) are then
+    refined by one run of numerics._golden_lanes, all their sign-change
+    cells by one run of numerics._brent_lanes from d at the cell ends
+    (recursion._fixed_points_lanes), and all their candidates valued by
+    one call of u; each lane's merge is minimize_potential's. The search
+    lanes take the float calls' steps, so where u and h give an array
+    entry the bits of the float call (the family contract of
     maxsat.thresholds) each lane equals
     minimize_potential(lambda x: u(x, eps[k]), ...) bit for bit."""
     k = eps.size
@@ -249,23 +252,22 @@ def _minimize_lanes(u: Callable, h: Callable, eps: np.ndarray, x_max: float,
         return []
     xs = _analysis_grid(float(x_max), int(grid_n))
     noise = np.array([rounding_level(x_max, y) for y in np.asarray(y_max).tolist()])
-    ends = (0.0, float(x_max))
-    fixed = [(np.abs(e - np.asarray(h(np.full(k, e), eps), dtype=float)) <= 1e-9).tolist()
-             for e in ends]
-    cands = [[e for e, ok in zip(ends, lane) if ok] for lane in zip(*fixed)]
 
     block = max(1, _BLOCK_POINTS // xs.size)
-    minima, zeros, cells, graze = [], [], [], []
+    ends, minima, zeros, cells, graze = [], [], [], [], []
     for s in range(0, k, block):
         us, hs = on_grid(xs, eps[s:s + block, None])
         d = xs - np.asarray(hs, dtype=float)
+        ends.append(np.abs(d[:, [0, -1]]) <= 1e-9)
         rows, cols = _resolved_minima(np.asarray(us, dtype=float), noise[s:s + block, None], d)
         minima.append((rows + s, cols))
         # a block's rows are freed before the next block is scanned
         del us, hs
-        for found, (rows, where) in zip((zeros, cells, graze), _root_cells(xs, d)):
-            found.append((rows + s, where))
+        for found, (rows, *where) in zip((zeros, cells, graze), _root_cells(xs, d)):
+            found.append((rows + s, *where))
         del d
+    cands = [[e for e, ok in zip((0.0, float(x_max)), lane) if ok]
+             for lane in np.concatenate(ends).tolist()]
 
     def joined(parts):
         return tuple(np.concatenate(a) for a in zip(*parts))
@@ -273,7 +275,7 @@ def _minimize_lanes(u: Callable, h: Callable, eps: np.ndarray, x_max: float,
     rows, cols = joined(minima)
     if rows.size:
         eps_rows = eps[rows]
-        refined = golden_min(lambda x: u(x, eps_rows), xs[cols - 1], xs[cols + 1], _X_TOL)
+        refined = _golden_lanes(lambda x: u(x, eps_rows), xs[cols - 1], xs[cols + 1], _X_TOL)
         for r, x in zip(rows.tolist(), refined.tolist()):
             cands[r].append(x)
     fixed_points = [tuple(fp) for fp in _fixed_points_lanes(

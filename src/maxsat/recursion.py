@@ -44,7 +44,7 @@ from .errors import (
     NumericError,
     ShapeError,
 )
-from .numerics import bisect_root, golden_min
+from .numerics import _brent_lanes, _golden_lanes, bisect_root, golden_min
 
 __all__ = [
     "ScalarSystem",
@@ -721,15 +721,16 @@ def _hits(mask: np.ndarray) -> tuple:
 def _root_cells(xs: np.ndarray, d: np.ndarray) -> tuple:
     """Where fixed_points_of looks for roots, on each row of d = x - h(x)
     (shape (k, n)) over the grid xs: (rows, x) of the grid points where d
-    is 0, (rows, i) of the cells [xs[i], xs[i + 1]] with a sign change, and
-    (rows, i) of the grazing points, interior local minima of |d| in
-    (0, _TANGENT_TOL) with neither neighbouring cell holding a sign change
-    or a zero, each searched on [xs[i - 1], xs[i + 1]]; all row by row, in
-    grid order."""
+    is 0, (rows, i, d at xs[i], d at xs[i + 1]) of the cells
+    [xs[i], xs[i + 1]] with a strict sign change, and (rows, i) of the
+    grazing points, interior local minima of |d| in (0, _TANGENT_TOL) with
+    neither neighbouring cell holding a sign change or a zero, each
+    searched on [xs[i - 1], xs[i + 1]]; all row by row, in grid order."""
     rows, cols = _hits(d == 0.0)
     zeros = rows, xs[cols]
     prod = d[:, :-1] * d[:, 1:]
-    cells = _hits(prod < 0.0)
+    rows, cols = _hits(prod < 0.0)
+    cells = rows, cols, d[rows, cols], d[rows, cols + 1]
     # the interior is masked by one comparison, whose few hits are tested
     rows, cols = _hits(np.abs(d[:, 1:-1]) < _TANGENT_TOL)
     cols = cols + 1
@@ -768,7 +769,7 @@ def fixed_points_of(h, x_max: float, grid_n: int = ANALYSIS_GRID_N, h_grid=None)
         raise DomainError("grid_n must be >= 2")
     xs = _analysis_grid(float(x_max), int(grid_n))
     d = np.asarray(h(xs) if h_grid is None else h_grid, dtype=float)
-    (_, zeros), (_, cells), (_, graze) = _root_cells(xs, (xs - d)[None])
+    (_, zeros), (_, cells, _, _), (_, graze) = _root_cells(xs, (xs - d)[None])
 
     def dfun(x):
         return float(x - h(x))
@@ -788,24 +789,25 @@ def _fixed_points_lanes(dfun, k: int, xs: np.ndarray, zeros, cells, graze) -> li
     """fixed_points_of on k slices at once: the roots of each, given the
     grid xs, _root_cells of their rows of x - h(x), and dfun(x, rows),
     x - h(x) at each entry of x for the slice in that entry of rows. All
-    sign-change cells are refined
-    by one run of bisect_root on arrays of brackets and all grazing points
-    by one of golden_min, whose lanes take the steps of the float calls;
-    with dfun giving the bits of the float x - h(x), each slice gets the
-    list fixed_points_of gives it, bit for bit."""
+    sign-change cells are refined by one run of numerics._brent_lanes,
+    started from the scan's values at the cell ends, and all grazing
+    points by one of numerics._golden_lanes; their lanes take the steps
+    of the float calls. With dfun and the scan giving the bits of the
+    float x - h(x), each slice gets the list fixed_points_of gives it, bit
+    for bit."""
     found = [[] for _ in range(k)]
     for r, x in zip(*(a.tolist() for a in zeros)):
         found[r].append(x)
-    rows, cols = cells
+    rows, cols, d_lo, d_hi = cells
     if rows.size:
         hi = xs[cols + 1]
-        roots = bisect_root(lambda x: dfun(x, rows), xs[cols], hi, 1e-12 * hi)
+        roots = _brent_lanes(lambda x: dfun(x, rows), xs[cols], d_lo, hi, d_hi, 1e-12 * hi)
         for r, x in zip(rows.tolist(), roots.tolist()):
             found[r].append(x)
     rows, cols = graze
     if rows.size:
-        refined = golden_min(lambda t: np.abs(dfun(t, rows)), xs[cols - 1], xs[cols + 1],
-                             1e-12)
+        refined = _golden_lanes(lambda t: np.abs(dfun(t, rows)), xs[cols - 1], xs[cols + 1],
+                                1e-12)
         near = np.abs(dfun(refined, rows)) < _TANGENT_TOL
         for r, x in zip(rows[near].tolist(), refined[near].tolist()):
             found[r].append(x)

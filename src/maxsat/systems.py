@@ -25,7 +25,7 @@ a float as they round an array entry; a float's own ** does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -149,11 +149,6 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
     def eps_closed(x):
         return x / lam(1.0 - rho(1.0 - x))
 
-    def trial_entropy(x):
-        g = 1.0 - rho(1.0 - x)
-        u = x * g - (x - (1.0 - Rn(1.0 - x)) / Rp1) - eps_closed(x) * Ln(g) / Lp1
-        return -Lp1 * u
-
     psys = ParamSystem(
         f=lambda x, e: e * lam(x),
         f_x=lambda x, e: e * lam_p(x),
@@ -163,12 +158,14 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
         exit_fn=lambda x, e: Ln(1.0 - rho(1.0 - x)),
         eps_of_x_closed=eps_closed,
-        trial_entropy=trial_entropy,
         sup_f_x=lambda e: e * float(lam_p(1.0)),
         sup_g_x=lambda e: rp1,
         sup_g_xx=lambda e: float(rho_pp(1.0)),
         name="ldpc",
     )
+    # u of the copy without a trial entropy: a family whose field held
+    # itself would be a reference cycle, freed only by the cyclic collector
+    psys = replace(psys, trial_entropy=lambda x, u=psys.u: -Lp1 * u(x, eps_closed(x)))
     validate_param_system(psys)
     return psys
 

@@ -482,8 +482,9 @@ def _stab_root(psys: ParamSystem) -> float:
 def _envelope_sup(psys: ParamSystem, level: float, b: float,
                   res_b: MinimizeResult, tol: float, guess: Optional[float] = None) -> tuple:
     """sup{eps in [0, b] : Psi(eps) >= level - 1e-12}, for a predicate that
-    holds at 0 and fails at b, where res_b = minimize_us_at(psys, b); and
-    minimize_us_at at the failing end of the final bracket.
+    holds at 0 and fails at b, where res_b = minimize_us_at(psys, b);
+    minimize_us_at at the failing end of the final bracket; and whether
+    the probes at the guess closed the bracket, so that no step was taken.
 
     A guess m of the supremum is certified first: the predicate is probed
     at m - 0.4 tol and, where it holds there, at m + 0.4 tol, when both lie
@@ -510,6 +511,7 @@ def _envelope_sup(psys: ParamSystem, level: float, b: float,
     """
     goal = level - 1e-12
     a, last = 0.0, b
+    certified = False
     if guess is not None and 0.0 < guess - 0.4 * tol < guess + 0.4 * tol < b:
         for e in (guess - 0.4 * tol, guess + 0.4 * tol):
             res = minimize_us_at(psys, e)
@@ -517,6 +519,7 @@ def _envelope_sup(psys: ParamSystem, level: float, b: float,
                 b, res_b = e, res
                 break
             a = e
+        certified = b - a <= tol
     while b - a > tol:
         slope = float(psys.u_eps(res_b.x_upper, b))
         root = b + (goal - res_b.value) / slope if slope < 0.0 else math.nan
@@ -538,7 +541,7 @@ def _envelope_sup(psys: ParamSystem, level: float, b: float,
             a = e
         else:
             b, res_b = e, res
-    return 0.5 * (a + b), res_b
+    return 0.5 * (a + b), res_b, certified
 
 
 def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
@@ -575,6 +578,12 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     tol must be finite and > 0 (DomainError, raised before any search);
     eps_stab keeps its own fixed 1e-12 bracket whatever tol is.
     """
+    return _eps_c_routed(psys, tol)[0]
+
+
+def _eps_c_routed(psys: ParamSystem, tol: float) -> tuple:
+    """eps_c and a note naming its route: the early return of eps_stab,
+    the certificate at eps_maxwell -+ 0.4 tol, or the Newton search."""
     _check_tol(tol)
     if not psys.zero_is_fixed_point:
         raise ThresholdUndefinedError(
@@ -585,10 +594,10 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
     e_stab = eps_stab(psys)
     res_stab = minimize_us_at(psys, e_stab)
     if res_stab.value >= -1e-12:
-        return e_stab
+        return e_stab, "eps_stab, where min_x U_s(x;eps) >= 0 still holds"
     maxwell, undefined = psys._maxwell
     guess = None if undefined is not None or maxwell[0] >= e_stab else maxwell[0]
-    ec, res_b = _envelope_sup(psys, 0.0, e_stab, res_stab, tol, guess)
+    ec, res_b, certified = _envelope_sup(psys, 0.0, e_stab, res_stab, tol, guess)
     noise = rounding_level(psys.x_max, float(psys.g(psys.x_max, ec)))
     slope = abs(float(psys.u_eps(res_b.x_upper, ec)))
     half = max(10 * tol, noise / slope) if slope > 0.0 else 10 * tol
@@ -601,7 +610,8 @@ def eps_c(psys: ParamSystem, tol: float = 1e-9) -> float:
         raise ThresholdUndefinedError(
             "potential-threshold cross-check failed around eps_c "
             f"({res_lo.value:.3e}, {res_hi.value:.3e})")
-    return ec
+    how = "certified at eps_maxwell -+ 0.4 tol" if certified else "found by safeguarded Newton"
+    return ec, f"min_x U_s(x;eps) >= 0 {how}"
 
 
 def _in_fixed_point_domain(xs: np.ndarray, h0: np.ndarray, hmax: np.ndarray) -> np.ndarray:
@@ -969,11 +979,12 @@ class ThresholdReport:
 def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     """Compute the four thresholds, tagging undefined ones instead of
     raising. tol governs eps_c only, certified at the Maxwell threshold or
-    else found by a safeguarded Newton search on the envelope (eps_c), and
-    must be finite and > 0 (DomainError, raised before any threshold is
-    computed). eps_single is the minimum of
-    eps(x) on a 1e4 grid, eps_stab a root by Brent's method, and the
-    Maxwell roots of Q are found in x, all to fixed 1e-12 brackets."""
+    else found by a safeguarded Newton search on the envelope (eps_c),
+    whose note names the route that ran, and must be finite and > 0
+    (DomainError, raised before any threshold is computed). eps_single is
+    the minimum of eps(x) on a 1e4 grid, eps_stab a root by Brent's
+    method, and the Maxwell roots of Q are found in x, all to fixed 1e-12
+    brackets."""
     _check_tol(tol)
     values = {}
     notes = []
@@ -989,9 +1000,7 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
 
     attempt("eps_single", lambda: (eps_single(psys), "min of eps(x) over a 1e4 grid"))
     attempt("eps_stab", lambda: (eps_stab(psys), "root of h'(0;eps)=1"))
-    attempt("eps_c", lambda: (eps_c(psys, tol),
-                              "min_x U_s(x;eps) >= 0 probed at eps_maxwell -+ 0.4 tol, "
-                              "else by safeguarded Newton"))
+    attempt("eps_c", lambda: _eps_c_routed(psys, tol))
     attempt("eps_maxwell", lambda: _held(psys._maxwell))
 
     return ThresholdReport(values["eps_single"], values["eps_stab"],

@@ -1,0 +1,133 @@
+"""A 40-digit oracle for the MAP curve of ldpc8 and ldgm9, using none of
+the library's solvers or callables.
+
+Each family is built here from exact rational coefficients, with
+
+    U_s(x; eps) = x g(x; eps) - G(x; eps) - F(g(x; eps); eps).
+
+At eps, the fixed points of h(x) = f(g(x; eps); eps) on [0, 1] are
+bracketed by the sign changes of x - h(x) in a float scan of 4001 points
+and polished by mpmath's findroot at 40 digits; the ends 0 and 1 count
+when they are fixed points. The largest minimizer x* is the largest fixed
+point whose U_s lies within 1e-25 of the least, and the MAP exit value is
+the family's EXIT functional at x*, at 40 digits.
+
+Print the MAP curve of a window, here ldpc8's on 11 points:
+
+    python tests/oracle.py ldpc8 0.544223 0.716394 11
+"""
+
+import sys
+from fractions import Fraction
+
+import mpmath as mp
+import numpy as np
+
+DPS = 40
+SCAN_N = 4001
+TIE = mp.mpf("1e-25")
+
+
+class Poly:
+    """sum c x^k over exact rational (c, k) pairs; evaluated in floats on a
+    numpy array and at 40 digits on anything else."""
+
+    def __init__(self, terms):
+        self.terms = [(Fraction(c), k) for c, k in terms]
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            return sum(float(c) * x**k for c, k in self.terms)
+        return sum(mp.mpf(c.numerator) / c.denominator * x**k for c, k in self.terms)
+
+    def integral(self) -> "Poly":
+        """The antiderivative with value 0 at 0."""
+        return Poly([(c / (k + 1), k + 1) for c, k in self.terms])
+
+
+class Family:
+    """f(y; e), g(x; e), F(y; e), G(x; e) and the EXIT functional exit(x)."""
+
+    def __init__(self, f, g, F, G, exit_fn):
+        self.f, self.g, self.F, self.G, self.exit = f, g, F, G, exit_fn
+
+    def d(self, x, e):
+        """x - h(x; e)."""
+        return x - self.f(self.g(x, e), e)
+
+    def u(self, x, e):
+        gx = self.g(x, e)
+        return x * gx - self.G(x, e) - self.F(gx, e)
+
+
+def _ldpc(lam: Poly, rho: Poly) -> Family:
+    """BEC LDPC with edge-form lam and rho: f = e lam(y), g = 1 - rho(1 - x),
+    F = e Lam(y), G = x - (P(1) - P(1 - x)), exit L(g(x)) = Lam(g) / Lam(1),
+    with Lam and P the antiderivatives of lam and rho."""
+    Lam, P = lam.integral(), rho.integral()
+    return Family(f=lambda y, e: e * lam(y),
+                  g=lambda x, e: 1 - rho(1 - x),
+                  F=lambda y, e: e * Lam(y),
+                  G=lambda x, e: x - (P(1) - P(1 - x)),
+                  exit_fn=lambda x: Lam(1 - rho(1 - x)) / Lam(1))
+
+
+def _ldgm(lam: Poly, rho: Poly) -> Family:
+    """LDGM with edge-form lam and rho: f = lam(y), g = 1 - (1 - e) rho(1 - x),
+    F = Lam(y), G = x - (1 - e)(P(1) - P(1 - x)), exit 1 - R(1 - x) =
+    1 - P(1 - x) / P(1)."""
+    Lam, P = lam.integral(), rho.integral()
+    return Family(f=lambda y, e: lam(y),
+                  g=lambda x, e: 1 - (1 - e) * rho(1 - x),
+                  F=lambda y, e: Lam(y),
+                  G=lambda x, e: x - (1 - e) * (P(1) - P(1 - x)),
+                  exit_fn=lambda x: 1 - P(1 - x) / P(1))
+
+
+F_ = Fraction
+FAMILIES = {
+    # lam = 0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20, rho = 0.6 x^4 + 0.4 x^12
+    "ldpc8": _ldpc(Poly([(F_("0.2"), 1), (F_("0.25"), 2), (F_("0.1"), 6), (F_("0.45"), 20)]),
+                   Poly([(F_("0.6"), 4), (F_("0.4"), 12)])),
+    # node L = x^6, so lam = x^5; rho = 2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3
+    "ldgm9": _ldgm(Poly([(1, 5)]),
+                   Poly([(F_(2, 45), 0), (F_(2, 45), 1), (F_(7, 15), 2), (F_(4, 9), 3)])),
+}
+
+
+def fixed_points(fam: Family, eps) -> list:
+    """The fixed points of h on [0, 1] at eps, at 40 digits, ascending."""
+    xs = np.linspace(0.0, 1.0, SCAN_N)
+    d = fam.d(xs, float(eps))
+    e = mp.mpf(eps)
+    roots = [x for x in (mp.mpf(0), mp.mpf(1)) if abs(fam.d(x, e)) < mp.mpf("1e-30")]
+    for i in np.flatnonzero(d[:-1] * d[1:] < 0.0).tolist():
+        roots.append(mp.findroot(lambda x: fam.d(x, e), (mp.mpf(xs[i]), mp.mpf(xs[i + 1])),
+                                 solver="anderson"))
+    for i in np.flatnonzero(d[1:-1] == 0.0).tolist():
+        roots.append(mp.findroot(lambda x: fam.d(x, e), mp.mpf(xs[i + 1])))
+    return sorted(roots)
+
+
+def x_star(family: str, eps):
+    """The largest minimizer of U_s(.; eps) at 40 digits; eps a float."""
+    fam = FAMILIES[family]
+    with mp.workdps(DPS):
+        e = mp.mpf(eps)
+        roots = fixed_points(fam, eps)
+        vals = [fam.u(x, e) for x in roots]
+        least = min(vals)
+        return max(x for x, v in zip(roots, vals) if v <= least + TIE)
+
+
+def map_exit(family: str, eps):
+    """The MAP exit value at eps (a float): the EXIT functional at the
+    largest minimizer, at 40 digits."""
+    with mp.workdps(DPS):
+        return FAMILIES[family].exit(x_star(family, eps))
+
+
+if __name__ == "__main__":
+    name, lo, hi, n = sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+    for eps in np.linspace(lo, hi, n).tolist():
+        print(repr(eps), mp.nstr(x_star(name, eps), 25), mp.nstr(map_exit(name, eps), 25))

@@ -10,6 +10,8 @@ from hypothesis.extra.numpy import arrays
 from maxsat.errors import ConstructionError, DomainError
 from maxsat.numerics import (
     Polynomial,
+    _brent_lanes,
+    _golden_lanes,
     bisect_root,
     gauss_hermite,
     golden_min,
@@ -256,33 +258,52 @@ class TestBrentRoot:
         assert len(probes) <= 8
 
 
+def cubic(x, r, k):
+    """A cubic in x - r: unimodal on most brackets, not on all."""
+    t = x - r
+    return k * t * t + 0.3 * t * t * t
+
+
+def odd(x, r, k):
+    """Increasing, with its root at r."""
+    t = x - r
+    return t * (k + t * t)
+
+
+_LANE_TOLS = (1e-300, 1e-12, 1e-9, 1e-4)
+
+
 @st.composite
-def bracket_lanes(draw, root_inside: bool):
-    """Lanes of brackets with one problem each: (lo, hi, tol, r, k), where
-    the widths span 15 decades, and include 0 and widths at or below tol,
-    so lanes stop at different steps; with root_inside r lies in
-    [lo, hi], at either end in some lanes."""
+def cell_lanes(draw, sign_change: bool):
+    """Lanes of cells with one problem each, as the MAP batch gives its
+    kernels: (lo, hi, tol, r, k), each cell wider than its tol, the widths
+    spanning 15 decades, so lanes stop at different steps. Without
+    sign_change every lane shares one tol (the golden lanes take a float)
+    and r is anywhere; with it each lane has its own tol, and r lies
+    strictly inside the cell, where odd changes sign strictly."""
     n = draw(st.integers(1, 12))
+    shared = draw(st.sampled_from(_LANE_TOLS))
     lanes = []
     for _ in range(n):
         lo = draw(st.floats(-1.0, 1.0))
-        tol = draw(st.sampled_from((1e-300, 1e-12, 1e-9, 1e-4)))
-        width = draw(st.one_of(st.sampled_from((0.0, 0.5 * tol, tol)),
-                               st.floats(1e-15, 2.0)))
-        hi = lo + width
-        if root_inside:
-            frac = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)))
-            r = lo + frac * (hi - lo)
+        tol = draw(st.sampled_from(_LANE_TOLS)) if sign_change else shared
+        hi = lo + draw(st.floats(1e-15, 2.0).filter(lambda w: lo + w - lo > tol))
+        k = draw(st.floats(0.1, 10.0))
+        if sign_change:
+            r = draw(st.floats(0.0, 1.0).map(lambda f: lo + f * (hi - lo))
+                     .filter(lambda r: odd(lo, r, k) < 0.0 < odd(hi, r, k)))
         else:
             r = draw(st.floats(-1.5, 2.5))
-        lanes.append((lo, hi, tol, r, draw(st.floats(0.1, 10.0))))
+        lanes.append((lo, hi, tol, r, k))
     return [np.array(v) for v in zip(*lanes)]
 
 
 class TestLanes:
-    """Arrays of brackets run in lockstep, each lane bit for bit the float
-    call, with one call of fn per step: as many calls as the float call of
-    the lane that runs longest."""
+    """The MAP batch's private kernels, _golden_lanes and _brent_lanes, run
+    one cell per lane in lockstep, each lane bit for bit the float call,
+    with one call of fn per step: as many calls as the float call of the
+    lane that runs longest, less, for Brent, the float call's two probes
+    of the cell ends, whose values the kernel is given."""
 
     @staticmethod
     def solve_each(solver, fn, lo, hi, tol, params):
@@ -306,43 +327,37 @@ class TestLanes:
         return f, calls
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(lanes=bracket_lanes(root_inside=False))
+    @given(lanes=cell_lanes(sign_change=False))
     def test_golden_lanes_are_float_calls(self, lanes):
         lo, hi, tol, r, k = lanes
-
-        def fn(x, r, k):
-            # a cubic in x - r: unimodal on most brackets, not on all
-            t = x - r
-            return k * t * t + 0.3 * t * t * t
-
-        want, most = self.solve_each(golden_min, fn, lo, hi, tol, (r, k))
-        f, calls = self.counted(lambda x: fn(x, r, k))
-        got = golden_min(f, lo, hi, tol)
+        want, most = self.solve_each(golden_min, cubic, lo, hi, tol, (r, k))
+        f, calls = self.counted(lambda x: cubic(x, r, k))
+        got = _golden_lanes(f, lo, hi, float(tol[0]))
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         assert len(calls) == most
         assert all(shape == lo.shape for shape in calls)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(lanes=bracket_lanes(root_inside=True))
+    @given(lanes=cell_lanes(sign_change=True))
     def test_brent_lanes_are_float_calls(self, lanes):
         lo, hi, tol, r, k = lanes
-
-        def fn(x, r, k):
-            # increasing, with its root at r, an exact zero at an end
-            t = x - r
-            return t * (k + t * t)
-
-        want, most = self.solve_each(bisect_root, fn, lo, hi, tol, (r, k))
-        f, calls = self.counted(lambda x: fn(x, r, k))
-        got = bisect_root(f, lo, hi, tol)
+        want, most = self.solve_each(bisect_root, odd, lo, hi, tol, (r, k))
+        f, calls = self.counted(lambda x: odd(x, r, k))
+        got = _brent_lanes(f, lo, odd(lo, r, k), hi, odd(hi, r, k), tol)
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-        assert len(calls) == most
+        assert len(calls) == most - 2
         assert all(shape == lo.shape for shape in calls)
 
     def test_one_tol_for_all_lanes(self):
+        # the golden kernel takes one float tol, each lane its own count
         lo, hi = np.array([1.0, 0.0]), np.array([2.0, 3.0])
-        got = bisect_root(lambda x: x * x - 2.0, lo, hi, 1e-12)
-        assert got.tolist() == [bisect_root(lambda x: x * x - 2.0, a, b, 1e-12)
+
+        def fn(x):
+            t = x * x - 2.0
+            return t * t
+
+        got = _golden_lanes(fn, lo, hi, 1e-12)
+        assert got.tolist() == [golden_min(fn, a, b, 1e-12)
                                 for a, b in zip(lo.tolist(), hi.tolist())]
 
     @pytest.mark.parametrize("solver", [bisect_root, golden_min])
@@ -351,16 +366,16 @@ class TestLanes:
         ([[0.0]], [[1.0]], 1e-12),
         ([0.0, 0.0], [1.0, 1.0], [1e-12, 0.0]),
         ([0.0, 1.0], [1.0, 0.5], 1e-12),
-    ], ids=["lengths", "2-d", "tol", "reversed"])
+        ([0.0, 0.25], [1.0, 1.0], 1e-12),
+        (0.0, [1.0], 1e-12),
+    ], ids=["lengths", "2-d", "tol", "reversed", "lanes", "one-array"])
     def test_bad_lanes_rejected_before_any_call(self, solver, lo, hi, tol):
+        # the public searches take float brackets only: an array bracket,
+        # well formed or not, raises before fn is called
         calls = []
-        with pytest.raises(DomainError):
-            solver(lambda x: calls.append(x) or x - 0.5, lo, hi, tol)
+        with pytest.raises(DomainError, match="^invalid bracket"):
+            solver(lambda x: calls.append(x) or x - 0.5, np.array(lo), np.array(hi), tol)
         assert calls == []
-
-    def test_no_sign_change_in_a_lane(self):
-        with pytest.raises(DomainError, match=r"^no sign change on \[2\.0, 3\.0\]"):
-            bisect_root(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
 
 
 def test_gauss_hermite_total_weight():

@@ -560,9 +560,15 @@ class TestEnumerate:
         for j in range(k):
             want = fixed_points_of(lambda x: h(x, j), 1.0, grid_n)
             assert [v.hex() for v in got[j]] == [v.hex() for v in want], j
+        # a sign-change cell carries d at both of its ends, of strictly
+        # opposite signs, which the Brent lanes start from
+        rows, cols, d_lo, d_hi = cells[1]
+        assert d_lo.tolist() == d[rows, cols].tolist()
+        assert d_hi.tolist() == d[rows, cols + 1].tolist()
+        assert np.all(d_lo * d_hi < 0.0)
         # each kind of root is there to be found, but the 11-point grid
         # resolves no grazing root
-        zeros, changes, grazing = (rows.size for rows, _ in cells)
+        zeros, changes, grazing = (part[0].size for part in cells)
         assert zeros and changes and (grazing or grid_n == 11)
 
     @pytest.mark.parametrize("x_max, grid_n", [(1.0, ANALYSIS_GRID_N), (0.75, 1234)])

@@ -198,6 +198,30 @@ def test_eps_c_recovers_from_a_wrong_maxwell_value(monkeypatch, minimizations, o
     tol = 1e-9
     assert abs(eps_c(psys, tol) - float(LDPC8_CERTIFIED["eps_maxwell"])) <= tol
     assert len(minimizations) > 6
+    assert eps_c_note(psys, tol) == NEWTON_NOTE
+
+
+# the note of eps_c in a threshold report, one per route
+STAB_NOTE = "eps_stab, where min_x U_s(x;eps) >= 0 still holds"
+CERTIFIED_NOTE = "min_x U_s(x;eps) >= 0 certified at eps_maxwell -+ 0.4 tol"
+NEWTON_NOTE = "min_x U_s(x;eps) >= 0 found by safeguarded Newton"
+
+
+def eps_c_note(psys, tol=1e-9):
+    return dict(threshold_report(psys, tol).notes)["eps_c"]
+
+
+def test_eps_c_note_names_the_certificate():
+    assert eps_c_note(fresh_ldpc8()) == CERTIFIED_NOTE
+
+
+def test_eps_c_note_names_the_eps_stab_return():
+    # a continuous transition: Psi(eps_stab) is within the -1e-12 margin,
+    # so eps_c returns eps_stab and runs neither search
+    psys = ldpc_system("x^2", "x^6")
+    rep = threshold_report(psys)
+    assert rep.eps_c == rep.eps_stab
+    assert eps_c_note(psys) == STAB_NOTE
 
 
 # ldpc8's eps_c by the Newton search alone, the value before eps_c

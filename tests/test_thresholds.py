@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import oracle
 from maxsat import potential, thresholds
 from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
                            NumericError, ThresholdUndefinedError)
@@ -126,6 +127,25 @@ class TestEnvelope:
     def test_x_bar_positive_above_threshold(self, ldpc8):
         assert x_bar_star(ldpc8, 0.64) > 0.1
         assert x_lower_star(ldpc8, 0.61) == 0.0
+
+    @pytest.mark.parametrize("entry", ["minimize_us_at", "x_bar_star", "minimize_potential"])
+    @pytest.mark.parametrize("grid_n", [-1, 0, 1])
+    def test_grid_below_two_points_rejected_before_any_call(self, ldpc8, entry, grid_n):
+        # a 1-point grid is [0], whose last point is not x_max. Every
+        # evaluation of U_s or h on a grid, u and h included, calls F or f
+        calls = []
+        psys = dataclasses.replace(ldpc8, **{
+            name: lambda x, e, name=name, real=getattr(ldpc8, name):
+                calls.append(name) or real(x, e) for name in ("f", "F")})
+        run = {
+            "minimize_us_at": lambda: minimize_us_at(psys, 0.65, grid_n),
+            "x_bar_star": lambda: x_bar_star(psys, 0.65, grid_n),
+            "minimize_potential": lambda: thresholds.minimize_potential(
+                lambda x: psys.u(x, 0.65), lambda x: psys.h(x, 0.65), psys.x_max, 1.0, grid_n),
+        }[entry]
+        with pytest.raises(DomainError, match="grid_n must be >= 2"):
+            run()
+        assert calls == []
 
 
 @pytest.mark.parametrize("name", ["f", "g"])
@@ -777,6 +797,21 @@ BENCH_EXIT_WINDOWS = [
     ("ldpc8", 0.507631, 0.699056), ("ldpc8", 0.544223, 0.716394),
     ("ldpc8", 0.594347, 0.662749), ("ldpc8", 0.581543, 0.691055),
 ]
+
+
+@pytest.mark.parametrize("which, lo, hi", BENCH_EXIT_WINDOWS)
+def test_map_exit_matches_the_oracle(request, which, lo, hi):
+    # the 40-digit MAP curve of tests/oracle.py, which uses none of the
+    # library's solvers. The worst errors measured over the 101 eps of
+    # each window, in BENCH_EXIT_WINDOWS' order: ldgm9 2.64e-8, 3.13e-8,
+    # 2.51e-8 and 2.43e-8; ldpc8 3.14e-8, 4.48e-8 (at index 47 of
+    # [0.544223, 0.716394]), 4.00e-8 and 3.57e-8. Golden refinement on a
+    # flat minimum limits x* to about 1e-8; ROADMAP item 1 tightens the
+    # bound to 1e-12
+    es = np.linspace(lo, hi, 101)
+    got = map_exit_curve(request.getfixturevalue(which), es).exit_values
+    errs = [abs(oracle.map_exit(which, e) - g) for e, g in zip(es.tolist(), got.tolist())]
+    assert max(errs) <= 5e-8
 
 
 class TestBatchedMapCurve:

@@ -88,17 +88,16 @@ def test_tracer_counts_envelope_integral():
     assert metrics["potential.minimize_calls"] == 10
     assert metrics["thresholds.xbar_evals"] == 10
     assert metrics["potential.grid_points"] == 10 * 3000
-    # a golden run on a 3000-point grid probes 2 + 42 times: 43 steps
-    # shrink its two cells, 2 / 2999, below 1e-12. One run covers the 39
-    # curve points whose grid resolves a minimum, in lockstep, and 7 of
-    # the 10 bisection steps resolve one each: 8 runs, where a per-point
-    # curve makes 46
-    assert metrics["numerics.golden_evals"] == 8 * 44
-    # one lockstep Brent run over the 92 sign-change cells of the curve
-    # probes 7 times, as often as its longest lane, and the bisection
-    # steps' 20 fixed points take 6 probes each but 2 that take 5; a
-    # per-point curve probes 668 times
-    assert metrics["numerics.bisect_evals"] == 7 + 18 * 6 + 2 * 5
+    # the curve's own searches run on the batch's private kernels
+    # (numerics._golden_lanes, _brent_lanes), which the tracer, hooking
+    # golden_min and bisect_root by name, does not see. A golden run on a
+    # 3000-point grid probes 2 + 42 times: 43 steps shrink its two cells,
+    # 2 / 2999, below 1e-12. 7 of the 10 bisection steps resolve one
+    # minimum each: 7 runs, where a per-point curve makes 46
+    assert metrics["numerics.golden_evals"] == 7 * 44
+    # the bisection steps' 20 fixed points take 6 probes each but 2 that
+    # take 5; a per-point curve probes 668 times
+    assert metrics["numerics.bisect_evals"] == 18 * 6 + 2 * 5
 
 
 def test_tracer_counts_sweep_iterations(tmp_path):
