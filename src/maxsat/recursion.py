@@ -25,12 +25,14 @@ the shape of their argument (a scalar or a numpy array), while f_prime,
 g_prime and g_second may return any value that broadcasts to it, so a
 constant derivative is written as a float. validate_system checks the
 shapes of f and g. The slices of a family (thresholds.ParamSystem.at_eps)
-also give a Python float the bits of the same x inside an array.
+and the antiderivatives make_system tabulates also give a Python float the
+bits of the same x inside an array.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Optional
@@ -285,17 +287,24 @@ def _chebyshev_table(fn, lo, hi):
 
 
 def _clenshaw(series, k, t):
-    """sum_j series[j, k_i] T_j(t_i) for each i, by Clenshaw's recurrence."""
+    """sum_j series[j, k_i] T_j(t_i) for each i, by Clenshaw's recurrence:
+    the array lane of a table lookup. 2t is formed once and each row
+    gathered with take; the float lane of _tabulated_antiderivative runs
+    the same operations in the same order on Python floats."""
+    t2 = 2.0 * t
     b1 = b2 = 0.0
     for row in series[:0:-1]:
-        b1, b2 = row[k] + 2.0 * t * b1 - b2, b1
-    return series[0, k] + t * b1 - b2
+        b1, b2 = row.take(k) + t2 * b1 - b2, b1
+    return series[0].take(k) + t * b1 - b2
 
 
 def tabulated_integral(fn, lo, hi) -> float:
     """Integral of the elementwise fn over [lo, hi] from one
     piecewise-Chebyshev table (_chebyshev_table), to an absolute error of
-    about 1e-11. Raises NumericError where the table cannot get there."""
+    about 1e-11. Raises DomainError unless lo <= hi are finite, and
+    NumericError where the table cannot get there."""
+    if not -np.inf < lo <= hi < np.inf:
+        raise DomainError(f"tabulated_integral needs finite lo <= hi, got [{lo}, {hi}]")
     _, offset, series = _chebyshev_table(fn, lo, hi)
     last = len(offset) - 1
     return float(offset[last] + _clenshaw(series, last, 1.0))
@@ -307,22 +316,47 @@ def _tabulated_antiderivative(fn, hi):
     fn is sampled once, on the first call, into a piecewise-Chebyshev
     table (_chebyshev_table); every call is then a lookup and one Clenshaw
     sum per point. Points more than _CLAMP_TOL outside [0, hi] raise
-    DomainError.
+    DomainError, and a NaN comes back as NaN.
+
+    An array takes the array lane (_clenshaw). A scalar (a float, a numpy
+    scalar or a 0-d array, which _clamp turns into a Python float) takes
+    the float lane: bisect_right on the edges, held as a list, and
+    Clenshaw's recurrence over the panel's coefficients, held as Python
+    floats, in the array lane's order of operations. So it returns a
+    Python float with the bits of the same y inside an array, at the cost
+    of a few dozen float operations. The lists are made with the table.
     """
     table = None
+
+    def build():
+        edges, offset, series = _chebyshev_table(fn, 0.0, hi)
+        # the float lane's copies: per panel, the coefficients from the
+        # top one down to T_1, and the T_0 one
+        panels = list(zip(series[:0:-1].T.tolist(), series[0].tolist()))
+        return edges, offset, series, edges.tolist(), offset.tolist(), panels
 
     def anti(y):
         nonlocal table
         if table is None:
-            table = _chebyshev_table(fn, 0.0, hi)
-        edges, offset, series = table
-        arr = np.asarray(_clamp(y, 0.0, hi, "antiderivative argument"), dtype=float)
-        flat = arr.ravel()
-        k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, len(offset) - 1)
+            table = build()
+        edges, offset, series, edge_list, offset_list, panels = table
+        y = _clamp(y, 0.0, hi, "antiderivative argument")
+        last = len(offset_list) - 1
+        if type(y) is float:
+            k = min(max(bisect_right(edge_list, y) - 1, 0), last)
+            a, b = edge_list[k], edge_list[k + 1]
+            t = (2.0 * y - (a + b)) / (b - a)
+            t2 = 2.0 * t
+            top, c0 = panels[k]
+            b1 = b2 = 0.0
+            for c in top:
+                b1, b2 = c + t2 * b1 - b2, b1
+            return offset_list[k] + (c0 + t * b1 - b2)
+        flat = y.ravel()
+        k = np.clip(np.searchsorted(edges, flat, side="right") - 1, 0, last)
         a, b = edges[k], edges[k + 1]
         t = (2.0 * flat - (a + b)) / (b - a)
-        out = offset[k] + _clenshaw(series, k, t)
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        return (offset[k] + _clenshaw(series, k, t)).reshape(y.shape)
 
     return anti
 
@@ -332,7 +366,9 @@ def make_system(f, g, x_max, *, f_prime=None, g_prime=None, g_second=None,
                 g_second_sup=None, name="", validate=True) -> ScalarSystem:
     """Assemble a ScalarSystem, filling gaps with finite differences and
     antiderivatives tabulated on [0, y_max] (F) and [0, x_max] (G) to an
-    absolute error of 1e-11, then grid-check the invariants."""
+    absolute error of 1e-11, then grid-check the invariants. A tabulated
+    F or G reads a scalar in Python floats, with the bits of the same
+    point inside an array (_tabulated_antiderivative)."""
     y_max = float(g(x_max))
     sys = ScalarSystem(
         f=f,

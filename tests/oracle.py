@@ -1,5 +1,5 @@
-"""A 40-digit oracle for the MAP curve of ldpc8 and ldgm9, using none of
-the library's solvers or callables.
+"""A 40-digit oracle for the MAP curves of ldpc8, ldgm9 and isi, and for
+isi's Maxwell threshold, using none of the library's solvers or callables.
 
 Each family is built here from exact rational coefficients, with
 
@@ -10,11 +10,18 @@ bracketed by the sign changes of x - h(x) in a float scan of 4001 points
 and polished by mpmath's findroot at 40 digits; the ends 0 and 1 count
 when they are fixed points. The largest minimizer x* is the largest fixed
 point whose U_s lies within 1e-25 of the least, and the MAP exit value is
-the family's EXIT functional at x*, at 40 digits.
+the family's EXIT functional at (x*, eps), at 40 digits. The Maxwell
+threshold of a family whose 0 is a fixed point is the eps at which the
+largest fixed point's U_s falls to U_s(0) = 0: bisected on that sign and
+polished as a root of (x - h, U_s) in (x, eps) by findroot.
 
 Print the MAP curve of a window, here ldpc8's on 11 points:
 
     python tests/oracle.py ldpc8 0.544223 0.716394 11
+
+and isi's Maxwell threshold:
+
+    python tests/oracle.py isi
 """
 
 import sys
@@ -46,7 +53,7 @@ class Poly:
 
 
 class Family:
-    """f(y; e), g(x; e), F(y; e), G(x; e) and the EXIT functional exit(x)."""
+    """f(y; e), g(x; e), F(y; e), G(x; e) and the EXIT functional exit(x; e)."""
 
     def __init__(self, f, g, F, G, exit_fn):
         self.f, self.g, self.F, self.G, self.exit = f, g, F, G, exit_fn
@@ -69,7 +76,7 @@ def _ldpc(lam: Poly, rho: Poly) -> Family:
                   g=lambda x, e: 1 - rho(1 - x),
                   F=lambda y, e: e * Lam(y),
                   G=lambda x, e: x - (P(1) - P(1 - x)),
-                  exit_fn=lambda x: Lam(1 - rho(1 - x)) / Lam(1))
+                  exit_fn=lambda x, e: Lam(1 - rho(1 - x)) / Lam(1))
 
 
 def _ldgm(lam: Poly, rho: Poly) -> Family:
@@ -81,7 +88,35 @@ def _ldgm(lam: Poly, rho: Poly) -> Family:
                   g=lambda x, e: 1 - (1 - e) * rho(1 - x),
                   F=lambda y, e: Lam(y),
                   G=lambda x, e: x - (1 - e) * (P(1) - P(1 - x)),
-                  exit_fn=lambda x: 1 - P(1 - x) / P(1))
+                  exit_fn=lambda x, e: 1 - P(1 - x) / P(1))
+
+
+def _isi(lam: Poly, rho: Poly) -> Family:
+    """Joint detection and decoding over the dicode erasure channel, with
+    edge-form lam and rho: f = phi(L(y); e) lam(y), g = 1 - rho(1 - x),
+    F = Phi(L(y); e) Lam(1), G as for LDPC and exit Phi_e(L(g(x)); e), with
+    L = Lam / Lam(1) the node form, phi(z; e) = 4 e^2 / (2 - (1 - e) z)^2,
+    Phi(z; e) = 2 e^2 z / (2 - (1 - e) z) its antiderivative in z and
+    Phi_e(z; e) = 2 e z (4 - 2 z + e z) / (2 - (1 - e) z)^2 the e-partial
+    of Phi."""
+    Lam, P = lam.integral(), rho.integral()
+    Lam1 = sum(c for c, _ in Lam.terms)
+    L = Poly([(c / Lam1, k) for c, k in Lam.terms])
+
+    def den(z, e):
+        return 2 - (1 - e) * z
+
+    def Phi(z, e):
+        return 2 * e * e * z / den(z, e)
+
+    def Phi_e(z, e):
+        return 2 * e * z * (4 - 2 * z + e * z) / den(z, e) ** 2
+
+    return Family(f=lambda y, e: 4 * e * e / den(L(y), e) ** 2 * lam(y),
+                  g=lambda x, e: 1 - rho(1 - x),
+                  F=lambda y, e: Phi(L(y), e) * mp.mpf(Lam1.numerator) / Lam1.denominator,
+                  G=lambda x, e: x - (P(1) - P(1 - x)),
+                  exit_fn=lambda x, e: Phi_e(L(1 - rho(1 - x)), e))
 
 
 F_ = Fraction
@@ -92,6 +127,8 @@ FAMILIES = {
     # node L = x^6, so lam = x^5; rho = 2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3
     "ldgm9": _ldgm(Poly([(1, 5)]),
                    Poly([(F_(2, 45), 0), (F_(2, 45), 1), (F_(7, 15), 2), (F_(4, 9), 3)])),
+    # node L = x^3 and R = x^6, so lam = x^2 and rho = x^5
+    "isi": _isi(Poly([(1, 2)]), Poly([(1, 5)])),
 }
 
 
@@ -124,10 +161,31 @@ def map_exit(family: str, eps):
     """The MAP exit value at eps (a float): the EXIT functional at the
     largest minimizer, at 40 digits."""
     with mp.workdps(DPS):
-        return FAMILIES[family].exit(x_star(family, eps))
+        return FAMILIES[family].exit(x_star(family, eps), mp.mpf(eps))
+
+
+def maxwell(family: str, lo: float, hi: float):
+    """The Maxwell threshold in [lo, hi] of a family whose 0 is a fixed
+    point with U_s(0) = 0, at 40 digits: 30 bisections of eps on the sign
+    of U_s at the largest fixed point (negative at hi, not at lo), then
+    findroot on (x - h, U_s) in (x, eps) from the last hi."""
+    fam = FAMILIES[family]
+    with mp.workdps(DPS):
+        for _ in range(30):
+            mid = 0.5 * (lo + hi)
+            if fam.u(fixed_points(fam, mid)[-1], mp.mpf(mid)) < 0:
+                hi = mid
+            else:
+                lo = mid
+        x0 = fixed_points(fam, hi)[-1]
+        _, e = mp.findroot(lambda x, e: (fam.d(x, e), fam.u(x, e)), (x0, mp.mpf(hi)))
+        return e
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] == ["isi"]:
+        print(mp.nstr(maxwell("isi", 0.5, 0.8), 25))
+        sys.exit()
     name, lo, hi, n = sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
     for eps in np.linspace(lo, hi, n).tolist():
         print(repr(eps), mp.nstr(x_star(name, eps), 25), mp.nstr(map_exit(name, eps), 25))

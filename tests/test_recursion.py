@@ -14,12 +14,15 @@ from maxsat.errors import (
 )
 from maxsat.invariants import coupled_symmetric_unimodal
 from maxsat.numerics import Polynomial
+from maxsat import recursion
 from maxsat.recursion import (
+    _CLAMP_TOL,
     ANALYSIS_GRID_N,
     CoupledProfile,
     CouplingSpec,
     IterationConfig,
     _analysis_grid,
+    _chebyshev_table,
     _clamp,
     _fixed_points_lanes,
     _root_cells,
@@ -744,6 +747,56 @@ class TestTabulatedAntiderivative:
         with pytest.raises(NumericError):
             s.F(0.25)
 
+    # A scalar read (a float, a numpy scalar or a 0-d array) runs in
+    # Python floats and gives the bits of the same y inside an array.
+    @pytest.fixture(scope="class")
+    def tabulated_reads(self):
+        """(label, antiderivative, integrand, upper end) of tabulated F and G:
+        cs-gaussian, cs-two-point, and a system with both F and G tabulated.
+        Each table is built before a test reads it."""
+        gauss = cs_system(CsParams(GaussianPrior(1.0), 0.3377, 0.4419))
+        two_point = cs_system(CsParams(TwoPointPrior(1.0, 0.1), 1e-4, 0.44))
+        both = make_system(f=gauss.f, g=gauss.g, x_max=gauss.x_max, g_prime=gauss.g_prime)
+        reads = [("cs-gaussian F", gauss.F, gauss.f, gauss.y_max),
+                 ("cs-two-point F", two_point.F, two_point.f, two_point.y_max),
+                 ("tabulated F", both.F, both.f, both.y_max),
+                 ("tabulated G", both.G, both.g, both.x_max)]
+        for _, anti, _, hi in reads:
+            anti(np.array([0.0, hi]))
+        return reads
+
+    @pytest.mark.parametrize("i", range(4))
+    def test_scalar_reads_equal_array_entries(self, tabulated_reads, i):
+        label, anti, fn, hi = tabulated_reads[i]
+        edges = _chebyshev_table(fn, 0.0, hi)[0]
+        ys = np.concatenate((np.linspace(0.0, hi, 2001), edges, [0.0, hi]))
+        want = [v.hex() for v in anti(ys).tolist()]
+        for kind in (float, np.float64, np.array):
+            got = [anti(kind(y)) for y in ys.tolist()]
+            assert all(type(v) is float for v in got), (label, kind)
+            assert [v.hex() for v in got] == want, (label, kind)
+
+    def test_float_reads_skip_the_array_kernel(self, tabulated_reads, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_clenshaw called")
+
+        monkeypatch.setattr(recursion, "_clenshaw", refuse)
+        for label, anti, _, hi in tabulated_reads:
+            assert type(anti(0.5 * hi)) is float, label
+            with pytest.raises(AssertionError, match="_clenshaw called"):
+                anti(np.array([0.5 * hi]))
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.array])
+    def test_domain_clamp_and_nan(self, tabulated_reads, kind):
+        for _, anti, _, hi in tabulated_reads:
+            for bad in (hi + 2 * _CLAMP_TOL, -2 * _CLAMP_TOL):
+                with pytest.raises(DomainError):
+                    anti(kind(bad))
+            assert anti(kind(hi + 0.5 * _CLAMP_TOL)) == anti(hi)
+            assert anti(kind(-0.5 * _CLAMP_TOL)) == anti(0.0) == 0.0
+            out = anti(kind(math.nan))
+            assert type(out) is float and math.isnan(out)
+
 
 class TestTabulatedIntegral:
     """The one quadrature of the package: a single piecewise-Chebyshev
@@ -766,6 +819,18 @@ class TestTabulatedIntegral:
 
     def test_empty_interval(self):
         assert tabulated_integral(np.exp, 2.0, 2.0) == 0.0
+
+    def test_reversed_ends_raise(self):
+        # the integral over [1, 0] is -(e - 1); one table over a reversed
+        # bracket would integrate something else
+        with pytest.raises(DomainError, match="finite lo <= hi"):
+            tabulated_integral(np.exp, 1.0, 0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                        (-math.inf, 0.0)])
+    def test_non_finite_ends_raise(self, lo, hi):
+        with pytest.raises(DomainError, match="finite lo <= hi"):
+            tabulated_integral(np.exp, lo, hi)
 
     def test_unresolved_integrand_raises(self):
         with pytest.raises(NumericError):

@@ -814,6 +814,36 @@ def test_map_exit_matches_the_oracle(request, which, lo, hi):
     assert max(errs) <= 5e-8
 
 
+# points of isi's default exit-curves window (101 eps of [0, 1]) with the
+# bounds on |exit - oracle| and |x* - oracle| there; the measured errors
+# are beside them. x* = 0 below the Maxwell threshold, and x* = 1 at
+# eps = 1. At eps = 0.98 x* misses its fixed point by 7.1e-6, which
+# ROADMAP item 1 removes
+ISI_WINDOW_CHECKS = [
+    (50, 0.0, 0.0),
+    (65, 1.1e-8, 2.5e-8),   # 1.050e-8 and 2.396e-8
+    (84, 2.7e-9, 2.1e-7),   # 2.602e-9 and 2.086e-7
+    (98, 1.8e-11, 7.2e-6),  # 1.760e-11 and 7.121e-6
+    (100, 0.0, 0.0),
+]
+
+
+def test_isi_map_exit_matches_the_oracle(isi36):
+    es = np.linspace(0.0, isi36.eps_max, 101)[[i for i, _, _ in ISI_WINDOW_CHECKS]]
+    curve = map_exit_curve(isi36, es)
+    for (i, exit_tol, x_tol), e, ex, xs in zip(ISI_WINDOW_CHECKS, es.tolist(),
+                                               curve.exit_values.tolist(),
+                                               curve.x_stars.tolist()):
+        assert abs(oracle.map_exit("isi", e) - ex) <= exit_tol, e
+        assert abs(oracle.x_star("isi", e) - xs) <= x_tol, e
+
+
+def test_isi_maxwell_matches_the_oracle(isi36):
+    # the oracle gives 0.63865862035296488, the library 0.6386586203529987,
+    # 3.38e-14 above it
+    assert abs(oracle.maxwell("isi", 0.5, 0.8) - maxwell_threshold(isi36)) <= 4e-14
+
+
 class TestBatchedMapCurve:
     """map_exit_curve minimizes its whole eps grid as one batch, whose
     searches run as lanes taking the float calls' steps: its x_stars,
