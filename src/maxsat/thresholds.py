@@ -22,7 +22,7 @@ the same order either way, so the open grid gives the bits of the mesh.
 A Python float x with a float eps gives a float (or a partial's
 constant) with the bits of the same x inside an array: the scalar probes
 of a search take the rounding of the grid they refine, and eps_of_x
-bisects a float on floats (_bisect_eps). The shipped families' callables
+solves a float on floats (_solve_eps). The shipped families' callables
 use only +, -, * and / (products, Horner sums, repeated squaring), which
 round a float as they round an array entry; a float's own ** calls the C
 library's pow, which differs from numpy's array power and square in the
@@ -68,6 +68,7 @@ __all__ = [
     "ebp_curve",
     "MapExitCurve",
     "map_exit_curve",
+    "map_jumps",
     "coupled_sweep",
     "inverse_Psi_threshold",
     "inverse_psi_table",
@@ -76,17 +77,25 @@ __all__ = [
 ]
 
 
-# Minimizer grid of the MAP curve and its jumps, which psi_integral
-# integrates; the other analyses minimize on ANALYSIS_GRID_N points.
+# Minimizer grid of the MAP curve and its jumps (map_jumps), which
+# psi_integral integrates; the other analyses minimize on ANALYSIS_GRID_N
+# points.
 _CURVE_GRID_N = 3000
 # Jumps of the largest minimizer: the longest eps step of psi_integral's
 # curve, the smallest jump, and the eps width each jump is bisected to.
 _JUMP_SCAN_STEP = 1e-3
 _JUMP_SIZE = 0.01
 _JUMP_EPS_TOL = 1e-6
-# Widths in eps of eps(x)'s bisection, of eps_stab's root bracket and of
-# inverse_Psi_threshold's envelope search.
+# eps(x)'s Newton solve (_solve_eps): the bracket width at which it stops,
+# the step, relative to eps, after which it stops, and the lane count below
+# which an array's lanes finish as floats.
 _EPS_OF_X_TOL = 1e-12
+_EPS_OF_X_STEP = 1e-10
+_EPS_OF_X_FLOAT_LANES = 8
+# The Maxwell rule's root of Q in x is bracketed below the float spacing of
+# x, so Brent's method stops a few ulps wide. Widths in eps of eps_stab's
+# root bracket and of inverse_Psi_threshold's envelope search.
+_Q_ROOT_TOL = 1e-20
 _EPS_STAB_TOL = 1e-12
 _INVERSE_PSI_TOL = 1e-9
 _X_TINY = 1e-9
@@ -238,9 +247,9 @@ class ParamSystem:
         """eps(x) and Q(x) on _fp_grid where h(x; 0) <= x + 1e-12 and
         h(x; eps_max) >= x, NaN elsewhere. Those points lie in the
         fixed-point domain, a stricter test than eps_of_x's own, so without
-        a closed form eps(x) is bisected directly. With _fp_check_side, the
-        bisection's rounds and Q read its g and x g - G: Q = (x g - G) -
-        F(g; eps(x)), the operations and order of u."""
+        a closed form eps(x) is solved directly (_solve_eps). With
+        _fp_check_side, the solve's rounds and Q read its g and x g - G:
+        Q = (x g - G) - F(g; eps(x)), the operations and order of u."""
         xs, h0, hmax = self._fp_grid
         eps, q = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
         at = (h0 <= xs + 1e-12) & (hmax >= xs)
@@ -248,7 +257,7 @@ class ParamSystem:
         if self.eps_of_x_closed is not None:
             eps[at] = eps_of_x(self, xs[at])
         else:
-            eps[at] = _bisect_eps(self, xs[at], None if side is None else side[0][at])
+            eps[at] = _solve_eps(self, xs[at], None if side is None else side[0][at])
         if side is None:
             q[at] = self.u(xs[at], eps[at])
         else:
@@ -614,23 +623,36 @@ def _eps_c_routed(psys: ParamSystem, tol: float) -> tuple:
     return ec, f"min_x U_s(x;eps) >= 0 {how}"
 
 
-def _in_fixed_point_domain(xs: np.ndarray, h0: np.ndarray, hmax: np.ndarray) -> np.ndarray:
-    """Mask of the xs that support a fixed point for some eps in
-    [0, eps_max]: h0 = h(x; 0) <= x <= hmax = h(x; eps_max), to 1e-12."""
+def _in_fixed_point_domain(xs, h0, hmax):
+    """Mask of the xs (for floats, whether x) that support a fixed point for
+    some eps in [0, eps_max]: h0 = h(x; 0) <= x <= hmax = h(x; eps_max), to
+    1e-12."""
     return (h0 <= xs + 1e-12) & (hmax >= xs - 1e-12)
 
 
-def _eps_bracket_check(psys: ParamSystem, xs: np.ndarray) -> None:
+def _eps_bracket_check(psys: ParamSystem, xs) -> None:
+    """DomainError unless every x of xs, an array or a float (checked on
+    floats), lies in the fixed-point domain."""
     ok = _in_fixed_point_domain(xs, psys.h(xs, 0.0), psys.h(xs, psys.eps_max))
     if not np.all(ok):
-        raise DomainError(f"x not in the fixed-point domain: {xs[~ok][:4]}...")
+        bad = np.atleast_1d(xs)[~np.atleast_1d(ok)]
+        raise DomainError(f"x not in the fixed-point domain: {bad[:4]}...")
 
 
 def eps_of_x(psys: ParamSystem, x):
     """Smallest parameter supporting a fixed point at x (unique when
-    proper), elementwise: the family's closed form, or else a bisection on
-    eps to 1e-12. A scalar x gives a float, an array its shape; a Python
-    float is bisected on floats, with the bits of its lane in an array."""
+    proper), elementwise: the family's closed form, or else the root in eps
+    of h(x; eps) = x by a safeguarded Newton solve (_solve_eps), to float
+    precision within a bracket that guarantees 1e-12. A scalar x gives a
+    float, an array its shape; a Python float is checked and solved on
+    floats, with the bits of its lane in an array. DomainError for an x
+    outside (0, x_max] or, without a closed form, outside the fixed-point
+    domain."""
+    if isinstance(x, float) and psys.eps_of_x_closed is None:
+        if x <= 0.0 or x > psys.x_max:
+            raise DomainError("eps_of_x needs x in (0, x_max]")
+        _eps_bracket_check(psys, x)
+        return float(_solve_eps(psys, x, psys.g(x, 0.0) if psys.eps_free_check_side else None))
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr).astype(float)
     if np.any(flat <= 0.0) or np.any(flat > psys.x_max):
@@ -642,39 +664,93 @@ def eps_of_x(psys: ParamSystem, x):
         out = np.clip(out, 0.0, psys.eps_max)
     else:
         _eps_bracket_check(psys, flat)
-        xs = x if isinstance(x, float) else flat
-        out = _bisect_eps(psys, xs, psys.g(xs, 0.0) if psys.eps_free_check_side else None)
-        if isinstance(x, float):
-            return out
+        out = _solve_eps(psys, flat, psys.g(flat, 0.0) if psys.eps_free_check_side else None)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _bisect_eps(psys: ParamSystem, xs, g=None):
-    """eps(x) at each of xs (in the fixed-point domain) by one vector
-    bisection on eps to _EPS_OF_X_TOL. A Python float xs is bisected on
-    floats. The callables give a float the bits of its lane (module
-    docstring), so it takes the rounds, and returns the value, of a
-    one-lane array, without an array operation per round. g, for a family
-    with eps_free_check_side, is g(xs) (a float for a float xs): each
-    round then evaluates f(g; mid), the operations of h(xs; mid), without
-    g."""
-    def h(mid):
-        return psys.h(xs, mid) if g is None else psys.f(g, mid)
+def _solve_eps(psys: ParamSystem, xs, g=None):
+    """eps(x) at each of xs (in the fixed-point domain): the root in eps of
+    h(x; eps) = x by a safeguarded Newton solve from the midpoint of
+    [0, eps_max], with the slope h_eps, or f_eps(g; eps) where g is given.
+
+    Each round probes h and its slope at eps and keeps the bracket
+    [lo, hi] with h(lo) < x <= h(hi). It takes the Newton step when that
+    lands strictly inside the bracket and is at most half the shortest
+    step before it (_envelope_sup's rule), and the bisection step
+    otherwise, so a slope that is not positive, or steps that shrink too
+    slowly, fall back on the bracket. It stops once the Newton step is at
+    most _EPS_OF_X_STEP of eps and returns the stepped value, whose error,
+    of the order of that step squared, is below the float spacing; or
+    once the bracket is _EPS_OF_X_TOL wide, returning the point the round
+    steps to, which the bracket holds. Most roots take 5 to 7 rounds from
+    the midpoint.
+
+    g, for a family with eps_free_check_side, is g(xs) (a float for a
+    float xs): each round then evaluates f(g; eps) and f_eps(g; eps), the
+    operations of h and h_eps, without g. A Python float xs takes the float
+    loop (lane), whose operations and branches are the array loop's: the
+    callables give a float the bits of its lane (module docstring), so it
+    returns the bits of a one-lane array without an array operation per
+    round. An array's lanes leave it as they stop, and the last
+    _EPS_OF_X_FLOAT_LANES finish in the float loop from where they are."""
+    def probe(x, gx, e):
+        """h and its eps-slope at (x, e)."""
+        if gx is None:
+            return psys.h(x, e), psys.h_eps(x, e)
+        return psys.f(gx, e), psys.f_eps(gx, e)
+
+    def lane(x, gx, lo, hi, e, last):
+        while True:
+            hv, slope = probe(x, gx, e)
+            r = hv - x
+            if r >= 0.0:
+                hi = e
+            else:
+                lo = e
+            step = r / slope if slope > 0.0 else math.inf
+            if abs(step) <= _EPS_OF_X_STEP * e:
+                return e - step
+            newton = lo < e - step < hi and abs(step) <= 0.5 * last
+            if hi - lo <= _EPS_OF_X_TOL:
+                return e - step if newton else 0.5 * (lo + hi)
+            if newton:
+                e, last = e - step, abs(step)
+            else:
+                e = 0.5 * (lo + hi)
+                last = min(last, hi - e)
 
     if isinstance(xs, float):
-        lo, hi = 0.0, psys.eps_max
-        while hi - lo > _EPS_OF_X_TOL:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if h(mid) >= xs else (mid, hi)
-        return 0.5 * (lo + hi)
-    lo = np.zeros_like(xs)
-    hi = np.full_like(xs, psys.eps_max)
-    while float(np.max(hi - lo, initial=0.0)) > _EPS_OF_X_TOL:
+        return lane(xs, g, 0.0, psys.eps_max, 0.5 * psys.eps_max, psys.eps_max)
+    out = np.empty_like(xs)
+    run = np.arange(xs.size)
+    x, gx = xs, g
+    lo, hi = np.zeros_like(xs), np.full_like(xs, psys.eps_max)
+    e, last = 0.5 * hi, hi
+    while run.size > _EPS_OF_X_FLOAT_LANES:
+        hv, slope = probe(x, gx, e)
+        r = hv - x
+        above = r >= 0.0
+        lo, hi = np.where(above, lo, e), np.where(above, e, hi)
+        pos = slope > 0.0
+        step = np.where(pos, r / np.where(pos, slope, 1.0), math.inf)
+        stepped = e - step
+        converged = np.abs(step) <= _EPS_OF_X_STEP * e
+        newton = (lo < stepped) & (stepped < hi) & (np.abs(step) <= 0.5 * last)
         mid = 0.5 * (lo + hi)
-        above = np.asarray(h(mid), dtype=float) >= xs
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
+        e = np.where(newton, stepped, mid)
+        last = np.where(newton, np.abs(step), np.minimum(last, hi - mid))
+        closed = ~converged & (hi - lo <= _EPS_OF_X_TOL)
+        out[run[converged]] = stepped[converged]
+        out[run[closed]] = e[closed]
+        keep = ~(converged | closed)
+        run, x, lo, hi, e, last = run[keep], x[keep], lo[keep], hi[keep], e[keep], last[keep]
+        if gx is not None:
+            gx = gx[keep]
+    gs = [None] * run.size if gx is None else gx.tolist()
+    for k, *state in zip(run.tolist(), x.tolist(), gs, lo.tolist(), hi.tolist(), e.tolist(),
+                         last.tolist()):
+        out[k] = lane(*state)
+    return out
 
 
 def eps_prime_of_x(psys: ParamSystem, x: float) -> float:
@@ -744,9 +820,10 @@ def maxwell_threshold(psys: ParamSystem) -> float:
 
     The grid and tolerances are fixed: each sign change of Q between the
     fixed-point table's points (_fp_curve) in an interval of xf_intervals
-    is found by Brent's method (bisect_root) to a 1e-12 bracket in x,
-    eps(x) there is bisected to 1e-12 unless the family has a closed form,
-    and the stability candidate is eps_stab's root, also to a 1e-12 bracket.
+    is found by Brent's method (bisect_root) to a bracket a few ulps of x
+    wide, eps(x) there is solved to float precision (eps_of_x) unless the
+    family has a closed form, and the stability candidate is eps_stab's
+    root, to a 1e-12 bracket.
     It is found once per family (ParamSystem._maxwell), and eps_c certifies
     its own value at it."""
     return _held(psys._maxwell)[0]
@@ -770,7 +847,7 @@ def _maxwell_rule(psys: ParamSystem) -> tuple:
         q_positive = q_positive and bool(np.all(qs > 0.0))
         for k in np.flatnonzero(qs[:-1] * qs[1:] < 0.0).tolist():
             xr = bisect_root(lambda x: float(Q_of_x(psys, x)),
-                             float(xs[at[k]]), float(xs[at[k + 1]]), tol=1e-12)
+                             float(xs[at[k]]), float(xs[at[k + 1]]), tol=_Q_ROOT_TOL)
             candidates.append(eps_of_x(psys, xr))
         candidates += eps[at[qs == 0.0]].tolist()
     if not candidates:
@@ -817,22 +894,24 @@ def _refine_jumps(psys: ParamSystem, es, xbars) -> list:
 def psi_integral(psys: ParamSystem, eps: float) -> float:
     """Integral of the envelope derivative from 0 to eps: the trapezoid rule
     on the slopes u_eps at the x_stars of map_exit_curve over an eps grid of
-    [0, eps] with steps of at most 1e-3. A cell holding a jump j is split
-    there, so the slope is not averaged across it: [e_i, j] takes the slope
-    at e_i and [j, e_(i+1)] the slope at e_(i+1); NumericError for a cell
-    holding two jumps. DomainError for eps outside [0, eps_max] or a NaN."""
+    [0, eps] with steps of at most 1e-3. The curve's jumps are located by
+    map_jumps, and a cell holding a jump j is split there, so the slope is
+    not averaged across it: [e_i, j] takes the slope at e_i and
+    [j, e_(i+1)] the slope at e_(i+1); NumericError for a cell holding two
+    jumps. DomainError for eps outside [0, eps_max] or a NaN."""
     if _check_eps(psys, eps) == 0.0:
         return 0.0
     n = max(int(math.ceil(eps / _JUMP_SCAN_STEP)) + 1, 2)
     curve = map_exit_curve(psys, np.linspace(0.0, eps, n))
+    jumps = map_jumps(psys, curve)
     es = curve.eps
     slopes = np.asarray(psys.u_eps(curve.x_stars, es), dtype=float)
     cells = 0.5 * (slopes[:-1] + slopes[1:]) * np.diff(es)
-    where = (np.searchsorted(es, curve.jumps) - 1).tolist()
+    where = (np.searchsorted(es, jumps) - 1).tolist()
     if len(set(where)) < len(where):
         raise NumericError(f"two jumps of the largest minimizer in one cell of "
                            f"psi_integral's grid of [0, {eps}]")
-    for i, j in zip(where, curve.jumps):
+    for i, j in zip(where, jumps):
         cells[i] = slopes[i] * (j - es[i]) + slopes[i + 1] * (es[i + 1] - j)
     return float(np.sum(cells))
 
@@ -867,29 +946,34 @@ class MapExitCurve:
     eps: np.ndarray
     exit_values: np.ndarray
     x_stars: np.ndarray
-    jumps: tuple
 
 
 def map_exit_curve(psys: ParamSystem, eps_grid) -> MapExitCurve:
     """EXIT functional at the largest potential minimizer, found on the
-    _CURVE_GRID_N-point grid, over an eps-grid, with jumps above 0.01 located
-    to 1e-6 between adjacent grid points (_refine_jumps). DomainError for a
-    grid that decreases anywhere.
+    _CURVE_GRID_N-point grid, over an eps-grid. DomainError for a grid that
+    decreases anywhere. The curve locates no jump of the minimizer;
+    map_jumps does, on request.
 
     The whole grid is minimized as one batch (_minimize_us_lanes), whose
     golden and Brent searches run every eps as a lane of one lockstep run:
     per eps they take the steps and give the bits of x_bar_star, in a few
-    hundred array calls of the family's callables for the whole grid. Each
-    bisection step of a jump is one minimization, x_bar_star with float
-    probes."""
+    hundred array calls of the family's callables for the whole grid."""
     es = np.asarray(eps_grid, dtype=float)
     if np.any(np.diff(es) < 0.0):
         raise DomainError("map_exit_curve needs an eps grid in ascending order")
     xbars = np.array([r.x_upper for r in _minimize_us_lanes(psys, es, _CURVE_GRID_N)])
     # the fallback's constant partials may come back as a float
     ex = np.broadcast_to(np.asarray(psys.exit_value(xbars, es), dtype=float), es.shape)
-    jumps = _refine_jumps(psys, es, xbars)
-    return MapExitCurve(es, ex, xbars, tuple(jumps))
+    return MapExitCurve(es, ex, xbars)
+
+
+def map_jumps(psys: ParamSystem, curve: MapExitCurve) -> tuple:
+    """The jumps of the largest minimizer along a MAP EXIT curve of psys, in
+    eps order: each cell of curve.eps whose ends' x_stars differ by more
+    than 0.01 is bisected until it is 1e-6 wide in eps, each step one
+    _CURVE_GRID_N-point x_bar_star with float probes, and the midpoints of
+    the cells that keep that gap are returned (_refine_jumps)."""
+    return tuple(_refine_jumps(psys, curve.eps, curve.x_stars))
 
 
 def coupled_sweep(psys: ParamSystem, eps_values, spec: CouplingSpec,
@@ -982,9 +1066,10 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     else found by a safeguarded Newton search on the envelope (eps_c),
     whose note names the route that ran, and must be finite and > 0
     (DomainError, raised before any threshold is computed). eps_single is
-    the minimum of eps(x) on a 1e4 grid, eps_stab a root by Brent's
-    method, and the Maxwell roots of Q are found in x, all to fixed 1e-12
-    brackets."""
+    the minimum of eps(x) on a 1e4 grid, each eps(x) solved to float
+    precision where the family has no closed form, eps_stab a root by
+    Brent's method to a 1e-12 bracket, and the Maxwell roots of Q are
+    found in x to a few ulps (maxwell_threshold)."""
     _check_tol(tol)
     values = {}
     notes = []

@@ -1,5 +1,6 @@
-"""A 40-digit oracle for the MAP curves of ldpc8, ldgm9 and isi, and for
-isi's Maxwell threshold, using none of the library's solvers or callables.
+"""A 40-digit oracle for the MAP curves of ldpc8, ldgm9 and isi, for
+isi's Maxwell threshold and for eps(x), using none of the library's
+solvers or callables.
 
 Each family is built here from exact rational coefficients, with
 
@@ -13,7 +14,9 @@ point whose U_s lies within 1e-25 of the least, and the MAP exit value is
 the family's EXIT functional at (x*, eps), at 40 digits. The Maxwell
 threshold of a family whose 0 is a fixed point is the eps at which the
 largest fixed point's U_s falls to U_s(0) = 0: bisected on that sign and
-polished as a root of (x - h, U_s) in (x, eps) by findroot.
+polished as a root of (x - h, U_s) in (x, eps) by findroot. eps(x) is the
+least eps with h(x; eps) = x, from the first sign change of h - x on 101
+eps of [0, 1], polished by findroot.
 
 Print the MAP curve of a window, here ldpc8's on 11 points:
 
@@ -162,6 +165,21 @@ def map_exit(family: str, eps):
     largest minimizer, at 40 digits."""
     with mp.workdps(DPS):
         return FAMILIES[family].exit(x_star(family, eps), mp.mpf(eps))
+
+
+def eps_of_x(family: str, x: float):
+    """The least eps in [0, 1] with h(x; eps) = x, at 40 digits; x a float
+    at which h(x; 0) <= x <= h(x; 1). h(x; eps) - x is evaluated on 101 eps
+    of [0, 1] and findroot polishes its first sign change."""
+    fam = FAMILIES[family]
+    with mp.workdps(DPS):
+        xm = mp.mpf(x)
+        es = [mp.mpf(k) / 100 for k in range(101)]
+        d = [-fam.d(xm, e) for e in es]
+        k = next(k for k in range(101) if d[k] >= 0)
+        if d[k] == 0:
+            return es[k]
+        return mp.findroot(lambda e: -fam.d(xm, e), (es[k - 1], es[k]), solver="anderson")
 
 
 def maxwell(family: str, lo: float, hi: float):

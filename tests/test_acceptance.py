@@ -32,6 +32,7 @@ from maxsat.thresholds import (
     eps_of_x,
     eps_stab,
     map_exit_curve,
+    map_jumps,
     maxwell_threshold,
     x_bar_star,
     x_lower_star,
@@ -108,9 +109,9 @@ def test_criterion_4_finite_chain_saturation(ldpc8):
 
 def test_criterion_5_generator_code_exit_curves(ldgm9):
     t0 = perf_counter()
-    mp = map_exit_curve(ldgm9, np.linspace(0.49, 0.52, 7))
-    assert len(mp.jumps) == 1
-    eps0 = mp.jumps[0]
+    jumps = map_jumps(ldgm9, map_exit_curve(ldgm9, np.linspace(0.49, 0.52, 7)))
+    assert len(jumps) == 1
+    eps0 = jumps[0]
 
     spec = CouplingSpec(800, 11)
 

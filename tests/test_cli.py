@@ -286,6 +286,29 @@ class TestExitCurves:
             if abs(e - 0.622) > 0.03 and round(e, 9) in mp:
                 assert abs(v - mp[round(e, 9)]) <= 0.02
 
+    @pytest.mark.parametrize("system, eps_lo, eps_hi", [
+        ({"type": "ldpc", "lambda": "0.2 x + 0.25 x^2 + 0.1 x^6 + 0.45 x^20",
+          "rho": "0.6 x^4 + 0.4 x^12"}, 0.5815, 0.691),
+        ({"type": "ldgm", "L": "x^6", "rho": "2/45 + 2/45 x + 7/15 x^2 + 4/9 x^3"},
+         0.45, 0.56),
+    ], ids=["ldpc8", "ldgm9"])
+    def test_map_series_searches_no_jump(self, tmp_path, monkeypatch, system, eps_lo, eps_hi):
+        # each window holds a jump of the largest minimizer, and the rows
+        # print none, so the command locates none (thresholds.map_jumps)
+        def refused(*args):
+            raise AssertionError("exit-curves searched a jump")
+
+        monkeypatch.setattr("maxsat.thresholds._refine_jumps", refused)
+        cfg = write_cfg(tmp_path, "c.json", {
+            "schema": 1, "system": system,
+            "command": {"series": ["ebp", "map"], "eps_lo": eps_lo, "eps_hi": eps_hi,
+                        "eps_n": 23, "x_n": 64},
+        })
+        out = str(tmp_path / "e.csv")
+        assert main(["exit-curves", "--config", cfg, "--out", out]) == 0
+        _, _, rows = read_csv(out)
+        assert sum(r[0] == "map" for r in rows) == 23
+
     def test_sc_nonconvergence_exit_3_with_partial_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", {
             "schema": 1,

@@ -35,6 +35,7 @@ from maxsat.thresholds import (
     inverse_Psi_threshold,
     inverse_psi_table,
     map_exit_curve,
+    map_jumps,
     maxwell_threshold,
     minimize_us_at,
     psi_exit,
@@ -285,34 +286,34 @@ class TestSingleAndStability:
 
     @pytest.mark.parametrize("family", ["ldgm9", "isi36", "ldpc8", "gldpc31"])
     def test_eps_single_equals_unpruned_minimum(self, request, family):
-        # with eps(x) bisected, eps_single is the minimum of eps_of_x over
+        # with eps(x) solved, eps_single is the minimum of eps_of_x over
         # the fixed-point table's points (the analysis grid with its first
         # point at 1e-9) where h(x; eps_max) >= x, bit for bit; a closed
         # form gives it to 1e-12
         psys = request.getfixturevalue(family)
-        bisected = dataclasses.replace(psys, eps_of_x_closed=None)
+        solved = dataclasses.replace(psys, eps_of_x_closed=None)
         xs = np.linspace(0.0, psys.x_max, ANALYSIS_GRID_N)
         xs[0] = 1e-9
         xs = xs[np.asarray(psys.h(xs, psys.eps_max)) >= xs]
-        ref = float(np.min(eps_of_x(bisected, xs)))
+        ref = float(np.min(eps_of_x(solved, xs)))
         if psys.zero_is_fixed_point:
             ref = min(ref, eps_stab(psys))
-        assert eps_single(bisected) == ref
+        assert eps_single(solved) == ref
         assert abs(eps_single(psys) - ref) <= 1e-12
 
     def test_threshold_report_bisects_eps_once(self, monkeypatch):
         # isi has no closed-form eps(x): eps_single and the Maxwell scan
-        # read one vector bisection, the fixed-point table's; Brent's
-        # refinements of Q's roots bisect floats
+        # read one vector Newton solve, the fixed-point table's; Brent's
+        # refinements of Q's roots solve floats
         psys = isi_system("x^3", "x^6")
-        real, sizes = thresholds._bisect_eps, []
+        real, sizes = thresholds._solve_eps, []
 
         def counted(p, xs, g=None):
             if not isinstance(xs, float):
                 sizes.append(len(xs))
             return real(p, xs, g)
 
-        monkeypatch.setattr(thresholds, "_bisect_eps", counted)
+        monkeypatch.setattr(thresholds, "_solve_eps", counted)
         rep = threshold_report(psys)
         assert rep.eps_single is not None and rep.eps_maxwell is not None
         assert len(sizes) == 1
@@ -431,21 +432,23 @@ class TestFixedPointCurve:
         generic = dataclasses.replace(ldpc8, eps_of_x_closed=None)
         xs = np.linspace(0.02, 1.0, 100)
         closed = np.asarray(eps_of_x(ldpc8, xs))
-        bisected = np.asarray(eps_of_x(generic, xs))
-        assert np.max(np.abs(closed - bisected)) <= 1e-10
+        solved = np.asarray(eps_of_x(generic, xs))
+        # measured 2^-53, half an ulp of eps near 1; bisection to 1e-12
+        # gave 4.55e-13
+        assert np.max(np.abs(closed - solved)) <= 2.0 ** -53
 
     def test_eps_of_x_shapes_and_scalar_lanes(self, ldpc8, ldgm9):
         xs = np.linspace(0.05, 1.0, 40)
         for x in (0.5, np.array(0.5)):
             assert type(eps_of_x(ldpc8, x)) is float
         assert eps_of_x(ldpc8, xs).shape == xs.shape
-        # ldpc8's closed form gives a scalar bit-equal to its lane; ldgm9's
-        # bisection agrees to its 1e-12 width
+        # a scalar is bit-equal to its lane, from ldpc8's closed form and
+        # from ldgm9's Newton solve alike
         lanes = eps_of_x(ldpc8, xs)
         assert all(eps_of_x(ldpc8, float(x)) == e for x, e in zip(xs, lanes))
         xs9 = np.linspace(0.1, 1.0, 40)
         lanes9 = eps_of_x(ldgm9, xs9)
-        assert all(abs(eps_of_x(ldgm9, float(x)) - e) <= 1e-12 for x, e in zip(xs9, lanes9))
+        assert all(eps_of_x(ldgm9, float(x)) == e for x, e in zip(xs9, lanes9))
 
     def test_eps_of_x_outside_domain(self, gldpc31):
         with pytest.raises(DomainError):
@@ -602,13 +605,13 @@ class TestEnvelopeIntegral:
     def test_two_jumps_in_one_cell_raise(self, ldpc8, monkeypatch):
         # the slope between two jumps of one 1e-3 cell is not on the curve
         import maxsat.thresholds as thr
-        real = thr.map_exit_curve
+        real = thr.map_jumps
 
-        def two_jumps(psys, es):
-            crv = real(psys, es)
-            return dataclasses.replace(crv, jumps=(crv.jumps[0], crv.jumps[0] + 1e-5))
+        def two_jumps(psys, crv):
+            jumps = real(psys, crv)
+            return jumps[0], jumps[0] + 1e-5
 
-        monkeypatch.setattr(thr, "map_exit_curve", two_jumps)
+        monkeypatch.setattr(thr, "map_jumps", two_jumps)
         with pytest.raises(NumericError, match="^two jumps of the largest minimizer in one cell"):
             psi_integral(ldpc8, 0.63)
 
@@ -616,12 +619,12 @@ class TestEnvelopeIntegral:
 class TestExitCurves:
     def test_ldgm_jump_location(self, ldgm9):
         # psi_integral's jump scan: eps steps of at most 1e-3
-        jumps = map_exit_curve(ldgm9, np.linspace(0.4, 0.6, 201)).jumps
+        jumps = map_jumps(ldgm9, map_exit_curve(ldgm9, np.linspace(0.4, 0.6, 201)))
         assert len(jumps) == 1
         assert jumps[0] == pytest.approx(EX9_JUMP, abs=2e-4)
-        mp = map_exit_curve(ldgm9, np.linspace(0.45, 0.56, 23))
-        assert len(mp.jumps) == 1
-        assert mp.jumps[0] == pytest.approx(EX9_JUMP, abs=1e-4)
+        jumps = map_jumps(ldgm9, map_exit_curve(ldgm9, np.linspace(0.45, 0.56, 23)))
+        assert len(jumps) == 1
+        assert jumps[0] == pytest.approx(EX9_JUMP, abs=1e-4)
 
     def test_map_and_ebp_coincide_on_stable_branch(self, ldpc8):
         for e in (0.66, 0.7):
@@ -684,9 +687,9 @@ FAMILIES = ["ldpc8", "ldgm9", "isi36", "gldpc31", "gldpc63"]
 
 
 class TestMapJumps:
-    """map_exit_curve bisects a cell only while its ends differ by more
-    than the jump size, which is sound because the largest minimizer does
-    not decrease in eps."""
+    """map_jumps bisects a cell only while its ends differ by more than
+    the jump size, which is sound because the largest minimizer does not
+    decrease in eps."""
 
     @pytest.fixture
     def minimizations(self, monkeypatch):
@@ -725,8 +728,9 @@ class TestMapJumps:
         psys = request.getfixturevalue(which)
         es = np.linspace(0.0, psys.eps_max, 101)
         crv = map_exit_curve(psys, es)
+        assert not minimizations
+        assert map_jumps(psys, crv) == pytest.approx(jumps, abs=1e-4)
         assert len(minimizations) <= searched
-        assert crv.jumps == pytest.approx(jumps, abs=1e-4)
         for x, e in zip(crv.x_stars, es):
             assert x < psys.x_max or abs(float(psys.h(x, e)) - x) <= 1e-9
 
@@ -740,8 +744,9 @@ class TestMapJumps:
         lo = rng.uniform(0.0, 0.8 * psys.eps_max)
         hi = min(lo + rng.uniform(0.1, 0.5) * psys.eps_max, psys.eps_max)
         crv = map_exit_curve(psys, np.linspace(lo, hi, int(rng.integers(5, 31))))
-        assert set(one_path_refine_jumps(psys, crv.eps, crv.x_stars)) <= set(crv.jumps)
-        for j in crv.jumps:
+        jumps = map_jumps(psys, crv)
+        assert set(one_path_refine_jumps(psys, crv.eps, crv.x_stars)) <= set(jumps)
+        for j in jumps:
             step = 0.5 * _JUMP_EPS_TOL
             rise = (x_bar_star(psys, j + step, _CURVE_GRID_N)
                     - x_bar_star(psys, j - step, _CURVE_GRID_N))
@@ -756,7 +761,7 @@ class TestMapJumps:
         # 0.5074; a bracket that closed to the left of the rise lost both
         psys = request.getfixturevalue(which)
         crv = map_exit_curve(psys, np.linspace(0.377, 0.808, 5))
-        assert crv.jumps == pytest.approx(jumps, abs=1e-4)
+        assert map_jumps(psys, crv) == pytest.approx(jumps, abs=1e-4)
 
     def test_descending_grid_raises(self, ldpc8):
         with pytest.raises(DomainError, match="^map_exit_curve needs an eps grid in ascending order$"):
@@ -779,15 +784,15 @@ def per_point_curve(psys, es):
     es = np.asarray(es, dtype=float)
     xbars = np.array([x_bar_star(psys, float(e), _CURVE_GRID_N) for e in es])
     ex = np.broadcast_to(np.asarray(psys.exit_value(xbars, es), dtype=float), es.shape)
-    return thresholds.MapExitCurve(es, ex, xbars, tuple(thresholds._refine_jumps(psys, es, xbars)))
+    return thresholds.MapExitCurve(es, ex, xbars)
 
 
 def assert_same_curve(got, want):
+    # map_jumps reads only eps and x_stars, so equal curves give equal jumps
     for name in ("eps", "exit_values", "x_stars"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape, name
         assert a.view(np.int64).tolist() == b.view(np.int64).tolist(), name
-    assert got.jumps == want.jumps
 
 
 # the eps windows of the benchmark's analysis/exit pools (bench/refs.json)
@@ -839,16 +844,35 @@ def test_isi_map_exit_matches_the_oracle(isi36):
 
 
 def test_isi_maxwell_matches_the_oracle(isi36):
-    # the oracle gives 0.63865862035296488, the library 0.6386586203529987,
-    # 3.38e-14 above it
-    assert abs(oracle.maxwell("isi", 0.5, 0.8) - maxwell_threshold(isi36)) <= 4e-14
+    # the oracle gives 0.63865862035296488, the library 0.638658620352965,
+    # 6.54e-17 above it: each root of Q is polished to a few ulps of x and
+    # eps(x) solved to float precision. With eps(x) bisected to 1e-12 and
+    # the roots bracketed to 1e-12 the error was 3.38e-14
+    assert abs(oracle.maxwell("isi", 0.5, 0.8) - maxwell_threshold(isi36)) <= 7e-17
+
+
+@pytest.mark.parametrize("which, family, lo, bound", [
+    # the measured worst errors: ldgm9 1.084e-15 (x = 0.925), isi 4.81e-16
+    # (x = 0.05), each a few ulps of x over the slope h_eps. eps(x)
+    # bisected to 1e-12 erred by up to 4.55e-13 on both
+    ("ldgm9", "ldgm9", 0.025, 1.1e-15),
+    ("isi36", "isi", 0.05, 5e-16),
+])
+def test_eps_of_x_matches_the_oracle(request, which, family, lo, bound):
+    # 40 x of the fixed-point domain, the array lane against the 40-digit
+    # root of h(x; eps) = x, and each float lane bit-equal to its entry
+    psys = request.getfixturevalue(which)
+    xs = np.linspace(lo, 1.0, 40)
+    lanes = eps_of_x(psys, xs)
+    for x, e in zip(xs.tolist(), lanes.tolist()):
+        assert abs(oracle.eps_of_x(family, x) - e) <= bound, x
+        assert eps_of_x(psys, x).hex() == e.hex(), x
 
 
 class TestBatchedMapCurve:
     """map_exit_curve minimizes its whole eps grid as one batch, whose
-    searches run as lanes taking the float calls' steps: its x_stars,
-    exit values and jumps equal those of an x_bar_star per eps, bit for
-    bit."""
+    searches run as lanes taking the float calls' steps: its x_stars and
+    exit values equal those of an x_bar_star per eps, bit for bit."""
 
     @pytest.mark.parametrize("which", FAMILIES)
     def test_default_window(self, request, which):
@@ -1411,7 +1435,7 @@ class TestFixedPointTableReadsCheckSide:
         at = ~np.isnan(eps)
         assert at.sum() > 1000
         ref = eps_of_x(psys, xs[at]) if psys.eps_of_x_closed else \
-            thresholds._bisect_eps(psys, xs[at])
+            thresholds._solve_eps(psys, xs[at])
         assert eps[at].tobytes() == ref.tobytes()
         assert q[at].tobytes() == np.asarray(psys.u(xs[at], eps[at]), dtype=float).tobytes()
 
@@ -1421,11 +1445,11 @@ class TestFixedPointTableReadsCheckSide:
         xs, h0, hmax = psys._fp_grid
         g = psys._fp_check_side[0]
         at = np.flatnonzero((h0 <= xs + 1e-12) & (hmax >= xs))[::50]
-        assert thresholds._bisect_eps(psys, xs[at], g[at]).tobytes() == \
-            thresholds._bisect_eps(psys, xs[at]).tobytes()
+        assert thresholds._solve_eps(psys, xs[at], g[at]).tobytes() == \
+            thresholds._solve_eps(psys, xs[at]).tobytes()
         for x, gx in zip(xs[at[::10]].tolist(), g[at[::10]].tolist()):
-            assert thresholds._bisect_eps(psys, x, gx).hex() == \
-                thresholds._bisect_eps(psys, x).hex()
+            assert thresholds._solve_eps(psys, x, gx).hex() == \
+                thresholds._solve_eps(psys, x).hex()
 
     def test_ldgm_table_evaluates_h(self):
         psys = ldgm_system("x^6", DegreeDistribution.from_edge(EX9_RHO))

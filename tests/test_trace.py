@@ -36,15 +36,17 @@ def test_tracer_counts_analysis_layers():
     with tracer:
         # looked up inside the block, where the tracer has rebound them
         maxsat.potential.potential_report(ex1)
-        maxsat.thresholds.map_exit_curve(ldpc8(), [0.5, 0.7])
+        psys = ldpc8()
+        maxsat.thresholds.map_jumps(psys, maxsat.thresholds.map_exit_curve(psys, [0.5, 0.7]))
     metrics = {name: value for name, (value, _) in tracer.metrics().items()}
     # one 1e4-point minimization for the report, and 18 bisection steps of
     # the jump near 0.622 and 13 of the sub-cells of the continuous rise
     # above it (0.10 to 0.22), searched until each rises by at most 0.01,
-    # each a 3000-point x_bar_star. The two curve points are minimized as
-    # one batch by private helpers (thresholds._minimize_us_lanes), which
-    # the tracer does not see: a per-point loop reads 34, 10**4 + 33 * 3000
-    # and 33 here
+    # each a 3000-point x_bar_star. The curve itself searches no jump, so
+    # the jump steps are map_jumps', called here so that they stay pinned.
+    # The two curve points are minimized as one batch by private helpers
+    # (thresholds._minimize_us_lanes), which the tracer does not see: a
+    # per-point loop reads 34, 10**4 + 33 * 3000 and 33 here
     assert metrics["potential.minimize_calls"] == 32
     assert metrics["potential.grid_points"] == 10**4 + 31 * 3000
     assert metrics["potential.fp_scans_per_report"] == 1.0
@@ -62,13 +64,14 @@ def test_tracer_counts_threshold_search():
     # Newton search without the certificate reads 10
     assert metrics["potential.minimize_calls"] == 6
     assert metrics["potential.grid_points"] == 6 * 10**4
-    # 71 probes of bisect_root (Brent's method) on 19 roots: 62 on the 17
+    # 76 probes of bisect_root (Brent's method) on 19 roots: 62 on the 17
     # fixed points of eps_c's minimizations, 3 on the eps_stab root, found
-    # once for eps_single, eps_stab, eps_c and the Maxwell candidate, and 6
-    # on the root of Q; finding eps_stab anew each time reads 9 more, a
-    # return to bisection about 430 and a renamed bisect_root, which the
-    # tracer no longer sees, 0
-    assert metrics["numerics.bisect_evals"] == 71
+    # once for eps_single, eps_stab, eps_c and the Maxwell candidate, and
+    # 11 on the root of Q, polished to a few ulps of x (6 to a 1e-12
+    # bracket); finding eps_stab anew each time reads 9 more, a return to
+    # bisection about 430 and a renamed bisect_root, which the tracer no
+    # longer sees, 0
+    assert metrics["numerics.bisect_evals"] == 76
     # psi_evals counts calls of Psi, which the search does not make, so it
     # reads 0 on working code; moving the count to minimize_us_at
     # (ROADMAP item 5) has to change this pin on purpose
