@@ -1,7 +1,7 @@
 """Command-line front end.
 
     maxsat <command> --config <path> [--eps <f>] [--N <int>] [--w <int>]
-           [--out <path>] [--format csv|json]
+           [--out <path>] [--format csv|json] [--progress <int>]
 
 Commands: potential-curve, coupled-run, thresholds, exit-curves, verify.
 Configs are single JSON files with a "system" object and a "command"
@@ -36,7 +36,7 @@ from .errors import (
     ThresholdUndefinedError,
 )
 from .potential import U_s, grad_Uc, minimize_Us
-from .recursion import CouplingSpec, IterationConfig, coupled_fixed_point
+from .recursion import CouplingSpec, IterationConfig, _run_coupled, _WaveJumps
 from .systems import (
     CsParams,
     DegreeDistribution,
@@ -185,7 +185,7 @@ def load_config(path: str) -> dict:
 def _merged_params(cfg: dict, args, allowed: set) -> dict:
     params = dict(cfg.get("command", {}))
     _reject_unknown(params, allowed, "command")
-    for flag in ("eps", "N", "w", "out", "format"):
+    for flag in ("eps", "N", "w", "progress", "out", "format"):
         v = getattr(args, flag, None)
         if v is not None:
             if flag not in allowed:
@@ -268,26 +268,38 @@ def cmd_potential_curve(cfg: dict, args) -> int:
     return 0
 
 
+def _progress_row(it, step, top, position, speed, jumps) -> None:
+    """One row of coupled-run --progress, on stderr."""
+    sys.stderr.write(f"{it},{step:.6g},{top:.6g},{position:.6g},{speed:.6g},{jumps}\n")
+
+
 def cmd_coupled_run(cfg: dict, args) -> int:
-    params = _merged_params(cfg, args, {"eps", "N", "w", "tol", "max_iters", "out"})
+    params = _merged_params(cfg, args,
+                            {"eps", "N", "w", "tol", "max_iters", "progress", "out"})
     kind, built = build_system(cfg["system"])
     eps = _require_eps(kind, params)
     sys_ = _slice(kind, built, eps)
     spec = CouplingSpec(_number(params, "N", int), _number(params, "w", int))
     itcfg = IterationConfig(tol=_number(params, "tol", default=1e-12),
                             max_iters=_number(params, "max_iters", int, default=10**6))
+    progress = _number(params, "progress", int, least=1) if "progress" in params else 0
     meta = {**_meta(cfg), "N": spec.N, "w": spec.w}
     if eps is not None:
         meta["eps"] = _fmt(eps)
 
+    # coupled_fixed_point's run from x_max, whose wave-jump watch also
+    # writes the progress rows
+    watch = _WaveJumps(sys_, spec, _progress_row if progress else None, progress)
+    if progress:
+        sys.stderr.write("iteration,step,max,front,speed,jumps\n")
     code = 0
     try:
-        run = coupled_fixed_point(sys_, spec, itcfg)
-        profile, iters, converged = run.profile, run.iters, True
+        run = _run_coupled(sys_, spec, itcfg, pin_tail=False, watch=watch)
+        profile, iters, jumps, converged = run.profile, run.iters, run.jumps, True
     except NonConvergenceError as exc:
-        profile, iters, converged = exc.last, exc.iters, False
+        profile, iters, jumps, converged = exc.last, exc.iters, exc.jumps, False
         code = 3
-    meta.update({"iterations": iters, "converged": str(converged).lower(),
+    meta.update({"iterations": iters, "jumps": jumps, "converged": str(converged).lower(),
                  "max": _fmt(profile.max), "midpoint": _fmt(profile.midpoint)})
     rows = [(i + 1, float(v)) for i, v in enumerate(profile.values)]
     _write_text(_csv_text(meta, ["i", "x_i"], rows), params.get("out"))
@@ -420,6 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default=None)
         if name == "potential-curve":
             sp.add_argument("--format", choices=("csv", "json"), default=None)
+        if name == "coupled-run":
+            sp.add_argument("--progress", type=int, default=None)
         if name == "verify":
             sp.add_argument("--inject-bug", dest="inject_bug", default=None)
     return p

@@ -26,14 +26,16 @@ class NonConvergenceError(RuntimeError):
 
     Carries the last iterate in ``last``, the iteration count in ``iters``
     and the last step's size in ``residual`` so callers can report partial
-    results and how far they were from the tolerance.
+    results and how far they were from the tolerance; a coupled run also
+    carries its wave jumps in ``jumps``.
     """
 
-    def __init__(self, message, last=None, iters=None, residual=None):
+    def __init__(self, message, last=None, iters=None, residual=None, jumps=None):
         super().__init__(message)
         self.last = last
         self.iters = iters
         self.residual = residual
+        self.jumps = jumps
 
 
 class NumericError(RuntimeError):

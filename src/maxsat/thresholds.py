@@ -987,6 +987,11 @@ def coupled_sweep(psys: ParamSystem, eps_values, spec: CouplingSpec,
     g non-decreasing in eps, so for eps < eps' the fixed point x*(eps) lies
     below every iterate from x_max at eps', and the run from such a start
     converges to x*(eps) as the run from x_max does (coupled_fixed_point).
+    Each run is coupled_fixed_point's, so it takes wave jumps where a
+    front travels from its start (typically a stuck profile above a
+    decoding eps): each CoupledRun's iters counts the steps taken and its
+    jumps the translations, on the same terms and with the same safety
+    argument as coupled_fixed_point's.
     """
     eps = [float(e) for e in eps_values]
     out = [None] * len(eps)

@@ -19,7 +19,9 @@ With --deltas, each line lists instead, per key of the candidate's
 summary, its largest |value - reference| next to the key's bound from
 bench/jobs.py (relative to max(1, |reference|) where the bound is
 relative), so that a change can state which values moved, and by how
-much, within their bounds:
+much, within their bounds. A coupled candidate's line ends with its
+iteration and wave-jump counts, read from the CoupledRun of a library job
+and from the '# iterations' and '# jumps' lines of a coupled-run job:
 
     PYTHONPATH=src python tests/pool_outputs.py --deltas analysis/thresholds/
 
@@ -93,6 +95,11 @@ def deltas(job: dict, output) -> str:
                 for a, b in zip(got, want)]
         parts.append(f"{key}={max(errs, default=0.0):.3g}/{tol[1] if rel else tol}"
                      + ("rel" if rel else ""))
+    if job["kind"] == "coupled":
+        parts += [f"iters={output.iters}", f"jumps={output.jumps}"]
+    elif job["kind"] == "coupled_cli":
+        meta, _ = jobs.read_csv(output["out"])
+        parts += [f"iters={meta['iterations']}", f"jumps={meta['jumps']}"]
     return " ".join(parts)
 
 

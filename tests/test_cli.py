@@ -21,6 +21,7 @@ BAD_NUMBERS = [
     ("w", "coupled-run", EX1, {"N": 20, "w": True}),
     ("tol", "coupled-run", EX1, {"N": 20, "w": 3, "tol": "small"}),
     ("max_iters", "coupled-run", EX1, {"N": 20, "w": 3, "max_iters": 1e400}),
+    ("progress", "coupled-run", EX1, {"N": 20, "w": 3, "progress": 2.5}),
     ("eps_lo", "exit-curves", LDPC, {"eps_lo": "low"}),
     ("eps_hi", "exit-curves", LDPC, {"eps_hi": None}),
     ("n", "thresholds", {"type": "gldpc", "n": "x", "t": 4}, {}),
@@ -180,6 +181,58 @@ class TestCoupledRun:
         meta, _, rows = read_csv(out)
         assert len(rows) == 35
         assert 0.0 < float(meta["max"]) < 1.0
+
+
+class TestCoupledRunJumps:
+    """coupled-run takes coupled_fixed_point's wave jumps, counts them in
+    the '# jumps' line, and --progress writes rows from the same watch to
+    stderr without changing the output."""
+
+    GLDPC = {"schema": 1, "system": {"type": "gldpc", "n": 31, "t": 4},
+             "command": {"eps": 0.250287, "N": 975, "w": 11}}
+
+    def test_progress_rows_leave_the_output_as_it_is(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", self.GLDPC)
+        plain, watched = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        assert main(["coupled-run", "--config", cfg, "--out", plain]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["coupled-run", "--config", cfg, "--out", watched, "--progress", "40"]) == 0
+        with open(plain, "rb") as a, open(watched, "rb") as b:
+            assert a.read() == b.read()
+        meta, _, rows = read_csv(plain)
+        iters, jumps = int(meta["iterations"]), int(meta["jumps"])
+        assert meta["converged"] == "true" and float(meta["max"]) <= 1e-10
+        # 2641 plain iterations
+        assert jumps >= 2 and iters < 1000
+        header, *lines = capsys.readouterr().err.splitlines()
+        assert header == "iteration,step,max,front,speed,jumps"
+        table = [line.split(",") for line in lines]
+        assert [int(r[0]) for r in table] == list(range(40, iters, 40))
+        assert sum(int(r[5]) for r in table) == jumps
+        # the front moves at a steady speed before the first jump
+        first = next(i for i, r in enumerate(table) if r[5] != "0")
+        assert all(float(r[3]) > 0.0 for r in table[:first])
+        assert float(table[first][4]) == pytest.approx(0.18, abs=0.01)
+
+    def test_run_without_jumps_says_zero(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1, "system": EX1, "command": {"N": 16, "w": 3}})
+        out = str(tmp_path / "run.csv")
+        assert main(["coupled-run", "--config", cfg, "--out", out]) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["jumps"] == "0"
+        assert list(meta)[list(meta).index("iterations") + 1] == "jumps"
+
+    @pytest.mark.parametrize("flag", ["0", "-3"])
+    def test_progress_below_one_exits_2(self, tmp_path, capsys, flag):
+        cfg = write_cfg(tmp_path, "c.json",
+                        {"schema": 1, "system": EX1, "command": {"N": 16, "w": 3}})
+        assert main(["coupled-run", "--config", cfg, "--progress", flag]) == 2
+        assert "progress must be >= 1" in capsys.readouterr().err
+
+    def test_progress_is_a_coupled_run_flag(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {"schema": 1, "system": LDPC, "command": {}})
+        assert main(["thresholds", "--config", cfg, "--progress", "5"]) == 2
 
 
 class TestThresholds:

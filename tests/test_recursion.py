@@ -33,6 +33,7 @@ from maxsat.recursion import (
     coupled_step,
     fixed_points_of,
     make_system,
+    midpoint_index,
     modified_coupled_fixed_point,
     tabulated_integral,
     translate_system,
@@ -60,6 +61,8 @@ from maxsat.systems import (
 # x - h(x) over [0.9, 1] (the oracle is repeated below in test_enumerate)
 EX1_FP_MID = 0.4054778834818118
 EX1_FP_TOP = 0.9680165035778856
+# ldpc8's Maxwell threshold, 40-digit reference in test_reference.py
+EX8_MAXWELL = 0.62192946106121
 
 
 def brute_force_step(sys_, spec, x):
@@ -95,6 +98,12 @@ def full_chain_run(sys_, spec, pin_tail, tol=1e-12, cap=10**5):
         if step <= tol:
             return it, traj
     raise AssertionError(f"full-chain reference did not converge in {cap} iterations")
+
+
+def plain_fixed_point(sys_, spec, cfg=IterationConfig(), start=None):
+    """coupled_fixed_point's loop without its wave-jump watch: every step
+    is the coupled step."""
+    return recursion._run_coupled(sys_, spec, cfg, pin_tail=False, start=start)
 
 
 def iterate(fixed_point, sys_, spec, k, **start):
@@ -327,15 +336,16 @@ def assert_iterates_match(fixed_point, sys_, spec, every):
 
 
 class TestHalfChain:
-    """coupled_fixed_point and modified_coupled_fixed_point iterate only the
-    cells up to the midpoint; the full chain under coupled_step is the
-    reference. Every iterate is compared on the example-1 specs, a sample
-    on the long chains."""
+    """The plain and modified runs iterate only the cells up to the
+    midpoint; the full chain under coupled_step is the reference. Every
+    iterate is compared on the example-1 specs, a sample on the long
+    chains. The plain run is coupled_fixed_point's loop without its
+    wave-jump watch (TestWatch compares the two)."""
 
     @pytest.mark.parametrize("case", _CASES, ids=str)
     def test_plain_run_matches_full_chain(self, case):
         s, spec = _half_chain_case(case)
-        assert_iterates_match(coupled_fixed_point, s, spec, every=case not in _CHAINS)
+        assert_iterates_match(plain_fixed_point, s, spec, every=case not in _CHAINS)
 
     @pytest.mark.parametrize("case", _CASES, ids=str)
     def test_modified_run_is_bit_equal_to_full_chain(self, case):
@@ -406,6 +416,140 @@ class TestHalfChain:
         for fixed_point in (coupled_fixed_point, modified_coupled_fixed_point):
             with pytest.raises(DomainError, match="averaged g-value escapes"):
                 fixed_point(s, CouplingSpec(12, 3))
+
+
+class _NullWatch:
+    """A watch that looks at every iterate and changes nothing."""
+
+    every = 1
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, it, head, step):
+        self.seen.append((it, head.copy(), step))
+
+
+class TestWatch:
+    """_run_coupled's watch hook: watch=None is the plain loop, a watch
+    that returns None changes nothing, a returned string stops the run,
+    and coupled_fixed_point's wave-jump watch leaves every run in which
+    no jump fires bit for bit as it is."""
+
+    @pytest.mark.parametrize("case", _CASES, ids=str)
+    def test_null_watch_changes_no_iterate(self, case):
+        s, spec = _half_chain_case(case)
+        plain = plain_fixed_point(s, spec)
+        watch = _NullWatch()
+        run = recursion._run_coupled(s, spec, IterationConfig(), False, watch=watch)
+        assert (run.iters, run.residual, run.jumps) == (plain.iters, plain.residual, 0)
+        assert np.array_equal(run.profile.values, plain.profile.values)
+        # called after every step but the last, with that step's head
+        assert [it for it, _, _ in watch.seen] == list(range(1, plain.iters))
+        H = midpoint_index(spec.M) + 1
+        for k in sorted({1, plain.iters // 2, plain.iters - 1} - {0}):
+            it, head, step = watch.seen[k - 1]
+            assert np.array_equal(head, iterate(plain_fixed_point, s, spec, k)[:H])
+            assert step > IterationConfig().tol
+
+    @pytest.mark.parametrize("case", _CASES, ids=str)
+    def test_jump_watch_without_jumps_is_the_plain_loop(self, case):
+        s, spec = _half_chain_case(case)
+        plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
+        if run.jumps == 0:
+            assert (run.iters, run.residual) == (plain.iters, plain.residual)
+            assert np.array_equal(run.profile.values, plain.profile.values)
+        else:
+            assert run.iters < plain.iters
+            assert np.max(np.abs(run.profile.values - plain.profile.values)) <= 1e-12
+        # the short example-1 chains leave no room for a front to travel
+        assert run.jumps == 0 or case in _CHAINS
+
+    def test_stop_reason_ends_the_run(self):
+        s, spec = example1_system(), CouplingSpec(16, 3)
+        calls = []
+
+        def stop(it, head, step):
+            calls.append(it)
+            return "front stalled" if it == 8 else None
+
+        stop.every = 4
+        with pytest.raises(NonConvergenceError, match="stopped at iteration 8: front stalled"
+                           ) as exc:
+            recursion._run_coupled(s, spec, IterationConfig(), False, watch=stop)
+        assert calls == [4, 8]
+        assert exc.value.iters == 8 and exc.value.jumps == 0
+        assert np.array_equal(exc.value.last.values, iterate(plain_fixed_point, s, spec, 8))
+
+    def test_front_speed_on_ldgm9(self):
+        # ldgm9 at eps = 0.503731, N = 652, w = 5: a front that takes 8250
+        # plain iterations to cross the half chain
+        s = _CHAINS["ldgm9"][0]().at_eps(0.503731)
+        spec = CouplingSpec(652, 5)
+        front = recursion._Front(spec.w)
+
+        def track(it, head, step):
+            front.record(it, head)
+            return "measured" if it == 4000 else None
+
+        track.every = spec.w
+        with pytest.raises(NonConvergenceError, match="measured"):
+            recursion._run_coupled(s, spec, IterationConfig(), False, watch=track)
+        v, span = front.speed()
+        assert v == pytest.approx(0.0384, abs=5e-4)
+        assert span >= 6 * spec.w
+        assert front.settled() == (v, span)
+
+
+# Chains whose fronts travel far enough to jump: (family, eps, N, w) and
+# the most iterations the jumped run may take, against 8250, 2641 and 1735
+# plain ones.
+_JUMPING = {
+    "ldgm9": ("ldgm9", 0.503731, 652, 5, 1500),
+    "gldpc31": ("gldpc31", 0.250287, 975, 11, 700),
+    "ldpc8": ("ldpc8", 0.617332, 864, 11, 700),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestWaveJumps:
+    """coupled_fixed_point's wave jumps: the jumped run lands within 1e-12
+    of the plain one in a fraction of its iterations, and a front that
+    does not travel never jumps."""
+
+    @pytest.mark.parametrize("case", list(_JUMPING))
+    def test_jumped_run_matches_the_plain_run(self, case):
+        family, eps, N, w, most = _JUMPING[case]
+        s, spec = _CHAINS[family][0]().at_eps(eps), CouplingSpec(N, w)
+        plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
+        assert run.jumps >= 2
+        assert run.iters <= most < plain.iters
+        assert run.residual <= IterationConfig().tol
+        assert np.max(np.abs(run.profile.values - plain.profile.values)) <= 1e-12
+        assert np.array_equal(run.profile.values, run.profile.values[::-1])
+        if family != "ldgm9":
+            # 0 is a fixed point, and the run decodes
+            assert run.profile.max <= 1e-10
+
+    @pytest.mark.parametrize("offset", [-1e-5, 0.0, 1e-5])
+    def test_still_front_never_jumps(self, offset):
+        # ldpc8 near its eps_c, where the front's speed changes sign
+        s = _CHAINS["ldpc8"][0]().at_eps(EX8_MAXWELL + offset)
+        spec, cfg = CouplingSpec(200, 3), IterationConfig(max_iters=5000)
+        with pytest.raises(NonConvergenceError) as plain:
+            plain_fixed_point(s, spec, cfg)
+        with pytest.raises(NonConvergenceError) as run:
+            coupled_fixed_point(s, spec, cfg)
+        assert run.value.jumps == 0
+        assert np.array_equal(run.value.last.values, plain.value.last.values)
+
+    def test_stuck_run_stays_stuck(self):
+        # ldgm9 above its coupled threshold: the chain does not decode
+        s, spec = _CHAINS["ldgm9"][0]().at_eps(0.508549), CouplingSpec(748, 13)
+        plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
+        assert run.jumps == 0 and run.iters == plain.iters
+        assert np.array_equal(run.profile.values, plain.profile.values)
+        assert run.profile.max > 0.8
 
 
 class TestStartProfile:

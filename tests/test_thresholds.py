@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from maxsat import potential, thresholds
+from maxsat import potential, recursion, thresholds
 from maxsat.errors import (ConstructionError, DomainError, NonConvergenceError,
                            NumericError, ThresholdUndefinedError)
 from maxsat.invariants import psi_matches_integral, q_matches_ebp_integral
@@ -952,6 +952,18 @@ class TestCoupledSweep:
         for e, res in zip(es, sweep):
             ref = _cold_run(ldgm9, e, self.SPEC)
             assert np.max(np.abs(res.profile.values - ref.profile.values)) <= 1e-10
+
+    def test_warm_start_jumps_on_a_long_chain(self, gldpc31):
+        # the top slice is stuck, and from its profile a front travels across
+        # the next one; SPEC's chains are too short for a jump
+        spec = CouplingSpec(443, 6)
+        low, top = coupled_sweep(gldpc31, [0.245, 0.26], spec)
+        assert top.jumps == 0 and top.profile.max > 0.2
+        plain = recursion._run_coupled(gldpc31.at_eps(0.245), spec, IterationConfig(),
+                                       pin_tail=False, start=top.profile.values)
+        assert low.jumps >= 2 and low.iters < plain.iters // 2
+        assert np.max(np.abs(low.profile.values - plain.profile.values)) <= 1e-12
+        assert low.profile.max <= 1e-10
 
     def test_capped_run_seeds_the_next(self, ldpc8):
         capped = IterationConfig(max_iters=100)
