@@ -141,9 +141,11 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
     """Bit-erasure decoding family f(x;eps) = eps lam(x), g = 1 - rho(1-x).
 
     Carries closed-form antiderivatives F = eps L(x)/L'(1) and
-    G = x - (1 - R(1-x))/R'(1), the closed-form fixed-point parameter
-    eps(x) = x / lam(1 - rho(1-x)), the node-perspective EXIT functional
-    L(1 - rho(1-x)), and the trial entropy -L'(1) Q(x).
+    G = x - (1 - R(1-x))/R'(1), the node-perspective EXIT functional
+    L(1 - rho(1-x)), and the trial entropy -L'(1) Q(x), which evaluates
+    U_s at eps(x) = x / lam(1 - rho(1-x)). That formula serves the trial
+    entropy only: eps_of_x solves eps(x) as on every family, and as h is
+    linear in eps its second Newton round returns the root.
     """
     lam, rho, lam_p, rho_p, rho_pp, Lp1, Rp1, Ln, Rn, rp1 = _erasure_profiles(L, R)
     def eps_closed(x):
@@ -157,7 +159,6 @@ def ldpc_system(L: Union[DegreeDistribution, PolyLike],
         F_eps=lambda x, e: Ln(x) / Lp1,
         **_ldpc_check_side(rho, rho_p, rho_pp, Rn, Rp1),
         exit_fn=lambda x, e: Ln(1.0 - rho(1.0 - x)),
-        eps_of_x_closed=eps_closed,
         sup_f_x=lambda e: e * float(lam_p(1.0)),
         sup_g_x=lambda e: rp1,
         sup_g_xx=lambda e: float(rho_pp(1.0)),
@@ -354,7 +355,6 @@ def gldpc_system(params: GldpcParams) -> ParamSystem:
         F_eps=lambda x, e: 0.5 * x * x,
         G_eps=lambda x, e: 0.0,
         exit_fn=exit_fn,
-        eps_of_x_closed=lambda x: x / g(x),
         trial_entropy=lambda x: 2.0 * G(x) - x * g(x),
         trial_entropy_prime=lambda x: g(x) - x * g_prime(x),
         sup_f_x=lambda e: e,

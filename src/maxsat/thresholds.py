@@ -128,10 +128,13 @@ class ParamSystem:
     values of eps, and ``eps_free_check_side``, g and G the same at every
     eps there. Everything else about the zero state, such as its
     stability threshold, is computed from f_x and g_x; the optional
-    fields are closed forms and bounds. The fixed-point curve is tabulated
-    once too (_fp_grid, _fp_curve), and so, on a family whose check side
-    is eps-free, are g and x g - G on each grid it is minimized on
-    (_check_side), which the fixed-point table reads too (_fp_check_side).
+    fields are the EXIT functional, the trial entropy and bounds on the
+    partials, and eps(x) has one route on every family (eps_of_x), which
+    takes two Newton rounds where h is linear in eps. The fixed-point
+    curve is tabulated once too (_fp_grid, _fp_curve), and so, on a
+    family whose check side is eps-free, are g and x g - G on each grid it
+    is minimized on (_check_side), which the fixed-point table reads too
+    (_fp_check_side).
     Two thresholds that several analyses read are kept once found, each as
     its value or the reason it is undefined (_settled): the stability
     threshold (_stab) and the Maxwell threshold with its note (_maxwell).
@@ -158,7 +161,6 @@ class ParamSystem:
     x_max: float = 1.0
     eps_max: float = 1.0
     exit_fn: Optional[Callable] = None
-    eps_of_x_closed: Optional[Callable] = None
     trial_entropy: Optional[Callable] = None
     trial_entropy_prime: Optional[Callable] = None
     sup_f_x: Optional[Callable] = None
@@ -246,18 +248,15 @@ class ParamSystem:
     def _fp_curve(self) -> tuple:
         """eps(x) and Q(x) on _fp_grid where h(x; 0) <= x + 1e-12 and
         h(x; eps_max) >= x, NaN elsewhere. Those points lie in the
-        fixed-point domain, a stricter test than eps_of_x's own, so without
-        a closed form eps(x) is solved directly (_solve_eps). With
-        _fp_check_side, the solve's rounds and Q read its g and x g - G:
-        Q = (x g - G) - F(g; eps(x)), the operations and order of u."""
+        fixed-point domain, a stricter test than eps_of_x's own, so eps(x)
+        is solved there directly (_solve_eps), from the grid's h(x; eps_max).
+        With _fp_check_side, the solve's rounds and Q read its g and
+        x g - G: Q = (x g - G) - F(g; eps(x)), the operations and order of u."""
         xs, h0, hmax = self._fp_grid
         eps, q = np.full_like(xs, np.nan), np.full_like(xs, np.nan)
         at = (h0 <= xs + 1e-12) & (hmax >= xs)
         side = self._fp_check_side
-        if self.eps_of_x_closed is not None:
-            eps[at] = eps_of_x(self, xs[at])
-        else:
-            eps[at] = _solve_eps(self, xs[at], None if side is None else side[0][at])
+        eps[at] = _solve_eps(self, xs[at], hmax[at], None if side is None else side[0][at])
         if side is None:
             q[at] = self.u(xs[at], eps[at])
         else:
@@ -630,48 +629,48 @@ def _in_fixed_point_domain(xs, h0, hmax):
     return (h0 <= xs + 1e-12) & (hmax >= xs - 1e-12)
 
 
-def _eps_bracket_check(psys: ParamSystem, xs) -> None:
-    """DomainError unless every x of xs, an array or a float (checked on
-    floats), lies in the fixed-point domain."""
-    ok = _in_fixed_point_domain(xs, psys.h(xs, 0.0), psys.h(xs, psys.eps_max))
+def _eps_bracket_check(psys: ParamSystem, xs):
+    """h(x; eps_max) at xs, an array or a float (checked on floats);
+    DomainError unless every x of xs lies in the fixed-point domain."""
+    hmax = psys.h(xs, psys.eps_max)
+    ok = _in_fixed_point_domain(xs, psys.h(xs, 0.0), hmax)
     if not np.all(ok):
         bad = np.atleast_1d(xs)[~np.atleast_1d(ok)]
         raise DomainError(f"x not in the fixed-point domain: {bad[:4]}...")
+    return hmax
 
 
 def eps_of_x(psys: ParamSystem, x):
     """Smallest parameter supporting a fixed point at x (unique when
-    proper), elementwise: the family's closed form, or else the root in eps
-    of h(x; eps) = x by a safeguarded Newton solve (_solve_eps), to float
-    precision within a bracket that guarantees 1e-12. A scalar x gives a
-    float, an array its shape; a Python float is checked and solved on
-    floats, with the bits of its lane in an array. DomainError for an x
-    outside (0, x_max] or, without a closed form, outside the fixed-point
-    domain."""
-    if isinstance(x, float) and psys.eps_of_x_closed is None:
+    proper), elementwise: the root in eps of h(x; eps) = x by a safeguarded
+    Newton solve (_solve_eps), to float precision within a bracket that
+    guarantees 1e-12, on every family alike. Where h is linear in eps (the
+    ldpc and gldpc families) the first Newton step is exact and the second
+    round returns it, and an x with h(x; eps_max) <= x gives eps_max
+    without a round. A scalar x gives a float, an array its shape; a
+    Python float is checked and solved on floats, with the bits of its
+    lane in an array. DomainError for an x outside (0, x_max] or outside
+    the fixed-point domain."""
+    if isinstance(x, float):
         if x <= 0.0 or x > psys.x_max:
             raise DomainError("eps_of_x needs x in (0, x_max]")
-        _eps_bracket_check(psys, x)
-        return float(_solve_eps(psys, x, psys.g(x, 0.0) if psys.eps_free_check_side else None))
+        g = psys.g(x, 0.0) if psys.eps_free_check_side else None
+        return float(_solve_eps(psys, x, _eps_bracket_check(psys, x), g))
     arr = np.asarray(x, dtype=float)
     flat = np.atleast_1d(arr).astype(float)
     if np.any(flat <= 0.0) or np.any(flat > psys.x_max):
         raise DomainError("eps_of_x needs x in (0, x_max]")
-    if psys.eps_of_x_closed is not None:
-        out = np.asarray(psys.eps_of_x_closed(flat), dtype=float)
-        if np.any(out < -1e-9) or np.any(out > psys.eps_max + 1e-9):
-            raise DomainError("closed-form eps(x) leaves [0, eps_max]")
-        out = np.clip(out, 0.0, psys.eps_max)
-    else:
-        _eps_bracket_check(psys, flat)
-        out = _solve_eps(psys, flat, psys.g(flat, 0.0) if psys.eps_free_check_side else None)
+    g = psys.g(flat, 0.0) if psys.eps_free_check_side else None
+    out = _solve_eps(psys, flat, _eps_bracket_check(psys, flat), g)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _solve_eps(psys: ParamSystem, xs, g=None):
-    """eps(x) at each of xs (in the fixed-point domain): the root in eps of
-    h(x; eps) = x by a safeguarded Newton solve from the midpoint of
-    [0, eps_max], with the slope h_eps, or f_eps(g; eps) where g is given.
+def _solve_eps(psys: ParamSystem, xs, hmax, g=None):
+    """eps(x) at each of xs (in the fixed-point domain), where hmax is
+    h(xs; eps_max): eps_max where hmax <= x, the bracket's upper end, at
+    once; elsewhere the root in eps of h(x; eps) = x by a safeguarded
+    Newton solve from the midpoint of [0, eps_max], with the slope h_eps,
+    or f_eps(g; eps) where g is given.
 
     Each round probes h and its slope at eps and keeps the bracket
     [lo, hi] with h(lo) < x <= h(hi). It takes the Newton step when that
@@ -682,7 +681,9 @@ def _solve_eps(psys: ParamSystem, xs, g=None):
     most _EPS_OF_X_STEP of eps and returns the stepped value, whose error,
     of the order of that step squared, is below the float spacing; or
     once the bracket is _EPS_OF_X_TOL wide, returning the point the round
-    steps to, which the bracket holds. Most roots take 5 to 7 rounds from
+    steps to, which the bracket holds. Where h is linear in eps (the ldpc
+    and gldpc families) the first Newton step lands on the root and the
+    second round returns it; elsewhere most roots take 5 to 7 rounds from
     the midpoint.
 
     g, for a family with eps_free_check_side, is g(xs) (a float for a
@@ -720,11 +721,13 @@ def _solve_eps(psys: ParamSystem, xs, g=None):
                 last = min(last, hi - e)
 
     if isinstance(xs, float):
+        if hmax <= xs:
+            return psys.eps_max
         return lane(xs, g, 0.0, psys.eps_max, 0.5 * psys.eps_max, psys.eps_max)
-    out = np.empty_like(xs)
-    run = np.arange(xs.size)
-    x, gx = xs, g
-    lo, hi = np.zeros_like(xs), np.full_like(xs, psys.eps_max)
+    out = np.full_like(xs, psys.eps_max)
+    run = np.flatnonzero(hmax > xs)
+    x, gx = xs[run], None if g is None else g[run]
+    lo, hi = np.zeros_like(x), np.full_like(x, psys.eps_max)
     e, last = 0.5 * hi, hi
     while run.size > _EPS_OF_X_FLOAT_LANES:
         hv, slope = probe(x, gx, e)
@@ -821,9 +824,9 @@ def maxwell_threshold(psys: ParamSystem) -> float:
     The grid and tolerances are fixed: each sign change of Q between the
     fixed-point table's points (_fp_curve) in an interval of xf_intervals
     is found by Brent's method (bisect_root) to a bracket a few ulps of x
-    wide, eps(x) there is solved to float precision (eps_of_x) unless the
-    family has a closed form, and the stability candidate is eps_stab's
-    root, to a 1e-12 bracket.
+    wide, eps(x) there is solved to float precision on floats (eps_of_x,
+    two Newton rounds where h is linear in eps), and the stability
+    candidate is eps_stab's root, to a 1e-12 bracket.
     It is found once per family (ParamSystem._maxwell), and eps_c certifies
     its own value at it."""
     return _held(psys._maxwell)[0]
@@ -1072,9 +1075,10 @@ def threshold_report(psys: ParamSystem, tol: float = 1e-9) -> ThresholdReport:
     whose note names the route that ran, and must be finite and > 0
     (DomainError, raised before any threshold is computed). eps_single is
     the minimum of eps(x) on a 1e4 grid, each eps(x) solved to float
-    precision where the family has no closed form, eps_stab a root by
-    Brent's method to a 1e-12 bracket, and the Maxwell roots of Q are
-    found in x to a few ulps (maxwell_threshold)."""
+    precision by one Newton solve on every family (two rounds where h is
+    linear in eps), eps_stab a root by Brent's method to a 1e-12 bracket,
+    and the Maxwell roots of Q are found in x to a few ulps
+    (maxwell_threshold)."""
     _check_tol(tol)
     values = {}
     notes = []

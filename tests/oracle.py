@@ -16,7 +16,9 @@ threshold of a family whose 0 is a fixed point is the eps at which the
 largest fixed point's U_s falls to U_s(0) = 0: bisected on that sign and
 polished as a root of (x - h, U_s) in (x, eps) by findroot. eps(x) is the
 least eps with h(x; eps) = x, from the first sign change of h - x on 101
-eps of [0, 1], polished by findroot.
+eps of [0, 1], polished by findroot; for a gldpc family of component
+code (n, t) (GLDPC), whose h(x; eps) = eps I_x(t, n - t) is linear in eps,
+it is x / I_x(t, n - t), by mpmath's regularized incomplete beta.
 
 Print the MAP curve of a window, here ldpc8's on 11 points:
 
@@ -133,6 +135,9 @@ FAMILIES = {
     # node L = x^3 and R = x^6, so lam = x^2 and rho = x^5
     "isi": _isi(Poly([(1, 2)]), Poly([(1, 5)])),
 }
+# gldpc families by their component code (n, t): f = eps y and
+# g = I_x(t, n - t), for eps(x) alone
+GLDPC = {"gldpc31": (31, 4)}
 
 
 def fixed_points(fam: Family, eps) -> list:
@@ -170,10 +175,14 @@ def map_exit(family: str, eps):
 def eps_of_x(family: str, x: float):
     """The least eps in [0, 1] with h(x; eps) = x, at 40 digits; x a float
     at which h(x; 0) <= x <= h(x; 1). h(x; eps) - x is evaluated on 101 eps
-    of [0, 1] and findroot polishes its first sign change."""
-    fam = FAMILIES[family]
+    of [0, 1] and findroot polishes its first sign change; a gldpc family's
+    is x / I_x(t, n - t)."""
     with mp.workdps(DPS):
         xm = mp.mpf(x)
+        if family in GLDPC:
+            n, t = GLDPC[family]
+            return xm / mp.betainc(t, n - t, 0, xm, regularized=True)
+        fam = FAMILIES[family]
         es = [mp.mpf(k) / 100 for k in range(101)]
         d = [-fam.d(xm, e) for e in es]
         k = next(k for k in range(101) if d[k] >= 0)

@@ -42,7 +42,7 @@ MAPS = ("f", "g", "F", "G", "exit_fn", "h", "u", "exit_value")
 PARTIALS = ("f_x", "g_x", "g_xx", "f_eps", "g_eps", "F_eps", "G_eps",
             "h_x", "h_eps", "u_eps")
 # callables of x alone, where a family has them
-X_ONLY = ("eps_of_x_closed", "trial_entropy", "trial_entropy_prime")
+X_ONLY = ("trial_entropy", "trial_entropy_prime")
 
 FAMILIES = {
     "ldpc8": lambda: ldpc_system(DegreeDistribution.from_edge(EX8_LAMBDA),
@@ -225,16 +225,15 @@ def test_random_profiles_keep_scalar_lane(psys):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(psys=family_draw(), u=st.floats(0.0, 1.0))
 def test_random_profiles_float_eps_of_x_matches_its_lane(psys, u):
-    solved = dataclasses.replace(psys, eps_of_x_closed=None)
     xs = np.linspace(1e-3, psys.x_max, 200)
     ok = ((np.asarray(psys.h(xs, 0.0), dtype=float) <= xs + 1e-12)
           & (np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs - 1e-12))
     if not ok.any():
         return
     x = float(xs[ok][int(u * (ok.sum() - 1))])
-    got = eps_of_x(solved, x)
+    got = eps_of_x(psys, x)
     assert isinstance(got, float)
-    assert got == float(eps_of_x(solved, np.array([x]))[0])
+    assert got == float(eps_of_x(psys, np.array([x]))[0])
 
 
 @st.composite
@@ -388,23 +387,20 @@ def test_random_profiles_eps_single_matches_bisection(psys):
     assert_eps_single_matches_bisection(psys)
 
 
-# eps_single is the minimum of the fixed-point table's eps column; with
-# the closed form removed every draw solves eps(x), and the value must be the
-# minimum of eps_of_x over the table's points where h(x; eps_max) >= x,
-# within 1e-12 of the closed form's
+# eps_single is the minimum of the fixed-point table's eps column, solved
+# as eps_of_x solves it: the value must be the minimum of eps_of_x over the
+# table's points where h(x; eps_max) >= x
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(psys=family_draw())
 def test_random_profiles_eps_single_equals_unpruned_minimum(psys):
-    solved = dataclasses.replace(psys, eps_of_x_closed=None)
     xs = table_grid(psys)
     if not np.all(np.asarray(psys.h(xs, 0.0), dtype=float) < xs):
         return  # undefined, as the comparison with the plain bisection checks
     xs = xs[np.asarray(psys.h(xs, psys.eps_max), dtype=float) >= xs]
-    ref = float(np.min(eps_of_x(solved, xs))) if xs.size else psys.eps_max
+    ref = float(np.min(eps_of_x(psys, xs))) if xs.size else psys.eps_max
     if psys.zero_is_fixed_point:
         ref = min(ref, eps_stab(psys))
-    assert eps_single(solved) == ref
-    assert abs(eps_single(psys) - ref) <= 1e-12
+    assert eps_single(psys) == ref
 
 
 # from the all-x_max start every coupled iterate is symmetric and

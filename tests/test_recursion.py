@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -501,6 +502,12 @@ class TestWatch:
         assert front.settled() == (v, span)
 
 
+def _front_head(H, p, low=0.1, top=0.9):
+    """A half-chain head of H cells at level low behind a linear front, 10
+    cells wide, whose mid-level crossing is at p, and at level top ahead."""
+    return low + (top - low) * np.clip((np.arange(H) - p + 5.0) / 10.0, 0.0, 1.0)
+
+
 # Chains whose fronts travel far enough to jump: (family, eps, N, w) and
 # the most iterations the jumped run may take, against 8250, 2641 and 1735
 # plain ones.
@@ -542,6 +549,34 @@ class TestWaveJumps:
             coupled_fixed_point(s, spec, cfg)
         assert run.value.jumps == 0
         assert np.array_equal(run.value.last.values, plain.value.last.values)
+
+    def test_plateau_the_step_raises_is_refused(self):
+        # a front moving 0.5 cells per iteration along a synthetic head, low
+        # plateau 0.1 behind it, level 0.9 ahead: it settles and has a flat
+        # plateau, and the jump is taken exactly where h(0.1) <= 0.1
+        w, H = 3, 200
+        fired, watches = {}, {}
+        for name, h in (("lowers", lambda c: 0.5 * c), ("raises", lambda c: c + 1e-3)):
+            # h is the one part of a ScalarSystem that _WaveJumps reads
+            watch = recursion._WaveJumps(SimpleNamespace(h=h), CouplingSpec(2 * H, w))
+            watches[name] = watch
+            fired[name] = [k for k in range(1, 30)
+                           if watch(w * k, _front_head(H, 30.0 + 0.5 * w * k), 1.0) is not None]
+        assert fired["lowers"][0] == 13 and fired["raises"] == []
+        front, head = watches["raises"].front, _front_head(H, 30.0 + 0.5 * w * 29)
+        assert front.settled() is not None and front.plateau(head, front.pos[-1]) is not None
+
+    def test_front_keeps_the_last_half_of_its_records(self):
+        # _MAX_RECORDS + 1 records trim the oldest _MAX_RECORDS // 2; the
+        # front stands still, so it has no speed
+        front = recursion._Front(3)
+        head = _front_head(200, 50.0)
+        for it in range(recursion._MAX_RECORDS + 1):
+            assert front.record(it, head) == 50.0
+        kept = recursion._MAX_RECORDS // 2 + 1
+        assert front.its == list(range(recursion._MAX_RECORDS // 2, recursion._MAX_RECORDS + 1))
+        assert front.pos == [50.0] * kept and front.tops == [0.9] * kept
+        assert front.speed() is None
 
     def test_stuck_run_stays_stuck(self):
         # ldgm9 above its coupled threshold: the chain does not decode

@@ -100,14 +100,14 @@ class TestLdpc:
         u11 = float(ldpc8.u(1.0, 1.0))
         assert lp1 * u11 == pytest.approx(lp1 / rp1 - 1.0, abs=1e-12)
 
-    def test_eps_of_x_closed_form(self, ldpc8):
+    def test_eps_of_x_regular_formula(self, ldpc8):
         # (3,3)-regular: eps(x) = x / (1-(1-x)^2)^2 and eps(1) = 1
         psys = ldpc_system("x^3", "x^3")
         xs = np.linspace(0.05, 1.0, 25)
         ref = xs / (1 - (1 - xs) ** 2) ** 2
         ours = np.array([eps_of_x(psys, float(x)) for x in xs[ref <= 1.0]])
         assert np.allclose(ours, ref[ref <= 1.0], atol=1e-12)
-        assert eps_of_x(psys, 1.0) == pytest.approx(1.0, abs=1e-14)
+        assert eps_of_x(psys, 1.0) == 1.0
 
     def test_trial_entropy_scaling(self, ldpc8):
         xs = np.linspace(0.15, 0.9, 9)
@@ -118,9 +118,12 @@ class TestLdpc:
 
     def test_trial_entropy_is_the_potential_at_eps_of_x(self, ldpc8):
         # -L'(1) U_s(x; eps(x)), bit for bit, on an array and on floats
-        lp1 = DegreeDistribution.from_edge(EX8_LAMBDA).lp1
+        # with ldpc's eps(x) = x / lam(1 - rho(1 - x)) written out
+        lam_dist = DegreeDistribution.from_edge(EX8_LAMBDA)
+        lam, lp1 = lam_dist.edge, lam_dist.lp1
+        rho = DegreeDistribution.from_edge(EX8_RHO).edge
         xs = np.linspace(0.05, 1.0, 96)
-        want = -lp1 * ldpc8.u(xs, ldpc8.eps_of_x_closed(xs))
+        want = -lp1 * ldpc8.u(xs, xs / lam(1.0 - rho(1.0 - xs)))
         assert ldpc8.trial_entropy(xs).tobytes() == want.tobytes()
         for x, w in zip(xs.tolist(), want.tolist()):
             assert ldpc8.trial_entropy(x) == w

@@ -280,38 +280,33 @@ class TestSingleAndStability:
             f_x=lambda x, e: 0.0 * x + 0.0 * e,
             f_eps=lambda x, e: 0.0 * x + 0.0 * e,
             F=lambda x, e: 0.0 * x + 0.0 * e,
-            F_eps=lambda x, e: 0.0 * x + 0.0 * e,
-            eps_of_x_closed=None)
+            F_eps=lambda x, e: 0.0 * x + 0.0 * e)
         assert eps_single(frozen) == frozen.eps_max
 
     @pytest.mark.parametrize("family", ["ldgm9", "isi36", "ldpc8", "gldpc31"])
     def test_eps_single_equals_unpruned_minimum(self, request, family):
-        # with eps(x) solved, eps_single is the minimum of eps_of_x over
-        # the fixed-point table's points (the analysis grid with its first
-        # point at 1e-9) where h(x; eps_max) >= x, bit for bit; a closed
-        # form gives it to 1e-12
+        # eps_single is the minimum of eps_of_x over the fixed-point
+        # table's points (the analysis grid with its first point at 1e-9)
+        # where h(x; eps_max) >= x, bit for bit
         psys = request.getfixturevalue(family)
-        solved = dataclasses.replace(psys, eps_of_x_closed=None)
         xs = np.linspace(0.0, psys.x_max, ANALYSIS_GRID_N)
         xs[0] = 1e-9
         xs = xs[np.asarray(psys.h(xs, psys.eps_max)) >= xs]
-        ref = float(np.min(eps_of_x(solved, xs)))
+        ref = float(np.min(eps_of_x(psys, xs)))
         if psys.zero_is_fixed_point:
             ref = min(ref, eps_stab(psys))
-        assert eps_single(solved) == ref
-        assert abs(eps_single(psys) - ref) <= 1e-12
+        assert eps_single(psys) == ref
 
     def test_threshold_report_bisects_eps_once(self, monkeypatch):
-        # isi has no closed-form eps(x): eps_single and the Maxwell scan
-        # read one vector Newton solve, the fixed-point table's; Brent's
-        # refinements of Q's roots solve floats
+        # eps_single and the Maxwell scan read one vector Newton solve, the
+        # fixed-point table's; Brent's refinements of Q's roots solve floats
         psys = isi_system("x^3", "x^6")
         real, sizes = thresholds._solve_eps, []
 
-        def counted(p, xs, g=None):
+        def counted(p, xs, hmax, g=None):
             if not isinstance(xs, float):
                 sizes.append(len(xs))
-            return real(p, xs, g)
+            return real(p, xs, hmax, g)
 
         monkeypatch.setattr(thresholds, "_solve_eps", counted)
         rep = threshold_report(psys)
@@ -428,14 +423,45 @@ class TestCoupledThreshold:
 
 
 class TestFixedPointCurve:
-    def test_eps_of_x_closed_vs_bisection(self, ldpc8):
-        generic = dataclasses.replace(ldpc8, eps_of_x_closed=None)
+    def test_eps_of_x_solve_vs_closed_formula(self, ldpc8):
+        # ldpc's eps(x) = x / lam(1 - rho(1 - x)), with ldpc8's edge
+        # polynomials
+        lam = DegreeDistribution.from_edge(EX8_LAMBDA).edge
+        rho = DegreeDistribution.from_edge(EX8_RHO).edge
         xs = np.linspace(0.02, 1.0, 100)
-        closed = np.asarray(eps_of_x(ldpc8, xs))
-        solved = np.asarray(eps_of_x(generic, xs))
+        closed = xs / lam(1.0 - rho(1.0 - xs))
+        solved = np.asarray(eps_of_x(ldpc8, xs))
         # measured 2^-53, half an ulp of eps near 1; bisection to 1e-12
         # gave 4.55e-13
         assert np.max(np.abs(closed - solved)) <= 2.0 ** -53
+
+    @pytest.mark.parametrize("which", ["ldpc8", "ldgm9", "isi36", "gldpc31", "gldpc63"])
+    def test_eps_max_root_ends_at_once(self, request, which):
+        # h(1; eps_max) = 1 on every shipped family, so eps(1) = eps_max,
+        # returned before the solve's first round (each round evaluates
+        # f_eps once) in the float lane and in an array's lanes alike;
+        # bisected, it took 34 rounds on ldgm9 to 1.0000000000000009 and
+        # 12 on isi to 0.9999999999999999. No entry of the fixed-point
+        # table leaves [0, eps_max]
+        psys = request.getfixturevalue(which)
+        rounds = []
+
+        def f_eps(y, e):
+            rounds.append(e)
+            return psys.f_eps(y, e)
+
+        counted = dataclasses.replace(psys, f_eps=f_eps)
+        assert psys.h(1.0, psys.eps_max) == 1.0
+        assert eps_of_x(counted, 1.0) == psys.eps_max
+        assert eps_of_x(counted, np.array([1.0]))[0] == psys.eps_max
+        assert rounds == []
+        xs = psys._fp_grid[0][-40:]
+        lanes = eps_of_x(counted, xs)
+        assert lanes[-1] == psys.eps_max
+        assert all(eps_of_x(psys, x).hex() == e.hex() for x, e in zip(xs.tolist(), lanes.tolist()))
+        eps = psys._fp_curve[0]
+        assert eps[-1] == psys.eps_max
+        assert np.nanmin(eps) >= 0.0 and np.nanmax(eps) <= psys.eps_max
 
     def test_eps_of_x_shapes_and_scalar_lanes(self, ldpc8, ldgm9):
         xs = np.linspace(0.05, 1.0, 40)
@@ -451,11 +477,9 @@ class TestFixedPointCurve:
         assert all(eps_of_x(ldgm9, float(x)) == e for x, e in zip(xs9, lanes9))
 
     def test_eps_of_x_outside_domain(self, gldpc31):
-        with pytest.raises(DomainError):
-            eps_of_x(gldpc31, 0.005)  # below the fixed-point domain
-        generic = dataclasses.replace(gldpc31, eps_of_x_closed=None)
-        with pytest.raises(DomainError):
-            eps_of_x(generic, 0.005)
+        for x in (0.005, np.array([0.005, 0.5])):  # below the fixed-point domain
+            with pytest.raises(DomainError, match="^x not in the fixed-point domain"):
+                eps_of_x(gldpc31, x)
 
     @pytest.mark.parametrize("x", [0.0, 1.5])
     def test_eps_of_x_needs_x_in_the_domain(self, ldpc8, x):
@@ -853,10 +877,14 @@ def test_isi_maxwell_matches_the_oracle(isi36):
 
 @pytest.mark.parametrize("which, family, lo, bound", [
     # the measured worst errors: ldgm9 1.084e-15 (x = 0.925), isi 4.81e-16
-    # (x = 0.05), each a few ulps of x over the slope h_eps. eps(x)
-    # bisected to 1e-12 erred by up to 4.55e-13 on both
+    # (x = 0.05), ldpc8 1.107e-15 (x = 0.05) and gldpc(31,4) 1.311e-15
+    # (x = 0.586), each a few ulps of x over the slope h_eps; the bounds
+    # leave margins of 1.6e-17, 1.9e-17, 9.3e-17 and 8.9e-17. eps(x)
+    # bisected to 1e-12 erred by up to 4.55e-13 on ldgm9 and isi
     ("ldgm9", "ldgm9", 0.025, 1.1e-15),
     ("isi36", "isi", 0.05, 5e-16),
+    ("ldpc8", "ldpc8", 0.025, 1.2e-15),
+    ("gldpc31", "gldpc31", 0.05, 1.4e-15),
 ])
 def test_eps_of_x_matches_the_oracle(request, which, family, lo, bound):
     # 40 x of the fixed-point domain, the array lane against the 40-digit
@@ -1077,6 +1105,22 @@ class TestEnvelopeSearch:
         assert 3e-13 < ec - lo < 5e-13 and 3e-13 < hi - ec < 5e-13
         assert v_lo >= -1e-12
         assert v_hi < -1e-12 - 64 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("shift", [-1e-3, 1e-3])
+    def test_cross_check_failure_raises(self, monkeypatch, ldpc8, shift):
+        # a search result off the threshold fails the cross-check: 1e-3
+        # below it Psi is still 0 at ec + 10 tol, 1e-3 above it already
+        # negative at ec - 10 tol
+        real = thresholds._envelope_sup
+
+        def off(*args):
+            ec, res_b, certified = real(*args)
+            return ec + shift, res_b, certified
+
+        monkeypatch.setattr(thresholds, "_envelope_sup", off)
+        with pytest.raises(ThresholdUndefinedError,
+                           match=r"^potential-threshold cross-check failed around eps_c \("):
+            eps_c(ldpc8)
 
     @pytest.mark.parametrize("family", ["ldpc8", "gldpc31"])
     def test_report_count(self, minimizations, ldpc8, gldpc31, family):
@@ -1446,9 +1490,9 @@ class TestFixedPointTableReadsCheckSide:
         assert hmax.tobytes() == np.asarray(psys.h(xs, psys.eps_max), dtype=float).tobytes()
         at = ~np.isnan(eps)
         assert at.sum() > 1000
-        ref = eps_of_x(psys, xs[at]) if psys.eps_of_x_closed else \
-            thresholds._solve_eps(psys, xs[at])
+        ref = thresholds._solve_eps(psys, xs[at], hmax[at])
         assert eps[at].tobytes() == ref.tobytes()
+        assert eps[at].tobytes() == eps_of_x(psys, xs[at]).tobytes()
         assert q[at].tobytes() == np.asarray(psys.u(xs[at], eps[at]), dtype=float).tobytes()
 
     @pytest.mark.parametrize("which", ["ldpc8", "isi36", "gldpc31", "gldpc63"])
@@ -1457,11 +1501,12 @@ class TestFixedPointTableReadsCheckSide:
         xs, h0, hmax = psys._fp_grid
         g = psys._fp_check_side[0]
         at = np.flatnonzero((h0 <= xs + 1e-12) & (hmax >= xs))[::50]
-        assert thresholds._solve_eps(psys, xs[at], g[at]).tobytes() == \
-            thresholds._solve_eps(psys, xs[at]).tobytes()
-        for x, gx in zip(xs[at[::10]].tolist(), g[at[::10]].tolist()):
-            assert thresholds._solve_eps(psys, x, gx).hex() == \
-                thresholds._solve_eps(psys, x).hex()
+        assert thresholds._solve_eps(psys, xs[at], hmax[at], g[at]).tobytes() == \
+            thresholds._solve_eps(psys, xs[at], hmax[at]).tobytes()
+        for x, hx, gx in zip(xs[at[::10]].tolist(), hmax[at[::10]].tolist(),
+                             g[at[::10]].tolist()):
+            assert thresholds._solve_eps(psys, x, hx, gx).hex() == \
+                thresholds._solve_eps(psys, x, hx).hex()
 
     def test_ldgm_table_evaluates_h(self):
         psys = ldgm_system("x^6", DegreeDistribution.from_edge(EX9_RHO))

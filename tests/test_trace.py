@@ -64,14 +64,14 @@ def test_tracer_counts_threshold_search():
     # Newton search without the certificate reads 10
     assert metrics["potential.minimize_calls"] == 6
     assert metrics["potential.grid_points"] == 6 * 10**4
-    # 76 probes of bisect_root (Brent's method) on 19 roots: 62 on the 17
+    # 75 probes of bisect_root (Brent's method) on 19 roots: 62 on the 17
     # fixed points of eps_c's minimizations, 3 on the eps_stab root, found
     # once for eps_single, eps_stab, eps_c and the Maxwell candidate, and
-    # 11 on the root of Q, polished to a few ulps of x (6 to a 1e-12
+    # 10 on the root of Q, polished to a few ulps of x (6 to a 1e-12
     # bracket); finding eps_stab anew each time reads 9 more, a return to
     # bisection about 430 and a renamed bisect_root, which the tracer no
     # longer sees, 0
-    assert metrics["numerics.bisect_evals"] == 76
+    assert metrics["numerics.bisect_evals"] == 75
     # psi_evals counts calls of Psi, which the search does not make, so it
     # reads 0 on working code; moving the count to minimize_us_at
     # (ROADMAP item 5) has to change this pin on purpose
