@@ -287,8 +287,8 @@ def cmd_coupled_run(cfg: dict, args) -> int:
     if eps is not None:
         meta["eps"] = _fmt(eps)
 
-    # coupled_fixed_point's run from x_max, whose wave-jump watch also
-    # writes the progress rows
+    # coupled_fixed_point's run from x_max, whose watch (wave jumps and
+    # tail extrapolation) also writes the progress rows
     watch = _WaveJumps(sys_, spec, _progress_row if progress else None, progress)
     if progress:
         sys.stderr.write("iteration,step,max,front,speed,jumps\n")

@@ -25,6 +25,17 @@ and from the '# iterations' and '# jumps' lines of a coupled-run job:
 
     PYTHONPATH=src python tests/pool_outputs.py --deltas analysis/thresholds/
 
+With --tight, a coupled or coupled_cli candidate's line ends instead with
+how far its profile lies from the limit of its run, read off the plain
+loop (no wave jumps, no tail extrapolation) to tol = 1e-16, next to how
+far the plain run to the default tol = 1e-12 lies from it, and the
+difference; a line before the last gives the largest difference and the
+runs with a positive one. A change to the coupled loop can so state its
+accuracy against the limit, where the plain run stops up to
+tol * lam / (1 - lam) short of it (lam the rate of its geometric tail):
+
+    PYTHONPATH=src python tests/pool_outputs.py --tight chain/
+
 Not collected by pytest.
 """
 
@@ -41,6 +52,8 @@ sys.path.insert(0, BENCH)
 
 import jobs  # noqa: E402  (bench/jobs.py)
 import plan  # noqa: E402  (bench/plan.py)
+from maxsat.errors import NonConvergenceError  # noqa: E402
+from maxsat.recursion import CouplingSpec, IterationConfig, _run_coupled  # noqa: E402
 
 
 def _feed(h, value) -> None:
@@ -95,17 +108,50 @@ def deltas(job: dict, output) -> str:
                 for a, b in zip(got, want)]
         parts.append(f"{key}={max(errs, default=0.0):.3g}/{tol[1] if rel else tol}"
                      + ("rel" if rel else ""))
+    return " ".join(parts + _counts(job, output))
+
+
+def _counts(job: dict, output) -> list:
+    """A coupled candidate's iteration and jump counts, read from the
+    CoupledRun of a library job and from the '# iterations' and '# jumps'
+    lines of a coupled-run job."""
     if job["kind"] == "coupled":
-        parts += [f"iters={output.iters}", f"jumps={output.jumps}"]
-    elif job["kind"] == "coupled_cli":
+        return [f"iters={output.iters}", f"jumps={output.jumps}"]
+    if job["kind"] == "coupled_cli":
         meta, _ = jobs.read_csv(output["out"])
-        parts += [f"iters={meta['iterations']}", f"jumps={meta['jumps']}"]
-    return " ".join(parts)
+        return [f"iters={meta['iterations']}", f"jumps={meta['jumps']}"]
+    return []
 
 
-def main(prefixes, show_deltas=False) -> int:
+def tight(job: dict, output, systems: dict) -> tuple:
+    """(excess, text) for a coupled candidate: far, the largest |profile -
+    limit|, and plain, the plain run's own, where limit is the plain loop
+    run to tol = 1e-16 from x_max. Where rounding keeps its steps above
+    that tol for 50 times the plain run's iterations, its last iterate
+    stands for the limit and the text says so."""
+    p = job["params"]
+    system, spec = systems[jobs._system_key(p)], CouplingSpec(p["N"], p["w"])
+    if job["kind"] == "coupled":
+        values = output.profile.values
+    else:
+        values = np.array([float(r[1]) for r in jobs.read_csv(output["out"])[1]])
+    plain = _run_coupled(system, spec, IterationConfig(), pin_tail=False)
+    stalled = ""
+    try:
+        limit = _run_coupled(system, spec, IterationConfig(1e-16, 50 * plain.iters),
+                             pin_tail=False).profile.values
+    except NonConvergenceError as exc:
+        limit, stalled = exc.last.values, f" stalled={exc.residual:.2g}"
+    far = float(np.max(np.abs(values - limit)))
+    own = float(np.max(np.abs(plain.profile.values - limit)))
+    return far - own, " ".join([f"far={far:.3g}", f"plain={own:.3g}",
+                                f"excess={far - own:.3g}"] + _counts(job, output)) + stalled
+
+
+def main(prefixes, show_deltas=False, show_tight=False) -> int:
     refs = plan.load_refs()
     passed = total = 0
+    excesses = []
     names = [n for n in sorted(refs["groups"])
              if not prefixes or n.startswith(tuple(prefixes))]
     with tempfile.TemporaryDirectory() as workdir:
@@ -125,12 +171,21 @@ def main(prefixes, show_deltas=False) -> int:
                 errors = jobs.check(job, output)
                 passed += not errors
                 result = "ok" if not errors else f"FAIL {len(errors)}: {errors[0]}"
-                tail = deltas(job, output) if show_deltas else digest(output)
+                if show_tight and job["kind"] in ("coupled", "coupled_cli"):
+                    excess, tail = tight(job, output, systems)
+                    excesses.append(excess)
+                else:
+                    tail = deltas(job, output) if show_deltas else digest(output)
                 print(f"{name} {i} {result} {tail}", flush=True)
+    if show_tight:
+        print(f"largest excess {max(excesses, default=0.0):.3g}; "
+              f"{sum(e > 0.0 for e in excesses)} of {len(excesses)} coupled runs "
+              "lie farther from the limit than the plain run")
     print(f"{passed} of {total} candidates pass")
     return 0 if passed == total else 1
 
 
 if __name__ == "__main__":
     args = sys.argv[1:]
-    sys.exit(main([a for a in args if a != "--deltas"], "--deltas" in args))
+    flags = {"--deltas", "--tight"}
+    sys.exit(main([a for a in args if a not in flags], "--deltas" in args, "--tight" in args))

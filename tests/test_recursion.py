@@ -107,6 +107,16 @@ def plain_fixed_point(sys_, spec, cfg=IterationConfig(), start=None):
     return recursion._run_coupled(sys_, spec, cfg, pin_tail=False, start=start)
 
 
+def assert_near_the_limit(values, plain, sys_, spec, start=None):
+    """values, a run's profile, lie no farther from the run's limit than
+    the plain run's profile plain does, give or take 5e-13. The limit is
+    read off a plain run to tol = 1e-16 from the same start; the plain run
+    stops up to tol * lam / (1 - lam) short of it, where lam is the rate of
+    its geometric tail (about 7e-12 on ldpc8, where lam is near 0.88)."""
+    limit = plain_fixed_point(sys_, spec, IterationConfig(tol=1e-16), start).profile.values
+    assert np.max(np.abs(values - limit)) <= np.max(np.abs(plain - limit)) + 5e-13
+
+
 def iterate(fixed_point, sys_, spec, k, **start):
     """Iterate k of a fixed_point run (from start=..., if given): a run
     capped at k iterations raises NonConvergenceError with it as last, or
@@ -462,8 +472,9 @@ class TestWatch:
             assert np.array_equal(run.profile.values, plain.profile.values)
         else:
             assert run.iters < plain.iters
-            assert np.max(np.abs(run.profile.values - plain.profile.values)) <= 1e-12
-        # the short example-1 chains leave no room for a front to travel
+            assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
+        # the short example-1 chains leave no room for a front to travel,
+        # and none of their tails is extrapolated
         assert run.jumps == 0 or case in _CHAINS
 
     def test_stop_reason_ends_the_run(self):
@@ -498,7 +509,7 @@ class TestWatch:
             recursion._run_coupled(s, spec, IterationConfig(), False, watch=track)
         v, span = front.speed()
         assert v == pytest.approx(0.0384, abs=5e-4)
-        assert span >= 6 * spec.w
+        assert span >= recursion._BASELINE_W * spec.w
         assert front.settled() == (v, span)
 
 
@@ -510,19 +521,19 @@ def _front_head(H, p, low=0.1, top=0.9):
 
 # Chains whose fronts travel far enough to jump: (family, eps, N, w) and
 # the most iterations the jumped run may take, against 8250, 2641 and 1735
-# plain ones.
+# plain ones (776, 249 and 404 taken).
 _JUMPING = {
-    "ldgm9": ("ldgm9", 0.503731, 652, 5, 1500),
-    "gldpc31": ("gldpc31", 0.250287, 975, 11, 700),
-    "ldpc8": ("ldpc8", 0.617332, 864, 11, 700),
+    "ldgm9": ("ldgm9", 0.503731, 652, 5, 1000),
+    "gldpc31": ("gldpc31", 0.250287, 975, 11, 400),
+    "ldpc8": ("ldpc8", 0.617332, 864, 11, 500),
 }
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestWaveJumps:
-    """coupled_fixed_point's wave jumps: the jumped run lands within 1e-12
-    of the plain one in a fraction of its iterations, and a front that
-    does not travel never jumps."""
+    """coupled_fixed_point's wave jumps: the jumped run lands as near its
+    limit as the plain one in a fraction of its iterations, and a front
+    that does not travel never jumps."""
 
     @pytest.mark.parametrize("case", list(_JUMPING))
     def test_jumped_run_matches_the_plain_run(self, case):
@@ -532,7 +543,7 @@ class TestWaveJumps:
         assert run.jumps >= 2
         assert run.iters <= most < plain.iters
         assert run.residual <= IterationConfig().tol
-        assert np.max(np.abs(run.profile.values - plain.profile.values)) <= 1e-12
+        assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
         assert np.array_equal(run.profile.values, run.profile.values[::-1])
         if family != "ldgm9":
             # 0 is a fixed point, and the run decodes
@@ -552,8 +563,9 @@ class TestWaveJumps:
 
     def test_plateau_the_step_raises_is_refused(self):
         # a front moving 0.5 cells per iteration along a synthetic head, low
-        # plateau 0.1 behind it, level 0.9 ahead: it settles and has a flat
-        # plateau, and the jump is taken exactly where h(0.1) <= 0.1
+        # plateau 0.1 behind it, level 0.9 ahead: it settles once it has
+        # moved _BASELINE_W windows, at check 1 + 2 _BASELINE_W, and has a
+        # flat plateau, and the jump is taken exactly where h(0.1) <= 0.1
         w, H = 3, 200
         fired, watches = {}, {}
         for name, h in (("lowers", lambda c: 0.5 * c), ("raises", lambda c: c + 1e-3)):
@@ -562,7 +574,7 @@ class TestWaveJumps:
             watches[name] = watch
             fired[name] = [k for k in range(1, 30)
                            if watch(w * k, _front_head(H, 30.0 + 0.5 * w * k), 1.0) is not None]
-        assert fired["lowers"][0] == 13 and fired["raises"] == []
+        assert fired["lowers"][0] == 1 + 2 * recursion._BASELINE_W and fired["raises"] == []
         front, head = watches["raises"].front, _front_head(H, 30.0 + 0.5 * w * 29)
         assert front.settled() is not None and front.plateau(head, front.pos[-1]) is not None
 
@@ -585,6 +597,73 @@ class TestWaveJumps:
         assert run.jumps == 0 and run.iters == plain.iters
         assert np.array_equal(run.profile.values, plain.profile.values)
         assert run.profile.max > 0.8
+
+
+def _tail_watch(steps, level=0.3, H=50):
+    """What a fresh _WaveJumps returns after each of the given steps, on
+    flat heads of H cells at level + 10 * step (they carry no front, so no
+    jump fires)."""
+    watch = recursion._WaveJumps(SimpleNamespace(h=None), CouplingSpec(2 * H, 3))
+    return watch, [watch(k, np.full(H, level + 10.0 * step), step)
+                   for k, step in enumerate(steps, 1)]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestTailExtrapolation:
+    """coupled_fixed_point's tail extrapolation: once the steps shrink by a
+    steady ratio lam in [0.5, 0.99], the head is replaced by its
+    geometric limit, never above the head. It shortens stuck and decoding
+    tails, lands as near the limit as the plain run, and leaves alone a
+    tail slower than the cap and one whose ratios fall."""
+
+    def test_steady_ratio_lands_on_the_limit(self):
+        # steps of 1e-3 * 0.9^k, on heads 10 steps above 0.3: the 23rd step
+        # is the first at most _TAIL_STEP, and the fourth step watched from
+        # there gives three equal ratios; the head becomes the level, 0.3
+        watch, said = _tail_watch([1e-3 * 0.9 ** k for k in range(40)])
+        assert [k for k, new in enumerate(said, 1) if new is not None][0] == 26
+        assert watch.every == 1
+        assert np.max(np.abs(said[25] - 0.3)) <= 1e-13
+
+    @pytest.mark.parametrize("ratio", [0.995, 0.3])
+    def test_ratio_outside_the_bounds_is_never_extrapolated(self, ratio):
+        # 0.995 is above the cap, which keeps a slow front's drift as it is
+        _, said = _tail_watch([5e-5 * ratio ** k for k in range(2000 if ratio > 0.5 else 100)])
+        assert all(new is None for new in said)
+
+    def test_falling_ratios_are_not_extrapolated(self):
+        # the steps of two modes of opposite signs, 1e-5 * 0.95^k and
+        # -9e-6 * 0.9^k, as after an overshoot: their ratio falls toward
+        # 0.95 from above, and lam would overshoot the limit
+        steps = [5e-7 * 0.95 ** k - 9e-7 * 0.9 ** k for k in range(30, 140)]
+        ratios = [b / a for a, b in zip(steps, steps[1:])]
+        assert all(a - b > recursion._RATIO_FALL for a, b in zip(ratios, ratios[1:]))
+        assert ratios[20] - ratios[22] <= recursion._RATIO_AGREE
+        _, said = _tail_watch(steps)
+        assert all(new is None for new in said)
+
+    def test_stuck_run_takes_a_short_tail(self):
+        # ldgm9 above its coupled threshold: 710 plain steps, decaying at
+        # about 0.968 per step
+        s, spec = _CHAINS["ldgm9"][0]().at_eps(0.513534), CouplingSpec(884, 12)
+        plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
+        assert run.jumps >= 1 and run.iters <= 250 < plain.iters == 710
+        assert run.profile.max > 0.8
+        assert np.array_equal(run.profile.values, run.profile.values[::-1])
+        limit = plain_fixed_point(s, spec, IterationConfig(tol=1e-16)).profile.values
+        # measured: 192 steps, and 6.4e-13 against 3.0e-11
+        assert np.max(np.abs(run.profile.values - limit)) < (
+            0.1 * np.max(np.abs(plain.profile.values - limit)))
+
+    def test_decoding_tail_below_eps_single(self):
+        # ldpc8 at 0.6 < eps_single decodes without a travelling front, so
+        # no jump fires; its tail decays at h'(0) = 0.864
+        s, spec = _CHAINS["ldpc8"][0]().at_eps(0.6), CouplingSpec(400, 3)
+        plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
+        assert run.jumps >= 1 and run.iters < plain.iters
+        # measured: 4.8e-12 against 5.9e-12, in 162 steps against 219
+        assert run.profile.max < plain.profile.max <= 1e-11
+        assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
 
 
 class TestStartProfile:

@@ -476,6 +476,32 @@ class TestFixedPointCurve:
         lanes9 = eps_of_x(ldgm9, xs9)
         assert all(eps_of_x(ldgm9, float(x)) == e for x, e in zip(xs9, lanes9))
 
+    def test_eps_of_x_reads_g_once(self, gldpc63):
+        # gldpc(63, 5)'s check side is eps-free, so one g(x) serves the
+        # domain check's h(x; 0) and h(x; eps_max) and the solve: one call
+        # of g per eps_of_x, in the float lane and for an array (three
+        # before), with the bits of the route through h
+        calls = []
+
+        def g(x, e):
+            calls.append(e)
+            return gldpc63.g(x, e)
+
+        counted = dataclasses.replace(gldpc63, g=g)
+        assert counted.eps_free_check_side
+        xs = np.linspace(0.05, 1.0, 20)
+        calls.clear()
+        lanes = eps_of_x(counted, xs)
+        assert len(calls) == 1
+        for x, lane in zip(xs.tolist(), lanes.tolist()):
+            calls.clear()
+            got = eps_of_x(counted, x)
+            assert len(calls) == 1
+            hmax = thresholds._eps_bracket_check(gldpc63, x)
+            assert thresholds._eps_bracket_check(gldpc63, x, gldpc63.g(x, 0.0)).hex() == hmax.hex()
+            via_h = thresholds._solve_eps(gldpc63, x, hmax, gldpc63.g(x, 0.0))
+            assert got.hex() == float(via_h).hex() == lane.hex()
+
     def test_eps_of_x_outside_domain(self, gldpc31):
         for x in (0.005, np.array([0.005, 0.5])):  # below the fixed-point domain
             with pytest.raises(DomainError, match="^x not in the fixed-point domain"):
@@ -983,14 +1009,25 @@ class TestCoupledSweep:
 
     def test_warm_start_jumps_on_a_long_chain(self, gldpc31):
         # the top slice is stuck, and from its profile a front travels across
-        # the next one; SPEC's chains are too short for a jump
+        # the next one; SPEC's chains are too short for a jump. Each run
+        # lands as near its limit, a plain run from the same start to a
+        # tighter tol, as the plain run does (the stuck top's tail is
+        # extrapolated; its plain steps stall at rounding, 4e-16, so its
+        # limit is read at tol = 1e-15)
         spec = CouplingSpec(443, 6)
         low, top = coupled_sweep(gldpc31, [0.245, 0.26], spec)
-        assert top.jumps == 0 and top.profile.max > 0.2
-        plain = recursion._run_coupled(gldpc31.at_eps(0.245), spec, IterationConfig(),
-                                       pin_tail=False, start=top.profile.values)
-        assert low.jumps >= 2 and low.iters < plain.iters // 2
-        assert np.max(np.abs(low.profile.values - plain.profile.values)) <= 1e-12
+        assert top.profile.max > 0.2
+
+        def plain(e, start, tol=1e-12):
+            return recursion._run_coupled(gldpc31.at_eps(e), spec, IterationConfig(tol),
+                                          pin_tail=False, start=start)
+
+        for run, e, start, tight in ((top, 0.26, None, 1e-15),
+                                     (low, 0.245, top.profile.values, 1e-16)):
+            limit = plain(e, start, tight).profile.values
+            assert np.max(np.abs(run.profile.values - limit)) <= (
+                np.max(np.abs(plain(e, start).profile.values - limit)) + 5e-13)
+        assert low.jumps >= 2 and low.iters < plain(0.245, top.profile.values).iters // 2
         assert low.profile.max <= 1e-10
 
     def test_capped_run_seeds_the_next(self, ldpc8):
@@ -1003,6 +1040,22 @@ class TestCoupledSweep:
         assert low.iters == seeded.iters
         assert np.array_equal(low.profile.values, seeded.profile.values)
         assert low.iters < _cold_run(ldpc8, 0.5, self.SPEC, capped).iters
+
+    def test_capped_seed_bounds_the_next_fixed_point(self, ldpc8):
+        # the stuck top run at 0.65 extrapolates its tail, and its first
+        # extrapolation passes its own limit by about 1.4e-5 in some cells;
+        # capped anywhere along the way, its last iterate still lies above
+        # the fixed point at 0.64, as the next run's start must
+        top_limit, limit = (recursion._run_coupled(ldpc8.at_eps(e), self.SPEC,
+                                                   IterationConfig(tol=1e-16),
+                                                   pin_tail=False).profile.values
+                            for e in (0.65, 0.64))
+        seeds = [coupled_sweep(ldpc8, [0.64, 0.65], self.SPEC, IterationConfig(max_iters=cap))[1]
+                 for cap in range(40, 180, 8)]
+        assert all(isinstance(top, NonConvergenceError) for top in seeds)
+        assert any(top.jumps >= 1 and np.min(top.last.values - top_limit) < -1e-6
+                   for top in seeds)
+        assert all(np.all(top.last.values >= limit) for top in seeds)
 
 
 class TestInverseEnvelope:
