@@ -289,7 +289,7 @@ def cmd_coupled_run(cfg: dict, args) -> int:
 
     # coupled_fixed_point's run from x_max, whose watch (wave jumps and
     # tail extrapolation) also writes the progress rows
-    watch = _WaveJumps(sys_, spec, _progress_row if progress else None, progress)
+    watch = _WaveJumps(sys_, spec, _progress_row if progress else None, progress, itcfg.tol)
     if progress:
         sys.stderr.write("iteration,step,max,front,speed,jumps\n")
     code = 0

@@ -38,7 +38,6 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd
 from typing import Callable, Optional
 
 import numpy as np
@@ -101,13 +100,16 @@ _GAP_W = 1
 _JUMP_SPAN = 8
 # Tail extrapolation (_WaveJumps): the step at or below which every step is
 # watched, the agreement asked of three successive step ratios, the fall
-# between two of them still taken for rounding, and the ratios accepted
-# (the cap keeps a still front's slow drift unextrapolated).
+# between two of them still taken for rounding, the ratios accepted (the
+# cap keeps a still front's slow drift unextrapolated), and the error left,
+# in tols, below which the run's last stretch is left to the cellwise
+# extrapolation before its last step.
 _TAIL_STEP = 1e-4
 _RATIO_AGREE = 1e-3
 _RATIO_FALL = 1e-6
 _RATIO_MIN = 0.5
 _RATIO_MAX = 0.99
+_LAST_TOLS = 100
 
 # Tabulated antiderivatives: Chebyshev points per panel, absolute error
 # bound of the whole table, and the bisection depth and panel count at
@@ -690,21 +692,30 @@ class _WaveJumps:
     the next check may jump again. The speed only tells that the front
     has settled; the translate does not use it.
 
-    Once a step is at most _TAIL_STEP the watch looks at every step (its
-    every becomes 1, and goes back once a step exceeds _TAIL_STEP again).
-    Where three successive step ratios do not fall (by more than
-    _RATIO_FALL, rounding) and agree to _RATIO_AGREE, and the last, lam,
-    lies in [_RATIO_MIN, _RATIO_MAX], the error decays as lam^k along its
-    slowest mode, and the watch returns the head less the rest of that
-    decay, lam / (1 - lam) times the last step prev - head, taken no
-    higher than the head and no lower than 0 (the head is at most x_max).
-    Ratios that do not fall are those of decaying modes of one sign, so
-    lam is at most the slowest one's and the extrapolation stops short of
-    its limit; falling ratios come from modes of both signs, as after a
-    jump or an extrapolation that passed the limit in some cells, and
-    there lam would overshoot. The ratios are watched afresh after every
-    replaced head, and after an extrapolation that would lower no cell, as
-    where every cell rose over the last step, which is not taken.
+    The run calls it after every step (every = 1): a call that neither
+    jumps nor watches the tail costs about 0.4 us, against steps of 15 to
+    60 us. Once a step is at most _TAIL_STEP it watches the tail. Where
+    three successive step ratios do not fall (by more than _RATIO_FALL,
+    rounding) and agree to _RATIO_AGREE, and the last, lam, lies in
+    [_RATIO_MIN, _RATIO_MAX], the error decays as lam^k along its slowest
+    mode, and the watch returns the head less the rest of that decay, lam /
+    (1 - lam) times the last step prev - head. Ratios that do not fall are
+    those of decaying modes of one sign, so lam is at most the slowest
+    one's and the extrapolation stops short of its limit; falling ratios
+    come from modes of both signs, as after a jump or an extrapolation that
+    passed the limit in some cells, and there lam would overshoot. The
+    ratios are watched afresh after every replaced head. That one lam
+    leaves cells whose own decay is slower (the flanks of a spreading bump)
+    a tenth or so of their error, so once the error left, lam / (1 - lam)
+    times the step, is under _LAST_TOLS tol, the run's last stretch is left
+    to a cellwise extrapolation instead: where the last ratio lam lies in
+    [_RATIO_MIN, _RATIO_MAX] and the next step is due to end the run (lam
+    times the step is at most tol), each cell that fell over both of the
+    last two steps, d1 and then d2, is lowered by r / (1 - r) d2, r =
+    min(d2 / d1, _RATIO_MAX), its own decay's rest. Each replacement is
+    taken no higher than the head and no lower than 0 (the head is at most
+    x_max), and one that would lower no cell, as where every cell rose over
+    the last step, is not taken.
 
     With report, every report_every iterations it also calls
     report(it, step, max, position, speed, jumps): the head's max, the
@@ -712,17 +723,20 @@ class _WaveJumps:
     one) and the heads replaced since the last report.
     """
 
+    every = 1
+
     def __init__(self, sys: ScalarSystem, spec: CouplingSpec, report=None,
-                 report_every: int = 0):
+                 report_every: int = 0, tol: float = IterationConfig.tol):
         self.h = sys.h
         self.w = spec.w
+        self.tol = tol
         self.front = _Front(spec.w)
         self.report = report
         self.report_every = report_every
-        self.every = self.checks = gcd(spec.w, report_every)
         self.unreported = 0
         self.steps: list = []
-        self.prev = None
+        self.held = 0
+        self.prev = self.prev2 = None
 
     def __call__(self, it: int, head: np.ndarray, step: float):
         new = self._jump(it, head) if not it % self.w else None
@@ -730,6 +744,7 @@ class _WaveJumps:
             new = self._tail(head, step)
         else:
             self.steps.clear()
+            self.held = 0
         self.unreported += new is not None
         if self.report is not None and not it % self.report_every:
             sp = self.front.speed()
@@ -762,29 +777,51 @@ class _WaveJumps:
         steps = self.steps
         if step > _TAIL_STEP:
             steps.clear()
-            self.every = self.checks
+            self.held = 0
             return None
-        self.every = 1
         steps.append(step)
-        if len(steps) == 4:
-            r1, r2, lam = steps[1] / steps[0], steps[2] / steps[1], steps[3] / steps[2]
-            steps.pop(0)
-            if (r1 <= r2 + _RATIO_FALL and r2 <= lam + _RATIO_FALL
-                    and max(r1, r2, lam) - min(r1, r2, lam) <= _RATIO_AGREE
-                    and _RATIO_MIN <= lam <= _RATIO_MAX):
+        lam = steps[-1] / steps[-2] if len(steps) >= 2 else 0.0
+        new = None
+        if _RATIO_MIN <= lam <= _RATIO_MAX:
+            if lam * step <= self.tol:
+                if self.held == 2:
+                    new = self._cellwise(head)
+            elif len(steps) == 4 and lam / (1.0 - lam) * step > _LAST_TOLS * self.tol:
+                r1, r2 = steps[1] / steps[0], steps[2] / steps[1]
+                if (r1 <= r2 + _RATIO_FALL and r2 <= lam + _RATIO_FALL
+                        and max(r1, r2, lam) - min(r1, r2, lam) <= _RATIO_AGREE):
+                    new = head - self.prev
+                    new *= lam / (1.0 - lam)
+                    new += head
+        if new is not None:
+            np.minimum(new, head, out=new)
+            np.maximum(new, 0.0, out=new)
+            if np.array_equal(new, head):
+                new = None
+            else:
                 steps.clear()
-                new = head - self.prev
-                new *= lam / (1.0 - lam)
-                new += head
-                np.minimum(new, head, out=new)
-                np.maximum(new, 0.0, out=new)
-                if not np.array_equal(new, head):
-                    return new
+        if len(steps) == 4:
+            steps.pop(0)
+        self._hold(head if new is None else new)
+        return new
+
+    def _cellwise(self, head: np.ndarray) -> np.ndarray:
+        """head less the rest of each cell's own geometric decay, at the
+        ratio r of its last two steps, taken no higher than _RATIO_MAX,
+        where it fell over both; other cells as they are."""
+        d1, d2 = self.prev2 - self.prev, self.prev - head
+        r = np.divide(d2, d1, out=np.zeros(head.shape[0]), where=(d1 > 0.0) & (d2 > 0.0))
+        np.minimum(r, _RATIO_MAX, out=r)
+        d2 *= r / (1.0 - r)
+        return np.subtract(head, d2, out=d2)
+
+    def _hold(self, state: np.ndarray) -> None:
+        """Keep state as the last state watched, and the one before it."""
         if self.prev is None:
-            self.prev = head.copy()
-        else:
-            np.copyto(self.prev, head)
-        return None
+            self.prev, self.prev2 = np.empty_like(state), np.empty_like(state)
+        self.prev, self.prev2 = self.prev2, self.prev
+        np.copyto(self.prev, state)
+        self.held = min(self.held + 1, 2)
 
 
 def apply_A(spec: CouplingSpec, v) -> np.ndarray:
@@ -932,8 +969,9 @@ def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
     between x* and the iterates from x_max and converges to the same x*.
     Where f and g are non-decreasing in a parameter, as
     validate_param_system requires, the fixed point at a larger parameter
-    is such a start, and so is any iterate of a run there from x_max or
-    from such a start (thresholds.coupled_sweep).
+    is such a start, and so is any plain iterate of a run there from x_max
+    or from such a start; a replaced head (below) need not be
+    (thresholds.coupled_sweep).
     Raises ShapeError for a start of the wrong length and DomainError for
     one that is not symmetric or leaves [0, x_max].
 
@@ -956,12 +994,19 @@ def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
     step, and where three successive step ratios agree to 1e-3 without
     falling and the last, lam, lies in [0.5, 0.99], it replaces the
     iterate x_k by its limit along the slowest mode, x_k - lam / (1 - lam)
-    (x_{k-1} - x_k), taken cellwise no higher than x_k and no lower than
-    0. A still front, and a run stuck next to its threshold, decay at a
-    ratio above 0.99 and are left as they are. iters counts the steps
-    taken and jumps the heads replaced, by translations and
-    extrapolations alike; the run still ends only on a plain step of at
-    most tol.
+    (x_{k-1} - x_k). It stops doing so once the error that estimate
+    leaves is under 100 tol; instead, on the step before the one due to
+    end the run (lam times the step at most tol, lam in [0.5, 0.99]), each
+    cell that fell over the last two steps goes to the limit of its own
+    decay, at the ratio of those two steps taken no higher than 0.99. So
+    the run does not stop where a plain run does, up to lam / (1 - lam)
+    tol short of its limit (7 tol on ldpc8, where lam is near 0.88), but
+    nearer it. Each replacement is taken cellwise no higher than x_k and
+    no lower than 0. A still front, and a run stuck next to its
+    threshold, decay at a ratio above 0.99 and are left as they are.
+    iters counts the steps taken and jumps the heads replaced, by
+    translations and extrapolations alike; the run still ends only on a
+    plain step of at most tol.
 
     Why a replacement is safe: each replaced state y lies at or below the
     iterate x_k it replaces, so by monotonicity the run stays at or below
@@ -970,15 +1015,17 @@ def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
     y >= x* holds exactly. Elsewhere it holds only up to approximations:
     for a jump, that the translate of a settled front is a later iterate
     and that the fill c sits at or above the plateau of x*; for an
-    extrapolation, that the error decays along one mode. Where a faster
-    mode still shows, an extrapolation passes x* by up to a few percent of
-    the error there (2.7% on ldpc8 at eps 0.65, N = 40, w = 4), and the
-    run rises back onto x*, a fixed point stable at a ratio of at most
-    0.99.
+    extrapolation, that the error decays along one mode (in each cell, for
+    the last one). Where a faster mode still shows, an extrapolation
+    passes x* by up to a few percent of the error there (2.7% on ldpc8 at
+    eps 0.65, N = 40, w = 4), and the run rises back onto x*, a fixed
+    point stable at a ratio of at most 0.99, and ends as near it as a
+    plain run, from below.
     On the benchmark's chain pool (84 coupled runs) no profile lies
     farther from its limit, a plain run to tol = 1e-16, than the plain
-    run's does, plus 1.3e-13; the 12 stuck ldgm9 runs whose tails are
-    extrapolated land 10 to 400 times nearer it than the plain run.
+    run's does, plus 1.6e-15; the 28 ldpc8 runs end within 3.7e-13 of it,
+    where the plain runs stop 5.6e-12 to 7.5e-12 short, and 26 of the 28
+    ldgm9 runs land 7 to 450 times nearer it than the plain run.
     """
     if start is not None:
         start = np.asarray(start, dtype=float)
@@ -989,7 +1036,7 @@ def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
         if not np.all((start >= 0.0) & (start <= sys.x_max)):
             raise DomainError(f"start leaves [0, {sys.x_max}]")
     return _run_coupled(sys, spec, cfg, pin_tail=False, start=start,
-                        watch=_WaveJumps(sys, spec))
+                        watch=_WaveJumps(sys, spec, tol=cfg.tol))
 
 
 def modified_coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,

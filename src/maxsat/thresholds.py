@@ -991,20 +991,25 @@ def coupled_sweep(psys: ParamSystem, eps_values, spec: CouplingSpec,
     NonConvergenceError per eps, in input order.
 
     The runs go from the largest eps down, each started from the previous
-    run's profile, or from its last iterate where it hit the iteration
-    cap; the first starts from x_max. validate_param_system requires f and
-    g non-decreasing in eps, so for eps < eps' the fixed point x*(eps) lies
-    below every iterate from x_max at eps', and the run from such a start
-    converges to x*(eps) as the run from x_max does (coupled_fixed_point).
+    run's profile; the first starts from x_max. validate_param_system
+    requires f and g non-decreasing in eps, so for eps < eps' the fixed
+    point x*(eps) lies below every plain iterate from x_max at eps', and the
+    run from such a start converges to x*(eps) as the run from x_max does
+    (coupled_fixed_point). A run that hits the iteration cap passes on its
+    last iterate where it replaced no head, which is such a plain iterate,
+    and its own start otherwise: a replaced head, by a wave jump or a tail
+    extrapolation, may lie below x*(eps') (on ldpc8 at eps' = 0.65, N = 40,
+    w = 4, an extrapolated iterate dips 1.4e-5 below it), and so below
+    x*(eps) on a fine grid. A converged run's profile lies within a few
+    tol of x*(eps'), above or below it (at most 3.9e-12 below on the
+    benchmark's chain pool, 8.8e-12 on ldpc8 at eps' = 0.65), which seeds
+    the next run as long as x*(eps) lies lower by more than that, and a
+    start that little below a stable x*(eps) still converges to it.
     Each run is coupled_fixed_point's, so it takes wave jumps where a
     front travels from its start (typically a stuck profile above a
     decoding eps) and extrapolates its geometric tail: each CoupledRun's
     iters counts the steps taken and its jumps the heads replaced, on the
-    same terms and with the same safety argument as coupled_fixed_point's.
-    A capped run may end on an extrapolated state, which lies at or below
-    the plain iterate and may pass its own fixed point by a few percent of
-    the error left; on ldpc8 at eps 0.65 and 0.64 (N = 40, w = 4) such
-    states still lie 1.9e-3 above the next fixed point.
+    same terms as coupled_fixed_point's.
     """
     eps = [float(e) for e in eps_values]
     out = [None] * len(eps)
@@ -1017,7 +1022,8 @@ def coupled_sweep(psys: ParamSystem, eps_values, spec: CouplingSpec,
             start = out[i].profile.values
         except NonConvergenceError as exc:
             out[i] = exc
-            start = exc.last.values
+            if not exc.jumps:
+                start = exc.last.values
     return out
 
 

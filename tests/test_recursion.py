@@ -107,14 +107,17 @@ def plain_fixed_point(sys_, spec, cfg=IterationConfig(), start=None):
     return recursion._run_coupled(sys_, spec, cfg, pin_tail=False, start=start)
 
 
-def assert_near_the_limit(values, plain, sys_, spec, start=None):
-    """values, a run's profile, lie no farther from the run's limit than
-    the plain run's profile plain does, give or take 5e-13. The limit is
-    read off a plain run to tol = 1e-16 from the same start; the plain run
-    stops up to tol * lam / (1 - lam) short of it, where lam is the rate of
-    its geometric tail (about 7e-12 on ldpc8, where lam is near 0.88)."""
-    limit = plain_fixed_point(sys_, spec, IterationConfig(tol=1e-16), start).profile.values
-    assert np.max(np.abs(values - limit)) <= np.max(np.abs(plain - limit)) + 5e-13
+def assert_near_the_limit(values, plain, sys_, spec, start=None, tight=1e-16):
+    """values, a run's profile, lie within 1e-12 of the run's limit, and no
+    farther from it than the plain run's profile plain does, give or take
+    5e-13. The limit is read off a plain run to tol = tight (1e-16) from
+    the same start; the plain run stops up to tol * lam / (1 - lam) short
+    of it, where lam is the rate of its geometric tail (about 7e-12 on
+    ldpc8, where lam is near 0.88)."""
+    limit = plain_fixed_point(sys_, spec, IterationConfig(tol=tight), start).profile.values
+    far = np.max(np.abs(values - limit))
+    assert far <= 1e-12
+    assert far <= np.max(np.abs(plain - limit)) + 5e-13
 
 
 def iterate(fixed_point, sys_, spec, k, **start):
@@ -470,9 +473,16 @@ class TestWatch:
         if run.jumps == 0:
             assert (run.iters, run.residual) == (plain.iters, plain.residual)
             assert np.array_equal(run.profile.values, plain.profile.values)
+        elif case == "ldpc8":
+            # no front travels at 0.6 < eps_single, and the tail's ratios
+            # fall by a few 1e-6 a step: only the cellwise extrapolation
+            # before the last step fires, so the run takes as many steps
+            # and ends at its limit, where the plain run stops 5.8e-12 short
+            assert run.iters == plain.iters
+            assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
         else:
             assert run.iters < plain.iters
-            assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
+            assert np.max(np.abs(run.profile.values - plain.profile.values)) <= 1e-12
         # the short example-1 chains leave no room for a front to travel,
         # and none of their tails is extrapolated
         assert run.jumps == 0 or case in _CHAINS
@@ -521,7 +531,7 @@ def _front_head(H, p, low=0.1, top=0.9):
 
 # Chains whose fronts travel far enough to jump: (family, eps, N, w) and
 # the most iterations the jumped run may take, against 8250, 2641 and 1735
-# plain ones (776, 249 and 404 taken).
+# plain ones (776, 249 and 420 taken).
 _JUMPING = {
     "ldgm9": ("ldgm9", 0.503731, 652, 5, 1000),
     "gldpc31": ("gldpc31", 0.250287, 975, 11, 400),
@@ -543,7 +553,11 @@ class TestWaveJumps:
         assert run.jumps >= 2
         assert run.iters <= most < plain.iters
         assert run.residual <= IterationConfig().tol
-        assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
+        if family == "ldpc8":
+            # the plain run stops 7.3e-12 short of the limit (lam near 0.88)
+            assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
+        else:
+            assert np.max(np.abs(run.profile.values - plain.profile.values)) <= 1e-12
         assert np.array_equal(run.profile.values, run.profile.values[::-1])
         if family != "ldgm9":
             # 0 is a fixed point, and the run decodes
@@ -612,9 +626,10 @@ def _tail_watch(steps, level=0.3, H=50):
 class TestTailExtrapolation:
     """coupled_fixed_point's tail extrapolation: once the steps shrink by a
     steady ratio lam in [0.5, 0.99], the head is replaced by its
-    geometric limit, never above the head. It shortens stuck and decoding
-    tails, lands as near the limit as the plain run, and leaves alone a
-    tail slower than the cap and one whose ratios fall."""
+    geometric limit, never above the head, and before the step due to end
+    the run each cell goes to its own. It shortens stuck and decoding
+    tails, lands nearer the limit than the plain run's stop, and leaves
+    alone a tail slower than the cap and one whose ratios fall."""
 
     def test_steady_ratio_lands_on_the_limit(self):
         # steps of 1e-3 * 0.9^k, on heads 10 steps above 0.3: the 23rd step
@@ -622,7 +637,6 @@ class TestTailExtrapolation:
         # there gives three equal ratios; the head becomes the level, 0.3
         watch, said = _tail_watch([1e-3 * 0.9 ** k for k in range(40)])
         assert [k for k, new in enumerate(said, 1) if new is not None][0] == 26
-        assert watch.every == 1
         assert np.max(np.abs(said[25] - 0.3)) <= 1e-13
 
     @pytest.mark.parametrize("ratio", [0.995, 0.3])
@@ -651,9 +665,27 @@ class TestTailExtrapolation:
         assert run.profile.max > 0.8
         assert np.array_equal(run.profile.values, run.profile.values[::-1])
         limit = plain_fixed_point(s, spec, IterationConfig(tol=1e-16)).profile.values
-        # measured: 192 steps, and 6.4e-13 against 3.0e-11
+        # measured: 181 steps, and 1.2e-12 against 3.0e-11
         assert np.max(np.abs(run.profile.values - limit)) < (
             0.1 * np.max(np.abs(plain.profile.values - limit)))
+
+    @pytest.mark.parametrize("eps", [0.624, 0.6235])
+    def test_stuck_run_just_under_the_cap(self, eps):
+        # ldpc8 just above its eps_c on a (200, 3) chain: a still front whose
+        # tail decays at 0.987 and 0.989, under the 0.99 cap. Extrapolated
+        # heads pass the limit by up to a few 1e-5, and the run rises back
+        # onto that same stuck fixed point, no farther from it than the
+        # plain run (7.3e-11 and 1.3e-11 against 7.4e-11 and 9.2e-11)
+        s, spec = _CHAINS["ldpc8"][0]().at_eps(eps), CouplingSpec(200, 3)
+        plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
+        last = [iterate(plain_fixed_point, s, spec, plain.iters - k)[:101] for k in (0, 1, 2)]
+        lam = np.max(np.abs(last[0] - last[1])) / np.max(np.abs(last[1] - last[2]))
+        assert 0.985 <= lam <= recursion._RATIO_MAX
+        assert run.jumps >= 1 and run.iters < plain.iters
+        assert run.profile.max == pytest.approx(plain.profile.max, abs=1e-9)
+        limit = plain_fixed_point(s, spec, IterationConfig(tol=1e-16)).profile.values
+        assert np.max(np.abs(run.profile.values - limit)) <= (
+            np.max(np.abs(plain.profile.values - limit)) + 5e-13)
 
     def test_decoding_tail_below_eps_single(self):
         # ldpc8 at 0.6 < eps_single decodes without a travelling front, so
@@ -661,9 +693,27 @@ class TestTailExtrapolation:
         s, spec = _CHAINS["ldpc8"][0]().at_eps(0.6), CouplingSpec(400, 3)
         plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
         assert run.jumps >= 1 and run.iters < plain.iters
-        # measured: 4.8e-12 against 5.9e-12, in 162 steps against 219
-        assert run.profile.max < plain.profile.max <= 1e-11
+        # measured: 2.9e-13 against 5.9e-12, in 162 steps against 219
+        assert run.profile.max <= 1e-12 < plain.profile.max
         assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
+
+    def test_last_step_is_extrapolated_cellwise(self):
+        # cells 0.3 + 1.3e-12 r^k / (1 - r) that decay at their own ratios r
+        # from 0.8 to 0.9: the steps, 1.3e-12 0.9^(k-1), are the slowest
+        # cell's, and on the third head the next step is due to end the run
+        # (0.9 * 1.05e-12 <= tol); the cellwise extrapolation lands every
+        # cell on 0.3 to the rounding of its steps' ratio (1e-4 of it), where
+        # one lam = 0.9 would have taken the 0.8 cell 5 d2 = 4.2e-12 below it
+        # (d2 its last step)
+        H = 50
+        watch = recursion._WaveJumps(SimpleNamespace(h=None), CouplingSpec(2 * H, 3))
+        r = np.linspace(0.8, 0.9, H)
+        heads = [0.3 + 1.3e-12 * r**k / (1.0 - r) for k in range(4)]
+        said = [watch(k, heads[k], float(np.max(np.abs(heads[k] - heads[k - 1]))))
+                for k in range(1, 4)]
+        assert said[0] is None and said[1] is None
+        assert np.max(np.abs(said[2] - 0.3)) <= 5e-14
+        assert np.all(said[2] <= heads[3])
 
 
 class TestStartProfile:

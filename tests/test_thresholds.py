@@ -973,8 +973,9 @@ def _values(res):
 
 class TestCoupledSweep:
     """coupled_sweep runs eps downward, each run started from the previous
-    profile; f and g non-decreasing in eps make that start an upper bound
-    of the next fixed point, so the sweep lands where cold runs from x_max
+    profile, or from a capped run's last iterate where it replaced no
+    head; f and g non-decreasing in eps make that start an upper bound of
+    the next fixed point, so the sweep lands where cold runs from x_max
     land."""
 
     SPEC = CouplingSpec(40, 4)
@@ -1010,10 +1011,10 @@ class TestCoupledSweep:
     def test_warm_start_jumps_on_a_long_chain(self, gldpc31):
         # the top slice is stuck, and from its profile a front travels across
         # the next one; SPEC's chains are too short for a jump. Each run
-        # lands as near its limit, a plain run from the same start to a
-        # tighter tol, as the plain run does (the stuck top's tail is
-        # extrapolated; its plain steps stall at rounding, 4e-16, so its
-        # limit is read at tol = 1e-15)
+        # lands within 1e-12 of its limit, a plain run from the same start
+        # to a tighter tol, and no farther from it than the plain run (the
+        # stuck top's tail is extrapolated; its plain steps stall at
+        # rounding, 4e-16, so its limit is read at tol = 1e-15)
         spec = CouplingSpec(443, 6)
         low, top = coupled_sweep(gldpc31, [0.245, 0.26], spec)
         assert top.profile.max > 0.2
@@ -1025,37 +1026,83 @@ class TestCoupledSweep:
         for run, e, start, tight in ((top, 0.26, None, 1e-15),
                                      (low, 0.245, top.profile.values, 1e-16)):
             limit = plain(e, start, tight).profile.values
-            assert np.max(np.abs(run.profile.values - limit)) <= (
-                np.max(np.abs(plain(e, start).profile.values - limit)) + 5e-13)
+            far = np.max(np.abs(run.profile.values - limit))
+            assert far <= 1e-12
+            assert far <= np.max(np.abs(plain(e, start).profile.values - limit)) + 5e-13
         assert low.jumps >= 2 and low.iters < plain(0.245, top.profile.values).iters // 2
         assert low.profile.max <= 1e-10
 
     def test_capped_run_seeds_the_next(self, ldpc8):
-        capped = IterationConfig(max_iters=100)
-        es = [0.5, 0.65]
+        # capped at 50, the top run at 0.65 has replaced no head yet (its
+        # first tail extrapolation comes at step 55), so its last iterate is
+        # a plain one and seeds the run at 0.4
+        capped = IterationConfig(max_iters=50)
+        es = [0.4, 0.65]
         low, top = coupled_sweep(ldpc8, es, self.SPEC, capped)
-        assert isinstance(top, NonConvergenceError) and top.iters == 100
+        assert isinstance(top, NonConvergenceError) and top.iters == 50 and top.jumps == 0
         assert np.array_equal(_values(top), _values(_cold_run(ldpc8, 0.65, self.SPEC, capped)))
-        seeded = coupled_fixed_point(ldpc8.at_eps(0.5), self.SPEC, capped, start=_values(top))
+        seeded = coupled_fixed_point(ldpc8.at_eps(0.4), self.SPEC, capped, start=_values(top))
         assert low.iters == seeded.iters
         assert np.array_equal(low.profile.values, seeded.profile.values)
-        assert low.iters < _cold_run(ldpc8, 0.5, self.SPEC, capped).iters
+        assert low.iters < _cold_run(ldpc8, 0.4, self.SPEC, capped).iters
 
-    def test_capped_seed_bounds_the_next_fixed_point(self, ldpc8):
+    def test_capped_run_with_replaced_heads_passes_on_its_start(self, ldpc8):
+        # capped at 60, the top run at 0.65 has extrapolated its tail once,
+        # so the run at 0.4 starts where the top one did, from x_max
+        capped = IterationConfig(max_iters=60)
+        low, top = coupled_sweep(ldpc8, [0.4, 0.65], self.SPEC, capped)
+        assert isinstance(top, NonConvergenceError) and top.jumps >= 1
+        cold = _cold_run(ldpc8, 0.4, self.SPEC, capped)
+        assert low.iters == cold.iters
+        assert np.array_equal(low.profile.values, cold.profile.values)
+
+    def test_capped_seed_bounds_the_next_fixed_point(self, ldpc8, monkeypatch):
         # the stuck top run at 0.65 extrapolates its tail, and its first
         # extrapolation passes its own limit by about 1.4e-5 in some cells;
-        # capped anywhere along the way, its last iterate still lies above
-        # the fixed point at 0.64, as the next run's start must
+        # capped anywhere along the way, the start it passes on to the run
+        # at 0.64 lies at or above the fixed point there
         top_limit, limit = (recursion._run_coupled(ldpc8.at_eps(e), self.SPEC,
                                                    IterationConfig(tol=1e-16),
                                                    pin_tail=False).profile.values
                             for e in (0.65, 0.64))
-        seeds = [coupled_sweep(ldpc8, [0.64, 0.65], self.SPEC, IterationConfig(max_iters=cap))[1]
-                 for cap in range(40, 180, 8)]
-        assert all(isinstance(top, NonConvergenceError) for top in seeds)
+        starts = []
+        run = recursion.coupled_fixed_point
+
+        def recorded(sys_, spec, cfg, start):
+            starts.append(start)
+            return run(sys_, spec, cfg, start)
+
+        monkeypatch.setattr(recursion, "coupled_fixed_point", recorded)
+        tops, seeds = [], []
+        for cap in range(40, 180, 8):
+            starts.clear()
+            tops.append(coupled_sweep(ldpc8, [0.64, 0.65], self.SPEC,
+                                      IterationConfig(max_iters=cap))[1])
+            seeds.append(starts[1])
+        assert all(isinstance(top, NonConvergenceError) for top in tops)
         assert any(top.jumps >= 1 and np.min(top.last.values - top_limit) < -1e-6
-                   for top in seeds)
-        assert all(np.all(top.last.values >= limit) for top in seeds)
+                   for top in tops)
+        for top, seed in zip(tops, seeds):
+            if top.jumps:
+                assert seed is None
+            else:
+                assert np.array_equal(seed, top.last.values) and np.all(seed >= limit)
+        assert {top.jumps > 0 for top in tops} == {False, True}
+
+    def test_seed_below_its_own_fixed_point(self, ldpc8):
+        # the stuck run at 0.65 ends 8.8e-12 below its limit (its first tail
+        # extrapolation passed it, and it rose back from below), and the
+        # fixed points 2e-12 apart in eps lie at most 3.9e-12 apart: the run
+        # at 0.65 - 2e-12 starts below its fixed point, a stable one, and
+        # still lands where a cold run lands, as do the runs below it
+        es = [0.65 - 2e-12 * k for k in range(4)]
+        limits = [recursion._run_coupled(ldpc8.at_eps(e), self.SPEC, IterationConfig(tol=1e-16),
+                                         pin_tail=False).profile.values for e in es[:2]]
+        sweep = coupled_sweep(ldpc8, es, self.SPEC)
+        assert np.min(sweep[0].profile.values - limits[1]) < -1e-12
+        for e, warm in zip(es, sweep):
+            cold = _cold_run(ldpc8, e, self.SPEC)
+            assert np.max(np.abs(warm.profile.values - cold.profile.values)) <= 1e-10
 
 
 class TestInverseEnvelope:
