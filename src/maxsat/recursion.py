@@ -19,7 +19,7 @@ copy_midpoint_tail act on the full chain and serve as the reference. All
 of them average with one window-mean kernel (_WindowMean), which sums
 every window in the same order wherever it lies; the runs allocate its
 buffers once, not once per step. coupled_fixed_point's runs also watch the
-decoding front and, once its speed has settled, translate it toward the
+decoding front and, once it has travelled, translate it toward the
 midpoint (wave jumps), and they extrapolate their geometric tails along
 the slowest mode.
 
@@ -85,19 +85,14 @@ ANALYSIS_GRID_N = 10**4
 # Largest |x - h(x)| at a grazing root (fixed_points_of).
 _TANGENT_TOL = 1e-9
 
-# Wave jumps (_Front, _WaveJumps): the front's least baseline, in windows;
-# the agreement asked of the speeds over its two halves, and of the level
-# ahead of the front at its two ends; the most records kept; the rise over
-# 2w cells that still counts as a plateau; the windows a jump leaves
-# between the front and the midpoint; and a jump's longest reach, in
-# baselines.
+# Wave jumps (_Front, _WaveJumps): the windows a front travels before it
+# jumps; the most records kept; the rise over 2w cells that still counts
+# as a plateau; and the windows a jump leaves between the front and the
+# midpoint.
 _BASELINE_W = 2
-_SPEED_AGREE = 0.02
-_LEVEL_AGREE = 0.02
 _MAX_RECORDS = 8192
 _FLAT_TOL = 1e-3
 _GAP_W = 1
-_JUMP_SPAN = 8
 # Tail extrapolation (_WaveJumps): the step at or below which every step is
 # watched, the agreement asked of three successive step ratios, the fall
 # between two of them still taken for rounding, the ratios accepted (the
@@ -576,17 +571,16 @@ class _Front:
     A run from x_max rises along its half chain (its iterates are
     symmetric and unimodal), and a decoding one carries a front from a
     low plateau behind it to the undecoded level ahead of it, head[-1].
-    record keeps the front's position and that level at the iterations it
-    is given. At most _MAX_RECORDS are kept, and at least the last half of
-    them, so a front that moves less than _BASELINE_W windows in
-    _MAX_RECORDS // 2 records has no speed.
+    record keeps the front's position at the iterations it is given. At
+    most _MAX_RECORDS are kept, and at least the last half of them, so a
+    front that moves less than _BASELINE_W windows in _MAX_RECORDS // 2
+    records has no speed.
     """
 
     def __init__(self, w: int):
         self.w = w
         self.its: list = []
         self.pos: list = []
-        self.tops: list = []
 
     @staticmethod
     def position(head: np.ndarray) -> float:
@@ -605,17 +599,15 @@ class _Front:
         """The front's position at iteration it, recorded; a head without
         a front clears the records."""
         p = self.position(head)
-        its, pos, tops = self.its, self.pos, self.tops
+        its, pos = self.its, self.pos
         if p != p:
             its.clear()
             pos.clear()
-            tops.clear()
             return p
         its.append(it)
         pos.append(p)
-        tops.append(float(head[-1]))
         if len(pos) > _MAX_RECORDS:
-            del its[:_MAX_RECORDS // 2], pos[:_MAX_RECORDS // 2], tops[:_MAX_RECORDS // 2]
+            del its[:_MAX_RECORDS // 2], pos[:_MAX_RECORDS // 2]
         return p
 
     def shift(self, s: int) -> None:
@@ -624,42 +616,21 @@ class _Front:
         self.pos = [p + s for p in self.pos]
 
     def speed(self):
-        """(v, span): the front's mean speed in cells per iteration over
-        the shortest recent baseline, of at least three records, along
-        which it moved at least _BASELINE_W windows, and that baseline's
-        length in cells; None without such a baseline. Older records are
-        dropped."""
-        its, pos, tops = self.its, self.pos, self.tops
+        """The front's mean speed in cells per iteration over the shortest
+        recent baseline, of at least three records, along which it moved
+        at least _BASELINE_W windows forward; None without such a
+        baseline. Older records are dropped."""
+        its, pos = self.its, self.pos
         need = _BASELINE_W * self.w
         if len(pos) < 3 or not pos[-1] - pos[0] >= need:
             return None
         j = 0
         while pos[-1] - pos[j + 1] >= need:
             j += 1
-        del its[:j], pos[:j], tops[:j]
+        del its[:j], pos[:j]
         if len(pos) < 3:
             return None
-        span = pos[-1] - pos[0]
-        return span / (its[-1] - its[0]), span
-
-    def settled(self):
-        """speed() where v > 0, the speeds over the baseline's two halves,
-        split at the record nearest its middle iteration, agree to
-        _SPEED_AGREE of v, and the level ahead of the front has moved by at
-        most _LEVEL_AGREE of itself along the baseline; else None. That
-        level still falls where the uncoupled recursion decodes slowly on
-        its own, and there the front is no travelling wave."""
-        sp = self.speed()
-        if sp is None:
-            return None
-        v = sp[0]
-        its, pos, tops = self.its, self.pos, self.tops
-        last = len(its) - 1
-        m = min(max(bisect_right(its, 0.5 * (its[0] + its[last])), 1), last - 1)
-        v1 = (pos[m] - pos[0]) / (its[m] - its[0])
-        v2 = (pos[last] - pos[m]) / (its[last] - its[m])
-        still = abs(tops[last] - tops[0]) <= _LEVEL_AGREE * abs(tops[last])
-        return sp if still and v > 0.0 and abs(v1 - v2) <= _SPEED_AGREE * v else None
+        return (pos[-1] - pos[0]) / (its[-1] - its[0])
 
     def plateau(self, head: np.ndarray, p: float):
         """The largest cell a <= p - 2w, in steps of w, with head flat over
@@ -676,25 +647,26 @@ class _Front:
 
 class _WaveJumps:
     """The watch of coupled_fixed_point's runs (_run_coupled): every w
-    iterations it records the front (_Front), and once the front's speed
-    has settled it translates the head toward the midpoint; once the steps
+    iterations it records the front (_Front), and once the front has
+    travelled it translates the head toward the midpoint; once the steps
     shrink geometrically it extrapolates the tail along the slowest mode.
 
-    A jump of s cells needs a settled front (_Front.settled), s >= w,
-    where s is the shorter of the way to _GAP_W windows before the
-    midpoint and _JUMP_SPAN baselines, and a plateau cell a behind the
-    front whose value c = head[a] the uncoupled step does not raise,
-    h(c) <= c: c then lies at or above the decoded level the plateau
-    relaxes to, not on the rising side of the unstable fixed point above
-    it. The jump writes head[a:H - s] to cells a + s on and c to cells a to
-    a + s, and returns the cellwise minimum of that and the head. The
-    front then stands s cells further on, its records move with it, and
-    the next check may jump again. The speed only tells that the front
-    has settled; the translate does not use it.
+    A jump needs a front with a speed (_Front.speed: it has moved at least
+    _BASELINE_W windows forward over three records or more), a way of s >=
+    w cells to _GAP_W windows before the midpoint, s = H - 1 - _GAP_W w -
+    p for a front at p, and a plateau cell a behind the front whose value
+    c = head[a] the uncoupled step does not raise, h(c) <= c: c then lies
+    at or above the decoded level the plateau relaxes to, not on the
+    rising side of the unstable fixed point above it. The jump writes
+    head[a:H - s] to cells a + s on and c to cells a to a + s, and returns
+    the cellwise minimum of that and the head. The front then stands
+    _GAP_W windows before the midpoint, and its records move with it. The
+    speed only tells that the front has travelled; the translate does not
+    use it.
 
-    The run calls it after every step (every = 1): a call that neither
-    jumps nor watches the tail costs about 0.4 us, against steps of 15 to
-    60 us. Once a step is at most _TAIL_STEP it watches the tail. Where
+    The run calls it after every step: a call that neither jumps nor
+    watches the tail costs about 0.4 us, against steps of 15 to 60 us.
+    Once a step is at most _TAIL_STEP it watches the tail. Where
     three successive step ratios do not fall (by more than _RATIO_FALL,
     rounding) and agree to _RATIO_AGREE, and the last, lam, lies in
     [_RATIO_MIN, _RATIO_MAX], the error decays as lam^k along its slowest
@@ -723,8 +695,6 @@ class _WaveJumps:
     one) and the heads replaced since the last report.
     """
 
-    every = 1
-
     def __init__(self, sys: ScalarSystem, spec: CouplingSpec, report=None,
                  report_every: int = 0, tol: float = IterationConfig.tol):
         self.h = sys.h
@@ -747,19 +717,18 @@ class _WaveJumps:
             self.held = 0
         self.unreported += new is not None
         if self.report is not None and not it % self.report_every:
-            sp = self.front.speed()
+            v = self.front.speed()
             self.report(it, step, float(head[-1]), self.front.position(head),
-                        float("nan") if sp is None else sp[0], self.unreported)
+                        float("nan") if v is None else v, self.unreported)
             self.unreported = 0
         return new
 
     def _jump(self, it: int, head: np.ndarray):
         front, w, H = self.front, self.w, head.shape[0]
         p = front.record(it, head)
-        settled = front.settled()
-        if settled is None:
+        if front.speed() is None:
             return None
-        s = min(int(H - 1 - _GAP_W * w - p), int(_JUMP_SPAN * settled[1]))
+        s = int(H - 1 - _GAP_W * w - p)
         a = front.plateau(head, p) if s >= w else None
         if a is None:
             return None
@@ -907,12 +876,11 @@ def _run_coupled(sys: ScalarSystem, spec: CouplingSpec, cfg: IterationConfig,
     run.
 
     A watch, when given, is called as watch(it, head, step) after every
-    watch.every-th step that does not meet the tolerance, with the new
-    head (the first H cells, a buffer the next step overwrites). It returns
-    None to go on, a replacement head, which the run counts in jumps and
-    steps from, or a string, which stops the run with a
-    NonConvergenceError naming it. Without a watch the loop is the plain
-    recursion, with one more test per step.
+    step that does not meet the tolerance, with the new head (the first H
+    cells, a buffer the next step overwrites). It returns None to go on,
+    or a replacement head, which the run counts in jumps and steps from.
+    Without a watch the loop is the plain recursion, with one more test
+    per step.
     """
     M = spec.M
     H = midpoint_index(M) + 1
@@ -935,15 +903,10 @@ def _run_coupled(sys: ScalarSystem, spec: CouplingSpec, cfg: IterationConfig,
         if step <= cfg.tol:
             return CoupledRun(CoupledProfile(_unfold(heads[cur], M, pin_tail), spec), it, step,
                               jumps)
-        if watch is not None and not it % watch.every:
-            said = watch(it, heads[cur], step)
-            if isinstance(said, str):
-                raise NonConvergenceError(
-                    f"coupled recursion stopped at iteration {it}: {said}",
-                    last=CoupledProfile(_unfold(heads[cur], M, pin_tail), spec), iters=it,
-                    residual=step, jumps=jumps)
-            if said is not None:
-                heads[cur][...] = said
+        if watch is not None:
+            new = watch(it, heads[cur], step)
+            if new is not None:
+                heads[cur][...] = new
                 jumps += 1
     raise NonConvergenceError(
         f"coupled recursion did not converge in {cfg.max_iters} iterations",
@@ -979,16 +942,13 @@ def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
     midpoint at a steady speed (a travelling wave), and most of its steps
     only move that front. So every w iterations the run records the
     front's position (the first crossing of the level halfway up its half
-    chain), and it jumps once the front has moved at least 2w cells at a
-    speed v > 0 on which the two halves of that baseline agree to 2%, with
-    the level ahead of the front held to 2% (_WaveJumps). A jump
-    translates the front toward the midpoint by at most eight baselines,
-    stopping w cells short of it; the cells it opens behind the front take
-    the plateau value c found there, one the uncoupled step does not raise
-    (h(c) <= c), and the new state is the cellwise minimum of the
-    translate and the current iterate. Further jumps may follow, a check
-    (w iterations) apart; a front that stands still, or moves less than 2w
-    cells in 4096 checks, never jumps.
+    chain), and it jumps once the front has moved at least 2w cells
+    forward over three records or more (_WaveJumps). A jump translates the
+    front to w cells before the midpoint; the cells it opens behind the
+    front take the plateau value c found there, one the uncoupled step
+    does not raise (h(c) <= c), and the new state is the cellwise minimum
+    of the translate and the current iterate. A front that stands still,
+    or moves less than 2w cells in 4096 checks, never jumps.
 
     Tail extrapolation. Once a step is at most 1e-4 the run watches every
     step, and where three successive step ratios agree to 1e-3 without
@@ -1012,20 +972,16 @@ def coupled_fixed_point(sys: ScalarSystem, spec: CouplingSpec,
     iterate x_k it replaces, so by monotonicity the run stays at or below
     the plain one. Where 0 is a fixed point (ldpc, gldpc) and the run
     decodes, 0 <= y <= x_k squeezes it onto the plain run's limit, 0, so
-    y >= x* holds exactly. Elsewhere it holds only up to approximations:
-    for a jump, that the translate of a settled front is a later iterate
-    and that the fill c sits at or above the plateau of x*; for an
-    extrapolation, that the error decays along one mode (in each cell, for
-    the last one). Where a faster mode still shows, an extrapolation
+    y >= x* holds exactly, whatever the front's speed or the level ahead
+    of it. Elsewhere it holds only up to approximations: for a jump, that
+    the translate of a travelling front is a later iterate and that the
+    fill c sits at or above the plateau of x*; for an extrapolation, that
+    the error decays along one mode (in each cell, for the last one).
+    Where a faster mode still shows, an extrapolation
     passes x* by up to a few percent of the error there (2.7% on ldpc8 at
     eps 0.65, N = 40, w = 4), and the run rises back onto x*, a fixed
     point stable at a ratio of at most 0.99, and ends as near it as a
     plain run, from below.
-    On the benchmark's chain pool (84 coupled runs) no profile lies
-    farther from its limit, a plain run to tol = 1e-16, than the plain
-    run's does, plus 1.6e-15; the 28 ldpc8 runs end within 3.7e-13 of it,
-    where the plain runs stop 5.6e-12 to 7.5e-12 short, and 26 of the 28
-    ldgm9 runs land 7 to 450 times nearer it than the plain run.
     """
     if start is not None:
         start = np.asarray(start, dtype=float)

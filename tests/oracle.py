@@ -1,6 +1,6 @@
 """A 40-digit oracle for the MAP curves of ldpc8, ldgm9 and isi, for
-isi's Maxwell threshold and for eps(x), using none of the library's
-solvers or callables.
+isi's Maxwell and single-system thresholds and for eps(x), using none of
+the library's solvers or callables.
 
 Each family is built here from exact rational coefficients, with
 
@@ -14,7 +14,9 @@ point whose U_s lies within 1e-25 of the least, and the MAP exit value is
 the family's EXIT functional at (x*, eps), at 40 digits. The Maxwell
 threshold of a family whose 0 is a fixed point is the eps at which the
 largest fixed point's U_s falls to U_s(0) = 0: bisected on that sign and
-polished as a root of (x - h, U_s) in (x, eps) by findroot. eps(x) is the
+polished as a root of (x - h, U_s) in (x, eps) by findroot. The
+single-system threshold is the root of (x - h, 1 - dh/dx) in (x, eps) by
+findroot, from a start near the minimum of eps(x). eps(x) is the
 least eps with h(x; eps) = x, from the first sign change of h - x on 101
 eps of [0, 1], polished by findroot; for a gldpc family of component
 code (n, t) (GLDPC), whose h(x; eps) = eps I_x(t, n - t) is linear in eps,
@@ -24,7 +26,7 @@ Print the MAP curve of a window, here ldpc8's on 11 points:
 
     python tests/oracle.py ldpc8 0.544223 0.716394 11
 
-and isi's Maxwell threshold:
+and isi's Maxwell threshold and single-system threshold:
 
     python tests/oracle.py isi
 """
@@ -191,6 +193,17 @@ def eps_of_x(family: str, x: float):
         return mp.findroot(lambda e: -fam.d(xm, e), (es[k - 1], es[k]), solver="anderson")
 
 
+def eps_single(family: str, x0: float, e0: float):
+    """(x, eps) at 40 digits where h(.; eps) touches the diagonal: the root
+    of (x - h, 1 - dh/dx) in (x, eps) by findroot from (x0, e0), with dh/dx
+    by mpmath's diff. Near the minimum of eps(x) it is that minimum, the
+    single-system threshold of a family whose 0 is a stable fixed point."""
+    fam = FAMILIES[family]
+    with mp.workdps(DPS):
+        return tuple(mp.findroot(lambda x, e: (fam.d(x, e), mp.diff(lambda t: fam.d(t, e), x)),
+                                 (mp.mpf(x0), mp.mpf(e0))))
+
+
 def maxwell(family: str, lo: float, hi: float):
     """The Maxwell threshold in [lo, hi] of a family whose 0 is a fixed
     point with U_s(0) = 0, at 40 digits: 30 bisections of eps on the sign
@@ -212,6 +225,7 @@ def maxwell(family: str, lo: float, hi: float):
 if __name__ == "__main__":
     if sys.argv[1:] == ["isi"]:
         print(mp.nstr(maxwell("isi", 0.5, 0.8), 25))
+        print(*(mp.nstr(v, 25) for v in eps_single("isi", 0.37, 0.57)))
         sys.exit()
     name, lo, hi, n = sys.argv[1], float(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
     for eps in np.linspace(lo, hi, n).tolist():

@@ -29,8 +29,10 @@ With --tight, a coupled or coupled_cli candidate's line ends instead with
 how far its profile lies from the limit of its run, read off the plain
 loop (no wave jumps, no tail extrapolation) to tol = 1e-16, next to how
 far the plain run to the default tol = 1e-12 lies from it, and the
-difference; a line before the last gives the largest difference and the
-runs with a positive one. A change to the coupled loop can so state its
+difference. Two lines before the last give, per family and in all, the
+coupled runs' steps and replaced heads next to the plain runs' steps,
+then the largest difference and the runs with a positive one. A change
+to the coupled loop can so state its steps and its
 accuracy against the limit, where the plain run stops up to
 tol * lam / (1 - lam) short of it (lam the rate of its geometric tail):
 
@@ -111,24 +113,30 @@ def deltas(job: dict, output) -> str:
     return " ".join(parts + _counts(job, output))
 
 
-def _counts(job: dict, output) -> list:
+def _iters_jumps(job: dict, output):
     """A coupled candidate's iteration and jump counts, read from the
     CoupledRun of a library job and from the '# iterations' and '# jumps'
-    lines of a coupled-run job."""
+    lines of a coupled-run job; None for other candidates."""
     if job["kind"] == "coupled":
-        return [f"iters={output.iters}", f"jumps={output.jumps}"]
+        return output.iters, output.jumps
     if job["kind"] == "coupled_cli":
         meta, _ = jobs.read_csv(output["out"])
-        return [f"iters={meta['iterations']}", f"jumps={meta['jumps']}"]
-    return []
+        return int(meta["iterations"]), int(meta["jumps"])
+    return None
+
+
+def _counts(job: dict, output) -> list:
+    counts = _iters_jumps(job, output)
+    return [] if counts is None else [f"iters={counts[0]}", f"jumps={counts[1]}"]
 
 
 def tight(job: dict, output, systems: dict) -> tuple:
-    """(excess, text) for a coupled candidate: far, the largest |profile -
-    limit|, and plain, the plain run's own, where limit is the plain loop
-    run to tol = 1e-16 from x_max. Where rounding keeps its steps above
-    that tol for 50 times the plain run's iterations, its last iterate
-    stands for the limit and the text says so."""
+    """(excess, text, (iters, jumps, plain iters)) for a coupled candidate:
+    far, the largest |profile - limit|, and plain, the plain run's own,
+    where limit is the plain loop run to tol = 1e-16 from x_max. Where
+    rounding keeps its steps above that tol for 50 times the plain run's
+    iterations, its last iterate stands for the limit and the text says
+    so."""
     p = job["params"]
     system, spec = systems[jobs._system_key(p)], CouplingSpec(p["N"], p["w"])
     if job["kind"] == "coupled":
@@ -144,14 +152,16 @@ def tight(job: dict, output, systems: dict) -> tuple:
         limit, stalled = exc.last.values, f" stalled={exc.residual:.2g}"
     far = float(np.max(np.abs(values - limit)))
     own = float(np.max(np.abs(plain.profile.values - limit)))
-    return far - own, " ".join([f"far={far:.3g}", f"plain={own:.3g}",
-                                f"excess={far - own:.3g}"] + _counts(job, output)) + stalled
+    text = " ".join([f"far={far:.3g}", f"plain={own:.3g}", f"excess={far - own:.3g}"]
+                    + _counts(job, output)) + stalled
+    return far - own, text, (*_iters_jumps(job, output), plain.iters)
 
 
 def main(prefixes, show_deltas=False, show_tight=False) -> int:
     refs = plan.load_refs()
     passed = total = 0
     excesses = []
+    steps: dict = {}
     names = [n for n in sorted(refs["groups"])
              if not prefixes or n.startswith(tuple(prefixes))]
     with tempfile.TemporaryDirectory() as workdir:
@@ -172,12 +182,17 @@ def main(prefixes, show_deltas=False, show_tight=False) -> int:
                 passed += not errors
                 result = "ok" if not errors else f"FAIL {len(errors)}: {errors[0]}"
                 if show_tight and job["kind"] in ("coupled", "coupled_cli"):
-                    excess, tail = tight(job, output, systems)
+                    excess, tail, counts = tight(job, output, systems)
                     excesses.append(excess)
+                    for key in (name.split("/")[1], "all"):
+                        steps[key] = [a + b for a, b in zip(steps.get(key, (0, 0, 0)), counts)]
                 else:
                     tail = deltas(job, output) if show_deltas else digest(output)
                 print(f"{name} {i} {result} {tail}", flush=True)
     if show_tight:
+        print("coupled steps, heads replaced and plain steps: " + "; ".join(
+            f"{key} {n} {j} {p}" for key, (n, j, p) in sorted(steps.items(), key=lambda kv: (
+                kv[0] == "all", kv[0]))))
         print(f"largest excess {max(excesses, default=0.0):.3g}; "
               f"{sum(e > 0.0 for e in excesses)} of {len(excesses)} coupled runs "
               "lie farther from the limit than the plain run")

@@ -202,8 +202,8 @@ class TestCoupledRunJumps:
         meta, _, rows = read_csv(plain)
         iters, jumps = int(meta["iterations"]), int(meta["jumps"])
         assert meta["converged"] == "true" and float(meta["max"]) <= 1e-10
-        # 2641 plain iterations
-        assert jumps >= 2 and iters < 1000
+        # 2641 plain iterations (227 taken)
+        assert jumps >= 1 and iters < 300
         header, *lines = capsys.readouterr().err.splitlines()
         assert header == "iteration,step,max,front,speed,jumps"
         table = [line.split(",") for line in lines]

@@ -53,6 +53,7 @@ from maxsat.systems import (
     example1_system,
     example2_system,
     gldpc_system,
+    isi_system,
     ldgm_system,
     ldpc_system,
     pathological_system,
@@ -435,8 +436,6 @@ class TestHalfChain:
 class _NullWatch:
     """A watch that looks at every iterate and changes nothing."""
 
-    every = 1
-
     def __init__(self):
         self.seen = []
 
@@ -446,9 +445,8 @@ class _NullWatch:
 
 class TestWatch:
     """_run_coupled's watch hook: watch=None is the plain loop, a watch
-    that returns None changes nothing, a returned string stops the run,
-    and coupled_fixed_point's wave-jump watch leaves every run in which
-    no jump fires bit for bit as it is."""
+    that returns None changes nothing, and coupled_fixed_point's wave-jump
+    watch leaves every run in which no jump fires bit for bit as it is."""
 
     @pytest.mark.parametrize("case", _CASES, ids=str)
     def test_null_watch_changes_no_iterate(self, case):
@@ -474,11 +472,11 @@ class TestWatch:
             assert (run.iters, run.residual) == (plain.iters, plain.residual)
             assert np.array_equal(run.profile.values, plain.profile.values)
         elif case == "ldpc8":
-            # no front travels at 0.6 < eps_single, and the tail's ratios
-            # fall by a few 1e-6 a step: only the cellwise extrapolation
-            # before the last step fires, so the run takes as many steps
-            # and ends at its limit, where the plain run stops 5.8e-12 short
-            assert run.iters == plain.iters
+            # at 0.6 < eps_single the uncoupled recursion decodes on its
+            # own, and the fronts still travel and jump: the run ends at its
+            # limit, where the plain run stops 5.8e-12 short (measured: 159
+            # steps against 219, and 1.3e-13 from the limit)
+            assert run.iters < plain.iters
             assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
         else:
             assert run.iters < plain.iters
@@ -486,22 +484,6 @@ class TestWatch:
         # the short example-1 chains leave no room for a front to travel,
         # and none of their tails is extrapolated
         assert run.jumps == 0 or case in _CHAINS
-
-    def test_stop_reason_ends_the_run(self):
-        s, spec = example1_system(), CouplingSpec(16, 3)
-        calls = []
-
-        def stop(it, head, step):
-            calls.append(it)
-            return "front stalled" if it == 8 else None
-
-        stop.every = 4
-        with pytest.raises(NonConvergenceError, match="stopped at iteration 8: front stalled"
-                           ) as exc:
-            recursion._run_coupled(s, spec, IterationConfig(), False, watch=stop)
-        assert calls == [4, 8]
-        assert exc.value.iters == 8 and exc.value.jumps == 0
-        assert np.array_equal(exc.value.last.values, iterate(plain_fixed_point, s, spec, 8))
 
     def test_front_speed_on_ldgm9(self):
         # ldgm9 at eps = 0.503731, N = 652, w = 5: a front that takes 8250
@@ -511,16 +493,14 @@ class TestWatch:
         front = recursion._Front(spec.w)
 
         def track(it, head, step):
-            front.record(it, head)
-            return "measured" if it == 4000 else None
+            if it % spec.w == 0:
+                front.record(it, head)
 
-        track.every = spec.w
-        with pytest.raises(NonConvergenceError, match="measured"):
-            recursion._run_coupled(s, spec, IterationConfig(), False, watch=track)
-        v, span = front.speed()
+        with pytest.raises(NonConvergenceError):
+            recursion._run_coupled(s, spec, IterationConfig(max_iters=4000), False, watch=track)
+        v = front.speed()
         assert v == pytest.approx(0.0384, abs=5e-4)
-        assert span >= recursion._BASELINE_W * spec.w
-        assert front.settled() == (v, span)
+        assert front.pos[-1] - front.pos[0] >= recursion._BASELINE_W * spec.w
 
 
 def _front_head(H, p, low=0.1, top=0.9):
@@ -531,11 +511,11 @@ def _front_head(H, p, low=0.1, top=0.9):
 
 # Chains whose fronts travel far enough to jump: (family, eps, N, w) and
 # the most iterations the jumped run may take, against 8250, 2641 and 1735
-# plain ones (776, 249 and 420 taken).
+# plain ones (773, 227 and 408 taken).
 _JUMPING = {
-    "ldgm9": ("ldgm9", 0.503731, 652, 5, 1000),
-    "gldpc31": ("gldpc31", 0.250287, 975, 11, 400),
-    "ldpc8": ("ldpc8", 0.617332, 864, 11, 500),
+    "ldgm9": ("ldgm9", 0.503731, 652, 5, 850),
+    "gldpc31": ("gldpc31", 0.250287, 975, 11, 250),
+    "ldpc8": ("ldpc8", 0.617332, 864, 11, 450),
 }
 
 
@@ -550,7 +530,8 @@ class TestWaveJumps:
         family, eps, N, w, most = _JUMPING[case]
         s, spec = _CHAINS[family][0]().at_eps(eps), CouplingSpec(N, w)
         plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
-        assert run.jumps >= 2
+        # a front jumps once, to _GAP_W windows before the midpoint
+        assert run.jumps >= 1
         assert run.iters <= most < plain.iters
         assert run.residual <= IterationConfig().tol
         if family == "ldpc8":
@@ -577,7 +558,7 @@ class TestWaveJumps:
 
     def test_plateau_the_step_raises_is_refused(self):
         # a front moving 0.5 cells per iteration along a synthetic head, low
-        # plateau 0.1 behind it, level 0.9 ahead: it settles once it has
+        # plateau 0.1 behind it, level 0.9 ahead: it has a speed once it has
         # moved _BASELINE_W windows, at check 1 + 2 _BASELINE_W, and has a
         # flat plateau, and the jump is taken exactly where h(0.1) <= 0.1
         w, H = 3, 200
@@ -590,7 +571,7 @@ class TestWaveJumps:
                            if watch(w * k, _front_head(H, 30.0 + 0.5 * w * k), 1.0) is not None]
         assert fired["lowers"][0] == 1 + 2 * recursion._BASELINE_W and fired["raises"] == []
         front, head = watches["raises"].front, _front_head(H, 30.0 + 0.5 * w * 29)
-        assert front.settled() is not None and front.plateau(head, front.pos[-1]) is not None
+        assert front.speed() is not None and front.plateau(head, front.pos[-1]) is not None
 
     def test_front_keeps_the_last_half_of_its_records(self):
         # _MAX_RECORDS + 1 records trim the oldest _MAX_RECORDS // 2; the
@@ -601,8 +582,35 @@ class TestWaveJumps:
             assert front.record(it, head) == 50.0
         kept = recursion._MAX_RECORDS // 2 + 1
         assert front.its == list(range(recursion._MAX_RECORDS // 2, recursion._MAX_RECORDS + 1))
-        assert front.pos == [50.0] * kept and front.tops == [0.9] * kept
+        assert front.pos == [50.0] * kept
         assert front.speed() is None
+
+    def test_random_near_threshold_chains_end_where_the_plain_run_does(self):
+        # 40 chains drawn near each family's thresholds (ldgm9 near both of
+        # its jumps); a jump never raises a cell, so a run ends where the
+        # plain run does, to its tolerance's geometric tail, in no more
+        # steps. Draws whose plain run does not converge in 20 000 steps are
+        # skipped (measured: 40 kept, 26 shorter, worst 1.4e-10)
+        families = {"ldpc8": _CHAINS["ldpc8"][0](), "ldgm9": _CHAINS["ldgm9"][0](),
+                    "isi": isi_system("x^3", "x^6"), "gldpc31": _CHAINS["gldpc31"][0]()}
+        windows = [("ldpc8", 0.612, 0.626), ("ldgm9", 0.495, 0.52), ("ldgm9", 0.33, 0.40),
+                   ("isi", 0.60, 0.66), ("gldpc31", 0.245, 0.265)]
+        rng, cfg = np.random.default_rng(0), IterationConfig(max_iters=20000)
+        kept = shorter = 0
+        for _ in range(40):
+            family, lo, hi = windows[rng.integers(len(windows))]
+            eps, w = rng.uniform(lo, hi), int(rng.integers(2, 13))
+            s, spec = families[family].at_eps(eps), CouplingSpec(int(rng.integers(w, 201)), w)
+            try:
+                plain = plain_fixed_point(s, spec, cfg)
+            except NonConvergenceError:
+                continue
+            run = coupled_fixed_point(s, spec, cfg)
+            assert np.max(np.abs(run.profile.values - plain.profile.values)) <= 1e-9
+            assert run.iters <= plain.iters
+            kept += 1
+            shorter += run.iters < plain.iters
+        assert kept >= 30 and shorter >= 10
 
     def test_stuck_run_stays_stuck(self):
         # ldgm9 above its coupled threshold: the chain does not decode
@@ -688,12 +696,12 @@ class TestTailExtrapolation:
             np.max(np.abs(plain.profile.values - limit)) + 5e-13)
 
     def test_decoding_tail_below_eps_single(self):
-        # ldpc8 at 0.6 < eps_single decodes without a travelling front, so
-        # no jump fires; its tail decays at h'(0) = 0.864
+        # ldpc8 at 0.6 < eps_single, where the uncoupled recursion decodes
+        # on its own; its tail decays at h'(0) = 0.864
         s, spec = _CHAINS["ldpc8"][0]().at_eps(0.6), CouplingSpec(400, 3)
         plain, run = plain_fixed_point(s, spec), coupled_fixed_point(s, spec)
         assert run.jumps >= 1 and run.iters < plain.iters
-        # measured: 2.9e-13 against 5.9e-12, in 162 steps against 219
+        # measured: 1.1e-13 against 5.9e-12, in 160 steps against 219
         assert run.profile.max <= 1e-12 < plain.profile.max
         assert_near_the_limit(run.profile.values, plain.profile.values, s, spec)
 

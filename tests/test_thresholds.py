@@ -901,6 +901,14 @@ def test_isi_maxwell_matches_the_oracle(isi36):
     assert abs(oracle.maxwell("isi", 0.5, 0.8) - maxwell_threshold(isi36)) <= 7e-17
 
 
+def test_isi_eps_single_matches_the_oracle(isi36):
+    # the oracle touches the diagonal at x = 0.37292299727077318, eps =
+    # 0.56890376680773292; the library's minimum of eps(x) over its 1e-4
+    # grid sits 3.58e-10 above it, a margin of 6.4e-10 under the bound
+    _, oracle_eps = oracle.eps_single("isi", 0.37, 0.57)
+    assert 0.0 <= eps_single(isi36) - oracle_eps <= 1e-9
+
+
 @pytest.mark.parametrize("which, family, lo, bound", [
     # the measured worst errors: ldgm9 1.084e-15 (x = 0.925), isi 4.81e-16
     # (x = 0.05), ldpc8 1.107e-15 (x = 0.05) and gldpc(31,4) 1.311e-15
@@ -1029,7 +1037,8 @@ class TestCoupledSweep:
             far = np.max(np.abs(run.profile.values - limit))
             assert far <= 1e-12
             assert far <= np.max(np.abs(plain(e, start).profile.values - limit)) + 5e-13
-        assert low.jumps >= 2 and low.iters < plain(0.245, top.profile.values).iters // 2
+        # measured: 118 steps against 1044
+        assert low.jumps >= 1 and low.iters < plain(0.245, top.profile.values).iters // 4
         assert low.profile.max <= 1e-10
 
     def test_capped_run_seeds_the_next(self, ldpc8):
